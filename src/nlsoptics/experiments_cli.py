@@ -91,13 +91,9 @@ class ScenarioError(Exception):
     """Raised for malformed or inconsistent scenario documents."""
 
 
-def _fail(msg: str) -> ScenarioError:
-    return ScenarioError(msg)
-
-
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
-        raise _fail(msg)
+        raise ScenarioError(msg)
 
 
 def _parse_eps(raw, pos: int) -> Fraction:
@@ -106,11 +102,11 @@ def _parse_eps(raw, pos: int) -> Fraction:
         try:
             f = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise _fail(f"{where}: cannot parse {raw!r} ({exc})") from None
+            raise ScenarioError(f"{where}: cannot parse {raw!r} ({exc})") from None
     elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
         f = Fraction(raw)
     else:
-        raise _fail(f"{where}: expected a '1/N' string or number, got {raw!r}")
+        raise ScenarioError(f"{where}: expected a '1/N' string or number, got {raw!r}")
     _expect(f > 0, f"{where}: epsilon must be positive")
     _expect(
         f.numerator == 1,
@@ -158,12 +154,12 @@ def load_scenario(path: str) -> Scenario:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise _fail(f"cannot read scenario {path}: {exc}") from None
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     digest = hashlib.sha256(blob).hexdigest()
     try:
         doc = json.loads(blob)
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: invalid JSON: {exc}") from None
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "scenario root must be an object")
     _expect(
         doc.get("schema") == SCENARIO_SCHEMA,
@@ -537,7 +533,7 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
             )
         deviation = float(dev)
     elif oracle is not None:
-        raise _fail(f"oracle {oracle!r} does not apply to a torus scenario")
+        raise ScenarioError(f"oracle {oracle!r} does not apply to a torus scenario")
 
     if deviation is not None:
         results["oracle_max_deviation"] = deviation
@@ -608,7 +604,7 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
         results["oracle_max_deviation"] = deviation
         print(f"oracle {oracle} max deviation {deviation:.3e}")
     elif oracle is not None:
-        raise _fail(f"oracle {oracle!r} does not apply to a euclid scenario")
+        raise ScenarioError(f"oracle {oracle!r} does not apply to a euclid scenario")
 
     print(
         f"profiles: {len(modes.vectors)} euclid profiles to t={t_final:g}, "
@@ -642,7 +638,6 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         grid_n=scn.solver_grid_n,
         checkpoints=int(exp.get("checkpoints", 8)),
         dt_self_check=bool(exp.get("dt_self_check", True)),
-        jobs=max(1, args.jobs),
     )
     total = time.perf_counter() - start
 
@@ -748,7 +743,10 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
             f"solver cross-check: gap {record.solver_gap:.4f} at "
             f"t*={record.solver_t_star:.4f}, deviation "
             f"{record.solver_formula_deviation:.3e} "
-            f"({record.solver_formula_deviation / record.eps:.2f} eps)"
+            f"({record.solver_formula_deviation / record.eps:.2f} eps); "
+            f"{record.solver_steps} steps on {record.solver_grid_n} points, "
+            f"L2 drift {record.solver_l2_drift:.1e}, "
+            f"top-band fraction {record.solver_aliasing:.1e}"
         )
     return 0
 
@@ -791,13 +789,13 @@ def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
                     try:
                         row.append(Fraction(c))
                     except (ValueError, ZeroDivisionError):
-                        raise _fail(
+                        raise ScenarioError(
                             f"probe.generators[{i}]: cannot parse {c!r}"
                         ) from None
                 elif isinstance(c, (int, float)) and not isinstance(c, bool):
                     row.append(c)
                 else:
-                    raise _fail(f"probe.generators[{i}]: bad entry {c!r}")
+                    raise ScenarioError(f"probe.generators[{i}]: bad entry {c!r}")
             gens.append(row)
         probe = gram_diophantine_probe(
             gens,
@@ -861,17 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out", default="reports", help="output directory (default: reports)"
         )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="concurrent sweep jobs (converge only)",
-        )
-        p.add_argument(
-            "--seedless",
-            action="store_true",
-            help="reserved; all computations are deterministic",
-        )
         if name == "converge":
             p.add_argument(
                 "--assert-order",
@@ -896,14 +883,12 @@ def run(argv=None) -> int:
         scn = load_scenario(args.scenario)
         expected = scn.experiment["type"]
         if expected != args.command:
-            raise _fail(
+            raise ScenarioError(
                 f"scenario declares experiment {expected!r}, "
                 f"invoked command {args.command!r}"
             )
         os.makedirs(args.out, exist_ok=True)
         flags = {
-            "jobs": args.jobs,
-            "seedless": bool(args.seedless),
             "assert_order": getattr(args, "assert_order", None),
             "oracle": getattr(args, "oracle", None),
         }

@@ -32,7 +32,6 @@ __all__ = [
     "BlowUpError",
     "compile_interactions",
     "interactions_for",
-    "nonlinear_rhs",
     "integrate_torus",
     "integrate_euclid",
     "explicit_torus_1d",
@@ -176,24 +175,6 @@ def _as_compiled(interactions, sigma: int) -> CompiledInteractions:
             raise ValueError("compiled interactions were built for another sigma")
         return interactions
     return compile_interactions(interactions, sigma)
-
-
-def nonlinear_rhs(state, interactions, lam: float, sigma: int) -> np.ndarray:
-    """-i lambda * coupling sum, for a torus or Euclidean profile state.
-
-    interactions: per-target ResonantTuple lists (or a CompiledInteractions)
-    enumerated from the state's own ModeSet with the same sigma.
-    """
-    comp = _as_compiled(interactions, sigma)
-    if isinstance(state, ProfileStateTorus):
-        values = state.amps
-    elif isinstance(state, ProfileStateEuclid):
-        values = state.fields
-    else:
-        values = np.asarray(state, dtype=complex)
-    if values.shape[0] != comp.n_modes:
-        raise ValueError("state and interactions disagree on the number of modes")
-    return -1j * lam * _coupling_sum(values, comp)
 
 
 def _segment_times(t_final: float, dt: float, snapshot_times) -> list[float]:

@@ -132,6 +132,7 @@ class SolveResult:
     l2_values: np.ndarray  # discrete L2 norm at each snapshot
     aliasing_fractions: np.ndarray  # top-band spectral mass fraction per snapshot
     aliasing_flagged: bool
+    steps: int  # split steps taken over all segments
 
     @property
     def l2_relative_drift(self) -> float:
@@ -240,12 +241,14 @@ def _solve(
         fracs.append(frac)
 
     take_snapshot(0.0, u)
+    steps = 0
     for left, right in zip(marks[:-1], marks[1:]):
         seg = right - left
         if seg <= 0:
             continue
         m = max(1, math.ceil(seg / cfg.dt - 1e-9))
         h = seg / m
+        steps += m
         linmult = np.exp(-0.5j * eps * h * ksq)
         u = rotate(u, h / 2)
         for i in range(m):
@@ -259,6 +262,7 @@ def _solve(
         l2_values=np.array(l2s),
         aliasing_fractions=np.array(fracs),
         aliasing_flagged=any(f > ALIASING_TOLERANCE for f in fracs),
+        steps=steps,
     )
 
 

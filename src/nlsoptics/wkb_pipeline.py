@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -143,8 +143,7 @@ def _refine_dt(
 
     The linear scaling is conservative for a second-order splitting whose
     error accumulates at worst linearly in the number of steps.  The prefix
-    solves go through `_solve`, which leaves warning state alone, so threaded
-    legs do not race on it.
+    solves go through `_solve`, which issues no aliasing warning.
     """
     dt = cfg.dt
     rounds = 0
@@ -166,6 +165,38 @@ def _refine_dt(
     return dt, rounds
 
 
+def _period_config(
+    cfg: SolverConfig, kappa_sup: int, *, strict: bool = False
+) -> SolverConfig:
+    """The eps=1 problem on one 2 pi eps period that is equivalent to cfg.
+
+    Carriers at kappa/eps on the integer lattice make a field 2 pi eps
+    periodic, and NLS keeps that period, so u(t, x) = v(t/eps, x/eps)
+    exactly: v solves the eps=1 equation with coupling lam*eps, step dt/eps
+    and horizon t_final/eps on cfg.n*eps points per axis.  Sup, W and L2
+    norms, spatial means and the aliasing fraction are the same on the
+    period as on the full grid.  When cfg.n is not a multiple of 1/eps the
+    full grid holds no whole number of periods; the period then gets
+    `default_grid_size(1, sigma, kappa_sup)` points, or, with strict, a
+    ValueError is raised.
+    """
+    eps = cfg.eps
+    inv = _check_eps(eps)
+    if cfg.n % inv == 0 and cfg.n // inv >= 2:
+        n_period = cfg.n // inv
+    elif not strict:
+        n_period = default_grid_size(1.0, cfg.sigma, kappa_sup)
+    else:
+        raise ValueError(
+            f"grid_n={cfg.n} is not a multiple of 1/eps={inv} with at "
+            f"least two points per period: legs are solved on one "
+            f"2*pi*eps period of grid_n*eps points"
+        )
+    return SolverConfig(
+        1.0, cfg.lam * eps, cfg.sigma, cfg.dt / eps, n_period, cfg.t_final / eps
+    )
+
+
 def run_convergence(
     modes: ModeSet,
     alpha: Sequence[complex],
@@ -178,7 +209,6 @@ def run_convergence(
     grid_n: Optional[int] = None,
     checkpoints: int = 8,
     dt_self_check: bool = True,
-    jobs: int = 1,
     row_hook: Optional[Callable[[ConvergenceRow], None]] = None,
 ) -> ConvergenceTable:
     """Sweep epsilon, comparing the spectral solution with the assembled
@@ -186,23 +216,14 @@ def run_convergence(
 
     The profile system is integrated once (it does not depend on epsilon)
     and shared across all legs.  Every carrier sits at kappa/eps on the
-    integer lattice, so both fields repeat with period 2 pi eps, and each leg
-    is solved on one such period through the exact rescaling
-    u(t, x) = v(t/eps, x/eps): v solves the eps=1 equation with coupling
-    lam*eps, step dt/eps and horizon t_final/eps on a grid of n*eps points
-    per axis.  Sup, W and L2 norms and the aliasing fraction are the same on
-    the period as on the full grid.  grid_n (default `default_grid_size`)
-    is the full-grid size, checked by `validate_resolution`, and must be a
-    multiple of 1/eps; rows report the full-grid n and the physical dt.
-    When 1/eps is not a power of two the default full grid holds no whole
-    number of periods, and the period instead gets `default_grid_size`
-    points at eps=1 (the row reports that count times 1/eps).
+    integer lattice, so each leg is solved on one 2 pi eps period through
+    `_period_config`.  grid_n (default `default_grid_size`) is the full-grid
+    size, checked by `validate_resolution`, and must be a multiple of 1/eps;
+    rows report the physical dt and the period's points times 1/eps.
 
     With the default dt the step is validated per leg by a two-resolution
     prefix check.  A leg that blows up or fails resolution checks is
-    recorded with its failure note instead of aborting the sweep.  jobs > 1
-    runs legs in threads (the transforms release the interpreter lock); row
-    order always follows eps_list.
+    recorded with its failure note instead of aborting the sweep.
     """
     if not modes.saturated:
         warnings.warn(
@@ -228,35 +249,21 @@ def run_convergence(
         try:
             cfg = SolverConfig(eps_f, lam, modes.sigma, dt_row, n, t_final)
             cfg.validate_resolution(kappa_sup)
-            inv = _check_eps(eps_f)
-            if n % inv == 0 and n // inv >= 2:
-                n_cell = n // inv
-            elif grid_n is None:
-                n_cell = default_grid_size(1.0, modes.sigma, kappa_sup)
-                n = n_cell * inv
-            else:
-                raise ValueError(
-                    f"grid_n={n} is not a multiple of 1/eps={inv} with at "
-                    f"least two points per period: legs are solved on one "
-                    f"2*pi*eps period of grid_n*eps points"
-                )
-
-            def cell_config(step: float) -> SolverConfig:
-                return SolverConfig(
-                    1.0, lam * eps_f, modes.sigma, step / eps_f, n_cell,
-                    t_final / eps_f,
-                )
+            strict = grid_n is not None
+            cell = _period_config(cfg, kappa_sup, strict=strict)
+            n = cell.n * _check_eps(eps_f)
 
             def cell_field(amps, t: float) -> GridField:
                 state = ProfileStateTorus(modes=modes, amps=amps, t=t / eps_f)
-                return assemble_uapp(state, 1.0, n_cell)
+                return assemble_uapp(state, 1.0, cell.n)
 
-            cell = cell_config(dt_row)
             u0 = cell_field(alpha, 0.0)
             if dt is None and dt_self_check:
                 _, rounds = _refine_dt(u0, cell, budget=eps_f)
                 dt_row = default_dt(eps_f) / 2**rounds
-                cell = cell_config(dt_row)
+                cell = _period_config(
+                    replace(cfg, dt=dt_row), kappa_sup, strict=strict
+                )
             res = solve(u0, cell, snapshot_times=[t / eps_f for t in checks])
             sup_err = 0.0
             w_err = 0.0
@@ -264,7 +271,7 @@ def run_convergence(
                 uapp = cell_field(traj.at(t), t)
                 diff = GridField(
                     d=modes.d,
-                    n=n_cell,
+                    n=cell.n,
                     values=res.at(t / eps_f).values - uapp.values,
                 )
                 sup_err = max(sup_err, sup_norm_of_field(diff))
@@ -288,21 +295,12 @@ def run_convergence(
                 status=f"{type(exc).__name__}: {exc}",
             )
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one_leg, eps_list))
+    rows = []
+    for eps in eps_list:
+        row = one_leg(eps)
+        rows.append(row)
         if row_hook is not None:
-            for row in rows:
-                row_hook(row)
-    else:
-        rows = []
-        for eps in eps_list:
-            row = one_leg(eps)
-            rows.append(row)
-            if row_hook is not None:
-                row_hook(row)
+            row_hook(row)
 
     ok_rows = [r for r in rows if r.ok]
     at_floor = bool(ok_rows) and all(r.sup_error <= ERROR_FLOOR for r in ok_rows)
@@ -388,6 +386,9 @@ class InstabilityRecord:
     For the weak-limit variant the tilde datum is the formal limit profile
     and alpha1_tilde is None.  solver_gap is the same quantity measured from
     two spectral solves via the zero Fourier mode (None unless cross-checked).
+    The solver_* fields after it record the solves' health: points of the
+    period grid, split steps over both solves, and the worst relative L2
+    drift and top-band aliasing fraction of either.
     """
 
     variant: str
@@ -411,6 +412,10 @@ class InstabilityRecord:
     solver_gap: Optional[float] = None
     solver_t_star: Optional[float] = None
     solver_formula_deviation: Optional[float] = None
+    solver_grid_n: Optional[int] = None
+    solver_steps: Optional[int] = None
+    solver_l2_drift: Optional[float] = None
+    solver_aliasing: Optional[float] = None
 
 
 def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
@@ -460,7 +465,9 @@ def run_instability(
 
     With cross_check=True (variants with two data only) the gap is also
     measured from two semiclassical solves at eps = 1/K^2 through the zero
-    Fourier mode.  Modest K only: the grid scales like K^2.
+    Fourier mode.  Both data are 2 pi eps periodic, so each solve runs on one
+    period (`_period_config`) and costs about 100*delta*K^2 split steps on
+    16 points.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")
@@ -516,38 +523,41 @@ def run_instability(
     gap = float(gaps[k_star])
 
     eps = solver_gap = solver_t_star = solver_dev = None
+    solver_n = solver_steps = solver_l2_drift = solver_aliasing = None
     if cross_check:
         if variant == "weak_limit":
             raise ValueError(
                 "cross_check needs two data to solve; the weak limit is not "
                 "a solution"
             )
-        if K > 64:
-            raise ValueError(
-                "cross_check limited to K <= 64 (grid scales like K^2); use "
-                "the closed-form gap for larger K"
-            )
         eps = 1.0 / (K * K)
-        n = default_grid_size(eps, sigma, 1)
-        cfg = SolverConfig(eps, lam, sigma, default_dt(eps), n, delta)
+        cfg = SolverConfig(
+            eps, lam, sigma, default_dt(eps), default_grid_size(eps, sigma, 1),
+            delta,
+        )
         cfg.validate_resolution(1)
+        cell = _period_config(cfg, 1)
         sample = np.linspace(0.0, delta, 101)
-        x_idx = np.round(1.0 / eps).astype(int)
-        series = []
+        solves = []
         for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t)):
-            spec = np.zeros(n, dtype=np.complex128)
+            spec = np.zeros(cell.n, dtype=np.complex128)
             spec[0] = a0
-            spec[x_idx % n] = a1
-            u0 = GridField(d=1, n=n, values=ifftn(spec) * n)
-            res = solve(u0, cfg, snapshot_times=sample)
-            series.append(
-                np.array([np.mean(res.at(t).values) for t in sample])
-            )
-        diffs = np.abs(series[0] - series[1])
+            spec[1] = a1  # the carrier at 1/eps, wavenumber 1 on the period
+            u0 = GridField(d=1, n=cell.n, values=ifftn(spec) * cell.n)
+            solves.append(solve(u0, cell, snapshot_times=sample / eps))
+        zero_modes = [
+            np.array([np.mean(r.at(t / eps).values) for t in sample])
+            for r in solves
+        ]
+        diffs = np.abs(zero_modes[0] - zero_modes[1])
         k = int(np.argmax(diffs))
         solver_gap = float(diffs[k])
         solver_t_star = float(sample[k])
         solver_dev = abs(solver_gap - gap)
+        solver_n = cell.n
+        solver_steps = sum(r.steps for r in solves)
+        solver_l2_drift = max(r.l2_relative_drift for r in solves)
+        solver_aliasing = max(float(np.max(r.aliasing_fractions)) for r in solves)
 
     return InstabilityRecord(
         variant=variant,
@@ -571,4 +581,8 @@ def run_instability(
         solver_gap=solver_gap,
         solver_t_star=solver_t_star,
         solver_formula_deviation=solver_dev,
+        solver_grid_n=solver_n,
+        solver_steps=solver_steps,
+        solver_l2_drift=solver_l2_drift,
+        solver_aliasing=solver_aliasing,
     )

@@ -118,7 +118,7 @@ def test_criterion_02_mode_creation_sweep(announce):
         alpha, modes, SimParams(lam=1.0, sigma=1, t_final=0.5, dt=1e-3)
     )
     a00 = abs(traj.final.amps[modes.index(wv(0, 0))])
-    table = run_convergence(modes, alpha, 1.0, EPS_SWEEP, 0.5, jobs=2)
+    table = run_convergence(modes, alpha, 1.0, EPS_SWEEP, 0.5)
     runtime = time.perf_counter() - t0
     rows_ok = all(r.ok for r in table.rows)
     order = table.order_sup
@@ -431,8 +431,8 @@ def test_criterion_10_instability_gap(announce):
     # negative-order data separation: an O(K^s)-small perturbation must open
     # an O(1) zero-mode gap by t=delta, and two semiclassical solves at
     # eps=1/K^2 must reproduce the formula gap within 5*eps.  K=32 sits
-    # below the premise threshold K > delta^(1/s) = 100 by design (the grid
-    # cost scales like K^2), so the premise warning is expected.  The
+    # below the premise threshold K > delta^(1/s) = 100 by design (the step
+    # count scales like K^2), so the premise warning is expected.  The
     # deviation, 6.75e-3 here, is the same at dt = eps/100 and eps/400 and
     # falls like about 0.2/K over K = 8..128, slower than 5*eps = 5/K^2: it
     # is the WKB remainder for data whose high amplitude alpha1 =

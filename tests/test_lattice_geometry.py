@@ -228,9 +228,12 @@ class TestClosureProperties:
         s = closure(coords, 1, max_sup_norm=32)
         for c in coords:
             assert wv(*c) in s.vectors
-        again = close_under_resonances(list(s.vectors), 1, max_sup_norm=32)
-        assert again.vectors == s.vectors
-        assert all(g == 0 for g in again.generations)
+        # idempotence is claimed for closed sets only; re-closing a set cut at
+        # the generation cap grows it again, at a cost of minutes and gigabytes
+        if s.saturated:
+            again = close_under_resonances(list(s.vectors), 1, max_sup_norm=32)
+            assert again.vectors == s.vectors
+            assert all(g == 0 for g in again.generations)
 
     @given(
         st.lists(small_vec, min_size=1, max_size=4, unique=True),

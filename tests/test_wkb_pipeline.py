@@ -104,17 +104,6 @@ class TestConvergence:
         assert table.order_sup is None
         assert table.fitted_order_label("sup") == "n/a (floor)"
 
-    def test_threaded_matches_sequential(self):
-        modes = line_modes(0, 1)
-        kwargs = dict(checkpoints=1, dt_self_check=False)
-        seq = run_convergence(modes, [0.5, 0.3], 1.0, [1 / 2, 1 / 4], 0.1, **kwargs)
-        par = run_convergence(
-            modes, [0.5, 0.3], 1.0, [1 / 2, 1 / 4], 0.1, jobs=2, **kwargs
-        )
-        assert [r.eps for r in par.rows] == [r.eps for r in seq.rows]
-        for a, b in zip(par.rows, seq.rows):
-            assert math.isclose(a.sup_error, b.sup_error, rel_tol=1e-12)
-
     def test_failed_leg_recorded_not_raised(self):
         modes = line_modes(0, 1)
         table = run_convergence(
@@ -326,8 +315,11 @@ class TestInstability:
             run_instability(
                 1.0, 0.1, -2.0, 8, variant="weak_limit", theta=1.0, cross_check=True
             )
-        with pytest.raises(ValueError):
-            run_instability(1.0, 0.1, -2.0, 128, cross_check=True)
+        # K=128 solves two 16-point periods in about a second
+        with pytest.warns(UserWarning, match="premise"):
+            rec = run_instability(1.0, 0.01, -0.5, 128, cross_check=True)
+        assert math.isfinite(rec.solver_formula_deviation)
+        assert rec.solver_formula_deviation == pytest.approx(2.6e-3, rel=0.1)
 
     def test_cross_check_small_case(self):
         rec = run_instability(1.0, 0.5, -2.0, 4, cross_check=True)
@@ -338,3 +330,32 @@ class TestInstability:
             abs(rec.solver_gap - rec.gap)
         )
         assert rec.solver_formula_deviation < 1.0
+        assert rec.solver_grid_n == 16
+        # 100 segments of delta/100 at dt = eps/100: ceil(0.005/(1/1600)) = 8
+        assert rec.solver_steps == 2 * 100 * 8
+        assert 0.0 <= rec.solver_l2_drift < 1e-12
+        assert 0.0 <= rec.solver_aliasing < 1e-8
+
+    @pytest.mark.parametrize("K", [4, 8])
+    def test_cross_check_period_matches_full_grid(self, K):
+        # oracle: both data solved directly on the full 16*K^2-point grid
+        with pytest.warns(UserWarning, match="premise"):
+            rec = run_instability(1.0, 0.1, -0.5, K, cross_check=True)
+        eps = 1.0 / (K * K)
+        n = default_grid_size(eps, 1, 1)
+        assert n == 16 * K * K
+        cfg = SolverConfig(eps, 1.0, 1, default_dt(eps), n, 0.1)
+        sample = np.linspace(0.0, 0.1, 101)
+        zero_modes = []
+        data = ((rec.alpha0, rec.alpha1), (rec.alpha0_tilde, rec.alpha1_tilde))
+        for a0, a1 in data:
+            spec = np.zeros(n, dtype=complex)
+            spec[0] = a0
+            spec[K * K] = a1
+            u0 = GridField(1, n, np.fft.ifft(spec) * n)
+            res = solve(u0, cfg, snapshot_times=sample)
+            zero_modes.append(np.array([np.mean(res.at(t).values) for t in sample]))
+        diffs = np.abs(zero_modes[0] - zero_modes[1])
+        k = int(np.argmax(diffs))
+        assert math.isclose(rec.solver_gap, diffs[k], rel_tol=1e-10)
+        assert math.isclose(rec.solver_t_star, sample[k], rel_tol=1e-10)
