@@ -506,6 +506,8 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
         "modes": [list(v.coords) for v in modes.vectors],
         "final_amps": traj.amps[-1],
         "mass_relative_drift": drift,
+        "interaction_tuples": traj.interaction_tuples,
+        "rk4_steps": len(traj.times) - 1,
         "oracle": oracle,
     }
 
@@ -539,8 +541,8 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
         results["oracle_max_deviation"] = deviation
         print(f"oracle {oracle} max deviation {deviation:.3e}")
     print(
-        f"profiles: {len(modes.vectors)} modes to t={t_final:g}, "
-        f"mass drift {drift:.3e}"
+        f"profiles: {len(modes.vectors)} modes, {traj.interaction_tuples} tuples, "
+        f"{len(traj.times) - 1} RK4 steps to t={t_final:g}, mass drift {drift:.3e}"
     )
     _emit_report(out_dir, "profiles", scn, results, {"total": runtime}, flags)
     return 0
@@ -592,6 +594,8 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
         "grid_n": n,
         "length": length,
         "mass_relative_drift": drift,
+        "interaction_tuples": traj.interaction_tuples,
+        "rk4_steps": len(traj.mass_times) - 1,
         "oracle": oracle,
     }
 
@@ -607,8 +611,8 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
         raise ScenarioError(f"oracle {oracle!r} does not apply to a euclid scenario")
 
     print(
-        f"profiles: {len(modes.vectors)} euclid profiles to t={t_final:g}, "
-        f"mass drift {drift:.3e}"
+        f"profiles: {len(modes.vectors)} euclid profiles, {traj.interaction_tuples} tuples, "
+        f"{len(traj.mass_times) - 1} RK4 steps to t={t_final:g}, mass drift {drift:.3e}"
     )
     _emit_report(out_dir, "profiles", scn, results, {"total": runtime}, flags)
     return 0

@@ -14,7 +14,6 @@ results can be reported in user units.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -260,6 +259,11 @@ def complete_rectangle(
     return k - l + m
 
 
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators of values (1 when empty)."""
+    return math.lcm(*(v.denominator for v in values))
+
+
 def rescale_to_integers(
     raw_vectors: Sequence[Sequence],
 ) -> tuple[list[WaveVector], Fraction]:
@@ -280,73 +284,116 @@ def rescale_to_integers(
                 )
             row.append(Fraction(c))
         rows.append(row)
-    denom = 1
-    for row in rows:
-        for c in row:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    denom = _common_denominator(c for row in rows for c in row)
     ints = [
         WaveVector(tuple(int(c * denom) for c in row)) for row in rows
     ]
     return ints, Fraction(1, denom)
 
 
-def _creation_scan_cubic(
-    arr: np.ndarray, new_mask: np.ndarray
-) -> list[tuple[tuple[int, int, int], tuple[int, ...]]]:
-    """All fourth corners produced by right-angled triples of rows of arr.
+def _prefix_sums(per_mode: np.ndarray, length: int, *, alternate: bool = True) -> np.ndarray:
+    """Sums of per_mode over all ordered index prefixes (l_1, ..., l_length).
 
-    Only triples touching at least one row flagged in new_mask are scanned;
-    older triples were handled in a previous generation.  Returns a list of
-    ((k, l, m) row indices, created coords).
+    Row r belongs to the prefix whose base-|J| digits are r (lexicographic
+    order).  Slot p (1-based) enters with sign (-1)^(p+1) when alternate,
+    else +1.  Slots are added one at a time from zero, so a float row rounds
+    exactly like sum(per_mode[l] for l in prefix).
     """
-    n = arr.shape[0]
-    created = []
-    any_new = bool(new_mask.any())
-    for b in range(n):
-        diffs = arr[b] - arr  # row i: kappa_l - kappa_i
-        gram = diffs @ diffs.T  # gram[k, m] = (l-k).(l-m)
-        ks, ms = np.nonzero(gram == 0)
-        for ki, mi in zip(ks.tolist(), ms.tolist()):
-            if ki == b or mi == b:
-                continue  # degenerate, creates nothing
-            if any_new and not (new_mask[b] or new_mask[ki] or new_mask[mi]):
-                continue
-            fourth = arr[ki] - arr[b] + arr[mi]
-            created.append(((ki, b, mi), tuple(int(c) for c in fourth)))
-    return created
+    acc = np.zeros((1,) + per_mode.shape[1:], dtype=per_mode.dtype)
+    for p in range(length):
+        term = -per_mode if alternate and p % 2 else per_mode
+        acc = (acc[:, None] + term[None]).reshape((-1,) + per_mode.shape[1:])
+    return acc
 
 
-def _creation_scan_general(
-    arr: np.ndarray, new_mask: np.ndarray, sigma: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Brute-force scan of all (2*sigma+1)-tuples for characteristic sums.
+def _defect_blocks(arr: np.ndarray, sigma: int):
+    """Resonance defects of all ordered (2*sigma+1)-tuples of rows of arr.
 
-    Vectorized over the final index.  Returns ((tuple indices), created coords)
-    for every zero-defect combination; callers discard targets already present.
+    The int64 prefix sums vec = sum +-kappa and nsum = sum +-|kappa|^2 of all
+    2*sigma-prefixes are built once; the tuples are then visited in blocks
+    of one leading index l_1, so no |J|^(2 sigma + 1) table is ever held.
+    Yields (start, vec, defects) per block: vec[r] belongs to prefix number
+    start + r and defects[r, m] = |vec[r] + kappa_m|^2 - nsum[r] - |kappa_m|^2
+    = |vec[r]|^2 - nsum[r] + 2 vec[r].kappa_m is the defect of (prefix, m).
     """
-    n = arr.shape[0]
+    n, d = arr.shape
+    if d * ((2 * sigma + 1) * int(np.abs(arr).max())) ** 2 >= 2**62:
+        raise OverflowError("wave vectors too large for exact int64 defects")
     norms = np.einsum("ij,ij->i", arr, arr)
-    width = 2 * sigma + 1
-    created = []
-    any_new = bool(new_mask.any())
-    for prefix in itertools.product(range(n), repeat=width - 1):
-        prefix_new = any(new_mask[i] for i in prefix)
-        vec = np.zeros(arr.shape[1], dtype=np.int64)
-        nsum = 0
-        for p, idx in enumerate(prefix):
-            sign = 1 if p % 2 == 0 else -1
-            vec += sign * arr[idx]
-            nsum += sign * int(norms[idx])
-        # final position has sign +1
-        targets = vec[None, :] + arr
-        defects = np.einsum("ij,ij->i", targets, targets) - (nsum + norms)
-        for last in np.nonzero(defects == 0)[0].tolist():
-            if any_new and not (prefix_new or new_mask[last]):
-                continue
-            created.append(
-                (prefix + (last,), tuple(int(c) for c in targets[last]))
-            )
-    return created
+    sums = _prefix_sums(np.column_stack([arr, norms]), 2 * sigma)
+    vec = sums[:, :d]
+    base = np.einsum("ij,ij->i", vec, vec) - sums[:, d]
+    rows = n ** (2 * sigma - 1)
+    for start in range(0, len(sums), rows):
+        v = vec[start:start + rows]
+        yield start, v, base[start:start + rows, None] + 2 * (v @ arr.T)
+
+
+def _row_finder(arr: np.ndarray):
+    """find(rows) -> index of each row of rows in arr, or -1 where absent.
+
+    Coordinates are replaced by their rank among arr's values on their axis,
+    so the mixed-radix int64 code of a row stays below |J|^d.
+    """
+    axes = [np.unique(col) for col in arr.T]
+    sizes = [len(v) for v in axes]
+
+    def encode(rows):
+        ranks = [np.searchsorted(v, c).clip(max=len(v) - 1) for v, c in zip(axes, rows.T)]
+        hit = np.all([v[r] == c for v, r, c in zip(axes, ranks, rows.T)], axis=0)
+        return np.ravel_multi_index(ranks, sizes), hit
+
+    codes = encode(arr)[0]
+    order = np.argsort(codes)
+    ranked = codes[order]
+
+    def find(rows):
+        code, hit = encode(rows)
+        pos = np.minimum(np.searchsorted(ranked, code), len(ranked) - 1)
+        return np.where(hit & (ranked[pos] == code), order[pos], -1)
+
+    return find
+
+
+def _resonant_tuples(arr: np.ndarray, sigma: int, keep):
+    """Resonant (zero-defect) tuples of rows of arr, in lexicographic order.
+
+    Per block of _defect_blocks, keep(prefix numbers, last indices, found)
+    selects tuples in numpy; found is the row of arr equal to the tuple's
+    combined vector, or -1.  Returns (index rows, combined vectors, found)
+    of the kept tuples.
+    """
+    find = _row_finder(arr)
+    parts = []
+    for start, vec, defects in _defect_blocks(arr, sigma):
+        r, m = np.nonzero(defects == 0)
+        combined = vec[r] + arr[m]
+        found = find(combined)
+        k = keep(start + r, m, found)
+        parts.append((start + r[k], m[k], combined[k], found[k]))
+    prefix, last, combined, found = (np.concatenate(p) for p in zip(*parts))
+    idx = np.column_stack(np.unravel_index(prefix, (len(arr),) * (2 * sigma)) + (last,))
+    return idx, combined, found
+
+
+def _creation_scan(arr: np.ndarray, new_mask: np.ndarray, sigma: int) -> list[tuple]:
+    """Resonant tuples of rows of arr whose combined vector is not a row.
+
+    When new_mask flags any row, tuples touching none (handled in an earlier
+    generation) are dropped too, in numpy like the present corners.  For
+    sigma=1 the resonant triples (k, l, m) are the right angles at l and the
+    combined vector is the fourth rectangle corner.  Returns ((indices),
+    created coords) in lexicographic order, for sigma=1 with l leading.
+    """
+    touched = _prefix_sums(new_mask.astype(np.int64), 2 * sigma, alternate=False) > 0
+    old = not new_mask.any()
+    idx, made, _ = _resonant_tuples(
+        arr, sigma, lambda p, m, found: (found < 0) & (old | touched[p] | new_mask[m])
+    )
+    if sigma == 1:
+        order = np.lexsort((idx[:, 2], idx[:, 0], idx[:, 1]))
+        idx, made = idx[order], made[order]
+    return list(zip(map(tuple, idx.tolist()), map(tuple, made.tolist())))
 
 
 def close_under_resonances(
@@ -367,8 +414,11 @@ def close_under_resonances(
     sup norm exceeds max_sup_norm are discarded, which also marks the result
     unsaturated.
 
-    For sigma=1 the scan is the rectangle completion of right-angled triples;
-    in d=1 with sigma=1 no triple can create, so the closure is the input.
+    Each generation runs the blocked prefix-sum kernel (_creation_scan) and
+    drops in numpy the tuples whose combined vector is present or that touch
+    no vector of the previous generation.  For sigma=1 this is rectangle
+    completion of right angles; in d=1 with sigma=1 no triple can create, so
+    the closure is the input.
     """
     vecs = list(dict.fromkeys(initial))
     if not vecs:
@@ -393,21 +443,16 @@ def close_under_resonances(
         arr = np.array([v.coords for v in current], dtype=np.int64)
         new_mask = np.zeros(len(current), dtype=bool)
         new_mask[new_from:] = True
-        if sigma == 1:
-            return _creation_scan_cubic(arr, new_mask)
-        return _creation_scan_general(arr, new_mask, sigma)
+        return _creation_scan(arr, new_mask, sigma)
 
     current = list(vecs)
     prev_size = 0
     for gen in range(1, max_generations + 1):
         found = scan(current, prev_size)
         prev_size = len(current)
-        fresh = []
-        fresh_set = set()
+        fresh = set()
         for idx_tuple, coords in found:
             v = WaveVector(coords)
-            if v in generation:
-                continue
             if v.sup_norm > max_sup_norm:
                 truncated_by_norm = True
                 continue
@@ -415,13 +460,11 @@ def close_under_resonances(
                 edges.append(
                     (tuple(current[i].coords for i in idx_tuple), v.coords, gen)
                 )
-            if v not in fresh_set:
-                fresh_set.add(v)
-                fresh.append(v)
+            fresh.add(v)
         if not fresh:
             saturated = not truncated_by_norm
             break
-        fresh.sort()
+        fresh = sorted(fresh)
         for v in fresh:
             generation[v] = gen
         current = current + fresh
@@ -429,16 +472,9 @@ def close_under_resonances(
         # generation budget exhausted with the last scan still productive;
         # one more scan decides whether the set happens to be complete
         found = scan(current, prev_size)
-        if all(WaveVector(coords) in generation or WaveVector(coords).sup_norm > max_sup_norm
-               for _, coords in found):
-            leftovers = [
-                coords for _, coords in found
-                if WaveVector(coords) not in generation
-            ]
-            truncated_by_norm = truncated_by_norm or bool(leftovers)
+        if all(WaveVector(coords).sup_norm > max_sup_norm for _, coords in found):
+            truncated_by_norm = truncated_by_norm or bool(found)
             saturated = not truncated_by_norm
-        else:
-            saturated = False
 
     if not saturated:
         reason = "sup-norm cap" if truncated_by_norm else "generation cap"
@@ -461,39 +497,41 @@ def close_under_resonances(
     )
 
 
+def _interaction_table(modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered resonant tuple of modes, grouped by target, in one pass.
+
+    A resonant tuple targets the mode equal to its combined vector, looked
+    up by integer code with searchsorted.  Returns (idx, bounds): the tuples
+    of target j are idx[bounds[j]:bounds[j+1]], in lexicographic order.
+    Cached on the mode set.
+    """
+    table = modes.__dict__.get("_interaction_table_cache")
+    if table is None:
+        idx, _, target = _resonant_tuples(
+            modes.as_array(), modes.sigma, lambda p, m, found: found >= 0
+        )
+        order = np.argsort(target, kind="stable")
+        table = (idx[order], np.searchsorted(target[order], np.arange(len(modes) + 1)))
+        modes.__dict__["_interaction_table_cache"] = table
+    return table
+
+
 def enumerate_interactions(modes: ModeSet, j: int) -> list[ResonantTuple]:
     """All ordered resonant tuples in J^(2*sigma+1) targeting mode j.
 
-    Scans ordered prefixes (l_1, ..., l_{2 sigma}); the final index is solved
-    from the vector constraint and accepted iff it lies in J and the defect
-    vanishes.  Each ordered tuple appears exactly once.
+    A slice of one blocked pass over all targets (_interaction_table): the
+    prefix-sum kernel visits all ordered tuples one leading index at a time
+    and assigns each zero-defect tuple to the mode equal to its combined
+    vector, if that lies in J.  Each tuple appears once, in lexicographic order.
     """
     n = len(modes)
     if not 0 <= j < n:
         raise IndexError(f"mode index {j} out of range for |J| = {n}")
-    sigma = modes.sigma
-    coords = [v.coords for v in modes.vectors]
-    norms = [v.norm_sq for v in modes.vectors]
-    lookup = {c: i for i, c in enumerate(coords)}
-    target_c = coords[j]
-    target_n = norms[j]
-    d = modes.d
-    out = []
-    for prefix in itertools.product(range(n), repeat=2 * sigma):
-        vec = list(target_c)
-        nsum = target_n
-        for p, idx in enumerate(prefix):
-            sign = 1 if p % 2 == 0 else -1
-            c = coords[idx]
-            for i in range(d):
-                vec[i] -= sign * c[i]
-            nsum -= sign * norms[idx]
-        last = lookup.get(tuple(vec))
-        if last is None:
-            continue
-        if nsum == norms[last]:
-            out.append(ResonantTuple(indices=prefix + (last,), target=j))
-    return out
+    idx, bounds = _interaction_table(modes)
+    return [
+        ResonantTuple(indices=tuple(row), target=j)
+        for row in idx[bounds[j]:bounds[j + 1]].tolist()
+    ]
 
 
 def load_mode_document(source) -> tuple[int, int, list[WaveVector], Fraction]:

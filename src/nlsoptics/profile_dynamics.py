@@ -37,6 +37,7 @@ __all__ = [
     "explicit_torus_1d",
     "explicit_euclid_1d",
     "explicit_two_mode",
+    "two_mode_theta",
     "total_mass",
     "TorusTrajectory",
     "EuclidTrajectory",
@@ -115,14 +116,27 @@ class ProfileStateEuclid:
 class CompiledInteractions:
     """Flat index arrays for evaluating the full nonlinear coupling at once.
 
-    idx[t] holds the ordered indices of tuple t, target[t] its destination
-    mode.  Conjugation applies to odd 0-based columns of idx.
+    idx[t] holds the ordered indices of tuple t (column-major, so columns
+    gather contiguously), target[t] its destination mode; targets are
+    nondecreasing, and segment s of the derived starts/fed begins at row
+    starts[s] and feeds mode fed[s].  Conjugation applies to odd 0-based
+    columns of idx.
     """
 
     n_modes: int
     sigma: int
     idx: np.ndarray  # (T, 2*sigma+1) int
     target: np.ndarray  # (T,) int
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    fed: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if np.any(np.diff(self.target) < 0):
+            raise ValueError("interaction tuples must be grouped by nondecreasing target")
+        starts = np.flatnonzero(np.diff(self.target, prepend=-1))
+        object.__setattr__(self, "idx", np.asfortranarray(self.idx))
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "fed", self.target[starts])
 
 
 def interactions_for(modes: ModeSet) -> list[list[ResonantTuple]]:
@@ -157,15 +171,18 @@ def compile_interactions(
 def _coupling_sum(amps: np.ndarray, comp: CompiledInteractions) -> np.ndarray:
     """sum over tuples of a_{l_1} conj(a_{l_2}) ... accumulated per target.
 
-    amps has shape (n_modes,) or (n_modes, *grid); the result matches.
+    amps has shape (n_modes,) or (n_modes, *grid); the result matches.  The
+    products are built one column of idx at a time, then summed over each
+    target's segment; modes without tuples stay exactly zero.
     """
     out = np.zeros_like(amps)
     if comp.idx.shape[0] == 0:
         return out
-    prods = amps[comp.idx]  # (T, width, *grid)
-    prods[:, 1::2] = np.conj(prods[:, 1::2])
-    vals = prods.prod(axis=1)
-    np.add.at(out, comp.target, vals)
+    conj = np.conj(amps)
+    vals = amps[comp.idx[:, 0]]
+    for col in range(1, comp.idx.shape[1]):
+        vals *= (conj if col % 2 else amps)[comp.idx[:, col]]
+    out[comp.fed] = np.add.reduceat(vals, comp.starts, axis=0)
     return out
 
 
@@ -177,7 +194,8 @@ def _as_compiled(interactions, sigma: int) -> CompiledInteractions:
     return compile_interactions(interactions, sigma)
 
 
-def _segment_times(t_final: float, dt: float, snapshot_times) -> list[float]:
+def _snapshot_marks(t_final: float, snapshot_times) -> list[float]:
+    """Sorted segment ends: 0, t_final and every snapshot time in [0, t_final]."""
     marks = {0.0, t_final}
     if snapshot_times is not None:
         for t in snapshot_times:
@@ -205,7 +223,7 @@ def _rk4_sweep(
     y = y0.copy()
     guard(0.0, y)
     record(0.0, y)
-    marks = _segment_times(t_final, dt, snapshot_times)
+    marks = _snapshot_marks(t_final, snapshot_times)
     for left, right in zip(marks[:-1], marks[1:]):
         seg = right - left
         if seg <= 0:
@@ -232,6 +250,7 @@ class TorusTrajectory:
     params: SimParams
     times: np.ndarray  # (S,)
     amps: np.ndarray  # (S, |J|)
+    interaction_tuples: int = 0  # ordered resonant tuples in the coupling
 
     def __iter__(self):
         for t, a in zip(self.times, self.amps):
@@ -296,12 +315,8 @@ def integrate_torus(
         times.append(t)
         rows.append(y.copy())
 
-    if params.t_final == 0:
-        guard(0.0, alpha)
-        return TorusTrajectory(modes, params, np.array([0.0]), alpha[None, :].copy())
-
     _rk4_sweep(alpha, rhs, params.t_final, params.dt, snapshot_times, guard, record)
-    return TorusTrajectory(modes, params, np.array(times), np.array(rows))
+    return TorusTrajectory(modes, params, np.array(times), np.array(rows), len(comp.idx))
 
 
 @dataclass
@@ -315,6 +330,7 @@ class EuclidTrajectory:
     fields: np.ndarray  # (S, |J|, n per dimension)
     mass_times: np.ndarray  # every accepted step
     masses: np.ndarray
+    interaction_tuples: int = 0  # ordered resonant tuples in the coupling
 
     @property
     def final(self) -> ProfileStateEuclid:
@@ -401,7 +417,7 @@ def integrate_euclid(
             sfft.fftn(nonlin, axes=axes) * np.exp(1j * t * kdotxi), axes=axes
         )
 
-    snap_marks = _segment_times(params.t_final, params.dt, snapshot_times)
+    snap_marks = _snapshot_marks(params.t_final, snapshot_times)
     snap_set = {round(t, 12) for t in snap_marks}
     snap_times, snaps = [], []
     mass_times, masses = [], []
@@ -420,13 +436,7 @@ def integrate_euclid(
             snap_times.append(t)
             snaps.append(to_lab(t, b))
 
-    if params.t_final == 0:
-        guard(0.0, alpha)
-        record(0.0, alpha)
-    else:
-        _rk4_sweep(
-            alpha, rhs, params.t_final, params.dt, snapshot_times, guard, record
-        )
+    _rk4_sweep(alpha, rhs, params.t_final, params.dt, snapshot_times, guard, record)
     return EuclidTrajectory(
         modes,
         params,
@@ -435,6 +445,7 @@ def integrate_euclid(
         np.array(snaps),
         np.array(mass_times),
         np.array(masses),
+        len(comp.idx),
     )
 
 
@@ -495,28 +506,30 @@ def explicit_euclid_1d(
     return out
 
 
+def two_mode_theta(own_sq: float, other_sq: float, sigma: int) -> float:
+    """Constant modulation rate of one profile in a two-mode closed system:
+    theta = sum_n C(sigma+1, n) C(sigma, n) own^(sigma-n) other^n with the
+    moduli squared as arguments."""
+    return float(sum(
+        math.comb(sigma + 1, nn) * math.comb(sigma, nn) * own_sq ** (sigma - nn) * other_sq**nn
+        for nn in range(sigma + 1)
+    ))
+
+
 def explicit_two_mode(
     alpha_j: complex, alpha_l: complex, sigma: int, lam: float, t: float
 ) -> tuple[complex, complex]:
     """Closed-form two-mode torus amplitudes for any sigma.
 
-    Phases are theta = sum_{n=0}^{sigma} C(sigma+1,n) C(sigma,n) |a|^{2(sigma-n)} |a'|^{2n}
-    with (a, a') = (alpha_j, alpha_l) for the first mode and swapped for the second.
+    Each mode rotates at its two_mode_theta rate, with (own, other) =
+    (|alpha_j|^2, |alpha_l|^2) for the first mode and swapped for the second.
     """
     if sigma < 1:
         raise ValueError("sigma must be a positive integer")
     mj, ml = abs(alpha_j) ** 2, abs(alpha_l) ** 2
-
-    def theta(own, other):
-        return sum(
-            math.comb(sigma + 1, n) * math.comb(sigma, n)
-            * own ** (sigma - n) * other**n
-            for n in range(sigma + 1)
-        )
-
     return (
-        alpha_j * np.exp(-1j * lam * t * theta(mj, ml)),
-        alpha_l * np.exp(-1j * lam * t * theta(ml, mj)),
+        alpha_j * np.exp(-1j * lam * t * two_mode_theta(mj, ml, sigma)),
+        alpha_l * np.exp(-1j * lam * t * two_mode_theta(ml, mj, sigma)),
     )
 
 

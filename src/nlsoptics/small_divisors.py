@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice_geometry import ModeSet
+from .lattice_geometry import ModeSet, _common_denominator, _defect_blocks, _prefix_sums
 
 __all__ = [
     "DivisorSurvey",
@@ -54,21 +54,23 @@ class DivisorSurvey:
         return self.nonresonant_count == 0
 
 
-def _defect_table(modes: ModeSet, sigma: int):
-    """Yield (prefix indices, defect row over the last index) for all prefixes."""
-    arr = modes.as_array()
-    n = arr.shape[0]
-    norms = np.einsum("ij,ij->i", arr, arr)
-    for prefix in itertools.product(range(n), repeat=2 * sigma):
-        vec = np.zeros(arr.shape[1], dtype=np.int64)
-        nsum = 0
-        for p, idx in enumerate(prefix):
-            sign = 1 if p % 2 == 0 else -1
-            vec += sign * arr[idx]
-            nsum += sign * int(norms[idx])
-        combined = vec[None, :] + arr  # last position always enters with +
-        defects = np.einsum("ij,ij->i", combined, combined) - (nsum + norms)
-        yield prefix, defects
+def _defect_table(modes: ModeSet, sigma: int, log_weights: np.ndarray):
+    """Yield (start, |defect| block, log-weight block) per leading index l_1.
+
+    A view of the blocked lattice kernel: entry [r, m] belongs to the tuple
+    (prefix number start + r, m), so a block read row by row runs through
+    its tuples in lexicographic order.  A tuple's log weight is the sum of
+    log_weights over its slots, added slot by slot.  Each block holds
+    |J|^(2 sigma) entries; the full table is never built.
+    """
+    prefix = _prefix_sums(log_weights, 2 * sigma, alternate=False)
+    for start, _, defects in _defect_blocks(modes.as_array(), sigma):
+        yield start, np.abs(defects), prefix[start:start + len(defects), None] + log_weights
+
+
+def _half_log_weights(modes: ModeSet) -> np.ndarray:
+    """log <kappa_j> = log(1 + |kappa_j|^2) / 2 per mode."""
+    return 0.5 * np.log1p(np.array([v.norm_sq for v in modes.vectors], dtype=float))
 
 
 def survey_divisors(
@@ -77,53 +79,38 @@ def survey_divisors(
     """Scan all tuples in J^(2*sigma+1), recording the nonzero-defect minimum.
 
     weighted_min is min over non-resonant tuples of |delta| * prod_p
-    (1+|kappa_p|^2)^(b/2); with b=0 it equals min_delta.
+    (1+|kappa_p|^2)^(b/2); with b=0 it equals min_delta.  Each block of
+    _defect_table is reduced as it comes: count, running minima, and the
+    lexicographically first argmin.
     """
     if sigma is None:
         sigma = modes.sigma
     if sigma < 1:
         raise ValueError("sigma must be a positive integer")
-    arr = modes.as_array()
-    n = arr.shape[0]
-    norms = np.einsum("ij,ij->i", arr, arr)
-    log_w = 0.5 * b * np.log1p(norms.astype(float))
-
-    total = n ** (2 * sigma + 1)
+    n, width = len(modes), 2 * sigma + 1
     nonres = 0
     best: Optional[int] = None
-    best_idx: Optional[tuple[int, ...]] = None
+    best_at = 0
     best_weighted = math.inf
-    for prefix, defects in _defect_table(modes, sigma):
-        absd = np.abs(defects)
+    for start, absd, logw in _defect_table(modes, sigma, b * _half_log_weights(modes)):
         mask = absd > 0
-        count = int(mask.sum())
+        count = int(np.count_nonzero(mask))
         if count == 0:
             continue
         nonres += count
-        prefix_logw = sum(log_w[i] for i in prefix)
         local = int(absd[mask].min())
         if best is None or local < best:
             best = local
-            last = int(np.nonzero(absd == local)[0][0])
-            best_idx = prefix + (last,)
-        if b != 0.0:
-            weighted = absd[mask] * np.exp(prefix_logw + log_w[mask])
-            wmin = float(weighted.min())
-            if wmin < best_weighted:
-                best_weighted = wmin
-        # argmin refinement: ties resolved toward the lexicographically first
-        elif best == local and best_idx is not None and prefix < best_idx[:-1]:
-            last = int(np.nonzero(absd == local)[0][0])
-            best_idx = prefix + (last,)
-
-    if b == 0.0:
-        best_weighted = float(best) if best is not None else math.inf
+            best_at = start * n + int(np.argmax(absd.ravel() == local))
+        best_weighted = min(best_weighted, float((absd * np.exp(logw))[mask].min()))
     return DivisorSurvey(
         sigma=sigma,
-        tuples_scanned=total,
+        tuples_scanned=n**width,
         nonresonant_count=nonres,
         min_delta=best,
-        argmin=best_idx,
+        argmin=None if best is None else tuple(
+            int(i) for i in np.unravel_index(best_at, (n,) * width)
+        ),
         b=b,
         weighted_min=None if nonres == 0 else best_weighted,
         scale=modes.scale,
@@ -137,37 +124,25 @@ def fit_generalized_bound(
     |delta| * prod_p <kappa_p>^b, for each b in b_grid.
 
     Since <kappa> >= 1, c(b) is nondecreasing in b.  Returns (b, c) pairs;
-    c is None when the non-resonant set is empty.
+    c is None when the non-resonant set is empty.  Each block of
+    _defect_table updates a running minimum per b.
     """
     if sigma is None:
         sigma = modes.sigma
     for b in b_grid:
         if b < 0:
             raise ValueError("b must be nonnegative")
-    arr = modes.as_array()
-    norms = np.einsum("ij,ij->i", arr, arr)
-    half_log = 0.5 * np.log1p(norms.astype(float))
-
-    # collect (|delta|, sum of log<kappa>) per non-resonant tuple, then sweep b
-    deltas = []
-    logws = []
-    for prefix, defects in _defect_table(modes, sigma):
-        absd = np.abs(defects)
+    best = [math.inf] * len(b_grid)
+    nonres = False
+    for _, absd, logw in _defect_table(modes, sigma, _half_log_weights(modes)):
         mask = absd > 0
         if not mask.any():
             continue
-        prefix_logw = sum(half_log[i] for i in prefix)
-        deltas.append(absd[mask].astype(float))
-        logws.append(prefix_logw + half_log[mask])
-    if not deltas:
-        return [(float(b), None) for b in b_grid]
-    delta_arr = np.concatenate(deltas)
-    logw_arr = np.concatenate(logws)
-    out = []
-    for b in b_grid:
-        c = float(np.min(delta_arr * np.exp(b * logw_arr)))
-        out.append((float(b), c))
-    return out
+        nonres = True
+        delta, logw = absd[mask].astype(float), logw[mask]
+        for i, b in enumerate(b_grid):
+            best[i] = min(best[i], float(np.min(delta * np.exp(b * logw))))
+    return [(float(b), c if nonres else None) for b, c in zip(b_grid, best)]
 
 
 @dataclass(frozen=True)
@@ -249,10 +224,7 @@ def gram_diophantine_probe(
     p = len(rows)
 
     if rational:
-        denom = 1
-        for r in rows:
-            for c in r:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
+        denom = _common_denominator(c for r in rows for c in r)
         int_rows = [[int(c * denom) for c in r] for r in rows]
         gram_exact = [
             [
@@ -261,12 +233,7 @@ def gram_diophantine_probe(
             ]
             for i in range(p)
         ]
-        q = 1
-        for i in range(p):
-            for j in range(p):
-                q = q * gram_exact[i][j].denominator // math.gcd(
-                    q, gram_exact[i][j].denominator
-                )
+        q = _common_denominator(g for row in gram_exact for g in row)
         gram_scaled = np.array(
             [[int(gram_exact[i][j] * q) for j in range(p)] for i in range(p)],
             dtype=np.int64,

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .lattice_geometry import WaveVector
+from .profile_dynamics import _snapshot_marks
 
 __all__ = [
     "GridField",
@@ -150,17 +151,6 @@ class SolveResult:
         if len(idx) == 0:
             raise KeyError(f"no snapshot at t={t}")
         return self.fields[int(idx[0])]
-
-
-def _snapshot_marks(t_final: float, snapshot_times) -> list[float]:
-    marks = {0.0, t_final}
-    if snapshot_times is not None:
-        for t in snapshot_times:
-            t = float(t)
-            if t < -1e-12 or t > t_final * (1 + 1e-12):
-                raise ValueError("snapshot times must lie in [0, t_final]")
-            marks.add(min(max(t, 0.0), t_final))
-    return sorted(marks)
 
 
 def solve(

@@ -28,6 +28,7 @@ from .profile_dynamics import (
     ProfileStateTorus,
     SimParams,
     integrate_torus,
+    two_mode_theta,
 )
 from .small_divisors import survey_divisors
 from .spectral_nls import (
@@ -359,19 +360,6 @@ def remainder_report(state, sigma: Optional[int] = None) -> RemainderReport:
         r2_bound=r2,
         nonresonant_tuples=survey.nonresonant_count,
         min_delta=survey.min_delta,
-    )
-
-
-def two_mode_theta(own_sq: float, other_sq: float, sigma: int) -> float:
-    """Constant modulation rate of one profile in a two-mode closed system:
-    theta = sum_n C(sigma+1, n) C(sigma, n) own^(sigma-n) other^n with the
-    moduli squared as arguments."""
-    return float(
-        sum(
-            math.comb(sigma + 1, nn) * math.comb(sigma, nn)
-            * own_sq ** (sigma - nn) * other_sq**nn
-            for nn in range(sigma + 1)
-        )
     )
 
 

@@ -100,9 +100,16 @@ class TestProfilesCommand:
         assert rep["results"]["oracle"] == "explicit_torus_1d"
         assert rep["results"]["oracle_max_deviation"] < 1e-8
         assert rep["results"]["mass_relative_drift"] < 1e-10
-        header = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
-        assert header.split(",")[:3] == ["t", "re_j0", "im_j0"]
-        assert "max deviation" in capsys.readouterr().out
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert lines[0].split(",")[:3] == ["t", "re_j0", "im_j0"]
+        out = capsys.readouterr().out
+        assert "max deviation" in out
+        # in d=1 only the degenerate tuples (j, l, l) and (l, l, j) resonate:
+        # 2*3 - 1 per target; one recorded row per step after t=0
+        res = rep["results"]
+        assert res["interaction_tuples"] == 15
+        assert res["rk4_steps"] == len(lines) - 2
+        assert f"15 tuples, {res['rk4_steps']} RK4 steps" in out
 
     def test_two_mode_oracle_any_sigma(self, tmp_path):
         doc = torus_doc(
@@ -363,6 +370,20 @@ class TestErrorPaths:
 
 
 class TestShippedScenarios:
+    def test_closure_creation2d_edges(self):
+        import os
+
+        from nlsoptics.experiments_cli import _closed_modes, load_scenario
+
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        scn = load_scenario(os.path.join(here, "scenarios", "closure_creation2d.json"))
+        modes, _ = _closed_modes(scn)
+        # the list the per-triple rectangle scan produced, order included
+        assert modes.creation_edges == (
+            (((0, 1), (1, 1), (1, 0)), (0, 0), 1),
+            (((1, 0), (1, 1), (0, 1)), (0, 0), 1),
+        )
+
     def test_scenario_corpus_loads(self):
         import glob
         import os

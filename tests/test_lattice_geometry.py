@@ -19,6 +19,7 @@ from nlsoptics.lattice_geometry import (
     rescale_to_integers,
     resonance_defect,
 )
+from nlsoptics.lattice_geometry import _defect_blocks, _prefix_sums, _row_finder
 
 
 def wv(*coords):
@@ -320,6 +321,96 @@ class TestEnumerateInteractions:
         tuples = {t.indices for t in enumerate_interactions(modes, 0)}
         # self interactions plus the two rectangle orderings
         assert (1, 3, 2) in tuples and (2, 3, 1) in tuples
+
+
+class TestBlockedKernel:
+    """The prefix-sum kernel behind closure, enumeration and divisor surveys."""
+
+    def test_prefix_sums_lexicographic_and_signed(self):
+        arr = np.array([[1, -2], [0, 3], [4, 1]], dtype=np.int64)
+        want = [
+            sum((1 if p % 2 == 0 else -1) * arr[i] for p, i in enumerate(pre))
+            for pre in itertools.product(range(3), repeat=3)
+        ]
+        assert np.array_equal(_prefix_sums(arr, 3), np.array(want))
+
+    def test_prefix_sums_round_like_python_sum(self):
+        w = np.array([0.1, 0.7, 1.3, 2.9]) / 3.0
+        want = [sum(w[i] for i in pre) for pre in itertools.product(range(4), repeat=3)]
+        assert _prefix_sums(w, 3, alternate=False).tolist() == want
+
+    @pytest.mark.parametrize("sigma", [1, 2])
+    def test_defect_blocks_match_resonance_defect(self, sigma):
+        vecs = [wv(0, 0), wv(1, 2), wv(-1, 1), wv(3, -2)]
+        arr = np.array([v.coords for v in vecs], dtype=np.int64)
+        blocks = list(_defect_blocks(arr, sigma))
+        assert len(blocks) == len(vecs)  # one block per leading index
+        assert [start for start, _, _ in blocks] == [
+            i * 4 ** (2 * sigma - 1) for i in range(4)
+        ]
+        flat = np.concatenate([defects.ravel() for _, _, defects in blocks])
+        want = [
+            resonance_defect([vecs[i] for i in tup])
+            for tup in itertools.product(range(4), repeat=2 * sigma + 1)
+        ]
+        assert flat.tolist() == want
+
+    def test_row_finder(self):
+        arr = np.array([[2, 0], [-1, 5], [0, 0], [2, 5]], dtype=np.int64)
+        find = _row_finder(arr)
+        rows = np.array([[0, 0], [2, 5], [-1, 0], [9, 9], [2, 0], [-1, 5], [0, 5]])
+        assert find(rows).tolist() == [2, 3, -1, -1, 0, 1, -1]
+        assert find(np.empty((0, 2), dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize(
+        "vectors,sigma",
+        [([(0, 0), (1, 0), (0, 2), (3, 1)], 1), ([(-1,), (0,), (2,)], 2)],
+    )
+    def test_one_pass_covers_every_target(self, vectors, sigma):
+        modes = closure(vectors, sigma, max_sup_norm=6)
+        vecs, n = modes.vectors, len(modes)
+        want = {j: [] for j in range(n)}
+        for tup in itertools.product(range(n), repeat=2 * sigma + 1):
+            chain = [vecs[i] for i in tup]
+            combo = chain[0]
+            for p, v in enumerate(chain[1:], start=1):
+                combo = combo - v if p % 2 else combo + v
+            if combo in vecs and resonance_defect(chain) == 0:
+                want[modes.index(combo)].append(tup)
+        for j in range(n):
+            got = enumerate_interactions(modes, j)
+            assert all(t.target == j for t in got)
+            assert [t.indices for t in got] == want[j]  # lexicographic order
+
+    def test_creation_edges_golden(self):
+        # lists as the per-triple rectangle scan and the per-prefix general
+        # scan produced them, order included
+        s = closure([(0, 0), (1, 0), (0, 2), (3, 1)], 1, max_sup_norm=6,
+                    record_edges=True)
+        assert s.creation_edges == (
+            (((1, 0), (0, 0), (0, 2)), (1, 2), 1),
+            (((0, 2), (0, 0), (1, 0)), (1, 2), 1),
+            (((0, 2), (1, 0), (3, 1)), (2, 3), 1),
+            (((3, 1), (1, 0), (0, 2)), (2, 3), 1),
+            (((0, 0), (1, 2), (3, 1)), (2, -1), 2),
+            (((3, 1), (1, 2), (0, 0)), (2, -1), 2),
+        )
+        # the right-angle vertex leads: indices (1, 2, 3), (3, 2, 1), (0, 3, 2),
+        # (2, 3, 0) in input order, not lexicographic
+        s = closure([(-2, 1), (0, 2), (0, -2), (-2, -2)], 1, max_sup_norm=3,
+                    record_edges=True)
+        assert s.saturated and s.creation_edges == (
+            (((0, 2), (0, -2), (-2, -2)), (-2, 2), 1),
+            (((-2, -2), (0, -2), (0, 2)), (-2, 2), 1),
+            (((-2, 1), (-2, -2), (0, -2)), (0, 1), 1),
+            (((0, -2), (-2, -2), (-2, 1)), (0, 1), 1),
+        )
+        s = closure([(-1,), (0,), (2,)], 2, max_sup_norm=6, record_edges=True)
+        assert s.creation_edges == (
+            (((-1,), (0,), (2,), (0,), (2,)), (3,), 1),
+            (((2,), (0,), (-1,), (0,), (2,)), (3,), 1),
+            (((2,), (0,), (2,), (0,), (-1,)), (3,), 1),
+        )
 
 
 class TestRescaleAndDocuments:

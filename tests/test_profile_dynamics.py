@@ -17,6 +17,11 @@ from nlsoptics.profile_dynamics import (
     interactions_for,
     total_mass,
 )
+from nlsoptics.profile_dynamics import (
+    CompiledInteractions,
+    _coupling_sum,
+    compile_interactions,
+)
 
 
 def wv(*coords):
@@ -209,6 +214,54 @@ class TestClosedForms:
         funcs = [lambda y: np.exp(-(y**2))]
         out = explicit_euclid_1d(funcs, [1.0], 1.0, 0.0, np.array([0.0, 1.0]), 1e-2)
         assert np.allclose(out[0], [1.0, np.exp(-1.0)])
+
+
+class TestCouplingSum:
+    """The segmented sum against a per-tuple Python loop."""
+
+    @staticmethod
+    def compiled_without(modes, j):
+        lists = interactions_for(modes)
+        lists[j] = []
+        return compile_interactions(lists, modes.sigma)
+
+    @staticmethod
+    def reference(amps, comp):
+        out = np.zeros_like(amps)
+        for tup, j in zip(comp.idx.tolist(), comp.target.tolist()):
+            term = np.ones_like(amps[0])
+            for p, i in enumerate(tup):
+                term = term * (np.conj(amps[i]) if p % 2 else amps[i])
+            out[j] += term
+        return out
+
+    @pytest.mark.parametrize(
+        "vectors,sigma",
+        [([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)], 1), ([(-1,), (0,), (2,), (3,)], 2)],
+    )
+    def test_matches_loop_with_an_empty_mode(self, vectors, sigma):
+        modes = ModeSet.from_vectors([wv(*c) for c in vectors], sigma)
+        comp = self.compiled_without(modes, 1)
+        rng = np.random.default_rng(5)
+        n = len(modes)
+        flat = rng.normal(size=n) + 1j * rng.normal(size=n)
+        grid = rng.normal(size=(n, 6)) + 1j * rng.normal(size=(n, 6))
+        for amps in (flat, grid):
+            got = _coupling_sum(amps, comp)
+            assert got.shape == amps.shape
+            assert np.all(got[1] == 0)  # no tuples: exactly zero
+            ref = self.reference(amps, comp)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_unsorted_targets_rejected(self):
+        with pytest.raises(ValueError):
+            CompiledInteractions(2, 1, np.zeros((2, 3), dtype=np.intp), np.array([1, 0]))
+
+    def test_trajectory_counts_tuples(self):
+        modes = line_modes(-1, 0, 1)
+        traj = integrate_torus([0.5, 1.0, 0.3], modes, SimParams(1.0, 1, 0.01, 1e-3))
+        assert traj.interaction_tuples == 15  # (j, l, l) and (l, l, j): 2*3 - 1 each
+        assert len(traj.times) == 11
 
 
 class TestInteractionsCompilation:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -134,6 +135,78 @@ class TestGeneralizedFit:
             assert all(v is None for v in values)
         else:
             assert all(a <= b * (1 + 1e-12) for a, b in zip(values, values[1:]))
+
+
+def brute_force_survey(coords, sigma, b_grid):
+    """Every tuple in lexicographic order: (nonresonant count, min |delta|,
+    its first tuple, min over nonresonant tuples of |delta| prod <kappa>^b per b)."""
+    arr = [np.array(c) for c in coords]
+    logs = [0.5 * math.log1p(int(a @ a)) for a in arr]
+    count, best, first = 0, None, None
+    weighted = [math.inf] * len(b_grid)
+    for tup in itertools.product(range(len(arr)), repeat=2 * sigma + 1):
+        signs = [1 if p % 2 == 0 else -1 for p in range(len(tup))]
+        vec = sum(s * arr[i] for s, i in zip(signs, tup))
+        nsum = sum(s * int(arr[i] @ arr[i]) for s, i in zip(signs, tup))
+        delta = abs(int(vec @ vec) - nsum)
+        if delta == 0:
+            continue
+        count += 1
+        if best is None or delta < best:
+            best, first = delta, tup
+        logw = sum(logs[i] for i in tup)
+        for k, b in enumerate(b_grid):
+            weighted[k] = min(weighted[k], delta * math.exp(b * logw))
+    return count, best, first, weighted
+
+
+class TestBlockedSurveyBruteForce:
+    B_GRID = (0.0, 0.5, 1.0, 2.5)
+
+    @pytest.mark.parametrize(
+        "coords,sigma",
+        [
+            ([(0, 0), (2, 0), (1, 3), (-1, 1), (3, 2)], 1),
+            ([(-2,), (0,), (1,), (3,)], 2),
+        ],
+    )
+    def test_survey_and_fit(self, coords, sigma):
+        modes = modeset(coords, sigma=sigma)
+        count, best, first, weighted = brute_force_survey(
+            modes.as_array().tolist(), sigma, self.B_GRID
+        )
+        s = survey_divisors(modes)
+        assert s.tuples_scanned == len(coords) ** (2 * sigma + 1)
+        assert s.nonresonant_count == count
+        assert s.min_delta == best
+        assert s.argmin == first  # lexicographically first minimizer
+        fit = fit_generalized_bound(modes, b_grid=self.B_GRID)
+        for (b, c), w in zip(fit, weighted):
+            assert math.isclose(c, w, rel_tol=1e-12)
+            if b > 0:
+                sb = survey_divisors(modes, b=b)
+                assert math.isclose(sb.weighted_min, w, rel_tol=1e-12)
+                assert sb.argmin == first
+
+    def test_minimum_attained_many_times(self):
+        # the argmin must be the first of several minimizers, not any one
+        modes = modeset([(0, 0), (2, 0), (1, 3), (-1, 1), (3, 2)])
+        arr = modes.as_array()
+        s = survey_divisors(modes)
+        hits = [
+            tup for tup in itertools.product(range(5), repeat=3)
+            if abs(2 * int((arr[tup[1]] - arr[tup[0]]) @ (arr[tup[1]] - arr[tup[2]])))
+            == s.min_delta
+        ]
+        assert len(hits) > 1 and s.argmin == hits[0]
+
+    @pytest.mark.parametrize("sigma", [1, 2])
+    def test_single_mode_all_resonant(self, sigma):
+        modes = modeset([(4, -1)], sigma=sigma)
+        s = survey_divisors(modes, b=1.0)
+        assert s.all_resonant and s.tuples_scanned == 1
+        assert s.min_delta is None and s.argmin is None and s.weighted_min is None
+        assert fit_generalized_bound(modes, b_grid=(0.0, 2.0)) == [(0.0, None), (2.0, None)]
 
 
 class TestGramProbe:
