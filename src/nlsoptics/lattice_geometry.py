@@ -376,14 +376,15 @@ def _resonant_tuples(arr: np.ndarray, sigma: int, keep):
     return idx, combined, found
 
 
-def _creation_scan(arr: np.ndarray, new_mask: np.ndarray, sigma: int) -> list[tuple]:
+def _creation_scan(arr: np.ndarray, new_mask: np.ndarray, sigma: int):
     """Resonant tuples of rows of arr whose combined vector is not a row.
 
     When new_mask flags any row, tuples touching none (handled in an earlier
     generation) are dropped too, in numpy like the present corners.  For
     sigma=1 the resonant triples (k, l, m) are the right angles at l and the
-    combined vector is the fourth rectangle corner.  Returns ((indices),
-    created coords) in lexicographic order, for sigma=1 with l leading.
+    combined vector is the fourth rectangle corner.  Returns (idx, made):
+    the index rows and created coordinates, in lexicographic order, for
+    sigma=1 with l leading.
     """
     touched = _prefix_sums(new_mask.astype(np.int64), 2 * sigma, alternate=False) > 0
     old = not new_mask.any()
@@ -393,7 +394,7 @@ def _creation_scan(arr: np.ndarray, new_mask: np.ndarray, sigma: int) -> list[tu
     if sigma == 1:
         order = np.lexsort((idx[:, 2], idx[:, 0], idx[:, 1]))
         idx, made = idx[order], made[order]
-    return list(zip(map(tuple, idx.tolist()), map(tuple, made.tolist())))
+    return idx, made
 
 
 def close_under_resonances(
@@ -416,9 +417,11 @@ def close_under_resonances(
 
     Each generation runs the blocked prefix-sum kernel (_creation_scan) and
     drops in numpy the tuples whose combined vector is present or that touch
-    no vector of the previous generation.  For sigma=1 this is rectangle
-    completion of right angles; in d=1 with sigma=1 no triple can create, so
-    the closure is the input.
+    no vector of the previous generation; the sup-norm cap is applied to the
+    created corners in numpy too, so WaveVectors are built only for distinct
+    corners within it.  For sigma=1 this is rectangle completion of right
+    angles; in d=1 with sigma=1 no triple can create, so the closure is the
+    input.
     """
     vecs = list(dict.fromkeys(initial))
     if not vecs:
@@ -440,40 +443,39 @@ def close_under_resonances(
     saturated = False
 
     def scan(current: list[WaveVector], new_from: int):
+        """(idx, made, keep): creating tuples, their corners, and which
+        corners lie within max_sup_norm."""
         arr = np.array([v.coords for v in current], dtype=np.int64)
         new_mask = np.zeros(len(current), dtype=bool)
         new_mask[new_from:] = True
-        return _creation_scan(arr, new_mask, sigma)
+        idx, made = _creation_scan(arr, new_mask, sigma)
+        return idx, made, np.abs(made).max(axis=1) <= max_sup_norm
 
     current = list(vecs)
     prev_size = 0
     for gen in range(1, max_generations + 1):
-        found = scan(current, prev_size)
+        idx, made, keep = scan(current, prev_size)
         prev_size = len(current)
-        fresh = set()
-        for idx_tuple, coords in found:
-            v = WaveVector(coords)
-            if v.sup_norm > max_sup_norm:
-                truncated_by_norm = True
-                continue
-            if record_edges:
-                edges.append(
-                    (tuple(current[i].coords for i in idx_tuple), v.coords, gen)
-                )
-            fresh.add(v)
+        truncated_by_norm |= not keep.all()
+        made = made[keep].tolist()
+        if record_edges:
+            edges.extend(
+                (tuple(current[i].coords for i in row), tuple(coords), gen)
+                for row, coords in zip(idx[keep].tolist(), made)
+            )
+        fresh = [WaveVector(c) for c in sorted(set(map(tuple, made)))]
         if not fresh:
             saturated = not truncated_by_norm
             break
-        fresh = sorted(fresh)
         for v in fresh:
             generation[v] = gen
         current = current + fresh
     else:
         # generation budget exhausted with the last scan still productive;
         # one more scan decides whether the set happens to be complete
-        found = scan(current, prev_size)
-        if all(WaveVector(coords).sup_norm > max_sup_norm for _, coords in found):
-            truncated_by_norm = truncated_by_norm or bool(found)
+        _, made, keep = scan(current, prev_size)
+        if not keep.any():
+            truncated_by_norm = truncated_by_norm or len(made) > 0
             saturated = not truncated_by_norm
 
     if not saturated:
@@ -503,7 +505,7 @@ def _interaction_table(modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
     A resonant tuple targets the mode equal to its combined vector, looked
     up by integer code with searchsorted.  Returns (idx, bounds): the tuples
     of target j are idx[bounds[j]:bounds[j+1]], in lexicographic order.
-    Cached on the mode set.
+    Cached on the mode set, read-only, since callers receive views of it.
     """
     table = modes.__dict__.get("_interaction_table_cache")
     if table is None:
@@ -511,7 +513,9 @@ def _interaction_table(modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
             modes.as_array(), modes.sigma, lambda p, m, found: found >= 0
         )
         order = np.argsort(target, kind="stable")
-        table = (idx[order], np.searchsorted(target[order], np.arange(len(modes) + 1)))
+        idx = idx[order]
+        idx.flags.writeable = False
+        table = (idx, np.searchsorted(target[order], np.arange(len(modes) + 1)))
         modes.__dict__["_interaction_table_cache"] = table
     return table
 

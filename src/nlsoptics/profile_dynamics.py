@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.fft as sfft
 
-from .lattice_geometry import ModeSet, ResonantTuple, enumerate_interactions
+from .lattice_geometry import ModeSet, _interaction_table
 
 __all__ = [
     "SimParams",
@@ -120,7 +120,8 @@ class CompiledInteractions:
     gather contiguously), target[t] its destination mode; targets are
     nondecreasing, and segment s of the derived starts/fed begins at row
     starts[s] and feeds mode fed[s].  Conjugation applies to odd 0-based
-    columns of idx.
+    columns of idx.  compile_interactions builds it from the per-target
+    arrays of interactions_for.
     """
 
     n_modes: int
@@ -139,33 +140,32 @@ class CompiledInteractions:
         object.__setattr__(self, "fed", self.target[starts])
 
 
-def interactions_for(modes: ModeSet) -> list[list[ResonantTuple]]:
-    """Per-target interaction lists, index-aligned with the mode set."""
-    return [enumerate_interactions(modes, j) for j in range(len(modes))]
+def interactions_for(modes: ModeSet) -> list[np.ndarray]:
+    """Resonant tuples per target, index-aligned with the mode set.
+
+    Entry j is a read-only (T_j, 2*sigma+1) integer array of the ordered
+    tuples aimed at mode j, in lexicographic order: a view of the one-pass
+    table of lattice_geometry, split at its target bounds.
+    """
+    idx, bounds = _interaction_table(modes)
+    return np.split(idx, bounds[1:-1])
 
 
 def compile_interactions(
-    interactions: Sequence[Sequence[ResonantTuple]], sigma: int
+    per_target: Sequence[np.ndarray], sigma: int
 ) -> CompiledInteractions:
+    """Stack per-target tuple arrays (entry j aimed at mode j) into one table.
+
+    Each entry must have 2*sigma+1 columns; an empty entry leaves its mode
+    without tuples.
+    """
     width = 2 * sigma + 1
-    idx_rows = []
-    targets = []
-    for j, tuples in enumerate(interactions):
-        for tup in tuples:
-            if len(tup.indices) != width:
-                raise ValueError("interaction width does not match sigma")
-            if tup.target != j:
-                raise ValueError("interaction list is not aligned with its target")
-            idx_rows.append(tup.indices)
-            targets.append(j)
-    n_modes = len(interactions)
-    if idx_rows:
-        idx = np.array(idx_rows, dtype=np.intp)
-        target = np.array(targets, dtype=np.intp)
-    else:
-        idx = np.empty((0, width), dtype=np.intp)
-        target = np.empty((0,), dtype=np.intp)
-    return CompiledInteractions(n_modes=n_modes, sigma=sigma, idx=idx, target=target)
+    empty = np.empty((0, width), dtype=np.intp)
+    blocks = [np.asarray(r, dtype=np.intp) if len(r) else empty for r in per_target]
+    if any(b.ndim != 2 or b.shape[1] != width for b in blocks):
+        raise ValueError("interaction width does not match sigma")
+    target = np.repeat(np.arange(len(blocks), dtype=np.intp), [len(b) for b in blocks])
+    return CompiledInteractions(len(blocks), sigma, np.concatenate([empty, *blocks]), target)
 
 
 def _coupling_sum(amps: np.ndarray, comp: CompiledInteractions) -> np.ndarray:
@@ -184,14 +184,6 @@ def _coupling_sum(amps: np.ndarray, comp: CompiledInteractions) -> np.ndarray:
         vals *= (conj if col % 2 else amps)[comp.idx[:, col]]
     out[comp.fed] = np.add.reduceat(vals, comp.starts, axis=0)
     return out
-
-
-def _as_compiled(interactions, sigma: int) -> CompiledInteractions:
-    if isinstance(interactions, CompiledInteractions):
-        if interactions.sigma != sigma:
-            raise ValueError("compiled interactions were built for another sigma")
-        return interactions
-    return compile_interactions(interactions, sigma)
 
 
 def _snapshot_marks(t_final: float, snapshot_times) -> list[float]:
@@ -276,7 +268,6 @@ def integrate_torus(
     modes: ModeSet,
     params: SimParams,
     *,
-    interactions=None,
     snapshot_times=None,
 ) -> TorusTrajectory:
     """RK4 integration of the torus amplitude ODEs from amplitudes alpha.
@@ -289,12 +280,7 @@ def integrate_torus(
         raise ValueError("one initial amplitude per mode required")
     if modes.sigma != params.sigma:
         raise ValueError("params.sigma must match the mode set")
-    comp = _as_compiled(
-        interactions if interactions is not None else interactions_for(modes),
-        params.sigma,
-    )
-    if comp.n_modes != len(modes):
-        raise ValueError("interactions were compiled for another mode set")
+    comp = compile_interactions(interactions_for(modes), params.sigma)
     lam = params.lam
 
     guard_level = BLOWUP_FACTOR * max(float(np.sum(np.abs(alpha))), 1e-300)
@@ -345,15 +331,18 @@ class EuclidTrajectory:
         return self.fields[i]
 
 
-def _axis_wavenumbers(d: int, n: int, length: float) -> list[np.ndarray]:
-    """Physical wavenumbers per axis, each shaped to broadcast over the grid."""
-    xi = 2 * math.pi * sfft.fftfreq(n, d=1.0 / n) / length
-    out = []
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = n
-        out.append(xi.reshape(shape))
-    return out
+def _axis_wavenumbers(
+    d: int, n: int, length: Optional[float] = None
+) -> list[np.ndarray]:
+    """FFT wavenumbers per axis, each shaped to broadcast over the (n,)*d grid.
+
+    The integers k of the 2 pi torus when length is None, else the physical
+    wavenumbers 2 pi k / length of [0, length)^d.
+    """
+    k = sfft.fftfreq(n, d=1.0 / n)
+    if length is not None:
+        k = 2 * math.pi * k / length
+    return [k.reshape([n if a == axis else 1 for a in range(d)]) for axis in range(d)]
 
 
 def integrate_euclid(
@@ -362,7 +351,6 @@ def integrate_euclid(
     params: SimParams,
     length: float,
     *,
-    interactions=None,
     snapshot_times=None,
 ) -> EuclidTrajectory:
     """RK4 integration of the Euclidean profile system on a periodic box.
@@ -380,10 +368,7 @@ def integrate_euclid(
     state0 = ProfileStateEuclid(modes, alpha, 0.0, length)  # validates shape
     if modes.sigma != params.sigma:
         raise ValueError("params.sigma must match the mode set")
-    comp = _as_compiled(
-        interactions if interactions is not None else interactions_for(modes),
-        params.sigma,
-    )
+    comp = compile_interactions(interactions_for(modes), params.sigma)
     d, n = modes.d, state0.n
     lam = params.lam
     cell = (length / n) ** d

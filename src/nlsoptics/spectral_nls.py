@@ -24,7 +24,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .lattice_geometry import WaveVector
-from .profile_dynamics import _snapshot_marks
+from .profile_dynamics import _axis_wavenumbers, _snapshot_marks
 
 __all__ = [
     "GridField",
@@ -193,18 +193,12 @@ def _solve(
     d, n = u0.d, cfg.n
     lam, sigma, eps = cfg.lam, cfg.sigma, cfg.eps
 
-    k1 = sfft.fftfreq(n, d=1.0 / n)  # integer wavenumbers
     ksq = np.zeros((n,) * d)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = n
-        ksq = ksq + k1.reshape(shape) ** 2
     band = np.zeros((n,) * d, dtype=bool)
     cutoff = ALIASING_BAND * n / 2
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = n
-        band |= (np.abs(k1) >= cutoff).reshape(shape)
+    for k in _axis_wavenumbers(d, n):  # integer wavenumbers
+        ksq = ksq + k**2
+        band |= np.abs(k) >= cutoff
 
     def rotate(u: np.ndarray, tau: float) -> np.ndarray:
         if tau == 0 or lam == 0:

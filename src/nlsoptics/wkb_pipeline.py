@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.fft import fftfreq, fftn, ifftn
+from scipy.fft import fftn, ifftn
 from scipy.optimize import brentq
 
 from .lattice_geometry import ModeSet
@@ -27,6 +27,7 @@ from .profile_dynamics import (
     ProfileStateEuclid,
     ProfileStateTorus,
     SimParams,
+    _axis_wavenumbers,
     integrate_torus,
     two_mode_theta,
 )
@@ -135,12 +136,11 @@ def _fit_order(rows: Sequence[ConvergenceRow], attr: str) -> Optional[float]:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _refine_dt(
-    u0: GridField, cfg: SolverConfig, budget: float
-) -> tuple[float, int]:
+def _refine_dt(u0: GridField, cfg: SolverConfig, budget: float) -> int:
     """Self-consistency check on the default step: integrate a short prefix
     at dt and dt/2, scale the disagreement linearly to the full horizon, and
     halve dt until the estimate sits below a tenth of the error budget.
+    Returns the number of halvings (at most 3).
 
     The linear scaling is conservative for a second-order splitting whose
     error accumulates at worst linearly in the number of steps.  The prefix
@@ -150,7 +150,7 @@ def _refine_dt(
     rounds = 0
     prefix = min(cfg.t_final, 50 * dt)
     if prefix <= 0:
-        return dt, rounds
+        return rounds
     while rounds < 3:
         cfg_a = SolverConfig(cfg.eps, cfg.lam, cfg.sigma, dt, cfg.n, prefix)
         cfg_b = SolverConfig(cfg.eps, cfg.lam, cfg.sigma, dt / 2, cfg.n, prefix)
@@ -163,7 +163,7 @@ def _refine_dt(
         dt /= 2
         rounds += 1
         prefix = min(cfg.t_final, 50 * dt)
-    return dt, rounds
+    return rounds
 
 
 def _period_config(
@@ -260,8 +260,7 @@ def run_convergence(
 
             u0 = cell_field(alpha, 0.0)
             if dt is None and dt_self_check:
-                _, rounds = _refine_dt(u0, cell, budget=eps_f)
-                dt_row = default_dt(eps_f) / 2**rounds
+                dt_row = default_dt(eps_f) / 2 ** _refine_dt(u0, cell, budget=eps_f)
                 cell = _period_config(
                     replace(cfg, dt=dt_row), kappa_sup, strict=strict
                 )
@@ -347,9 +346,7 @@ def remainder_report(state, sigma: Optional[int] = None) -> RemainderReport:
         n = state.fields.shape[1]
         dx = state.length / n
         dxi = 2.0 * math.pi / state.length
-        xi = 2.0 * math.pi * fftfreq(n, d=dx)
-        grids = np.meshgrid(*([xi] * d), indexing="ij")
-        xi_sq = sum(g * g for g in grids)
+        xi_sq = sum(xi * xi for xi in _axis_wavenumbers(d, n, state.length))
         acc = 0.0
         for j in range(state.fields.shape[0]):
             hat = fftn(state.fields[j])

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsoptics.lattice_geometry import ModeSet, WaveVector, close_under_resonances
+from nlsoptics.lattice_geometry import (
+    ClosureWarning,
+    ModeSet,
+    WaveVector,
+    close_under_resonances,
+    enumerate_interactions,
+)
 from nlsoptics.profile_dynamics import (
     BlowUpError,
     ProfileStateEuclid,
@@ -222,7 +228,7 @@ class TestCouplingSum:
     @staticmethod
     def compiled_without(modes, j):
         lists = interactions_for(modes)
-        lists[j] = []
+        lists[j] = lists[j][:0]
         return compile_interactions(lists, modes.sigma)
 
     @staticmethod
@@ -269,6 +275,41 @@ class TestInteractionsCompilation:
         modes = close_under_resonances([wv(0, 1), wv(1, 0), wv(1, 1)], 1)
         lists = interactions_for(modes)
         assert len(lists) == len(modes.vectors)
-        for j, tuples in enumerate(lists):
-            for t in tuples:
-                assert t.target == j
+        vecs = modes.as_array()
+        for j, rows in enumerate(lists):
+            # each row's alternating sum of wave vectors is mode j's vector
+            combined = vecs[rows[:, 0]] - vecs[rows[:, 1]] + vecs[rows[:, 2]]
+            assert np.all(combined == vecs[j])
+
+    @pytest.mark.parametrize(
+        "seeds,sigma,cap",
+        [([(0, 0), (1, 0), (0, 1), (2, 1)], 1, 4), ([(k,) for k in range(-4, 5)], 2, 4)],
+    )
+    def test_arrays_match_per_target_query(self, seeds, sigma, cap):
+        # the 81-mode box and the 9-mode quintic set, both cut by the cap
+        with pytest.warns(ClosureWarning):
+            modes = close_under_resonances([wv(*c) for c in seeds], sigma, max_sup_norm=cap)
+        lists = interactions_for(modes)
+        assert len(lists) == len(modes)
+        for j, rows in enumerate(lists):
+            assert rows.shape[1:] == (2 * sigma + 1,)
+            want = [t.indices for t in enumerate_interactions(modes, j)]
+            assert list(map(tuple, rows.tolist())) == want  # order included
+        comp = compile_interactions(lists, sigma)
+        assert comp.idx.tolist() == np.concatenate(lists).tolist()
+        assert comp.target.tolist() == [j for j, rows in enumerate(lists) for _ in rows]
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            compile_interactions([np.zeros((2, 5), dtype=int), []], 1)
+        with pytest.raises(ValueError, match="width"):
+            compile_interactions([np.zeros(3, dtype=int)], 1)
+
+    def test_empty_entry_accepted(self):
+        # mode 1 has no tuples, given as an empty list and as a (0, 3) array
+        for empty in ([], np.empty((0, 3), dtype=int)):
+            comp = compile_interactions([[(0, 0, 0)], empty, [(2, 2, 2), (0, 2, 0)]], 1)
+            assert comp.n_modes == 3
+            assert comp.idx.tolist() == [[0, 0, 0], [2, 2, 2], [0, 2, 0]]
+            assert comp.target.tolist() == [0, 2, 2]
+            assert comp.fed.tolist() == [0, 2]

@@ -136,7 +136,7 @@ class TestConvergence:
             n = default_grid_size(eps, 1, modes.max_sup_norm)
             cfg = SolverConfig(eps, 1.0, 1, default_dt(eps), n, t_final)
             u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), eps, n)
-            dt, _ = _refine_dt(u0, cfg, budget=eps)
+            dt = default_dt(eps) / 2 ** _refine_dt(u0, cfg, budget=eps)
             cfg = SolverConfig(eps, 1.0, 1, dt, n, t_final)
             res = solve(u0, cfg, snapshot_times=checks)
             sup_err = w_err = 0.0
