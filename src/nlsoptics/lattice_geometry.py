@@ -358,22 +358,21 @@ def _row_finder(arr: np.ndarray):
 def _resonant_tuples(arr: np.ndarray, sigma: int, keep):
     """Resonant (zero-defect) tuples of rows of arr, in lexicographic order.
 
-    Per block of _defect_blocks, keep(prefix numbers, last indices, found)
-    selects tuples in numpy; found is the row of arr equal to the tuple's
+    The zero-defect tuples of every block of _defect_blocks are collected
+    first; then keep(prefix numbers, last indices, found) selects tuples in
+    numpy in one call, where found is the row of arr equal to the tuple's
     combined vector, or -1.  Returns (index rows, combined vectors, found)
     of the kept tuples.
     """
-    find = _row_finder(arr)
     parts = []
     for start, vec, defects in _defect_blocks(arr, sigma):
         r, m = np.nonzero(defects == 0)
-        combined = vec[r] + arr[m]
-        found = find(combined)
-        k = keep(start + r, m, found)
-        parts.append((start + r[k], m[k], combined[k], found[k]))
-    prefix, last, combined, found = (np.concatenate(p) for p in zip(*parts))
-    idx = np.column_stack(np.unravel_index(prefix, (len(arr),) * (2 * sigma)) + (last,))
-    return idx, combined, found
+        parts.append((start + r, m, vec[r] + arr[m]))
+    prefix, last, combined = (np.concatenate(p) for p in zip(*parts))
+    found = _row_finder(arr)(combined)
+    k = keep(prefix, last, found)
+    idx = np.column_stack(np.unravel_index(prefix[k], (len(arr),) * (2 * sigma)) + (last[k],))
+    return idx, combined[k], found[k]
 
 
 def _creation_scan(arr: np.ndarray, new_mask: np.ndarray, sigma: int):

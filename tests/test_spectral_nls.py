@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from nlsoptics.spectral_nls import (
+    DENSE_MAX_N,
     AliasingWarning,
     GridField,
     SolverConfig,
     default_dt,
     default_grid_size,
+    _linear_flow,
     plane_wave_exact,
     solve,
     sup_norm_of_field,
@@ -184,3 +186,32 @@ class TestSplittingAccuracy:
             errs.append(np.max(np.abs(solve(u0, cfg).final.values - ref)))
         order = math.log2(errs[0] / errs[1])
         assert 1.7 < order < 2.3
+
+
+class TestLinearFlow:
+    """Both sides of DENSE_MAX_N: per-axis propagator matmuls and FFT pairs."""
+
+    @pytest.mark.parametrize("d,n", [(1, 16), (1, 64), (1, 128), (2, 16), (2, 128), (3, 8)])
+    def test_free_flow_matches_fourier_multiplier(self, d, n):
+        eps, times = 1 / 2, [0.0, 0.1, 0.25, 0.3]
+        rng = np.random.default_rng(100 * d + n)
+        k = np.fft.fftfreq(n, 1.0 / n)
+        grids = np.meshgrid(*[k] * d, indexing="ij")
+        ksq = sum(g**2 for g in grids)
+        spec = rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d)
+        spec[np.max([np.abs(g) for g in grids], axis=0) > n // 4] = 0  # band-limited
+        u0 = GridField(d, n, np.fft.ifftn(spec) * n**d)
+        cfg = SolverConfig(eps=eps, lam=0.0, sigma=1, dt=1e-2, n=n, t_final=times[-1])
+        res = solve(u0, cfg, snapshot_times=times[1:-1])
+        assert list(res.times) == times
+        scale = np.max(np.abs(u0.values))
+        for t, field in zip(times, res.fields):
+            exact = np.fft.ifftn(spec * np.exp(-0.5j * eps * t * ksq)) * n**d
+            assert np.max(np.abs(field.values - exact)) <= 1e-12 * scale
+            assert field.values.flags.c_contiguous
+        assert res.l2_relative_drift <= 1e-13
+        assert not res.aliasing_flagged
+        flow = _linear_flow(d, n, eps * 1e-2, ksq)
+        assert flow(u0.values.copy()).flags.c_contiguous
+        # the cases straddle the switch: n = 8, 16, 64 dense, n = 128 FFT
+        assert (n <= DENSE_MAX_N) == (n in (8, 16, 64))
