@@ -79,7 +79,7 @@ from .small_divisors import (
     gram_diophantine_probe,
     survey_divisors,
 )
-from .wkb_pipeline import run_convergence, run_instability
+from .wkb_pipeline import gap_curve, run_convergence, run_instability
 
 SCENARIO_SCHEMA = "nlsoptics-scenario/1"
 REPORT_SCHEMA = "nlsoptics-report/1"
@@ -489,15 +489,11 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
     traj = integrate_torus(amps, modes, params, snapshot_times=snap_times)
     runtime = time.perf_counter() - start
 
-    header = ["t"]
-    for j in range(len(modes.vectors)):
-        header += [f"re_j{j}", f"im_j{j}"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [f"{t:.12g}"]
-        for a in traj.amps[i]:
-            row += [f"{a.real:.17g}", f"{a.imag:.17g}"]
-        rows.append(row)
+    header = ["t"] + [f"{part}_j{j}" for j in range(len(modes.vectors)) for part in ("re", "im")]
+    rows = [
+        [f"{t:.12g}"] + [f"{x:.17g}" for a in row for x in (a.real, a.imag)]
+        for t, row in zip(traj.times, traj.amps)
+    ]
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
 
     masses = traj.mass_series()
@@ -515,24 +511,17 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
     if oracle == "explicit_torus_1d":
         _expect(scn.dimension == 1 and scn.sigma == 1,
                 "explicit_torus_1d oracle needs d=1, sigma=1")
-        dev = 0.0
-        for i, t in enumerate(traj.times):
-            ref = explicit_torus_1d(amps, scn.lam, float(t))
-            dev = max(dev, float(np.max(np.abs(traj.amps[i] - ref))))
-        deviation = dev
+        deviation = max(
+            float(np.max(np.abs(row - explicit_torus_1d(amps, scn.lam, float(t)))))
+            for t, row in zip(traj.times, traj.amps)
+        )
     elif oracle == "explicit_two_mode":
         _expect(len(modes.vectors) == 2,
                 "explicit_two_mode oracle needs exactly two modes after closure")
         dev = 0.0
-        for i, t in enumerate(traj.times):
-            r0, r1 = explicit_two_mode(
-                amps[0], amps[1], scn.sigma, scn.lam, float(t)
-            )
-            dev = max(
-                dev,
-                abs(traj.amps[i][0] - r0),
-                abs(traj.amps[i][1] - r1),
-            )
+        for t, row in zip(traj.times, traj.amps):
+            r0, r1 = explicit_two_mode(amps[0], amps[1], scn.sigma, scn.lam, float(t))
+            dev = max(dev, abs(row[0] - r0), abs(row[1] - r1))
         deviation = float(dev)
     elif oracle is not None:
         raise ScenarioError(f"oracle {oracle!r} does not apply to a torus scenario")
@@ -585,10 +574,8 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
         ["t", "mass"],
         [[f"{t:.12g}", f"{m:.17g}"] for t, m in zip(traj.mass_times, traj.masses)],
     )
-    drift = float(
-        np.max(np.abs(traj.masses - traj.masses[0]))
-        / max(abs(traj.masses[0]), 1e-300)
-    )
+    masses = traj.masses
+    drift = float(np.max(np.abs(masses - masses[0])) / max(abs(masses[0]), 1e-300))
     results = {
         "modes": [list(v.coords) for v in modes.vectors],
         "grid_n": n,
@@ -710,6 +697,7 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
 
 def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     exp = scn.experiment
+    grid_points = int(exp.get("grid_points", 10_000))
     start = time.perf_counter()
     record = run_instability(
         float(exp["rho"]),
@@ -720,15 +708,14 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         lam=scn.lam,
         variant=exp.get("variant", "perturb_high"),
         theta=exp.get("theta"),
-        grid_points=int(exp.get("grid_points", 10_000)),
+        grid_points=grid_points,
         cross_check=bool(exp.get("cross_check", False)),
     )
     total = time.perf_counter() - start
 
-    times = np.linspace(0.0, record.delta, int(exp.get("grid_points", 10_000)))
-    curve = np.abs(
-        record.alpha0 * np.exp(-1j * record.lam * record.theta0 * times)
-        - record.alpha0_tilde * np.exp(-1j * record.lam * record.theta0_tilde * times)
+    times, curve = gap_curve(
+        record.alpha0, record.theta0, record.alpha0_tilde, record.theta0_tilde,
+        record.lam, record.delta, grid_points,
     )
     _write_csv(
         os.path.join(out_dir, "gap_curve.csv"),

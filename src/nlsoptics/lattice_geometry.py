@@ -519,6 +519,62 @@ def _interaction_table(modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
+def _coupling_classes(modes: ModeSet):
+    """Resonance classes of the profile coupling, folded and member-major.
+
+    A tuple aimed at mode j is resonant iff its sigma+1 plus slots have the
+    key (sum kappa, sum |kappa|^2) of its sigma minus slots plus j.  Row r of
+    one prefix-sum key table over J^(sigma+1) is both the plus tuple with
+    base-|J| digits r and the pair (minus tuple r // |J|, target r % |J|); a
+    class is the set of rows with one key (by _row_finder's rank codes), and
+    a class of s rows holds s^2 resonant tuples.  Rows that differ by an
+    ordering of their slots have equal products, so a class keeps its
+    nondecreasing (folded) rows, each with its number of orderings mult.
+
+    Returns (cols, mult, members, label, tuples).  cols (sigma+1, F) indexes
+    the folded rows, classes numbered largest first and stored member-major:
+    rows 0:C hold each class's first member, and member m >= 1 of the k
+    classes with more than m members sits at rows lo:lo+k, (lo, k) in
+    members.  label (|J|, |J|^sigma) is the class of (target j, minus tuple
+    M); tuples = sum of s^2.  Cached on the mode set, read-only.
+    """
+    classes = modes.__dict__.get("_coupling_classes_cache")
+    if classes is None:
+        arr = modes.as_array()
+        n, width = len(arr), modes.sigma + 1
+        keys = _prefix_sums(
+            np.column_stack([arr, np.einsum("ij,ij->i", arr, arr)]), width, alternate=False
+        )
+        _, label, size = np.unique(
+            _row_finder(keys)(keys), return_inverse=True, return_counts=True
+        )
+        # every ordered row folds onto the row of its sorted digits
+        rows = np.arange(len(keys))
+        digits = np.sort(np.unravel_index(rows, (n,) * width), axis=0)
+        folded = np.ravel_multi_index(digits, (n,) * width)
+        kept = np.flatnonzero(folded == rows)
+        renumber = np.argsort(np.argsort(-np.bincount(label[kept]), kind="stable"))
+        cls = renumber[label[kept]]
+        order = np.argsort(cls, kind="stable")
+        cls = cls[order]
+        member = np.arange(len(cls)) - np.searchsorted(cls, cls)
+        depth = np.bincount(member)  # classes with more than m members
+        lo = np.cumsum(depth) - depth
+        layout = np.empty_like(kept)
+        layout[lo[member] + cls] = kept[order]
+        classes = (
+            digits[:, layout],
+            np.bincount(folded)[layout],
+            tuple(zip(lo[1:].tolist(), depth[1:].tolist())),
+            np.ascontiguousarray(renumber[label].reshape(-1, n).T),
+            int(size @ size),
+        )
+        for table in classes[:2] + classes[3:4]:
+            table.flags.writeable = False
+        modes.__dict__["_coupling_classes_cache"] = classes
+    return classes
+
+
 def enumerate_interactions(modes: ModeSet, j: int) -> list[ResonantTuple]:
     """All ordered resonant tuples in J^(2*sigma+1) targeting mode j.
 

@@ -16,21 +16,19 @@ Time stepping is classical fixed-step RK4 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.fft as sfft
 
-from .lattice_geometry import ModeSet, _interaction_table
+from .lattice_geometry import ModeSet, _coupling_classes, _interaction_table
 
 __all__ = [
     "SimParams",
     "ProfileStateTorus",
     "ProfileStateEuclid",
-    "CompiledInteractions",
     "BlowUpError",
-    "compile_interactions",
     "interactions_for",
     "integrate_torus",
     "integrate_euclid",
@@ -112,34 +110,6 @@ class ProfileStateEuclid:
         return self.fields.shape[1]
 
 
-@dataclass(frozen=True)
-class CompiledInteractions:
-    """Flat index arrays for evaluating the full nonlinear coupling at once.
-
-    idx[t] holds the ordered indices of tuple t (column-major, so columns
-    gather contiguously), target[t] its destination mode; targets are
-    nondecreasing, and segment s of the derived starts/fed begins at row
-    starts[s] and feeds mode fed[s].  Conjugation applies to odd 0-based
-    columns of idx.  compile_interactions builds it from the per-target
-    arrays of interactions_for.
-    """
-
-    n_modes: int
-    sigma: int
-    idx: np.ndarray  # (T, 2*sigma+1) int
-    target: np.ndarray  # (T,) int
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    fed: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.target) < 0):
-            raise ValueError("interaction tuples must be grouped by nondecreasing target")
-        starts = np.flatnonzero(np.diff(self.target, prepend=-1))
-        object.__setattr__(self, "idx", np.asfortranarray(self.idx))
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "fed", self.target[starts])
-
-
 def interactions_for(modes: ModeSet) -> list[np.ndarray]:
     """Resonant tuples per target, index-aligned with the mode set.
 
@@ -151,39 +121,31 @@ def interactions_for(modes: ModeSet) -> list[np.ndarray]:
     return np.split(idx, bounds[1:-1])
 
 
-def compile_interactions(
-    per_target: Sequence[np.ndarray], sigma: int
-) -> CompiledInteractions:
-    """Stack per-target tuple arrays (entry j aimed at mode j) into one table.
+def _coupling(modes: ModeSet, scale: complex, grid_ndim: int = 0):
+    """f(amps) = scale * sum over I_j of a_{l_1} conj(a_{l_2}) ..., per target j.
 
-    Each entry must have 2*sigma+1 columns; an empty entry leaves its mode
-    without tuples.
+    amps has shape (|J|,) + grid, len(grid) == grid_ndim.  The folded plus
+    products of _coupling_classes, times scale and their orderings, are
+    summed per class; each target then sums its class sums against the
+    conjugate minus products, elementwise.  O(|J|^(sigma+1)) work per call.
     """
-    width = 2 * sigma + 1
-    empty = np.empty((0, width), dtype=np.intp)
-    blocks = [np.asarray(r, dtype=np.intp) if len(r) else empty for r in per_target]
-    if any(b.ndim != 2 or b.shape[1] != width for b in blocks):
-        raise ValueError("interaction width does not match sigma")
-    target = np.repeat(np.arange(len(blocks), dtype=np.intp), [len(b) for b in blocks])
-    return CompiledInteractions(len(blocks), sigma, np.concatenate([empty, *blocks]), target)
+    cols, mult, members, label, _ = _coupling_classes(modes)
+    weights = (scale * mult).reshape((-1,) + (1,) * grid_ndim)
+    first, *rest = cols
+    later_minus_slots = range(modes.sigma - 1)
 
+    def coupling(amps):
+        minus = amps
+        for _ in later_minus_slots:
+            minus = (minus[:, None] * amps).reshape((-1,) + amps.shape[1:])
+        sums = weights * amps[first]
+        for col in rest:
+            sums *= amps[col]
+        for lo, k in members:
+            sums[:k] += sums[lo:lo + k]
+        return np.einsum("jm...,m...->j...", sums[label], np.conj(minus))
 
-def _coupling_sum(amps: np.ndarray, comp: CompiledInteractions) -> np.ndarray:
-    """sum over tuples of a_{l_1} conj(a_{l_2}) ... accumulated per target.
-
-    amps has shape (n_modes,) or (n_modes, *grid); the result matches.  The
-    products are built one column of idx at a time, then summed over each
-    target's segment; modes without tuples stay exactly zero.
-    """
-    out = np.zeros_like(amps)
-    if comp.idx.shape[0] == 0:
-        return out
-    conj = np.conj(amps)
-    vals = amps[comp.idx[:, 0]]
-    for col in range(1, comp.idx.shape[1]):
-        vals *= (conj if col % 2 else amps)[comp.idx[:, col]]
-    out[comp.fed] = np.add.reduceat(vals, comp.starts, axis=0)
-    return out
+    return coupling
 
 
 def _snapshot_marks(t_final: float, snapshot_times) -> list[float]:
@@ -280,15 +242,11 @@ def integrate_torus(
         raise ValueError("one initial amplitude per mode required")
     if modes.sigma != params.sigma:
         raise ValueError("params.sigma must match the mode set")
-    comp = compile_interactions(interactions_for(modes), params.sigma)
-    lam = params.lam
+    coupling = _coupling(modes, -1j * params.lam)
 
     guard_level = BLOWUP_FACTOR * max(float(np.sum(np.abs(alpha))), 1e-300)
     times = []
     rows = []
-
-    def rhs(t, y):
-        return -1j * lam * _coupling_sum(y, comp)
 
     def guard(t, y):
         m = float(np.max(np.abs(y))) if y.size else 0.0
@@ -301,8 +259,12 @@ def integrate_torus(
         times.append(t)
         rows.append(y.copy())
 
-    _rk4_sweep(alpha, rhs, params.t_final, params.dt, snapshot_times, guard, record)
-    return TorusTrajectory(modes, params, np.array(times), np.array(rows), len(comp.idx))
+    _rk4_sweep(
+        alpha, lambda t, y: coupling(y), params.t_final, params.dt, snapshot_times, guard, record
+    )
+    return TorusTrajectory(
+        modes, params, np.array(times), np.array(rows), _coupling_classes(modes)[-1]
+    )
 
 
 @dataclass
@@ -368,25 +330,17 @@ def integrate_euclid(
     state0 = ProfileStateEuclid(modes, alpha, 0.0, length)  # validates shape
     if modes.sigma != params.sigma:
         raise ValueError("params.sigma must match the mode set")
-    comp = compile_interactions(interactions_for(modes), params.sigma)
     d, n = modes.d, state0.n
-    lam = params.lam
+    nonlinear = _coupling(modes, -1j * params.lam, d)
     cell = (length / n) ** d
     axes = tuple(range(1, d + 1))
     xi = _axis_wavenumbers(d, n, length)
     kap = modes.as_array().astype(float)  # (|J|, d)
 
     # kappa_j . xi on the grid, one entry per mode, shaped (|J|, n, ..., n)
-    kdotxi = np.zeros((len(modes),) + (n,) * d)
-    for j in range(len(modes)):
-        acc = np.zeros((n,) * d)
-        for axis in range(d):
-            acc = acc + kap[j, axis] * xi[axis]
-        kdotxi[j] = acc
+    kdotxi = sum(kap[:, axis].reshape((-1,) + (1,) * d) * xi[axis] for axis in range(d))
 
-    spectral0 = sfft.fftn(alpha, axes=axes)
-    mags = np.abs(spectral0)
-    enorm0 = float((2 * math.pi) ** (-d / 2) * cell * mags.sum())
+    enorm0 = float((2 * math.pi) ** (-d / 2) * cell * np.abs(sfft.fftn(alpha, axes=axes)).sum())
     guard_level = BLOWUP_FACTOR * max(enorm0, 1e-300)
 
     def to_lab(t, b):
@@ -396,10 +350,8 @@ def integrate_euclid(
         )
 
     def rhs(t, b):
-        a = to_lab(t, b)
-        nonlin = -1j * lam * _coupling_sum(a, comp)
         return sfft.ifftn(
-            sfft.fftn(nonlin, axes=axes) * np.exp(1j * t * kdotxi), axes=axes
+            sfft.fftn(nonlinear(to_lab(t, b)), axes=axes) * np.exp(1j * t * kdotxi), axes=axes
         )
 
     snap_marks = _snapshot_marks(params.t_final, snapshot_times)
@@ -423,14 +375,8 @@ def integrate_euclid(
 
     _rk4_sweep(alpha, rhs, params.t_final, params.dt, snapshot_times, guard, record)
     return EuclidTrajectory(
-        modes,
-        params,
-        length,
-        np.array(snap_times),
-        np.array(snaps),
-        np.array(mass_times),
-        np.array(masses),
-        len(comp.idx),
+        modes, params, length, np.array(snap_times), np.array(snaps),
+        np.array(mass_times), np.array(masses), _coupling_classes(modes)[-1],
     )
 
 

@@ -422,6 +422,17 @@ def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
     return math.sqrt(y)
 
 
+def gap_curve(alpha0, theta0, alpha0_t, theta0_t, lam, delta, grid_points):
+    """(times, gaps): the zero-mode gap |alpha0 e^{-i lam theta0 t} -
+    alpha0_t e^{-i lam theta0_t t}| at grid_points even times in [0, delta]."""
+    times = np.linspace(0.0, delta, grid_points)
+    gaps = np.abs(
+        alpha0 * np.exp(-1j * lam * theta0 * times)
+        - alpha0_t * np.exp(-1j * lam * theta0_t * times)
+    )
+    return times, gaps
+
+
 def run_instability(
     rho: float,
     delta: float,
@@ -498,11 +509,7 @@ def run_instability(
             stacklevel=2,
         )
 
-    times = np.linspace(0.0, delta, grid_points)
-    gaps = np.abs(
-        alpha0 * np.exp(-1j * lam * theta0 * times)
-        - alpha0_t * np.exp(-1j * lam * theta0_t * times)
-    )
+    times, gaps = gap_curve(alpha0, theta0, alpha0_t, theta0_t, lam, delta, grid_points)
     k_star = int(np.argmax(gaps))
     t_star = float(times[k_star])
     gap = float(gaps[k_star])

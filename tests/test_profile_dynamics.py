@@ -23,11 +23,7 @@ from nlsoptics.profile_dynamics import (
     interactions_for,
     total_mass,
 )
-from nlsoptics.profile_dynamics import (
-    CompiledInteractions,
-    _coupling_sum,
-    compile_interactions,
-)
+from nlsoptics.profile_dynamics import _coupling
 
 
 def wv(*coords):
@@ -222,52 +218,84 @@ class TestClosedForms:
         assert np.allclose(out[0], [1.0, np.exp(-1.0)])
 
 
+def per_tuple_sum(amps, modes):
+    """The coupling sum tuple by tuple: np.add.at over enumerate_interactions."""
+    rows = [(t.indices, j) for j in range(len(modes)) for t in enumerate_interactions(modes, j)]
+    idx = np.array([r for r, _ in rows])
+    terms = np.prod(
+        [np.conj(amps[col]) if p % 2 else amps[col] for p, col in enumerate(idx.T)], axis=0
+    )
+    out = np.zeros_like(amps)
+    np.add.at(out, np.array([j for _, j in rows]), terms)
+    return out
+
+
 class TestCouplingSum:
-    """The segmented sum against a per-tuple Python loop."""
-
-    @staticmethod
-    def compiled_without(modes, j):
-        lists = interactions_for(modes)
-        lists[j] = lists[j][:0]
-        return compile_interactions(lists, modes.sigma)
-
-    @staticmethod
-    def reference(amps, comp):
-        out = np.zeros_like(amps)
-        for tup, j in zip(comp.idx.tolist(), comp.target.tolist()):
-            term = np.ones_like(amps[0])
-            for p, i in enumerate(tup):
-                term = term * (np.conj(amps[i]) if p % 2 else amps[i])
-            out[j] += term
-        return out
+    """The class-factored coupling against the per-tuple sum."""
 
     @pytest.mark.parametrize(
         "vectors,sigma",
-        [([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)], 1), ([(-1,), (0,), (2,), (3,)], 2)],
+        [
+            ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)], 1),
+            ([(-1,), (0,), (2,), (3,)], 2),
+            ([(-2,), (0,), (1,), (3,), (4,)], 3),
+        ],
     )
     def test_matches_loop_with_an_empty_mode(self, vectors, sigma):
+        # mode 1 carries no amplitude, so every tuple through it drops out
         modes = ModeSet.from_vectors([wv(*c) for c in vectors], sigma)
-        comp = self.compiled_without(modes, 1)
         rng = np.random.default_rng(5)
         n = len(modes)
         flat = rng.normal(size=n) + 1j * rng.normal(size=n)
         grid = rng.normal(size=(n, 6)) + 1j * rng.normal(size=(n, 6))
         for amps in (flat, grid):
-            got = _coupling_sum(amps, comp)
+            amps[1] = 0
+            got = _coupling(modes, 1.0, amps.ndim - 1)(amps)
             assert got.shape == amps.shape
-            assert np.all(got[1] == 0)  # no tuples: exactly zero
-            ref = self.reference(amps, comp)
+            ref = per_tuple_sum(amps, modes)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_unsorted_targets_rejected(self):
-        with pytest.raises(ValueError):
-            CompiledInteractions(2, 1, np.zeros((2, 3), dtype=np.intp), np.array([1, 0]))
+    def test_target_without_live_tuples_is_exactly_zero(self):
+        # Every mode of a set is the target of (j, l, l) and (l, l, j), so no
+        # target has an empty tuple list.  In 1D at sigma=1 every tuple aimed
+        # at j also passes through j, since zero defect forces l_2 = l_1 or
+        # l_2 = l_3; a mode without amplitude then has no nonzero tuple.
+        modes = line_modes(-3, -1, 0, 2, 5)
+        counts = [len(enumerate_interactions(modes, j)) for j in range(len(modes))]
+        assert min(counts) >= 2 * len(modes) - 1
+        for shape in ((5,), (5, 6)):
+            amps = np.random.default_rng(2).normal(size=shape) + 0.5j
+            amps[2] = 0
+            got = _coupling(modes, 1.0, len(shape) - 1)(amps)
+            assert np.all(got[2] == 0)
+            ref = per_tuple_sum(amps, modes)
+            assert np.all(ref[2] == 0)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_trajectory_counts_tuples(self):
         modes = line_modes(-1, 0, 1)
         traj = integrate_torus([0.5, 1.0, 0.3], modes, SimParams(1.0, 1, 0.01, 1e-3))
         assert traj.interaction_tuples == 15  # (j, l, l) and (l, l, j): 2*3 - 1 each
         assert len(traj.times) == 11
+
+    def test_tuple_counts_match_the_tuple_lists(self):
+        # the class sizes count the tuples that interactions_for lists, on
+        # the 81-mode box and the 9-mode quintic set, both cut by the cap
+        with pytest.warns(ClosureWarning):
+            box = close_under_resonances(
+                [wv(0, 0), wv(1, 0), wv(0, 1), wv(2, 1)], 1, max_sup_norm=4
+            )
+        with pytest.warns(ClosureWarning):
+            quintic = close_under_resonances([wv(k) for k in range(-4, 5)], 2, max_sup_norm=4)
+        for modes, want in ((line_modes(-1, 0, 1), 15), (box, 29393), (quintic, 4077)):
+            assert sum(map(len, interactions_for(modes))) == want
+            n, sigma = len(modes), modes.sigma
+            params = SimParams(1.0, sigma, 1e-3, 1e-3)
+            torus = integrate_torus(np.full(n, 0.1 + 0j), modes, params)
+            euclid = integrate_euclid(
+                np.full((n,) + (4,) * modes.d, 0.1 + 0j), modes, params, 2 * math.pi
+            )
+            assert torus.interaction_tuples == euclid.interaction_tuples == want
 
 
 class TestInteractionsCompilation:
@@ -295,21 +323,3 @@ class TestInteractionsCompilation:
             assert rows.shape[1:] == (2 * sigma + 1,)
             want = [t.indices for t in enumerate_interactions(modes, j)]
             assert list(map(tuple, rows.tolist())) == want  # order included
-        comp = compile_interactions(lists, sigma)
-        assert comp.idx.tolist() == np.concatenate(lists).tolist()
-        assert comp.target.tolist() == [j for j, rows in enumerate(lists) for _ in rows]
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            compile_interactions([np.zeros((2, 5), dtype=int), []], 1)
-        with pytest.raises(ValueError, match="width"):
-            compile_interactions([np.zeros(3, dtype=int)], 1)
-
-    def test_empty_entry_accepted(self):
-        # mode 1 has no tuples, given as an empty list and as a (0, 3) array
-        for empty in ([], np.empty((0, 3), dtype=int)):
-            comp = compile_interactions([[(0, 0, 0)], empty, [(2, 2, 2), (0, 2, 0)]], 1)
-            assert comp.n_modes == 3
-            assert comp.idx.tolist() == [[0, 0, 0], [2, 2, 2], [0, 2, 0]]
-            assert comp.target.tolist() == [0, 2, 2]
-            assert comp.fed.tolist() == [0, 2]
