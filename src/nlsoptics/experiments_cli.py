@@ -28,11 +28,19 @@ Experiment blocks by type:
   profiles:    t_final, dt (default 1e-3), snapshots (default 9),
                oracle (explicit_torus_1d | explicit_two_mode |
                explicit_euclid_1d | null), quadrature_dt (euclid oracle)
-  converge:    t_final, checkpoints (default 8), profile_dt (default 1e-3),
+  converge:    t_final, checkpoints (default 8), profile_dt (default null),
                dt_self_check (default true).  Each eps leg is solved on one
                2*pi*eps period of the torus (exact for lattice carriers);
                solver.grid_n is the full-grid size and must be a multiple
-               of 1/eps.
+               of 1/eps.  With dt_self_check, a null solver.dt or
+               profile_dt is chosen by a step-doubling ladder (r*eps/100
+               and r*1e-3, r = 16 down to 1) within 1e-2*eps, and each leg
+               adds a grid-doubling check; a number pins that step.  With
+               dt_self_check false the null steps are eps/100 and 1e-3,
+               unchecked.  The report and convergence.csv carry each row's
+               rung, step and grid deltas, split steps, L2 drift and
+               top-band fraction, and the profile step, rung, delta and RK4
+               steps; stage timings go to runtimes.
   instability: variant, rho, delta, s, K, theta, grid_points (default 10^4),
                cross_check (default false)
   smalldiv:    b_grid (default [0.0]), probe (null or {generators,
@@ -614,9 +622,21 @@ def cmd_profiles(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     return _profiles_torus(scn, out_dir, oracle, flags)
 
 
+def _rung_label(rung) -> str:
+    return "unchecked" if rung is None else f"{rung}x"
+
+
+def _delta_label(value, eps=None) -> str:
+    """A health value, or a delta in multiples of eps when eps is given."""
+    if value is None:
+        return "n/a"
+    return f"{value:.2e}" if eps is None else f"{value / eps:.2e}*eps"
+
+
 def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     exp = scn.experiment
     modes, amps = _closed_modes(scn)
+    profile_dt = exp.get("profile_dt")
     start = time.perf_counter()
     table = run_convergence(
         modes,
@@ -624,7 +644,7 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         scn.lam,
         [float(f) for f in scn.eps_list],
         float(exp["t_final"]),
-        profile_dt=float(exp.get("profile_dt", 1e-3)),
+        profile_dt=None if profile_dt is None else float(profile_dt),
         dt=scn.solver_dt,
         grid_n=scn.solver_grid_n,
         checkpoints=int(exp.get("checkpoints", 8)),
@@ -632,22 +652,23 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     )
     total = time.perf_counter() - start
 
-    rows = [
-        [
-            f"{r.eps:.12g}",
-            r.n,
-            f"{r.dt:.12g}",
-            f"{r.sup_error:.17g}",
-            f"{r.w_error:.17g}",
-            f"{r.runtime:.3f}",
-            r.status,
-        ]
-        for r in table.rows
-    ]
+    health = ("rung", "step_delta", "grid_delta", "steps", "l2_drift", "aliasing")
     _write_csv(
         os.path.join(out_dir, "convergence.csv"),
-        ["eps", "grid_n", "dt", "sup_error", "w_error", "runtime", "status"],
-        rows,
+        ["eps", "grid_n", "dt", "sup_error", "w_error", *health, "runtime", "status"],
+        [
+            [
+                f"{r.eps:.12g}",
+                r.n,
+                f"{r.dt:.12g}",
+                f"{r.sup_error:.17g}",
+                f"{r.w_error:.17g}",
+                *("" if getattr(r, k) is None else getattr(r, k) for k in health),
+                f"{r.runtime:.3f}",
+                r.status,
+            ]
+            for r in table.rows
+        ],
     )
     results = {
         "rows": [
@@ -658,6 +679,7 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
                 "sup_error": r.sup_error,
                 "w_error": r.w_error,
                 "status": r.status,
+                **{k: getattr(r, k) for k in health},
             }
             for r in table.rows
         ],
@@ -665,18 +687,37 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         "order_sup": table.order_sup,
         "order_w": table.order_w,
         "at_floor": table.at_floor,
+        "profile": {
+            "dt": table.profile_dt,
+            "rung": table.profile_rung,
+            "delta": table.profile_delta,
+            "rk4_steps": table.profile_steps,
+        },
     }
     runtimes = {
         "total": total,
         "rows": [r.runtime for r in table.rows],
+        "profile": table.profile_s,
+        "stages": [r.stage_s for r in table.rows],
     }
     _emit_report(out_dir, "converge", scn, results, runtimes, flags)
 
+    print(
+        f"profile: dt={table.profile_dt:.4g} rung {_rung_label(table.profile_rung)} "
+        f"delta {_delta_label(table.profile_delta)} {table.profile_steps} RK4 steps"
+    )
     for r in table.rows:
         note = "" if r.ok else f"  [{r.status}]"
         print(
             f"eps={r.eps:<10.6g} n={r.n:<6d} sup={r.sup_error:.4e} "
             f"w={r.w_error:.4e}{note}"
+        )
+        print(
+            f"  health: dt={r.dt:.4g} rung {_rung_label(r.rung)} "
+            f"step {_delta_label(r.step_delta, r.eps)} "
+            f"grid {_delta_label(r.grid_delta, r.eps)} "
+            f"{r.steps} steps l2 drift {_delta_label(r.l2_drift)} "
+            f"top band {_delta_label(r.aliasing)}"
         )
     print(
         f"fitted order: sup {table.fitted_order_label('sup')}, "

@@ -52,10 +52,10 @@ class WaveVector:
     def __post_init__(self):
         if len(self.coords) == 0:
             raise ValueError("wave vector needs at least one coordinate")
+        # bools are ints in python, reject them anyway
+        if any(isinstance(c, (bool, np.bool_)) for c in self.coords):
+            raise TypeError("wave vector coordinates must be integers")
         if not all(isinstance(c, int) for c in self.coords):
-            # bools are ints in python, reject them anyway
-            if any(isinstance(c, bool) for c in self.coords):
-                raise TypeError("wave vector coordinates must be integers")
             coerced = []
             for c in self.coords:
                 ic = int(c)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -27,16 +27,18 @@ from .profile_dynamics import (
     ProfileStateEuclid,
     ProfileStateTorus,
     SimParams,
+    TorusTrajectory,
     _axis_wavenumbers,
+    _snapshot_marks,
     integrate_torus,
     two_mode_theta,
 )
 from .small_divisors import survey_divisors
 from .spectral_nls import (
     GridField,
+    SolveResult,
     SolverConfig,
     _check_eps,
-    _solve,
     default_dt,
     default_grid_size,
     solve,
@@ -58,6 +60,9 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-10  # rows below this are rounding noise, excluded from fits
+PROFILE_DT = 1e-3  # profile RK4 step without the self-check; the ladder's unit
+LADDER_TOP = 16  # largest multiple of the unit step the ladder tries
+LADDER_FRACTION = 1e-2  # self-check budget, as a fraction of eps
 
 
 def assemble_uapp(
@@ -92,8 +97,18 @@ def assemble_uapp(
 
 @dataclass
 class ConvergenceRow:
-    """One epsilon leg of the sweep.  status is 'ok' or a failure note; a
-    failed row keeps NaN errors and is excluded from order fits."""
+    """One epsilon leg of the sweep.  status is 'ok' or a failure note and
+    a row that is not ok is excluded from order fits.  A leg whose solve
+    failed keeps NaN errors; a leg whose self-check exceeded its budget keeps
+    its measured errors and deltas.
+
+    Health (inside the report hash): the ladder rung (dt in multiples of the
+    default step; None when the step is pinned or the check is off), the
+    step-doubling and grid-doubling deltas (None when unchecked), split steps
+    over all of the leg's solves, and the L2 drift and worst top-band
+    fraction of the solve the errors come from.  runtime and stage_s
+    (seconds in the checks, the solve, and assembly plus norms) are timings.
+    """
 
     eps: float
     n: int
@@ -102,6 +117,13 @@ class ConvergenceRow:
     w_error: float
     runtime: float
     status: str = "ok"
+    rung: Optional[int] = None
+    step_delta: Optional[float] = None
+    grid_delta: Optional[float] = None
+    steps: int = 0
+    l2_drift: Optional[float] = None
+    aliasing: Optional[float] = None
+    stage_s: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -110,11 +132,20 @@ class ConvergenceRow:
 
 @dataclass
 class ConvergenceTable:
+    """The sweep's rows and fits, plus the shared profile integration: its
+    step, ladder rung and step-doubling delta (None when pinned or
+    unchecked), RK4 steps over all of its integrations, and seconds spent."""
+
     rows: list[ConvergenceRow]
     checkpoint_times: tuple[float, ...]
     order_sup: Optional[float]
     order_w: Optional[float]
     at_floor: bool
+    profile_dt: float = PROFILE_DT
+    profile_rung: Optional[int] = None
+    profile_delta: Optional[float] = None
+    profile_steps: int = 0
+    profile_s: float = 0.0
 
     def fitted_order_label(self, which: str = "sup") -> str:
         order = self.order_sup if which == "sup" else self.order_w
@@ -136,34 +167,46 @@ def _fit_order(rows: Sequence[ConvergenceRow], attr: str) -> Optional[float]:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _refine_dt(u0: GridField, cfg: SolverConfig, budget: float) -> int:
-    """Self-consistency check on the default step: integrate a short prefix
-    at dt and dt/2, scale the disagreement linearly to the full horizon, and
-    halve dt until the estimate sits below a tenth of the error budget.
-    Returns the number of halvings (at most 3).
+def _ladder(run, unit: float, shortest: float, delta, budget: float):
+    """Choose a step on the power-of-two ladder r*unit, r = top, ..., 2, 1.
 
-    The linear scaling is conservative for a second-order splitting whose
-    error accumulates at worst linearly in the number of steps.  The prefix
-    solves go through `_solve`, which issues no aliasing warning.
+    run(h) integrates the whole horizon at step h and delta(fine, coarse)
+    measures two such runs.  Each rung is compared with the run at twice its
+    step, and the walk stops at the first rung within budget, keeping only
+    the run the next comparison needs.  The top is LADDER_TOP, capped so
+    that twice its step still fits in the shortest snapshot segment: beyond
+    that both runs take one step per segment and agree vacuously (unit is
+    shrunk to half that segment for the same reason).  Returns (rung, step,
+    fine, coarse, delta); at rung 1 the delta may exceed the budget.
     """
-    dt = cfg.dt
-    rounds = 0
-    prefix = min(cfg.t_final, 50 * dt)
-    if prefix <= 0:
-        return rounds
-    while rounds < 3:
-        cfg_a = SolverConfig(cfg.eps, cfg.lam, cfg.sigma, dt, cfg.n, prefix)
-        cfg_b = SolverConfig(cfg.eps, cfg.lam, cfg.sigma, dt / 2, cfg.n, prefix)
-        ua = _solve(u0, cfg_a).final
-        ub = _solve(u0, cfg_b).final
-        err = float(np.max(np.abs(ua.values - ub.values)))
-        scaled = err * (cfg.t_final / prefix)
-        if scaled <= 0.1 * budget:
-            break
-        dt /= 2
-        rounds += 1
-        prefix = min(cfg.t_final, 50 * dt)
-    return rounds
+    unit = min(unit, shortest / 2)
+    r = LADDER_TOP
+    while r > 1 and 2 * r * unit > shortest:
+        r //= 2
+    coarse = run(2 * r * unit)
+    while True:
+        fine = run(r * unit)
+        gap = delta(fine, coarse)
+        if gap <= budget or r == 1:
+            return r, r * unit, fine, coarse, gap
+        r, coarse = r // 2, fine
+
+
+def _field_delta(a: SolveResult, b: SolveResult, times: Sequence[float]) -> float:
+    """max over times of the largest pointwise |a - b| on a's grid points;
+    b's grid may refine a's by a power of two, and is sampled there."""
+    gap = 0.0
+    for t in times:
+        ua, ub = a.at(t), b.at(t)
+        sub = (slice(None, None, ub.n // ua.n),) * ua.d
+        gap = max(gap, float(np.max(np.abs(ua.values - ub.values[sub]))))
+    return gap
+
+
+def _amp_delta(a: TorusTrajectory, b: TorusTrajectory, times: Sequence[float]) -> float:
+    """max over times of sum_j |a_j - b_j|: the W norm of the difference of
+    the assembled fields, which bounds its sup."""
+    return max(float(np.sum(np.abs(a.at(t) - b.at(t)))) for t in times)
 
 
 def _period_config(
@@ -205,7 +248,7 @@ def run_convergence(
     eps_list: Sequence[float],
     t_final: float,
     *,
-    profile_dt: float = 1e-3,
+    profile_dt: Optional[float] = None,
     dt: Optional[float] = None,
     grid_n: Optional[int] = None,
     checkpoints: int = 8,
@@ -222,8 +265,16 @@ def run_convergence(
     size, checked by `validate_resolution`, and must be a multiple of 1/eps;
     rows report the physical dt and the period's points times 1/eps.
 
-    With the default dt the step is validated per leg by a two-resolution
-    prefix check.  A leg that blows up or fails resolution checks is
+    With dt_self_check, every step not pinned by dt or profile_dt is chosen
+    by `_ladder` against a budget of LADDER_FRACTION*eps: each leg from
+    default_dt(eps), measuring the sup over checkpoints of the pointwise
+    step-doubling gap, plus one grid-doubling solve at twice the chosen step
+    on the doubled cell; the profile system once from PROFILE_DT against
+    LADDER_FRACTION*min(eps), measuring the largest summed amplitude gap
+    sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
+    difference and bounds its sup.  A row any of whose deltas exceeds its
+    budget is marked failed.  Without the check the steps are default_dt(eps)
+    and PROFILE_DT.  A leg that blows up or fails resolution checks is
     recorded with its failure note instead of aborting the sweep.
     """
     if not modes.saturated:
@@ -236,9 +287,33 @@ def run_convergence(
     checks = tuple(
         t_final * k / (checkpoints + 1) for k in range(1, checkpoints + 2)
     )
-    params = SimParams(lam=lam, sigma=modes.sigma, t_final=t_final, dt=profile_dt)
-    traj = integrate_torus(alpha, modes, params, snapshot_times=checks)
+    marks = _snapshot_marks(t_final, checks)
+    shortest = min(b - a for a, b in zip(marks, marks[1:]))
     kappa_sup = modes.max_sup_norm
+
+    start = time.perf_counter()
+    profile_steps = 0
+
+    def integrate(h: float) -> TorusTrajectory:
+        nonlocal profile_steps
+        params = SimParams(lam=lam, sigma=modes.sigma, t_final=t_final, dt=h)
+        traj = integrate_torus(alpha, modes, params, snapshot_times=checks)
+        profile_steps += len(traj.times) - 1
+        return traj
+
+    profile_rung = profile_delta = None
+    if profile_dt is None and dt_self_check and len(eps_list) > 0:
+        profile_rung, profile_dt, traj, _, profile_delta = _ladder(
+            integrate,
+            PROFILE_DT,
+            shortest,
+            lambda a, b: _amp_delta(a, b, checks),
+            LADDER_FRACTION * min(float(e) for e in eps_list),
+        )
+    else:
+        profile_dt = PROFILE_DT if profile_dt is None else profile_dt
+        traj = integrate(profile_dt)
+    profile_s = time.perf_counter() - start
 
     def one_leg(eps) -> ConvergenceRow:
         eps_f = float(eps)
@@ -246,25 +321,52 @@ def run_convergence(
             eps_f, modes.sigma, kappa_sup
         )
         dt_row = dt if dt is not None else default_dt(eps_f)
+        rung = step_delta = grid_delta = None
+        steps = 0
+        spent = {}  # seconds per (step, points) of this leg's solves
         start = time.perf_counter()
+
+        def leg_fields() -> dict:
+            return dict(
+                eps=eps_f, n=n, dt=dt_row, rung=rung, step_delta=step_delta,
+                grid_delta=grid_delta, steps=steps,
+                runtime=time.perf_counter() - start,
+            )
+
         try:
             cfg = SolverConfig(eps_f, lam, modes.sigma, dt_row, n, t_final)
             cfg.validate_resolution(kappa_sup)
-            strict = grid_n is not None
-            cell = _period_config(cfg, kappa_sup, strict=strict)
+            cell = _period_config(cfg, kappa_sup, strict=grid_n is not None)
             n = cell.n * _check_eps(eps_f)
+            cell_times = [t / eps_f for t in checks]
 
-            def cell_field(amps, t: float) -> GridField:
+            def cell_field(amps, t: float, m: int = cell.n) -> GridField:
                 state = ProfileStateTorus(modes=modes, amps=amps, t=t / eps_f)
-                return assemble_uapp(state, 1.0, cell.n)
+                return assemble_uapp(state, 1.0, m)
 
-            u0 = cell_field(alpha, 0.0)
-            if dt is None and dt_self_check:
-                dt_row = default_dt(eps_f) / 2 ** _refine_dt(u0, cell, budget=eps_f)
-                cell = _period_config(
-                    replace(cfg, dt=dt_row), kappa_sup, strict=strict
+            def run(h: float, m: int = cell.n) -> SolveResult:
+                nonlocal steps
+                t0 = time.perf_counter()
+                res = solve(
+                    cell_field(alpha, 0.0, m), replace(cell, dt=h / eps_f, n=m),
+                    snapshot_times=cell_times,
                 )
-            res = solve(u0, cell, snapshot_times=[t / eps_f for t in checks])
+                spent[h, m] = time.perf_counter() - t0
+                steps += res.steps
+                return res
+
+            if dt is None and dt_self_check:
+                rung, dt_row, res, coarse, step_delta = _ladder(
+                    run, default_dt(eps_f), shortest,
+                    lambda a, b: _field_delta(a, b, cell_times),
+                    LADDER_FRACTION * eps_f,
+                )
+                grid = run(2 * dt_row, 2 * cell.n)
+                grid_delta = _field_delta(coarse, grid, cell_times)
+            else:
+                res = run(dt_row)
+            solve_s = spent[dt_row, cell.n]
+            t0 = time.perf_counter()
             sup_err = 0.0
             w_err = 0.0
             for t in checks:
@@ -276,23 +378,35 @@ def run_convergence(
                 )
                 sup_err = max(sup_err, sup_norm_of_field(diff))
                 w_err = max(w_err, w_norm_of_field(diff))
+            budget = LADDER_FRACTION * eps_f
+            over = [
+                f"{name} delta {gap / eps_f:.3g}*eps"
+                for name, gap in (
+                    ("step", step_delta), ("grid", grid_delta), ("profile", profile_delta)
+                )
+                if gap is not None and gap > budget
+            ]
             return ConvergenceRow(
-                eps=eps_f,
-                n=n,
-                dt=dt_row,
                 sup_error=sup_err,
                 w_error=w_err,
-                runtime=time.perf_counter() - start,
+                status="ok" if not over else (
+                    f"check over {LADDER_FRACTION:g}*eps: " + ", ".join(over)
+                ),
+                l2_drift=res.l2_relative_drift,
+                aliasing=float(np.max(res.aliasing_fractions)),
+                stage_s={
+                    "checks": sum(spent.values()) - solve_s,
+                    "solve": solve_s,
+                    "assembly_norms": time.perf_counter() - t0,
+                },
+                **leg_fields(),
             )
         except (BlowUpError, ValueError, FloatingPointError) as exc:
             return ConvergenceRow(
-                eps=eps_f,
-                n=n,
-                dt=dt_row,
                 sup_error=math.nan,
                 w_error=math.nan,
-                runtime=time.perf_counter() - start,
                 status=f"{type(exc).__name__}: {exc}",
+                **leg_fields(),
             )
 
     rows = []
@@ -310,6 +424,11 @@ def run_convergence(
         order_sup=_fit_order(rows, "sup_error"),
         order_w=_fit_order(rows, "w_error"),
         at_floor=at_floor,
+        profile_dt=profile_dt,
+        profile_rung=profile_rung,
+        profile_delta=profile_delta,
+        profile_steps=profile_steps,
+        profile_s=profile_s,
     )
 
 

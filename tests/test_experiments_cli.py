@@ -192,6 +192,40 @@ class TestConvergeCommand:
         assert len(lines) == 3
         assert "fitted order" in capsys.readouterr().out
 
+    def test_health_in_report_csv_and_summary(self, tmp_path, capsys):
+        doc = self._doc(1.0)
+        del doc["experiment"]["dt_self_check"]
+        scn = write_scenario(tmp_path, doc)
+        assert run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        rep = load_report(tmp_path, "converge_report.json")
+        res = rep["results"]
+        for r in res["rows"]:
+            assert r["status"] == "ok" and r["rung"] >= 1 and r["steps"] > 0
+            assert 0 <= r["step_delta"] <= 1e-2 * r["eps"]
+            assert 0 <= r["grid_delta"] <= 1e-2 * r["eps"]
+            assert r["l2_drift"] < 1e-12 and r["aliasing"] < 1e-8
+        profile = res["profile"]
+        assert profile["rung"] >= 1 and profile["rk4_steps"] > 0
+        assert profile["dt"] == profile["rung"] * 1e-3
+        assert set(rep["runtimes"]) == {"total", "rows", "profile", "stages"}
+        assert set(rep["runtimes"]["stages"][0]) == {"checks", "solve", "assembly_norms"}
+        header = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[0]
+        assert header == (
+            "eps,grid_n,dt,sup_error,w_error,rung,step_delta,grid_delta,steps,"
+            "l2_drift,aliasing,runtime,status"
+        )
+        out = capsys.readouterr().out
+        assert out.count("  health: ") == 2 and out.startswith("profile: ")
+
+    def test_unchecked_rows_record_null_deltas(self, tmp_path):
+        scn = write_scenario(tmp_path, self._doc(1.0))
+        run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")])
+        res = load_report(tmp_path, "converge_report.json")["results"]
+        for r in res["rows"]:
+            assert (r["rung"], r["step_delta"], r["grid_delta"]) == (None, None, None)
+            assert r["steps"] > 0 and r["l2_drift"] is not None
+        assert res["profile"] == {"dt": 1e-3, "rung": None, "delta": None, "rk4_steps": 100}
+
     def test_floor_passes_any_order_assertion(self, tmp_path):
         scn = write_scenario(tmp_path, self._doc(0.0))
         rc = run(

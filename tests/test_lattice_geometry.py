@@ -48,6 +48,17 @@ class TestWaveVector:
         with pytest.raises(TypeError):
             WaveVector((1.5, 2.0))
 
+    @pytest.mark.parametrize(
+        "coords", [(True, 0), (0, False), (True,), (np.bool_(True), 1), (True, 0.5)]
+    )
+    def test_bool_coords_rejected(self, coords):
+        with pytest.raises(TypeError):
+            WaveVector(coords)
+
+    def test_numpy_integer_coords_coerced(self):
+        v = WaveVector((np.int64(2), -1))
+        assert v.coords == (2, -1) and type(v.coords[0]) is int
+
 
 class TestPhase:
     def test_dispersion_locked(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,18 @@ from nlsoptics.spectral_nls import (
     sup_norm_of_field,
     w_norm_of_field,
 )
+from nlsoptics import wkb_pipeline
+from nlsoptics.profile_dynamics import _snapshot_marks
 from nlsoptics.wkb_pipeline import (
     ERROR_FLOOR,
+    LADDER_FRACTION,
+    LADDER_TOP,
+    PROFILE_DT,
     ConvergenceRow,
     ConvergenceTable,
-    _refine_dt,
+    _field_delta,
+    _ladder,
+    _period_config,
     assemble_uapp,
     remainder_report,
     run_convergence,
@@ -118,8 +126,9 @@ class TestConvergence:
         assert table.fitted_order_label("sup") == "n/a"
 
     def test_period_solve_matches_full_grid(self):
-        # oracle: the full default grid, solved directly, with the same
-        # step check; the sweep solves one 2 pi eps period per leg instead
+        # oracle: the full default grid, solved directly at the step the
+        # ladder chose for each row, against profiles at the table's step;
+        # the sweep solves one 2 pi eps period per leg instead
         modes = close_under_resonances([wv(0, 1), wv(1, 0), wv(1, 1)], 1)
         alpha = np.array([0.0, 0.2, 0.3, 0.25 * np.exp(1j * math.pi / 6)])
         eps_list, t_final = [1 / 8, 1 / 16], 0.1
@@ -129,15 +138,15 @@ class TestConvergence:
         checks = table.checkpoint_times
         traj = integrate_torus(
             alpha, modes,
-            SimParams(lam=1.0, sigma=1, t_final=t_final, dt=1e-3),
+            SimParams(lam=1.0, sigma=1, t_final=t_final, dt=table.profile_dt),
             snapshot_times=checks,
         )
         for eps, row in zip(eps_list, table.rows):
+            assert row.ok and row.rung is not None
+            assert row.dt == row.rung * default_dt(eps)
             n = default_grid_size(eps, 1, modes.max_sup_norm)
-            cfg = SolverConfig(eps, 1.0, 1, default_dt(eps), n, t_final)
+            cfg = SolverConfig(eps, 1.0, 1, row.dt, n, t_final)
             u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), eps, n)
-            dt = default_dt(eps) / 2 ** _refine_dt(u0, cfg, budget=eps)
-            cfg = SolverConfig(eps, 1.0, 1, dt, n, t_final)
             res = solve(u0, cfg, snapshot_times=checks)
             sup_err = w_err = 0.0
             for t in checks:
@@ -147,8 +156,7 @@ class TestConvergence:
                 diff = GridField(2, n, res.at(t).values - uapp.values)
                 sup_err = max(sup_err, sup_norm_of_field(diff))
                 w_err = max(w_err, w_norm_of_field(diff))
-            assert row.ok
-            assert (row.n, row.dt) == (n, dt)
+            assert row.n == n
             assert sup_err > 1e3 * ERROR_FLOOR
             assert math.isclose(row.sup_error, sup_err, rel_tol=1e-10)
             assert math.isclose(row.w_error, w_err, rel_tol=1e-10)
@@ -201,6 +209,148 @@ class TestConvergence:
         )
         assert table.fitted_order_label("sup") == "0.913"
         assert table.fitted_order_label("w") == "n/a"
+
+
+def criterion_one_data():
+    modes = close_under_resonances([wv(-1), wv(0), wv(1)], 1)
+    amps = {(-1,): 0.5, (0,): 1.0, (1,): 0.7 * np.exp(1j * math.pi / 4)}
+    alpha = np.array([amps[v.coords] for v in modes.vectors])
+    return modes, alpha
+
+
+class TestStepLadder:
+    def test_walks_down_to_the_first_passing_rung(self):
+        # delta of rung r is (2 r)^2: 16 and 8 fail a budget of 100, 4 passes
+        runs = []
+
+        def run(h):
+            runs.append(h)
+            return h
+
+        rung, step, fine, coarse, gap = _ladder(
+            run, 1.0, 1e9, lambda a, b: b * b, budget=100.0
+        )
+        assert (rung, step, fine, coarse, gap) == (4, 4.0, 4.0, 8.0, 64.0)
+        assert runs == [2.0 * LADDER_TOP, 16.0, 8.0, 4.0]  # one new run per rung
+
+    def test_leg_takes_the_largest_passing_rung(self):
+        # criterion 1's data at eps = 1/8: rung 4 passes, and the solve pair
+        # one rung up (8x against 16x the default step) is over budget
+        modes, alpha = criterion_one_data()
+        eps, t_final = 1 / 8, 1.0
+        table = run_convergence(modes, alpha, 1.0, [eps], t_final)
+        row = table.rows[0]
+        assert row.ok and row.rung == 4 and row.dt == 4 * default_dt(eps)
+        assert 0 < row.step_delta <= LADDER_FRACTION * eps
+        assert 0 < row.grid_delta <= LADDER_FRACTION * eps
+        checks = table.checkpoint_times
+        cell = _period_config(
+            SolverConfig(eps, 1.0, 1, default_dt(eps), 128, t_final), 1
+        )
+        u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, cell.n)
+        times = [t / eps for t in checks]
+        at = {
+            r: solve(u0, replace(cell, dt=r * cell.dt), snapshot_times=times)
+            for r in (4, 8, 16)
+        }
+        assert _field_delta(at[4], at[8], times) == row.step_delta
+        assert _field_delta(at[8], at[16], times) > LADDER_FRACTION * eps
+        # 9 segments of 800/9 default steps, solved at 4x, 8x, 16x and 32x
+        # the default step, plus the 32-point grid at 8x
+        per_rung = {r: 9 * math.ceil(800 / (9 * r)) for r in (4, 8, 16, 32)}
+        assert row.steps == sum(per_rung.values()) + per_rung[8]
+        assert table.profile_rung == LADDER_TOP
+        assert table.profile_dt == LADDER_TOP * PROFILE_DT
+        assert 0 < table.profile_delta <= LADDER_FRACTION * eps
+
+    @pytest.mark.parametrize("t_final", [1.0, 0.1, 0.013, 0.0031])
+    @pytest.mark.parametrize("checkpoints", [1, 3, 8])
+    def test_top_rung_cap_never_yields_equal_step_counts(self, t_final, checkpoints):
+        # every compared pair of solves differs by a step in every segment,
+        # whatever the horizon, including units coarser than the segments
+        checks = [t_final * k / (checkpoints + 1) for k in range(1, checkpoints + 2)]
+        marks = _snapshot_marks(t_final, checks)
+        shortest = min(b - a for a, b in zip(marks, marks[1:]))
+        u0 = GridField(1, 16, np.full(16, 0.5 + 0j))
+        for unit in (1e-2, 1e-3):
+            runs = []
+
+            def run(h):
+                cfg = SolverConfig(1.0, 1.0, 1, h, 16, t_final)
+                runs.append(solve(u0, cfg, snapshot_times=checks))
+                return runs[-1]
+
+            rung, step, *_ = _ladder(
+                run, unit, shortest, lambda a, b: math.inf, budget=0.0
+            )
+            assert rung == 1 and step <= unit
+            for coarse, fine in zip(runs, runs[1:]):
+                assert fine.steps >= coarse.steps + len(checks)
+
+    def test_row_whose_bottom_rung_fails_is_marked_failed(self, monkeypatch):
+        monkeypatch.setattr(wkb_pipeline, "LADDER_FRACTION", 1e-12)
+        modes = line_modes(0, 1)
+        table = run_convergence(
+            modes, [0.7, 0.4], 1.0, [1 / 4], 0.3, checkpoints=2
+        )
+        row = table.rows[0]
+        assert not row.ok
+        assert row.status.startswith("check over 1e-12*eps: step delta")
+        assert "profile delta" in row.status
+        assert row.rung == 1 and row.dt == default_dt(1 / 4)
+        assert row.step_delta > 1e-12 / 4
+        assert table.profile_rung == 1 and table.profile_dt == PROFILE_DT
+        # measured, not discarded, but kept out of the fit
+        assert math.isfinite(row.sup_error) and row.sup_error > 0
+        assert table.order_sup is None
+
+    def test_pins_and_switch_bypass_the_ladder(self):
+        # dt_self_check=False and pinning both steps to the same values run
+        # exactly one solve per leg and one profile integration, bit for bit
+        # equal to a hand-built period solve
+        modes = line_modes(0, 1)
+        alpha = np.array([0.7, 0.4])
+        eps, t_final = 1 / 8, 0.3
+        off = run_convergence(
+            modes, alpha, 1.0, [eps], t_final, checkpoints=2, dt_self_check=False
+        )
+        pinned = run_convergence(
+            modes, alpha, 1.0, [eps], t_final, checkpoints=2,
+            dt=default_dt(eps), profile_dt=PROFILE_DT,
+        )
+        checks = off.checkpoint_times
+        traj = integrate_torus(
+            alpha, modes, SimParams(1.0, 1, t_final, PROFILE_DT), snapshot_times=checks
+        )
+        cell = SolverConfig(1.0, eps, 1, default_dt(eps) / eps, 16, t_final / eps)
+        u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, 16)
+        res = solve(u0, cell, snapshot_times=[t / eps for t in checks])
+        sup_err = w_err = 0.0
+        for t in checks:
+            uapp = assemble_uapp(ProfileStateTorus(modes, traj.at(t), t / eps), 1.0, 16)
+            diff = GridField(1, 16, res.at(t / eps).values - uapp.values)
+            sup_err = max(sup_err, sup_norm_of_field(diff))
+            w_err = max(w_err, w_norm_of_field(diff))
+        for table in (off, pinned):
+            row = table.rows[0]
+            assert (row.sup_error, row.w_error) == (sup_err, w_err)
+            assert (row.rung, row.step_delta, row.grid_delta) == (None, None, None)
+            assert row.dt == default_dt(eps) and row.steps == res.steps
+            assert row.l2_drift == res.l2_relative_drift
+            assert (table.profile_rung, table.profile_delta) == (None, None)
+            assert table.profile_dt == PROFILE_DT
+            assert table.profile_steps == len(traj.times) - 1
+
+        # pinning one step leaves the other on its ladder
+        dt_only = run_convergence(
+            modes, alpha, 1.0, [eps], t_final, checkpoints=2, dt=default_dt(eps)
+        )
+        assert dt_only.rows[0].rung is None and dt_only.profile_rung is not None
+        profile_only = run_convergence(
+            modes, alpha, 1.0, [eps], t_final, checkpoints=2, profile_dt=PROFILE_DT
+        )
+        assert profile_only.rows[0].rung is not None
+        assert profile_only.profile_rung is None
 
 
 class TestRemainderReport:
