@@ -13,7 +13,7 @@ A scenario is one JSON document with a versioned schema:
         {"kappa": [0],  "amplitude": [1.0, 0.0]}
       ],
       "closure_limits": {"max_generations": 8, "max_sup_norm": 64},
-      "solver": {"dt": null, "grid_n": null, "eps_list": ["1/8", "1/16"]},
+      "solver": {"dt": null, "eps_list": ["1/8", "1/16"]},
       "experiment": {"type": "converge", "t_final": 1.0}
     }
 
@@ -30,9 +30,9 @@ Experiment blocks by type:
                explicit_euclid_1d | null), quadrature_dt (euclid oracle)
   converge:    t_final, checkpoints (default 8), profile_dt (default null),
                dt_self_check (default true).  Each eps leg is solved on one
-               2*pi*eps period of the torus (exact for lattice carriers);
-               solver.grid_n is the full-grid size and must be a multiple
-               of 1/eps.  With dt_self_check, a null solver.dt or
+               2*pi*eps period of the torus (exact for lattice carriers),
+               sized by the grid rule at eps=1; rows report the grid the
+               periods tile.  With dt_self_check, a null solver.dt or
                profile_dt is chosen by a step-doubling ladder (r*eps/100
                and r*1e-3, r = 16 down to 1) within 1e-2*eps, and each leg
                adds a grid-doubling check; a number pins that step.  With
@@ -151,7 +151,6 @@ class Scenario:
     modes: list[ModeSpec]
     closure_limits: dict
     solver_dt: Optional[float]
-    solver_grid_n: Optional[int]
     eps_list: list[Fraction]
     experiment: dict
     resolved: dict = field(default_factory=dict)
@@ -267,10 +266,10 @@ def load_scenario(path: str) -> Scenario:
         sdt is None or (isinstance(sdt, (int, float)) and sdt > 0),
         "solver.dt must be null or a positive number",
     )
-    sgn = solver.get("grid_n")
     _expect(
-        sgn is None or (isinstance(sgn, int) and sgn >= 2),
-        "solver.grid_n must be null or an integer >= 2",
+        solver.get("grid_n") is None,
+        "solver.grid_n: must be null; each eps leg is solved on one 2*pi*eps "
+        "period sized by the grid rule",
     )
     eps_raw = solver.get("eps_list", [])
     _expect(isinstance(eps_raw, list), "solver.eps_list must be a list")
@@ -316,7 +315,6 @@ def load_scenario(path: str) -> Scenario:
         modes=modes,
         closure_limits={"max_generations": max_gen, "max_sup_norm": max_norm},
         solver_dt=None if sdt is None else float(sdt),
-        solver_grid_n=sgn,
         eps_list=eps_list,
         experiment=dict(exp),
     )
@@ -337,7 +335,6 @@ def load_scenario(path: str) -> Scenario:
         "closure_limits": scn.closure_limits,
         "solver": {
             "dt": scn.solver_dt,
-            "grid_n": scn.solver_grid_n,
             "eps_list": [f"{f.numerator}/{f.denominator}" for f in eps_list],
         },
         "experiment": scn.experiment,
@@ -646,7 +643,6 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         float(exp["t_final"]),
         profile_dt=None if profile_dt is None else float(profile_dt),
         dt=scn.solver_dt,
-        grid_n=scn.solver_grid_n,
         checkpoints=int(exp.get("checkpoints", 8)),
         dt_self_check=bool(exp.get("dt_self_check", True)),
     )

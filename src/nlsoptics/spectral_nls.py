@@ -126,15 +126,6 @@ class SolverConfig:
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
 
-    def validate_resolution(self, kappa_sup: int) -> None:
-        """Require the Nyquist band to strictly cover (2 sigma + 2) kappa_sup / eps."""
-        need = (2 * self.sigma + 2) * kappa_sup / self.eps
-        if self.n / 2 <= need:
-            raise ValueError(
-                f"grid n={self.n} does not resolve harmonics up to {need:.0f}; "
-                f"need n > {2 * need:.0f}"
-            )
-
 
 @dataclass
 class SolveResult:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.fft import fftn, ifftn
 from scipy.optimize import brentq
 
-from .lattice_geometry import ModeSet
+from .lattice_geometry import ModeSet, WaveVector
 from .profile_dynamics import (
     BlowUpError,
     ProfileStateEuclid,
@@ -209,35 +209,24 @@ def _amp_delta(a: TorusTrajectory, b: TorusTrajectory, times: Sequence[float]) -
     return max(float(np.sum(np.abs(a.at(t) - b.at(t)))) for t in times)
 
 
-def _period_config(
-    cfg: SolverConfig, kappa_sup: int, *, strict: bool = False
+def _cell_config(
+    eps: float, lam: float, sigma: int, kappa_sup: int, t_final: float
 ) -> SolverConfig:
-    """The eps=1 problem on one 2 pi eps period that is equivalent to cfg.
+    """The eps=1 problem on one 2 pi eps period of the torus.
 
     Carriers at kappa/eps on the integer lattice make a field 2 pi eps
     periodic, and NLS keeps that period, so u(t, x) = v(t/eps, x/eps)
-    exactly: v solves the eps=1 equation with coupling lam*eps, step dt/eps
-    and horizon t_final/eps on cfg.n*eps points per axis.  Sup, W and L2
-    norms, spatial means and the aliasing fraction are the same on the
-    period as on the full grid.  When cfg.n is not a multiple of 1/eps the
-    full grid holds no whole number of periods; the period then gets
-    `default_grid_size(1, sigma, kappa_sup)` points, or, with strict, a
-    ValueError is raised.
+    exactly: v solves the eps=1 equation with coupling lam*eps, step
+    default_dt(eps)/eps and horizon t_final/eps on one period of
+    `default_grid_size(1, sigma, kappa_sup)` points, the cell the Nyquist
+    rule asks for at any scale.  Sup, W and L2 norms, spatial means and the
+    aliasing fraction are the same on the period as on the grid the periods
+    tile.  Raises ValueError unless 1/eps is a positive integer.
     """
-    eps = cfg.eps
-    inv = _check_eps(eps)
-    if cfg.n % inv == 0 and cfg.n // inv >= 2:
-        n_period = cfg.n // inv
-    elif not strict:
-        n_period = default_grid_size(1.0, cfg.sigma, kappa_sup)
-    else:
-        raise ValueError(
-            f"grid_n={cfg.n} is not a multiple of 1/eps={inv} with at "
-            f"least two points per period: legs are solved on one "
-            f"2*pi*eps period of grid_n*eps points"
-        )
+    _check_eps(eps)
     return SolverConfig(
-        1.0, cfg.lam * eps, cfg.sigma, cfg.dt / eps, n_period, cfg.t_final / eps
+        1.0, lam * eps, sigma, default_dt(eps) / eps,
+        default_grid_size(1.0, sigma, kappa_sup), t_final / eps,
     )
 
 
@@ -250,7 +239,6 @@ def run_convergence(
     *,
     profile_dt: Optional[float] = None,
     dt: Optional[float] = None,
-    grid_n: Optional[int] = None,
     checkpoints: int = 8,
     dt_self_check: bool = True,
     row_hook: Optional[Callable[[ConvergenceRow], None]] = None,
@@ -260,10 +248,11 @@ def run_convergence(
 
     The profile system is integrated once (it does not depend on epsilon)
     and shared across all legs.  Every carrier sits at kappa/eps on the
-    integer lattice, so each leg is solved on one 2 pi eps period through
-    `_period_config`.  grid_n (default `default_grid_size`) is the full-grid
-    size, checked by `validate_resolution`, and must be a multiple of 1/eps;
-    rows report the physical dt and the period's points times 1/eps.
+    integer lattice, so each leg is solved on one 2 pi eps period, the cell
+    of `_cell_config`; rows report the physical dt and the grid the cells
+    tile, the cell's points times 1/eps.  Every eps must have an integer
+    1/eps: the cells are built before anything runs, so a bad eps raises
+    ValueError before the profile integration and before any row.
 
     With dt_self_check, every step not pinned by dt or profile_dt is chosen
     by `_ladder` against a budget of LADDER_FRACTION*eps: each leg from
@@ -274,7 +263,7 @@ def run_convergence(
     sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
     difference and bounds its sup.  A row any of whose deltas exceeds its
     budget is marked failed.  Without the check the steps are default_dt(eps)
-    and PROFILE_DT.  A leg that blows up or fails resolution checks is
+    and PROFILE_DT.  A leg whose solve fails (blow-up, overflow) is
     recorded with its failure note instead of aborting the sweep.
     """
     if not modes.saturated:
@@ -290,6 +279,10 @@ def run_convergence(
     marks = _snapshot_marks(t_final, checks)
     shortest = min(b - a for a, b in zip(marks, marks[1:]))
     kappa_sup = modes.max_sup_norm
+    eps_list = [float(eps) for eps in eps_list]
+    cells = [
+        _cell_config(eps, lam, modes.sigma, kappa_sup, t_final) for eps in eps_list
+    ]
 
     start = time.perf_counter()
     profile_steps = 0
@@ -302,25 +295,22 @@ def run_convergence(
         return traj
 
     profile_rung = profile_delta = None
-    if profile_dt is None and dt_self_check and len(eps_list) > 0:
+    if profile_dt is None and dt_self_check and eps_list:
         profile_rung, profile_dt, traj, _, profile_delta = _ladder(
             integrate,
             PROFILE_DT,
             shortest,
             lambda a, b: _amp_delta(a, b, checks),
-            LADDER_FRACTION * min(float(e) for e in eps_list),
+            LADDER_FRACTION * min(eps_list),
         )
     else:
         profile_dt = PROFILE_DT if profile_dt is None else profile_dt
         traj = integrate(profile_dt)
     profile_s = time.perf_counter() - start
 
-    def one_leg(eps) -> ConvergenceRow:
-        eps_f = float(eps)
-        n = grid_n if grid_n is not None else default_grid_size(
-            eps_f, modes.sigma, kappa_sup
-        )
-        dt_row = dt if dt is not None else default_dt(eps_f)
+    def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:
+        n = cell.n * _check_eps(eps)
+        dt_row = dt if dt is not None else default_dt(eps)
         rung = step_delta = grid_delta = None
         steps = 0
         spent = {}  # seconds per (step, points) of this leg's solves
@@ -328,27 +318,23 @@ def run_convergence(
 
         def leg_fields() -> dict:
             return dict(
-                eps=eps_f, n=n, dt=dt_row, rung=rung, step_delta=step_delta,
+                eps=eps, n=n, dt=dt_row, rung=rung, step_delta=step_delta,
                 grid_delta=grid_delta, steps=steps,
                 runtime=time.perf_counter() - start,
             )
 
         try:
-            cfg = SolverConfig(eps_f, lam, modes.sigma, dt_row, n, t_final)
-            cfg.validate_resolution(kappa_sup)
-            cell = _period_config(cfg, kappa_sup, strict=grid_n is not None)
-            n = cell.n * _check_eps(eps_f)
-            cell_times = [t / eps_f for t in checks]
+            cell_times = [t / eps for t in checks]
 
             def cell_field(amps, t: float, m: int = cell.n) -> GridField:
-                state = ProfileStateTorus(modes=modes, amps=amps, t=t / eps_f)
+                state = ProfileStateTorus(modes=modes, amps=amps, t=t / eps)
                 return assemble_uapp(state, 1.0, m)
 
             def run(h: float, m: int = cell.n) -> SolveResult:
                 nonlocal steps
                 t0 = time.perf_counter()
                 res = solve(
-                    cell_field(alpha, 0.0, m), replace(cell, dt=h / eps_f, n=m),
+                    cell_field(alpha, 0.0, m), replace(cell, dt=h / eps, n=m),
                     snapshot_times=cell_times,
                 )
                 spent[h, m] = time.perf_counter() - t0
@@ -357,9 +343,9 @@ def run_convergence(
 
             if dt is None and dt_self_check:
                 rung, dt_row, res, coarse, step_delta = _ladder(
-                    run, default_dt(eps_f), shortest,
+                    run, default_dt(eps), shortest,
                     lambda a, b: _field_delta(a, b, cell_times),
-                    LADDER_FRACTION * eps_f,
+                    LADDER_FRACTION * eps,
                 )
                 grid = run(2 * dt_row, 2 * cell.n)
                 grid_delta = _field_delta(coarse, grid, cell_times)
@@ -374,13 +360,13 @@ def run_convergence(
                 diff = GridField(
                     d=modes.d,
                     n=cell.n,
-                    values=res.at(t / eps_f).values - uapp.values,
+                    values=res.at(t / eps).values - uapp.values,
                 )
                 sup_err = max(sup_err, sup_norm_of_field(diff))
                 w_err = max(w_err, w_norm_of_field(diff))
-            budget = LADDER_FRACTION * eps_f
+            budget = LADDER_FRACTION * eps
             over = [
-                f"{name} delta {gap / eps_f:.3g}*eps"
+                f"{name} delta {gap / eps:.3g}*eps"
                 for name, gap in (
                     ("step", step_delta), ("grid", grid_delta), ("profile", profile_delta)
                 )
@@ -410,8 +396,8 @@ def run_convergence(
             )
 
     rows = []
-    for eps in eps_list:
-        row = one_leg(eps)
+    for eps, cell in zip(eps_list, cells):
+        row = one_leg(eps, cell)
         rows.append(row)
         if row_hook is not None:
             row_hook(row)
@@ -581,8 +567,9 @@ def run_instability(
     With cross_check=True (variants with two data only) the gap is also
     measured from two semiclassical solves at eps = 1/K^2 through the zero
     Fourier mode.  Both data are 2 pi eps periodic, so each solve runs on one
-    period (`_period_config`) and costs about 100*delta*K^2 split steps on
-    16 points.
+    period, the cell of `_cell_config`, and costs about 100*delta*K^2 split
+    steps on its points (16 for sigma=1).  The initial data are assembled by
+    `assemble_uapp` on the two-mode set {0, 1} of the period.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")
@@ -642,19 +629,13 @@ def run_instability(
                 "a solution"
             )
         eps = 1.0 / (K * K)
-        cfg = SolverConfig(
-            eps, lam, sigma, default_dt(eps), default_grid_size(eps, sigma, 1),
-            delta,
-        )
-        cfg.validate_resolution(1)
-        cell = _period_config(cfg, 1)
+        cell = _cell_config(eps, lam, sigma, 1, delta)
+        # the carrier at 1/eps is wavenumber 1 on the period
+        pair = ModeSet.from_vectors([WaveVector((0,)), WaveVector((1,))], sigma)
         sample = np.linspace(0.0, delta, 101)
         solves = []
         for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t)):
-            spec = np.zeros(cell.n, dtype=np.complex128)
-            spec[0] = a0
-            spec[1] = a1  # the carrier at 1/eps, wavenumber 1 on the period
-            u0 = GridField(d=1, n=cell.n, values=ifftn(spec) * cell.n)
+            u0 = assemble_uapp(ProfileStateTorus(pair, [a0, a1], 0.0), 1.0, cell.n)
             solves.append(solve(u0, cell, snapshot_times=sample / eps))
         zero_modes = [
             np.array([np.mean(r.at(t / eps).values) for t in sample])

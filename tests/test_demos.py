@@ -1,4 +1,5 @@
-"""The demos that drive the closure and integrator APIs still run."""
+"""The demos that drive the closure, integrator, convergence and instability
+APIs still run."""
 
 import os
 import subprocess
@@ -9,14 +10,24 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("demo", ["closure_walk.py", "profile_oracles.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        ["closure_walk.py"],
+        ["profile_oracles.py"],
+        ["convergence_study.py"],
+        # the default K=512 cross-check takes about a minute
+        ["instability_gap.py", "--K", "32", "--cross-check"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        [sys.executable, os.path.join(ROOT, "demos", demo[0]), *demo[1:]],
         cwd=tmp_path,
         env=env,
         capture_output=True,

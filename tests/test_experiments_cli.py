@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from nlsoptics.experiments_cli import REPORT_SCHEMA, SCENARIO_SCHEMA, run
+from nlsoptics.experiments_cli import (
+    REPORT_SCHEMA,
+    SCENARIO_SCHEMA,
+    load_scenario,
+    run,
+)
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -366,6 +371,23 @@ class TestErrorPaths:
         rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "solver.eps_list[0]" in capsys.readouterr().err
+
+    def test_solver_grid_n_rejected_null_accepted(self, tmp_path, capsys):
+        # each leg is solved on one period sized by the grid rule: a grid
+        # size in the scenario is an error, not a silently ignored value
+        doc = torus_doc(
+            solver={"dt": None, "grid_n": 256, "eps_list": ["1/2"]},
+            experiment={"type": "converge", "t_final": 0.1, "checkpoints": 1},
+        )
+        scn = write_scenario(tmp_path, doc)
+        rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "solver.grid_n" in capsys.readouterr().err
+        doc["solver"]["grid_n"] = None
+        scn = write_scenario(tmp_path, doc)
+        assert load_scenario(scn).resolved["solver"] == {
+            "dt": None, "eps_list": ["1/2"],
+        }
 
     def test_kappa_arity_reported(self, tmp_path, capsys):
         doc = torus_doc(dimension=2)

@@ -48,13 +48,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(eps=0.5, lam=1.0, sigma=1, dt=1e-3, n=48, t_final=1.0)
 
-    def test_resolution_guard(self):
-        cfg = SolverConfig(eps=1 / 8, lam=1.0, sigma=1, dt=1e-3, n=64, t_final=1.0)
-        with pytest.raises(ValueError):
-            cfg.validate_resolution(kappa_sup=1)  # needs n > 64
-        big = SolverConfig(eps=1 / 8, lam=1.0, sigma=1, dt=1e-3, n=128, t_final=1.0)
-        big.validate_resolution(kappa_sup=1)
-
 
 class TestGridField:
     def test_shape_checked(self):

@@ -29,9 +29,9 @@ from nlsoptics.wkb_pipeline import (
     PROFILE_DT,
     ConvergenceRow,
     ConvergenceTable,
+    _cell_config,
     _field_delta,
     _ladder,
-    _period_config,
     assemble_uapp,
     remainder_report,
     run_convergence,
@@ -112,18 +112,44 @@ class TestConvergence:
         assert table.order_sup is None
         assert table.fitted_order_label("sup") == "n/a (floor)"
 
-    def test_failed_leg_recorded_not_raised(self):
+    def test_failed_leg_recorded_not_raised(self, monkeypatch):
+        # the eps = 1/8 leg overflows; its cell has coupling lam*eps = 1/8
+        real_solve = wkb_pipeline.solve
+
+        def solve_or_overflow(u0, cfg, snapshot_times=None):
+            if cfg.lam == 1 / 8:
+                raise FloatingPointError("overflow in the split step")
+            return real_solve(u0, cfg, snapshot_times=snapshot_times)
+
+        monkeypatch.setattr(wkb_pipeline, "solve", solve_or_overflow)
         modes = line_modes(0, 1)
         table = run_convergence(
-            modes, [0.5, 0.3], 1.0, [1 / 8], 0.1,
-            grid_n=16, checkpoints=1, dt_self_check=False,
+            modes, [0.5, 0.3], 1.0, [1 / 4, 1 / 8, 1 / 16], 0.1,
+            checkpoints=1, dt_self_check=False,
         )
-        row = table.rows[0]
-        assert not row.ok
-        assert "ValueError" in row.status
-        assert math.isnan(row.sup_error)
-        assert table.order_sup is None
-        assert table.fitted_order_label("sup") == "n/a"
+        ok_rows = [table.rows[0], table.rows[2]]
+        failed = table.rows[1]
+        assert not failed.ok
+        assert failed.status == "FloatingPointError: overflow in the split step"
+        assert math.isnan(failed.sup_error) and math.isnan(failed.w_error)
+        assert failed.n == 8 * default_grid_size(1.0, 1, 1)
+        assert all(r.ok and r.sup_error > ERROR_FLOOR for r in ok_rows)
+        # the fits see only the two legs that ran
+        for attr, order in (("sup_error", table.order_sup), ("w_error", table.order_w)):
+            x = np.log([r.eps for r in ok_rows])
+            y = np.log([getattr(r, attr) for r in ok_rows])
+            assert order == float(np.polyfit(x, y, 1)[0])
+
+    def test_bad_eps_raises_before_any_row(self):
+        # every leg's cell is built before the profiles and the first leg
+        modes = line_modes(0, 1)
+        seen = []
+        with pytest.raises(ValueError, match="1/eps"):
+            run_convergence(
+                modes, [0.5, 0.3], 1.0, [1 / 8, 0.3], 0.1,
+                checkpoints=1, dt_self_check=False, row_hook=seen.append,
+            )
+        assert seen == []
 
     def test_period_solve_matches_full_grid(self):
         # oracle: the full default grid, solved directly at the step the
@@ -161,21 +187,9 @@ class TestConvergence:
             assert math.isclose(row.sup_error, sup_err, rel_tol=1e-10)
             assert math.isclose(row.w_error, w_err, rel_tol=1e-10)
 
-    def test_grid_n_off_the_period_recorded_not_raised(self):
-        # 1/eps = 3 does not divide the power-of-two grid: no whole period
-        modes = line_modes(0, 1)
-        table = run_convergence(
-            modes, [0.5, 0.3], 1.0, [1 / 3], 0.1,
-            grid_n=32, checkpoints=1, dt_self_check=False,
-        )
-        row = table.rows[0]
-        assert not row.ok
-        assert "ValueError" in row.status and "multiple of 1/eps" in row.status
-        assert math.isnan(row.sup_error)
-
     def test_default_grid_off_the_period_reports_period_points(self):
-        # without grid_n the period gets default_grid_size(1, ...) points,
-        # and the row reports the full grid those periods tile
+        # the period gets default_grid_size(1, ...) points, and the row
+        # reports the grid those periods tile, whatever 1/eps is
         modes = line_modes(0, 1)
         table = run_convergence(
             modes, [0.5, 0.3], 1.0, [1 / 3], 0.1,
@@ -244,9 +258,7 @@ class TestStepLadder:
         assert 0 < row.step_delta <= LADDER_FRACTION * eps
         assert 0 < row.grid_delta <= LADDER_FRACTION * eps
         checks = table.checkpoint_times
-        cell = _period_config(
-            SolverConfig(eps, 1.0, 1, default_dt(eps), 128, t_final), 1
-        )
+        cell = _cell_config(eps, 1.0, 1, 1, t_final)
         u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, cell.n)
         times = [t / eps for t in checks]
         at = {
