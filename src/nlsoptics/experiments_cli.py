@@ -494,12 +494,18 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
     traj = integrate_torus(amps, modes, params, snapshot_times=snap_times)
     runtime = time.perf_counter() - start
 
-    header = ["t"] + [f"{part}_j{j}" for j in range(len(modes.vectors)) for part in ("re", "im")]
-    rows = [
-        [f"{t:.12g}"] + [f"{x:.17g}" for a in row for x in (a.real, a.imag)]
-        for t, row in zip(traj.times, traj.amps)
-    ]
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
+    # one formatting pass; numbers need no CSV quoting
+    header = ",".join(
+        ["t"] + [f"{part}_j{j}" for j in range(len(modes.vectors)) for part in ("re", "im")]
+    )
+    row = "{:.12g}" + ",{:.17g}" * (2 * len(modes.vectors)) + "\n"
+    lines = (
+        row.format(t, *parts)
+        for t, parts in zip(traj.times.tolist(), traj.amps.view(float).tolist())
+    )
+    _atomic_write_bytes(
+        os.path.join(out_dir, "trajectory.csv"), (header + "\n" + "".join(lines)).encode()
+    )
 
     masses = traj.mass_series()
     drift = float(np.max(np.abs(masses - masses[0])) / max(abs(masses[0]), 1e-300))
@@ -754,10 +760,9 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         record.alpha0, record.theta0, record.alpha0_tilde, record.theta0_tilde,
         record.lam, record.delta, grid_points,
     )
-    _write_csv(
-        os.path.join(out_dir, "gap_curve.csv"),
-        ["t", "gap"],
-        [[f"{t:.12g}", f"{g:.17g}"] for t, g in zip(times, curve)],
+    lines = map("{:.12g},{:.17g}\n".format, times.tolist(), curve.tolist())
+    _atomic_write_bytes(
+        os.path.join(out_dir, "gap_curve.csv"), ("t,gap\n" + "".join(lines)).encode()
     )
     _emit_report(out_dir, "instability", scn, {"record": record}, {"total": total}, flags)
 

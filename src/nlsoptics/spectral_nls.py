@@ -165,9 +165,10 @@ def solve(
     segment, and the half nonlinear sub-steps of adjacent steps are merged, so
     a segment of m steps costs m linear flows: m rounds of one propagator
     matmul per axis on grids of at most DENSE_MAX_N points per axis, else m
-    transform pairs.  NaN/overflow aborts; the aliasing monitor runs at every
-    snapshot and flags top-band spectral mass, which raises an
-    AliasingWarning.
+    transform pairs.  One propagator (or transform multiplier) is built per
+    distinct step of the call, shared by every segment of that step.
+    NaN/overflow aborts; the aliasing monitor runs at every snapshot and
+    flags top-band spectral mass, which raises an AliasingWarning.
     """
     res = _solve(u0, cfg, snapshot_times)
     if res.aliasing_flagged:
@@ -187,7 +188,12 @@ def _solve(
     snapshot_times: Optional[Sequence[float]] = None,
 ) -> SolveResult:
     """The evolution behind `solve`, reporting top-band mass only through
-    the result's aliasing fields: it touches no warning state."""
+    the result's aliasing fields: it touches no warning state.
+
+    The linear flows, keyed on the exact step h, and the work buffers of
+    the nonlinear sub-step live for this call only; the fields equal, bit
+    for bit, a loop that builds a flow per segment and forms |u|^2 as
+    u.real**2 + u.imag**2."""
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
     if not np.all(np.isfinite(u0.values.view(float))):
@@ -202,11 +208,24 @@ def _solve(
         ksq = ksq + k**2
         band |= np.abs(k) >= cutoff
 
+    # Work buffers of the nonlinear sub-step, reused by every step of this
+    # call: |u|^2 is the sum of the even and odd entries of the squared
+    # real view, the same sums u.real**2 + u.imag**2 forms.
+    sq = np.empty((n,) * (d - 1) + (2 * n,))
+    re2, im2 = sq[..., 0::2], sq[..., 1::2]
+    mag2 = np.empty((n,) * d)
+    power = mag2 if sigma == 1 else np.empty_like(mag2)
+    phase = np.empty((n,) * d, dtype=complex)
+
     def rotate(u: np.ndarray, tau: float) -> np.ndarray:
         if tau == 0 or lam == 0:
             return u
-        mag2 = u.real**2 + u.imag**2
-        u *= np.exp((-1j * lam * tau) * (mag2 if sigma == 1 else mag2**sigma))
+        np.square(u.view(float), out=sq)
+        np.add(re2, im2, out=mag2)
+        if sigma > 1:
+            np.power(mag2, sigma, out=power)
+        np.multiply(power, -1j * lam * tau, out=phase)
+        u *= np.exp(phase, out=phase)
         return u
 
     marks = _snapshot_marks(cfg.t_final, snapshot_times)
@@ -228,6 +247,7 @@ def _solve(
 
     take_snapshot(0.0, u)
     steps = 0
+    flows = {}  # one linear flow per distinct step h of this call
     for left, right in zip(marks[:-1], marks[1:]):
         seg = right - left
         if seg <= 0:
@@ -235,7 +255,9 @@ def _solve(
         m = max(1, math.ceil(seg / cfg.dt - 1e-9))
         h = seg / m
         steps += m
-        linear = _linear_flow(d, n, eps * h, ksq)
+        linear = flows.get(h)
+        if linear is None:
+            linear = flows[h] = _linear_flow(d, n, eps * h, ksq)
         u = rotate(u, h / 2)
         for i in range(m):
             u = rotate(linear(u), h if i < m - 1 else h / 2)
@@ -265,12 +287,14 @@ def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray):
     k = sfft.fftfreq(n, 1.0 / n)
     prop = sfft.ifft(np.exp(-0.5j * s * k**2)[:, None] * sfft.fft(np.eye(n), axis=0), axis=0)
     if d == 1:
-        return lambda u: prop @ u
+        return prop.dot
+    prop_t = prop.T
 
     def flow(u: np.ndarray) -> np.ndarray:
-        for a in range(d - 1):  # axis a is the middle axis of (n^a, n, rest)
+        u = prop.dot(u.reshape(n, -1))
+        for a in range(1, d - 1):  # axis a is the middle axis of (n^a, n, rest)
             u = prop @ u.reshape(n**a, n, -1)
-        return (u.reshape(-1, n) @ prop.T).reshape((n,) * d)
+        return u.reshape(-1, n).dot(prop_t).reshape((n,) * d)
 
     return flow
 

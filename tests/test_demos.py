@@ -1,5 +1,5 @@
-"""The demos that drive the closure, integrator, convergence and instability
-APIs still run."""
+"""The demos that drive the closure, integrator, split-step solver,
+convergence and instability APIs still run."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     [
         ["closure_walk.py"],
         ["profile_oracles.py"],
+        ["spectral_accuracy.py"],
         ["convergence_study.py"],
         # the default K=512 cross-check takes about a minute
         ["instability_gap.py", "--K", "32", "--cross-check"],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nlsoptics import experiments_cli
 from nlsoptics.experiments_cli import (
     REPORT_SCHEMA,
     SCENARIO_SCHEMA,
@@ -33,6 +34,25 @@ def torus_doc(**extra):
     }
     doc.update(extra)
     return doc
+
+
+def record_calls(monkeypatch, name):
+    """Wrap experiments_cli.<name> so each return value is kept in a list."""
+    returned = []
+    real = getattr(experiments_cli, name)
+
+    def recording(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(experiments_cli, name, recording)
+    return returned
+
+
+def read_csv_rows(path):
+    lines = path.read_text().split("\n")
+    assert lines[-1] == ""  # every row, the last included, ends in a newline
+    return lines[0], [line.split(",") for line in lines[1:-1]]
 
 
 def load_report(tmp_path, name):
@@ -84,7 +104,8 @@ class TestClosureCommand:
 
 
 class TestProfilesCommand:
-    def test_torus_oracle_deviation(self, tmp_path, capsys):
+    def test_torus_oracle_deviation(self, tmp_path, capsys, monkeypatch):
+        trajs = record_calls(monkeypatch, "integrate_torus")
         doc = torus_doc(
             initial_modes=[
                 {"kappa": [-1], "amplitude": [0.5, 0.0]},
@@ -105,15 +126,20 @@ class TestProfilesCommand:
         assert rep["results"]["oracle"] == "explicit_torus_1d"
         assert rep["results"]["oracle_max_deviation"] < 1e-8
         assert rep["results"]["mass_relative_drift"] < 1e-10
-        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-        assert lines[0].split(",")[:3] == ["t", "re_j0", "im_j0"]
+        header, rows = read_csv_rows(tmp_path / "out" / "trajectory.csv")
+        assert header == "t,re_j0,im_j0,re_j1,im_j1,re_j2,im_j2"
+        (traj,) = trajs
+        for cells, t, amps in zip(rows, traj.times, traj.amps, strict=True):
+            assert cells[0] == f"{t:.12g}"
+            # .17g round-trips every double exactly
+            assert np.array_equal(np.array([float(c) for c in cells[1:]]).view(complex), amps)
         out = capsys.readouterr().out
         assert "max deviation" in out
         # in d=1 only the degenerate tuples (j, l, l) and (l, l, j) resonate:
         # 2*3 - 1 per target; one recorded row per step after t=0
         res = rep["results"]
         assert res["interaction_tuples"] == 15
-        assert res["rk4_steps"] == len(lines) - 2
+        assert res["rk4_steps"] == len(rows) - 1
         assert f"15 tuples, {res['rk4_steps']} RK4 steps" in out
 
     def test_two_mode_oracle_any_sigma(self, tmp_path):
@@ -276,7 +302,8 @@ class TestConvergeCommand:
 
 
 class TestInstabilityCommand:
-    def test_record_and_curve(self, tmp_path, capsys):
+    def test_record_and_curve(self, tmp_path, capsys, monkeypatch):
+        curves = record_calls(monkeypatch, "gap_curve")
         doc = torus_doc(
             initial_modes=[{"kappa": [0], "amplitude": [0.5, 0.0]}],
             experiment={
@@ -293,8 +320,13 @@ class TestInstabilityCommand:
         assert record["gap"] > 0.8
         assert record["hs_condition_ok"] is True
         assert record["solver_gap"] is None
-        lines = (tmp_path / "out" / "gap_curve.csv").read_text().splitlines()
-        assert len(lines) == 501
+        header, rows = read_csv_rows(tmp_path / "out" / "gap_curve.csv")
+        assert header == "t,gap"
+        assert len(rows) == 500
+        (times, curve), = curves
+        for (t_cell, gap_cell), t, g in zip(rows, times, curve, strict=True):
+            assert t_cell == f"{t:.12g}"
+            assert float(gap_cell) == g  # .17g round-trips exactly
         assert "gap" in capsys.readouterr().out
 
 

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
+from nlsoptics import spectral_nls, wkb_pipeline
+from nlsoptics.profile_dynamics import _axis_wavenumbers, _snapshot_marks
 from nlsoptics.spectral_nls import (
+    ALIASING_BAND,
     DENSE_MAX_N,
     AliasingWarning,
     GridField,
@@ -11,11 +15,13 @@ from nlsoptics.spectral_nls import (
     default_dt,
     default_grid_size,
     _linear_flow,
+    _solve,
     plane_wave_exact,
     solve,
     sup_norm_of_field,
     w_norm_of_field,
 )
+from nlsoptics.wkb_pipeline import run_instability
 
 
 def _smooth_field(n, rng, modes=3, scale=0.2):
@@ -208,3 +214,145 @@ class TestLinearFlow:
         assert flow(u0.values.copy()).flags.c_contiguous
         # the cases straddle the switch: n = 8, 16, 64 dense, n = 128 FFT
         assert (n <= DENSE_MAX_N) == (n in (8, 16, 64))
+
+
+def _reference_flow(d, n, s, ksq):
+    """The linear flow written out with the `@` operator: the per-axis
+    propagator up to DENSE_MAX_N points per axis, an FFT pair above."""
+    if n > DENSE_MAX_N:
+        mult = np.exp(-0.5j * s * ksq)
+        return lambda u: sfft.ifftn(sfft.fftn(u, overwrite_x=True) * mult, overwrite_x=True)
+    k = sfft.fftfreq(n, 1.0 / n)
+    prop = sfft.ifft(np.exp(-0.5j * s * k**2)[:, None] * sfft.fft(np.eye(n), axis=0), axis=0)
+    if d == 1:
+        return lambda u: prop @ u
+
+    def flow(u):
+        for a in range(d - 1):
+            u = prop @ u.reshape(n**a, n, -1)
+        return (u.reshape(-1, n) @ prop.T).reshape((n,) * d)
+
+    return flow
+
+
+def _reference_solve(u0, cfg, snapshot_times):
+    """The Strang loop in its plainest form: a fresh flow per segment and
+    |u|^2 as u.real**2 + u.imag**2; returns fields, L2s, fractions, steps."""
+    d, n = u0.d, cfg.n
+    ksq = np.zeros((n,) * d)
+    band = np.zeros((n,) * d, dtype=bool)
+    for k in _axis_wavenumbers(d, n):
+        ksq = ksq + k**2
+        band |= np.abs(k) >= ALIASING_BAND * n / 2
+
+    def rotate(u, tau):
+        if tau == 0 or cfg.lam == 0:
+            return u
+        mag2 = u.real**2 + u.imag**2
+        u *= np.exp((-1j * cfg.lam * tau) * (mag2 if cfg.sigma == 1 else mag2**cfg.sigma))
+        return u
+
+    fields, l2s, fracs = [], [], []
+
+    def snapshot(u):
+        spec_mag2 = np.abs(sfft.fftn(u)) ** 2
+        fracs.append(float(spec_mag2[band].sum() / spec_mag2.sum()))
+        fields.append(u.copy())
+        l2s.append(math.sqrt((2 * math.pi / n) ** d * float(np.sum(u.real**2 + u.imag**2))))
+
+    marks = _snapshot_marks(cfg.t_final, snapshot_times)
+    u = u0.values.copy()
+    snapshot(u)
+    steps = 0
+    for left, right in zip(marks[:-1], marks[1:]):
+        seg = right - left
+        m = max(1, math.ceil(seg / cfg.dt - 1e-9))
+        h = seg / m
+        steps += m
+        linear = _reference_flow(d, n, cfg.eps * h, ksq)
+        u = rotate(u, h / 2)
+        for i in range(m):
+            u = rotate(linear(u), h if i < m - 1 else h / 2)
+        snapshot(u)
+    return fields, np.array(l2s), np.array(fracs), steps
+
+
+class TestBitIdentity:
+    """`_solve` reuses one flow per distinct step and preallocated buffers;
+    its results must equal the plain loop above bit for bit."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1.3])
+    @pytest.mark.parametrize("sigma", [1, 2])
+    @pytest.mark.parametrize(
+        "d,n", [(1, 16), (1, 32), (1, 128), (2, 16), (2, 32), (2, 128), (3, 16), (3, 32)]
+    )
+    def test_matches_reference_loop(self, d, n, sigma, lam):
+        rng = np.random.default_rng(1000 * d + 10 * n + sigma)
+        k = np.fft.fftfreq(n, 1.0 / n)
+        grids = np.meshgrid(*[k] * d, indexing="ij")
+        spec = rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d)
+        spec[np.max([np.abs(g) for g in grids], axis=0) > 3] = 0
+        values = np.fft.ifftn(spec)
+        u0 = GridField(d, n, 0.8 * values / np.max(np.abs(values)))
+        # segments of 0.01, 0.025, 0.025, 0.02 and 0.03: three distinct steps
+        snaps = [0.01, 0.035, 0.06, 0.08]
+        cfg = SolverConfig(eps=1 / 4, lam=lam, sigma=sigma, dt=4e-3, n=n, t_final=0.11)
+        res = _solve(u0, cfg, snaps)
+        fields, l2s, fracs, steps = _reference_solve(u0, cfg, snaps)
+        assert len(res.fields) == len(fields) == 6
+        for got, want in zip(res.fields, fields):
+            assert np.array_equal(got.values, want)
+        assert np.array_equal(res.l2_values, l2s)
+        assert np.array_equal(res.aliasing_fractions, fracs)
+        assert res.steps == steps
+
+
+def _count_flows(monkeypatch):
+    """Patch the module's flow builder with a counter; returns the list of
+    step arguments s, one per build."""
+    built = []
+    real = spectral_nls._linear_flow
+
+    def counting(d, n, s, ksq):
+        built.append(s)
+        return real(d, n, s, ksq)
+
+    monkeypatch.setattr(spectral_nls, "_linear_flow", counting)
+    return built
+
+
+class TestPropagatorReuse:
+    def test_crosscheck_builds_one_flow_per_distinct_step(self, monkeypatch):
+        built = _count_flows(monkeypatch)
+        per_solve = []
+        real_solve = wkb_pipeline.solve
+
+        def recording(u0, cfg, snapshot_times=None):
+            start = len(built)
+            res = real_solve(u0, cfg, snapshot_times)
+            marks = _snapshot_marks(cfg.t_final, snapshot_times)
+            segs = [b - a for a, b in zip(marks[:-1], marks[1:]) if b > a]
+            hs = {seg / max(1, math.ceil(seg / cfg.dt - 1e-9)) for seg in segs}
+            per_solve.append((len(built) - start, len(hs), len(segs)))
+            return res
+
+        monkeypatch.setattr(wkb_pipeline, "solve", recording)
+        rec = run_instability(1.0, 0.1, -2.0, 16, cross_check=True)
+        assert rec.solver_steps == 5200
+        assert len(per_solve) == 2
+        for builds, distinct, segments in per_solve:
+            assert segments == 100
+            assert builds == distinct < segments
+
+    def test_two_segment_lengths_build_two_flows(self, monkeypatch):
+        built = _count_flows(monkeypatch)
+        rng = np.random.default_rng(7)
+        u0 = _smooth_field(16, rng, modes=2)
+        cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=0.03, n=16, t_final=0.375)
+        res = _solve(u0, cfg, [0.125, 0.25])  # three segments of 0.125 share one step
+        assert res.steps == 3 * 5
+        assert len(built) == 1
+        built.clear()
+        res = _solve(u0, cfg, [0.125])  # segments 0.125 and 0.25: steps 0.025 and 0.25/9
+        assert res.steps == 5 + 9
+        assert len(built) >= 2
