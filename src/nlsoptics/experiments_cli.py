@@ -65,8 +65,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
+import uuid
 from dataclasses import dataclass, field, is_dataclass, asdict
 from fractions import Fraction
 from typing import Any, Optional
@@ -368,8 +368,10 @@ def _jsonable(obj) -> Any:
 
 
 def _atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # mode 0o666 lets the umask set the permissions, as open() would;
+    # mkstemp's 0600 would survive the replace
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{uuid.uuid4().hex}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

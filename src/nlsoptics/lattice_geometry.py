@@ -355,41 +355,31 @@ def _row_finder(arr: np.ndarray):
     return find
 
 
-def _resonant_tuples(arr: np.ndarray, sigma: int, keep):
-    """Resonant (zero-defect) tuples of rows of arr, in lexicographic order.
+def _creation_scan(arr: np.ndarray, new_mask: np.ndarray, sigma: int):
+    """Resonant tuples of rows of arr whose combined vector is not a row.
 
     The zero-defect tuples of every block of _defect_blocks are collected
-    first; then keep(prefix numbers, last indices, found) selects tuples in
-    numpy in one call, where found is the row of arr equal to the tuple's
-    combined vector, or -1.  Returns (index rows, combined vectors, found)
-    of the kept tuples.
+    first; those whose combined vector is a row of arr (by _row_finder) are
+    dropped in numpy, and when new_mask flags any row, so are the tuples
+    touching none (handled in an earlier generation).  For sigma=1 the
+    resonant triples (k, l, m) are the right angles at l and the combined
+    vector is the fourth rectangle corner.  Returns (idx, made): the index
+    rows and created coordinates, in lexicographic order, for sigma=1 with l
+    leading.
     """
     parts = []
     for start, vec, defects in _defect_blocks(arr, sigma):
         r, m = np.nonzero(defects == 0)
         parts.append((start + r, m, vec[r] + arr[m]))
-    prefix, last, combined = (np.concatenate(p) for p in zip(*parts))
-    found = _row_finder(arr)(combined)
-    k = keep(prefix, last, found)
-    idx = np.column_stack(np.unravel_index(prefix[k], (len(arr),) * (2 * sigma)) + (last[k],))
-    return idx, combined[k], found[k]
-
-
-def _creation_scan(arr: np.ndarray, new_mask: np.ndarray, sigma: int):
-    """Resonant tuples of rows of arr whose combined vector is not a row.
-
-    When new_mask flags any row, tuples touching none (handled in an earlier
-    generation) are dropped too, in numpy like the present corners.  For
-    sigma=1 the resonant triples (k, l, m) are the right angles at l and the
-    combined vector is the fourth rectangle corner.  Returns (idx, made):
-    the index rows and created coordinates, in lexicographic order, for
-    sigma=1 with l leading.
-    """
-    touched = _prefix_sums(new_mask.astype(np.int64), 2 * sigma, alternate=False) > 0
-    old = not new_mask.any()
-    idx, made, _ = _resonant_tuples(
-        arr, sigma, lambda p, m, found: (found < 0) & (old | touched[p] | new_mask[m])
+    prefix, last, made = (np.concatenate(p) for p in zip(*parts))
+    keep = _row_finder(arr)(made) < 0
+    if new_mask.any():
+        touched = _prefix_sums(new_mask.astype(np.int64), 2 * sigma, alternate=False) > 0
+        keep &= touched[prefix] | new_mask[last]
+    idx = np.column_stack(
+        np.unravel_index(prefix[keep], (len(arr),) * (2 * sigma)) + (last[keep],)
     )
+    made = made[keep]
     if sigma == 1:
         order = np.lexsort((idx[:, 2], idx[:, 0], idx[:, 1]))
         idx, made = idx[order], made[order]
@@ -498,27 +488,6 @@ def close_under_resonances(
     )
 
 
-def _interaction_table(modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered resonant tuple of modes, grouped by target, in one pass.
-
-    A resonant tuple targets the mode equal to its combined vector, looked
-    up by integer code with searchsorted.  Returns (idx, bounds): the tuples
-    of target j are idx[bounds[j]:bounds[j+1]], in lexicographic order.
-    Cached on the mode set, read-only, since callers receive views of it.
-    """
-    table = modes.__dict__.get("_interaction_table_cache")
-    if table is None:
-        idx, _, target = _resonant_tuples(
-            modes.as_array(), modes.sigma, lambda p, m, found: found >= 0
-        )
-        order = np.argsort(target, kind="stable")
-        idx = idx[order]
-        idx.flags.writeable = False
-        table = (idx, np.searchsorted(target[order], np.arange(len(modes) + 1)))
-        modes.__dict__["_interaction_table_cache"] = table
-    return table
-
-
 def _coupling_classes(modes: ModeSet):
     """Resonance classes of the profile coupling, folded and member-major.
 
@@ -575,13 +544,45 @@ def _coupling_classes(modes: ModeSet):
     return classes
 
 
+def _interaction_table(modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered resonant tuple of modes, grouped by target.
+
+    A join on the resonance classes of _coupling_classes: the ordered row
+    r = M*|J| + j of J^(sigma+1) is in class label[j, M], and the tuples aimed
+    at j with minus slots M take as plus slots (the odd slots) every ordered
+    row of that class.  O(|J|^(sigma+1) + output).  Returns (idx, bounds):
+    the tuples of target j are idx[bounds[j]:bounds[j+1]], in lexicographic
+    order.  Cached on the mode set, read-only, since callers receive views of it.
+    """
+    table = modes.__dict__.get("_interaction_table_cache")
+    if table is None:
+        n, width = len(modes), modes.sigma + 1
+        row_class = _coupling_classes(modes)[3].T.ravel()
+        size = np.bincount(row_class)
+        by_class = np.argsort(row_class, kind="stable")  # each class's rows, ascending
+        count = size[row_class]
+        pair = np.repeat(np.arange(len(row_class)), count)
+        member = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+        plus = by_class[(np.cumsum(size) - size)[row_class[pair]] + member]
+        *minus, target = np.unravel_index(pair, (n,) * width)
+        cols = [None] * (2 * width - 1)
+        cols[0::2] = np.unravel_index(plus, (n,) * width)
+        cols[1::2] = minus
+        order = np.lexsort(cols[::-1] + [target])
+        idx = np.column_stack(cols)[order]
+        idx.flags.writeable = False
+        table = (idx, np.searchsorted(target[order], np.arange(n + 1)))
+        modes.__dict__["_interaction_table_cache"] = table
+    return table
+
+
 def enumerate_interactions(modes: ModeSet, j: int) -> list[ResonantTuple]:
     """All ordered resonant tuples in J^(2*sigma+1) targeting mode j.
 
-    A slice of one blocked pass over all targets (_interaction_table): the
-    prefix-sum kernel visits all ordered tuples one leading index at a time
-    and assigns each zero-defect tuple to the mode equal to its combined
-    vector, if that lies in J.  Each tuple appears once, in lexicographic order.
+    A slice of one table over all targets (_interaction_table), joined from
+    the resonance classes of the profile coupling: the plus slots of a tuple
+    aimed at j share the key (sum kappa, sum |kappa|^2) of its minus slots
+    plus j.  Each tuple appears once, in lexicographic order.
     """
     n = len(modes)
     if not 0 <= j < n:

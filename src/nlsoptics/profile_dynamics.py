@@ -114,8 +114,9 @@ def interactions_for(modes: ModeSet) -> list[np.ndarray]:
     """Resonant tuples per target, index-aligned with the mode set.
 
     Entry j is a read-only (T_j, 2*sigma+1) integer array of the ordered
-    tuples aimed at mode j, in lexicographic order: a view of the one-pass
-    table of lattice_geometry, split at its target bounds.
+    tuples aimed at mode j, in lexicographic order: a view of the table
+    that lattice_geometry joins from the coupling classes, split at its
+    target bounds.
     """
     idx, bounds = _interaction_table(modes)
     return np.split(idx, bounds[1:-1])

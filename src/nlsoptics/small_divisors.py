@@ -37,7 +37,8 @@ class DivisorSurvey:
     min_delta and argmin are None exactly when every tuple is resonant (the
     distinguished all-resonant outcome, e.g. a single mode).  Defects are in
     lattice units: for a rescaled rational set, user-unit defects carry an
-    extra factor scale**2.
+    extra factor scale**2.  The weighted minima c(b) for b > 0 are
+    fit_generalized_bound's; c(0) is min_delta.
     """
 
     sigma: int
@@ -45,8 +46,6 @@ class DivisorSurvey:
     nonresonant_count: int
     min_delta: Optional[int]
     argmin: Optional[tuple[int, ...]]
-    b: float
-    weighted_min: Optional[float]
     scale: Fraction
 
     @property
@@ -54,34 +53,12 @@ class DivisorSurvey:
         return self.nonresonant_count == 0
 
 
-def _defect_table(modes: ModeSet, sigma: int, log_weights: np.ndarray):
-    """Yield (start, |defect| block, log-weight block) per leading index l_1.
-
-    A view of the blocked lattice kernel: entry [r, m] belongs to the tuple
-    (prefix number start + r, m), so a block read row by row runs through
-    its tuples in lexicographic order.  A tuple's log weight is the sum of
-    log_weights over its slots, added slot by slot.  Each block holds
-    |J|^(2 sigma) entries; the full table is never built.
-    """
-    prefix = _prefix_sums(log_weights, 2 * sigma, alternate=False)
-    for start, _, defects in _defect_blocks(modes.as_array(), sigma):
-        yield start, np.abs(defects), prefix[start:start + len(defects), None] + log_weights
-
-
-def _half_log_weights(modes: ModeSet) -> np.ndarray:
-    """log <kappa_j> = log(1 + |kappa_j|^2) / 2 per mode."""
-    return 0.5 * np.log1p(np.array([v.norm_sq for v in modes.vectors], dtype=float))
-
-
-def survey_divisors(
-    modes: ModeSet, sigma: Optional[int] = None, *, b: float = 0.0
-) -> DivisorSurvey:
+def survey_divisors(modes: ModeSet, sigma: Optional[int] = None) -> DivisorSurvey:
     """Scan all tuples in J^(2*sigma+1), recording the nonzero-defect minimum.
 
-    weighted_min is min over non-resonant tuples of |delta| * prod_p
-    (1+|kappa_p|^2)^(b/2); with b=0 it equals min_delta.  Each block of
-    _defect_table is reduced as it comes: count, running minima, and the
-    lexicographically first argmin.
+    Each defect block of the lattice kernel (_defect_blocks, one leading
+    index l_1 per block, rows in lexicographic order) is reduced as it
+    comes: count, running minimum, and the lexicographically first argmin.
     """
     if sigma is None:
         sigma = modes.sigma
@@ -91,8 +68,8 @@ def survey_divisors(
     nonres = 0
     best: Optional[int] = None
     best_at = 0
-    best_weighted = math.inf
-    for start, absd, logw in _defect_table(modes, sigma, b * _half_log_weights(modes)):
+    for start, _, defects in _defect_blocks(modes.as_array(), sigma):
+        absd = np.abs(defects)
         mask = absd > 0
         count = int(np.count_nonzero(mask))
         if count == 0:
@@ -102,7 +79,6 @@ def survey_divisors(
         if best is None or local < best:
             best = local
             best_at = start * n + int(np.argmax(absd.ravel() == local))
-        best_weighted = min(best_weighted, float((absd * np.exp(logw))[mask].min()))
     return DivisorSurvey(
         sigma=sigma,
         tuples_scanned=n**width,
@@ -111,8 +87,6 @@ def survey_divisors(
         argmin=None if best is None else tuple(
             int(i) for i in np.unravel_index(best_at, (n,) * width)
         ),
-        b=b,
-        weighted_min=None if nonres == 0 else best_weighted,
         scale=modes.scale,
     )
 
@@ -124,21 +98,27 @@ def fit_generalized_bound(
     |delta| * prod_p <kappa_p>^b, for each b in b_grid.
 
     Since <kappa> >= 1, c(b) is nondecreasing in b.  Returns (b, c) pairs;
-    c is None when the non-resonant set is empty.  Each block of
-    _defect_table updates a running minimum per b.
+    c is None when the non-resonant set is empty.  Each defect block of
+    _defect_blocks updates a running minimum per b; a tuple's log weight,
+    the sum of log <kappa_p> = log(1 + |kappa_p|^2) / 2 over its slots, is
+    added slot by slot.
     """
     if sigma is None:
         sigma = modes.sigma
     for b in b_grid:
         if b < 0:
             raise ValueError("b must be nonnegative")
+    log_weights = 0.5 * np.log1p(np.array([v.norm_sq for v in modes.vectors], dtype=float))
+    prefix = _prefix_sums(log_weights, 2 * sigma, alternate=False)
     best = [math.inf] * len(b_grid)
     nonres = False
-    for _, absd, logw in _defect_table(modes, sigma, _half_log_weights(modes)):
+    for start, _, defects in _defect_blocks(modes.as_array(), sigma):
+        absd = np.abs(defects)
         mask = absd > 0
         if not mask.any():
             continue
         nonres = True
+        logw = prefix[start:start + len(defects), None] + log_weights
         delta, logw = absd[mask].astype(float), logw[mask]
         for i, b in enumerate(b_grid):
             best[i] = min(best[i], float(np.min(delta * np.exp(b * logw))))

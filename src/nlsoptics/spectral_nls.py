@@ -196,7 +196,7 @@ def _solve(
     u.real**2 + u.imag**2."""
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
-    if not np.all(np.isfinite(u0.values.view(float))):
+    if not np.isfinite(u0.values).all():
         raise ValueError("initial field contains non-finite values")
     d, n = u0.d, cfg.n
     lam, sigma, eps = cfg.lam, cfg.sigma, cfg.eps
@@ -235,7 +235,7 @@ def _solve(
     cell = (2 * math.pi / n) ** d
 
     def take_snapshot(t: float, u: np.ndarray) -> None:
-        if not np.all(np.isfinite(u.view(float))):
+        if not np.isfinite(u).all():
             raise FloatingPointError(f"solver produced non-finite values by t={t:.6g}")
         spec_mag2 = np.abs(sfft.fftn(u)) ** 2
         total = spec_mag2.sum()

@@ -1,5 +1,6 @@
 """The demos that drive the closure, integrator, split-step solver,
-convergence and instability APIs still run."""
+convergence, instability, divisor survey, scenario report and Wiener norm
+APIs still run."""
 
 import os
 import subprocess
@@ -19,6 +20,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ["convergence_study.py"],
         # the default K=512 cross-check takes about a minute
         ["instability_gap.py", "--K", "32", "--cross-check"],
+        ["divisor_survey.py"],
+        ["scenario_reports.py"],
+        ["wiener_playground.py"],
     ],
     ids=lambda argv: " ".join(argv),
 )

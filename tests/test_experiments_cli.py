@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -368,6 +370,22 @@ class TestSmalldivCommand:
         assert len(fit_lines) == 3
         b0 = float(fit_lines[1].split(",")[1])
         assert b0 == 2.0
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_follow_umask(self, tmp_path, umask, mode):
+        doc = torus_doc(experiment={"type": "smalldiv", "b_grid": [0.0, 1.0]})
+        scn = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            rc = run(["smalldiv", "--scenario", scn, "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        names = sorted(os.listdir(out))  # no temporary file left behind
+        assert names == ["generalized_fit.csv", "smalldiv_report.json"]
+        for name in names:
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == mode
 
 
 class TestErrorPaths:

@@ -306,13 +306,15 @@ class TestEnumerateInteractions:
             ([(0,), (1,)], 1),
             ([(-1,), (0,), (2,), (3,)], 2),
             ([(1, 1), (1, 2), (3, 1), (3, 2)], 1),
+            # 2D at sigma=2: plus and minus widths (3 vs 2) and both axes matter
+            ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)], 2),
         ],
     )
     def test_matches_brute_force(self, vectors, sigma):
         modes = ModeSet.from_vectors([wv(*c) for c in vectors], sigma)
         for j in range(len(modes.vectors)):
-            got = sorted(t.indices for t in enumerate_interactions(modes, j))
-            assert got == self.brute_force(modes, j, sigma)
+            got = [t.indices for t in enumerate_interactions(modes, j)]
+            assert got == self.brute_force(modes, j, sigma)  # lexicographic order
 
     def test_random_sets_match_brute_force(self):
         rng = np.random.default_rng(11)
@@ -335,7 +337,8 @@ class TestEnumerateInteractions:
 
 
 class TestBlockedKernel:
-    """The prefix-sum kernel behind closure, enumeration and divisor surveys."""
+    """The prefix-sum kernel behind closure and divisor surveys, and the
+    enumeration joined from the coupling classes."""
 
     def test_prefix_sums_lexicographic_and_signed(self):
         arr = np.array([[1, -2], [0, 3], [4, 1]], dtype=np.int64)

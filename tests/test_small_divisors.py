@@ -37,7 +37,6 @@ class TestSurvey:
         assert s.nonresonant_count == 2
         assert s.min_delta == 2
         assert s.argmin == (0, 1, 0)
-        assert s.weighted_min == 2.0
         assert not s.all_resonant
 
     def test_single_mode_all_resonant(self):
@@ -45,7 +44,6 @@ class TestSurvey:
         assert s.all_resonant
         assert s.min_delta is None
         assert s.argmin is None
-        assert s.weighted_min is None
 
     def test_square_min_defect_is_two(self):
         s = survey_divisors(modeset([(0, 0), (0, 1), (1, 0), (1, 1)]))
@@ -54,10 +52,10 @@ class TestSurvey:
 
     def test_weighted_minimum(self):
         # b=2 weights each slot by 1+|kappa|^2; argmin tuple (0,1,0) scores 2*2=4
-        s = survey_divisors(modeset([(0,), (1,)]), b=2.0)
-        assert s.b == 2.0
-        assert math.isclose(s.weighted_min, 4.0)
-        assert s.min_delta == 2
+        modes = modeset([(0,), (1,)])
+        (b, c), = fit_generalized_bound(modes, b_grid=(2.0,))
+        assert b == 2.0 and math.isclose(c, 4.0)
+        assert survey_divisors(modes).min_delta == 2
 
     def test_defects_even_for_cubic_integer_modes(self):
         s = survey_divisors(modeset([(1, 2), (-1, 0), (3, 1)]))
@@ -112,10 +110,11 @@ class TestGeneralizedFit:
 
     def test_matches_weighted_survey(self):
         modes = modeset([(0,), (1,), (2,)])
-        for b in (0.5, 1.0, 2.0):
+        grid = (0.5, 1.0, 2.0)
+        *_, weighted = brute_force_survey(modes.as_array().tolist(), 1, grid)
+        for b, w in zip(grid, weighted):
             (_, c), = fit_generalized_bound(modes, b_grid=(b,))
-            s = survey_divisors(modes, b=b)
-            assert math.isclose(c, s.weighted_min, rel_tol=1e-12)
+            assert math.isclose(c, w, rel_tol=1e-12)
 
     def test_all_resonant_yields_none(self):
         out = fit_generalized_bound(modeset([(3,)]), b_grid=(0.0, 1.0))
@@ -181,12 +180,8 @@ class TestBlockedSurveyBruteForce:
         assert s.min_delta == best
         assert s.argmin == first  # lexicographically first minimizer
         fit = fit_generalized_bound(modes, b_grid=self.B_GRID)
-        for (b, c), w in zip(fit, weighted):
+        for (_, c), w in zip(fit, weighted):
             assert math.isclose(c, w, rel_tol=1e-12)
-            if b > 0:
-                sb = survey_divisors(modes, b=b)
-                assert math.isclose(sb.weighted_min, w, rel_tol=1e-12)
-                assert sb.argmin == first
 
     def test_minimum_attained_many_times(self):
         # the argmin must be the first of several minimizers, not any one
@@ -203,9 +198,9 @@ class TestBlockedSurveyBruteForce:
     @pytest.mark.parametrize("sigma", [1, 2])
     def test_single_mode_all_resonant(self, sigma):
         modes = modeset([(4, -1)], sigma=sigma)
-        s = survey_divisors(modes, b=1.0)
+        s = survey_divisors(modes)
         assert s.all_resonant and s.tuples_scanned == 1
-        assert s.min_delta is None and s.argmin is None and s.weighted_min is None
+        assert s.min_delta is None and s.argmin is None
         assert fit_generalized_bound(modes, b_grid=(0.0, 2.0)) == [(0.0, None), (2.0, None)]
 
 
