@@ -76,6 +76,7 @@ import numpy as np
 from .lattice_geometry import ModeSet, WaveVector, close_under_resonances
 from .profile_dynamics import (
     SimParams,
+    _relative_drift,
     explicit_euclid_1d,
     explicit_torus_1d,
     explicit_two_mode,
@@ -509,8 +510,7 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
         os.path.join(out_dir, "trajectory.csv"), (header + "\n" + "".join(lines)).encode()
     )
 
-    masses = traj.mass_series()
-    drift = float(np.max(np.abs(masses - masses[0])) / max(abs(masses[0]), 1e-300))
+    drift = _relative_drift(traj.mass_series())
     results = {
         "modes": [list(v.coords) for v in modes.vectors],
         "final_amps": traj.amps[-1],
@@ -587,8 +587,7 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
         ["t", "mass"],
         [[f"{t:.12g}", f"{m:.17g}"] for t, m in zip(traj.mass_times, traj.masses)],
     )
-    masses = traj.masses
-    drift = float(np.max(np.abs(masses - masses[0])) / max(abs(masses[0]), 1e-300))
+    drift = _relative_drift(traj.masses)
     results = {
         "modes": [list(v.coords) for v in modes.vectors],
         "grid_n": n,

@@ -150,15 +150,43 @@ def _coupling(modes: ModeSet, scale: complex, grid_ndim: int = 0):
 
 
 def _snapshot_marks(t_final: float, snapshot_times) -> list[float]:
-    """Sorted segment ends: 0, t_final and every snapshot time in [0, t_final]."""
+    """Sorted segment ends: 0, t_final and every snapshot time in [0, t_final].
+
+    A time within 1e-12*t_final of t_final is t_final, on either side, so a
+    rounded t_final*k/k adds no segment of a few ulps."""
     marks = {0.0, t_final}
     if snapshot_times is not None:
         for t in snapshot_times:
             t = float(t)
             if t < -1e-12 or t > t_final * (1 + 1e-12):
                 raise ValueError("snapshot times must lie in [0, t_final]")
-            marks.add(min(max(t, 0.0), t_final))
+            marks.add(t_final if t >= t_final * (1 - 1e-12) else max(t, 0.0))
     return sorted(marks)
+
+
+def _segments(t_final: float, dt: float, snapshot_times):
+    """(left, right, m, h) for each segment between consecutive marks: the
+    fewest m equal steps of at most dt, each h = (right - left) / m.
+
+    The one time grid of the RK4 sweep and the split-step solver: both land
+    exactly on the same marks with the same steps."""
+    marks = _snapshot_marks(t_final, snapshot_times)
+    for left, right in zip(marks[:-1], marks[1:]):
+        m = max(1, math.ceil((right - left) / dt - 1e-9))
+        yield left, right, m, (right - left) / m
+
+
+def _time_index(times: np.ndarray, t: float) -> int:
+    """Index of the recorded time within 1e-9*max(1, |t|) of t."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        raise KeyError(f"time {t} was not recorded; pass it as a snapshot time")
+    return i
+
+
+def _relative_drift(series: np.ndarray) -> float:
+    """max_k |s_k - s_0| / |s_0| of a conserved series (0 for a zero series)."""
+    return float(np.max(np.abs(series - series[0])) / max(abs(series[0]), 1e-300))
 
 
 def _rk4_sweep(
@@ -168,23 +196,17 @@ def _rk4_sweep(
     dt: float,
     snapshot_times,
     guard: Callable[[float, np.ndarray], None],
-    record: Callable[[float, np.ndarray], None],
+    record: Callable[[float, np.ndarray, bool], None],
 ) -> None:
-    """Fixed-step RK4 from 0 to t_final, landing exactly on snapshot marks.
+    """Fixed-step RK4 from 0 to t_final on the steps of `_segments`.
 
-    Within each segment the step is dt shrunk to divide the segment length.
-    record is called at t=0 and after every step; guard may raise.
+    record(t, y, mark) is called at t=0 and after every step, with mark
+    true at 0 and at each segment end; guard may raise.
     """
     y = y0.copy()
     guard(0.0, y)
-    record(0.0, y)
-    marks = _snapshot_marks(t_final, snapshot_times)
-    for left, right in zip(marks[:-1], marks[1:]):
-        seg = right - left
-        if seg <= 0:
-            continue
-        m = max(1, math.ceil(seg / dt - 1e-9))
-        h = seg / m
+    record(0.0, y, True)
+    for left, right, m, h in _segments(t_final, dt, snapshot_times):
         for i in range(m):
             t = left + i * h
             k1 = rhs(t, y)
@@ -194,7 +216,7 @@ def _rk4_sweep(
             y += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             t = right if i == m - 1 else left + (i + 1) * h
             guard(t, y)
-            record(t, y)
+            record(t, y, i == m - 1)
 
 
 @dataclass
@@ -216,11 +238,8 @@ class TorusTrajectory:
         return ProfileStateTorus(self.modes, self.amps[-1], float(self.times[-1]))
 
     def at(self, t: float) -> np.ndarray:
-        """Amplitudes at a recorded time (must match a step time to 1e-9)."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} was not recorded; pass it as a snapshot time")
-        return self.amps[i]
+        """Amplitudes at a recorded step time (see `_time_index`)."""
+        return self.amps[_time_index(self.times, t)]
 
     def mass_series(self) -> np.ndarray:
         return np.sum(np.abs(self.amps) ** 2, axis=1)
@@ -256,7 +275,7 @@ def integrate_torus(
         if m > guard_level:
             raise BlowUpError(t)
 
-    def record(t, y):
+    def record(t, y, mark):
         times.append(t)
         rows.append(y.copy())
 
@@ -288,10 +307,8 @@ class EuclidTrajectory:
         )
 
     def at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} was not recorded; pass it as a snapshot time")
-        return self.fields[i]
+        """Lab-frame fields at a snapshot time (see `_time_index`)."""
+        return self.fields[_time_index(self.times, t)]
 
 
 def _axis_wavenumbers(
@@ -324,8 +341,8 @@ def integrate_euclid(
     enough that profiles stay numerically supported away from the boundary for
     the whole run; that is the caller's responsibility.
 
-    Snapshots (lab frame) are recorded at snapshot_times plus 0 and t_final;
-    the discrete mass is recorded at every step.
+    Snapshots (lab frame) are recorded at the marks of `_snapshot_marks`
+    (0, the snapshot times and t_final); the discrete mass at every step.
     """
     alpha = np.asarray(alpha, dtype=complex)
     state0 = ProfileStateEuclid(modes, alpha, 0.0, length)  # validates shape
@@ -355,8 +372,6 @@ def integrate_euclid(
             sfft.fftn(nonlinear(to_lab(t, b)), axes=axes) * np.exp(1j * t * kdotxi), axes=axes
         )
 
-    snap_marks = _snapshot_marks(params.t_final, snapshot_times)
-    snap_set = {round(t, 12) for t in snap_marks}
     snap_times, snaps = [], []
     mass_times, masses = [], []
 
@@ -367,10 +382,10 @@ def integrate_euclid(
         if m > guard_level:
             raise BlowUpError(t)
 
-    def record(t, b):
+    def record(t, b, mark):
         mass_times.append(t)
         masses.append(cell * float(np.sum(b.real**2 + b.imag**2)))
-        if round(t, 12) in snap_set:
+        if mark:
             snap_times.append(t)
             snaps.append(to_lab(t, b))
 

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .lattice_geometry import WaveVector
-from .profile_dynamics import _axis_wavenumbers, _snapshot_marks
+from .profile_dynamics import _axis_wavenumbers, _relative_drift, _segments, _time_index
 
 __all__ = [
     "GridField",
@@ -129,29 +129,33 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    times: np.ndarray  # snapshot times, starting at 0
-    fields: list  # GridField per snapshot
+    """Snapshots of one solve, one per mark of the shared time grid.
+
+    times holds the marks (0, the snapshot times and t_final, sorted), and
+    fields the field at each mark, stacked as one read-only (S,) + (n,)*d
+    array.  `at` and `final` return GridField views of its rows."""
+
+    times: np.ndarray  # (S,) marks, starting at 0
+    fields: np.ndarray  # (S,) + (n,)*d, read-only
     l2_values: np.ndarray  # discrete L2 norm at each snapshot
     aliasing_fractions: np.ndarray  # top-band spectral mass fraction per snapshot
-    aliasing_flagged: bool
     steps: int  # split steps taken over all segments
 
     @property
+    def aliasing_flagged(self) -> bool:
+        return bool(np.any(self.aliasing_fractions > ALIASING_TOLERANCE))
+
+    @property
     def l2_relative_drift(self) -> float:
-        base = self.l2_values[0]
-        if base == 0:
-            return 0.0
-        return float(np.max(np.abs(self.l2_values - base)) / base)
+        return _relative_drift(self.l2_values)
 
     @property
     def final(self) -> "GridField":
-        return self.fields[-1]
+        return GridField.from_values(self.fields[-1])
 
     def at(self, t: float) -> "GridField":
-        idx = np.nonzero(np.abs(self.times - t) <= 1e-9)[0]
-        if len(idx) == 0:
-            raise KeyError(f"no snapshot at t={t}")
-        return self.fields[int(idx[0])]
+        """The field at a recorded time (see `_time_index`)."""
+        return GridField.from_values(self.fields[_time_index(self.times, t)])
 
 
 def solve(
@@ -161,39 +165,22 @@ def solve(
 ) -> SolveResult:
     """Strang-split evolution of u0, with snapshots at the requested times.
 
-    Within each inter-snapshot segment the step is cfg.dt shrunk to divide the
-    segment, and the half nonlinear sub-steps of adjacent steps are merged, so
-    a segment of m steps costs m linear flows: m rounds of one propagator
+    The steps are those of `_segments`, the time grid the profile RK4 also
+    walks: each segment between marks takes the fewest equal steps of at
+    most cfg.dt.  The half nonlinear sub-steps of adjacent steps are merged,
+    so a segment of m steps costs m linear flows: m rounds of one propagator
     matmul per axis on grids of at most DENSE_MAX_N points per axis, else m
     transform pairs.  One propagator (or transform multiplier) is built per
-    distinct step of the call, shared by every segment of that step.
-    NaN/overflow aborts; the aliasing monitor runs at every snapshot and
-    flags top-band spectral mass, which raises an AliasingWarning.
+    distinct step of the call, shared by every segment of that step, and the
+    work buffers of the nonlinear sub-step are reused by every step.  The
+    fields equal, bit for bit, a loop that builds a flow per segment and
+    forms |u|^2 as u.real**2 + u.imag**2.
+
+    At each mark the field is written into the result's stacked fields,
+    after a finite check (NaN/overflow raises FloatingPointError), its L2
+    norm and the aliasing monitor's top-band fraction; top-band mass above
+    ALIASING_TOLERANCE raises an AliasingWarning once the solve ends.
     """
-    res = _solve(u0, cfg, snapshot_times)
-    if res.aliasing_flagged:
-        worst = float(np.max(res.aliasing_fractions))
-        warnings.warn(
-            f"top-band spectral mass fraction reached {worst:.3e} "
-            f"(threshold {ALIASING_TOLERANCE}); increase the grid size",
-            AliasingWarning,
-            stacklevel=2,
-        )
-    return res
-
-
-def _solve(
-    u0: GridField,
-    cfg: SolverConfig,
-    snapshot_times: Optional[Sequence[float]] = None,
-) -> SolveResult:
-    """The evolution behind `solve`, reporting top-band mass only through
-    the result's aliasing fields: it touches no warning state.
-
-    The linear flows, keyed on the exact step h, and the work buffers of
-    the nonlinear sub-step live for this call only; the fields equal, bit
-    for bit, a loop that builds a flow per segment and forms |u|^2 as
-    u.real**2 + u.imag**2."""
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
     if not np.isfinite(u0.values).all():
@@ -228,32 +215,27 @@ def _solve(
         u *= np.exp(phase, out=phase)
         return u
 
-    marks = _snapshot_marks(cfg.t_final, snapshot_times)
-    u = u0.values.copy()
-
-    times, fields, l2s, fracs = [], [], [], []
+    segments = list(_segments(cfg.t_final, cfg.dt, snapshot_times))
+    times = np.array([0.0] + [right for _, right, _, _ in segments])
+    fields = np.empty(times.shape + (n,) * d, dtype=complex)
+    l2s = np.empty(times.shape)
+    fracs = np.empty(times.shape)
     cell = (2 * math.pi / n) ** d
 
-    def take_snapshot(t: float, u: np.ndarray) -> None:
+    def take_snapshot(k: int, u: np.ndarray) -> None:
         if not np.isfinite(u).all():
-            raise FloatingPointError(f"solver produced non-finite values by t={t:.6g}")
+            raise FloatingPointError(f"solver produced non-finite values by t={times[k]:.6g}")
         spec_mag2 = np.abs(sfft.fftn(u)) ** 2
         total = spec_mag2.sum()
-        frac = float(spec_mag2[band].sum() / total) if total > 0 else 0.0
-        times.append(t)
-        fields.append(GridField(d, n, u.copy()))
-        l2s.append(math.sqrt(cell * float(np.sum(u.real**2 + u.imag**2))))
-        fracs.append(frac)
+        fracs[k] = spec_mag2[band].sum() / total if total > 0 else 0.0
+        fields[k] = u
+        l2s[k] = math.sqrt(cell * float(np.sum(u.real**2 + u.imag**2)))
 
-    take_snapshot(0.0, u)
+    u = u0.values.copy()
+    take_snapshot(0, u)
     steps = 0
     flows = {}  # one linear flow per distinct step h of this call
-    for left, right in zip(marks[:-1], marks[1:]):
-        seg = right - left
-        if seg <= 0:
-            continue
-        m = max(1, math.ceil(seg / cfg.dt - 1e-9))
-        h = seg / m
+    for k, (_, _, m, h) in enumerate(segments, 1):
         steps += m
         linear = flows.get(h)
         if linear is None:
@@ -261,16 +243,18 @@ def _solve(
         u = rotate(u, h / 2)
         for i in range(m):
             u = rotate(linear(u), h if i < m - 1 else h / 2)
-        take_snapshot(right, u)
+        take_snapshot(k, u)
 
-    return SolveResult(
-        times=np.array(times),
-        fields=fields,
-        l2_values=np.array(l2s),
-        aliasing_fractions=np.array(fracs),
-        aliasing_flagged=any(f > ALIASING_TOLERANCE for f in fracs),
-        steps=steps,
-    )
+    fields.flags.writeable = False
+    res = SolveResult(times, fields, l2s, fracs, steps)
+    if res.aliasing_flagged:
+        warnings.warn(
+            f"top-band spectral mass fraction reached {np.max(fracs):.3e} "
+            f"(threshold {ALIASING_TOLERANCE}); increase the grid size",
+            AliasingWarning,
+            stacklevel=2,
+        )
+    return res
 
 
 def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray):

@@ -23,7 +23,8 @@ from nlsoptics.profile_dynamics import (
     interactions_for,
     total_mass,
 )
-from nlsoptics.profile_dynamics import _coupling
+from nlsoptics.profile_dynamics import _coupling, _snapshot_marks
+from nlsoptics.spectral_nls import GridField, SolverConfig, solve
 
 
 def wv(*coords):
@@ -32,6 +33,43 @@ def wv(*coords):
 
 def line_modes(*ks, sigma=1):
     return ModeSet.from_vectors([wv(k) for k in ks], sigma, saturated=True)
+
+
+class TestTimeGrid:
+    """One segment walker and one time lookup for the RK4 sweep and the
+    split-step solver."""
+
+    T, DT, SNAPS = 0.5, 0.013, [0.07, 0.11, 0.3]  # uneven segments
+
+    def _runs(self):
+        modes = line_modes(-1, 1)
+        params = SimParams(lam=1.0, sigma=1, t_final=self.T, dt=self.DT)
+        torus = integrate_torus([0.6, 0.3j], modes, params, snapshot_times=self.SNAPS)
+        x = np.arange(64) * (20.0 / 64)
+        fields = np.stack([np.exp(-((x - 10.0) ** 2)), 0.5 * np.exp(-((x - 9.0) ** 2))])
+        euclid = integrate_euclid(fields, modes, params, 20.0, snapshot_times=self.SNAPS)
+        u0 = GridField(1, 16, np.full(16, 0.5 + 0.1j))
+        cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=self.DT, n=16, t_final=self.T)
+        return torus, euclid, solve(u0, cfg, snapshot_times=self.SNAPS)
+
+    def test_one_walker_one_set_of_steps(self):
+        torus, euclid, res = self._runs()
+        marks = _snapshot_marks(self.T, self.SNAPS)
+        assert res.steps == len(torus.times) - 1
+        assert euclid.times.tolist() == marks and res.times.tolist() == marks
+        assert len(euclid.mass_times) == len(torus.times)
+
+    def test_one_lookup(self):
+        torus, euclid, res = self._runs()
+        for at, times, rows in (
+            (torus.at, torus.times, torus.amps),
+            (euclid.at, euclid.times, euclid.fields),
+            (lambda t: res.at(t).values, res.times, res.fields),
+        ):
+            for t in self.SNAPS + [self.T]:
+                assert np.array_equal(at(t * (1 + 1e-12)), rows[list(times).index(t)])
+                with pytest.raises(KeyError):
+                    at(t + 1e-6)
 
 
 class TestTorusIntegration:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from nlsoptics import spectral_nls, wkb_pipeline
 from nlsoptics.profile_dynamics import _axis_wavenumbers, _snapshot_marks
 from nlsoptics.spectral_nls import (
     ALIASING_BAND,
+    ALIASING_TOLERANCE,
     DENSE_MAX_N,
     AliasingWarning,
     GridField,
@@ -15,7 +17,6 @@ from nlsoptics.spectral_nls import (
     default_dt,
     default_grid_size,
     _linear_flow,
-    _solve,
     plane_wave_exact,
     solve,
     sup_norm_of_field,
@@ -206,8 +207,8 @@ class TestLinearFlow:
         scale = np.max(np.abs(u0.values))
         for t, field in zip(times, res.fields):
             exact = np.fft.ifftn(spec * np.exp(-0.5j * eps * t * ksq)) * n**d
-            assert np.max(np.abs(field.values - exact)) <= 1e-12 * scale
-            assert field.values.flags.c_contiguous
+            assert np.max(np.abs(field - exact)) <= 1e-12 * scale
+            assert field.flags.c_contiguous
         assert res.l2_relative_drift <= 1e-13
         assert not res.aliasing_flagged
         flow = _linear_flow(d, n, eps * 1e-2, ksq)
@@ -278,7 +279,7 @@ def _reference_solve(u0, cfg, snapshot_times):
 
 
 class TestBitIdentity:
-    """`_solve` reuses one flow per distinct step and preallocated buffers;
+    """`solve` reuses one flow per distinct step and preallocated buffers;
     its results must equal the plain loop above bit for bit."""
 
     @pytest.mark.parametrize("lam", [0.0, 1.3])
@@ -297,14 +298,20 @@ class TestBitIdentity:
         # segments of 0.01, 0.025, 0.025, 0.02 and 0.03: three distinct steps
         snaps = [0.01, 0.035, 0.06, 0.08]
         cfg = SolverConfig(eps=1 / 4, lam=lam, sigma=sigma, dt=4e-3, n=n, t_final=0.11)
-        res = _solve(u0, cfg, snaps)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve(u0, cfg, snaps)
         fields, l2s, fracs, steps = _reference_solve(u0, cfg, snaps)
-        assert len(res.fields) == len(fields) == 6
-        for got, want in zip(res.fields, fields):
-            assert np.array_equal(got.values, want)
+        assert res.fields.shape == (6,) + (n,) * d and len(fields) == 6
+        for k, want in enumerate(fields):
+            assert np.array_equal(res.fields[k], want)
         assert np.array_equal(res.l2_values, l2s)
         assert np.array_equal(res.aliasing_fractions, fracs)
         assert res.steps == steps
+        # the 16-point cells with coupling reach the top band: one warning
+        flagged = bool(np.any(fracs > ALIASING_TOLERANCE))
+        assert res.aliasing_flagged == flagged
+        assert [w.category for w in caught] == [AliasingWarning] * flagged
 
 
 def _count_flows(monkeypatch):
@@ -349,10 +356,10 @@ class TestPropagatorReuse:
         rng = np.random.default_rng(7)
         u0 = _smooth_field(16, rng, modes=2)
         cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=0.03, n=16, t_final=0.375)
-        res = _solve(u0, cfg, [0.125, 0.25])  # three segments of 0.125 share one step
+        res = solve(u0, cfg, [0.125, 0.25])  # three segments of 0.125 share one step
         assert res.steps == 3 * 5
         assert len(built) == 1
         built.clear()
-        res = _solve(u0, cfg, [0.125])  # segments 0.125 and 0.25: steps 0.025 and 0.25/9
+        res = solve(u0, cfg, [0.125])  # segments 0.125 and 0.25: steps 0.025 and 0.25/9
         assert res.steps == 5 + 9
         assert len(built) >= 2

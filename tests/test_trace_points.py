@@ -1,10 +1,12 @@
-"""The benchmark tracer patches program functions by name; each must exist."""
+"""The benchmark tracer patches program functions by name and counts their
+work from the results; each name must exist and each count must hold."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 from nlsoptics import experiments_cli, profile_dynamics, wkb_pipeline
+from nlsoptics.spectral_nls import GridField, SolverConfig, solve
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -25,3 +27,13 @@ def test_every_trace_point_names_a_function():
     assert points
     for mod, attr, name, _ in points:
         assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr} ({name}) is gone"
+
+
+def test_solve_counts_match_a_real_solve():
+    # uneven segments, so the recount walks more than one step size
+    cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=0.013, n=16, t_final=0.5)
+    u0 = GridField(1, 16, [0.5 + 0.1j] * 16)
+    res = solve(u0, cfg, snapshot_times=[0.07, 0.11, 0.3])
+    counts = load_spans()._solve_counts(res, (u0, cfg), {})
+    assert counts["steps"] == res.steps
+    assert counts["snapshot_bytes"] == res.fields.nbytes

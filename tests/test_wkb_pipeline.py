@@ -140,16 +140,28 @@ class TestConvergence:
             y = np.log([getattr(r, attr) for r in ok_rows])
             assert order == float(np.polyfit(x, y, 1)[0])
 
-    def test_bad_eps_raises_before_any_row(self):
+    def test_bad_eps_raises_before_any_row(self, monkeypatch):
         # every leg's cell is built before the profiles and the first leg
+        calls = []
+
+        def recorder(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("integrate_torus", "solve"):
+            monkeypatch.setattr(wkb_pipeline, name, recorder(name, getattr(wkb_pipeline, name)))
         modes = line_modes(0, 1)
-        seen = []
         with pytest.raises(ValueError, match="1/eps"):
             run_convergence(
                 modes, [0.5, 0.3], 1.0, [1 / 8, 0.3], 0.1,
-                checkpoints=1, dt_self_check=False, row_hook=seen.append,
+                checkpoints=1, dt_self_check=False,
             )
-        assert seen == []
+        assert calls == []
+        # the recorder sees a sweep that does run
+        run_convergence(modes, [0.5, 0.3], 1.0, [1 / 8], 0.1, checkpoints=1)
+        assert calls[0] == "integrate_torus" and "solve" in calls
 
     def test_period_solve_matches_full_grid(self):
         # oracle: the full default grid, solved directly at the step the
@@ -207,15 +219,6 @@ class TestConvergence:
                 checkpoints=1, dt_self_check=False,
             )
 
-    def test_row_hook_invoked(self):
-        modes = line_modes(0, 1)
-        seen = []
-        run_convergence(
-            modes, [0.5, 0.3], 1.0, [1 / 2, 1 / 4], 0.05,
-            checkpoints=1, dt_self_check=False, row_hook=seen.append,
-        )
-        assert [r.eps for r in seen] == [0.5, 0.25]
-
     def test_label_formatting(self):
         table = ConvergenceTable(
             rows=[], checkpoint_times=(), order_sup=0.9126, order_w=None,
@@ -265,8 +268,8 @@ class TestStepLadder:
             r: solve(u0, replace(cell, dt=r * cell.dt), snapshot_times=times)
             for r in (4, 8, 16)
         }
-        assert _field_delta(at[4], at[8], times) == row.step_delta
-        assert _field_delta(at[8], at[16], times) > LADDER_FRACTION * eps
+        assert _field_delta(at[4], at[8]) == row.step_delta
+        assert _field_delta(at[8], at[16]) > LADDER_FRACTION * eps
         # 9 segments of 800/9 default steps, solved at 4x, 8x, 16x and 32x
         # the default step, plus the 32-point grid at 8x
         per_rung = {r: 9 * math.ceil(800 / (9 * r)) for r in (4, 8, 16, 32)}
@@ -315,6 +318,16 @@ class TestStepLadder:
         # measured, not discarded, but kept out of the fit
         assert math.isfinite(row.sup_error) and row.sup_error > 0
         assert table.order_sup is None
+
+    def test_rounded_horizon_keeps_the_ladder(self):
+        # 0.45 * 9 / 9 falls one ulp short of 0.45; as two marks they would
+        # cap both ladders at a step of a few ulps and never finish
+        table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4], 0.45)
+        row = table.rows[0]
+        assert row.ok and row.rung == 8 and table.profile_rung == LADDER_TOP
+        checks = table.checkpoint_times
+        assert checks[-1] < 0.45
+        assert _snapshot_marks(0.45, checks) == [0.0, *checks[:-1], 0.45]
 
     def test_pins_and_switch_bypass_the_ladder(self):
         # dt_self_check=False and pinning both steps to the same values run
