@@ -42,7 +42,12 @@ Experiment blocks by type:
                top-band fraction, and the profile step, rung, delta and RK4
                steps; stage timings go to runtimes.
   instability: variant, rho, delta, s, K, theta, grid_points (default 10^4),
-               cross_check (default false)
+               cross_check (default false).  The cross-check picks each
+               datum's step by the same ladder from eps/100, capped by the
+               delta/100 sample segment, on its zero-mode curve, and adds a
+               grid-doubling solve; the report carries each datum's rung,
+               step and both deltas, and the summary flags a delta over
+               1e-2*eps.
   smalldiv:    b_grid (default [0.0]), probe (null or {generators,
                beta_bound, b_prime, budget})
 
@@ -88,7 +93,7 @@ from .small_divisors import (
     gram_diophantine_probe,
     survey_divisors,
 )
-from .wkb_pipeline import gap_curve, run_convergence, run_instability
+from .wkb_pipeline import LADDER_FRACTION, gap_curve, run_convergence, run_instability
 
 SCENARIO_SCHEMA = "nlsoptics-scenario/1"
 REPORT_SCHEMA = "nlsoptics-report/1"
@@ -782,6 +787,21 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
             f"L2 drift {record.solver_l2_drift:.1e}, "
             f"top-band fraction {record.solver_aliasing:.1e}"
         )
+        budget = LADDER_FRACTION * record.eps
+        for i, (rung, dt, step_delta, grid_delta) in enumerate(zip(
+            record.solver_rungs, record.solver_dts,
+            record.solver_step_deltas, record.solver_grid_deltas,
+        ), 1):
+            over = [
+                name for name, gap in (("step", step_delta), ("grid", grid_delta))
+                if gap > budget
+            ]
+            note = f"  [over {LADDER_FRACTION:g}*eps: {', '.join(over)}]" if over else ""
+            print(
+                f"  datum {i}: dt={dt / record.eps:.4g}*eps rung {_rung_label(rung)} "
+                f"step {_delta_label(step_delta, record.eps)} "
+                f"grid {_delta_label(grid_delta, record.eps)}{note}"
+            )
     return 0
 
 

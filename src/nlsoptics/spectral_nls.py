@@ -133,12 +133,14 @@ class SolveResult:
 
     times holds the marks (0, the snapshot times and t_final, sorted), and
     fields the field at each mark, stacked as one read-only (S,) + (n,)*d
-    array.  `at` and `final` return GridField views of its rows."""
+    array.  `at` and `final` return GridField views of its rows.  The health
+    series hold one value per mark, or, for a solve without per-mark health,
+    the values at t=0 and t_final."""
 
     times: np.ndarray  # (S,) marks, starting at 0
     fields: np.ndarray  # (S,) + (n,)*d, read-only
-    l2_values: np.ndarray  # discrete L2 norm at each snapshot
-    aliasing_fractions: np.ndarray  # top-band spectral mass fraction per snapshot
+    l2_values: np.ndarray  # discrete L2 norm at each measured mark
+    aliasing_fractions: np.ndarray  # top-band spectral mass fraction per measured mark
     steps: int  # split steps taken over all segments
 
     @property
@@ -162,6 +164,8 @@ def solve(
     u0: GridField,
     cfg: SolverConfig,
     snapshot_times: Optional[Sequence[float]] = None,
+    *,
+    mark_health: bool = True,
 ) -> SolveResult:
     """Strang-split evolution of u0, with snapshots at the requested times.
 
@@ -176,10 +180,15 @@ def solve(
     fields equal, bit for bit, a loop that builds a flow per segment and
     forms |u|^2 as u.real**2 + u.imag**2.
 
-    At each mark the field is written into the result's stacked fields,
-    after a finite check (NaN/overflow raises FloatingPointError), its L2
-    norm and the aliasing monitor's top-band fraction; top-band mass above
-    ALIASING_TOLERANCE raises an AliasingWarning once the solve ends.
+    At each mark the field is written into the result's stacked fields and
+    its health is measured: a finite check (NaN/overflow raises
+    FloatingPointError), its L2 norm and the aliasing monitor's top-band
+    fraction; top-band mass above ALIASING_TOLERANCE raises an
+    AliasingWarning once the solve ends.  With mark_health=False the steps
+    and every mark's field are unchanged, but health is measured only at
+    t=0 and t_final, so a non-finite field raises by t_final and the
+    warning reads the final fraction: for callers that keep a reduced
+    observable of the marks and check their run otherwise.
     """
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
@@ -218,18 +227,22 @@ def solve(
     segments = list(_segments(cfg.t_final, cfg.dt, snapshot_times))
     times = np.array([0.0] + [right for _, right, _, _ in segments])
     fields = np.empty(times.shape + (n,) * d, dtype=complex)
-    l2s = np.empty(times.shape)
-    fracs = np.empty(times.shape)
+    last = len(times) - 1
+    l2s = np.empty(len(times) if mark_health else min(len(times), 2))
+    fracs = np.empty(l2s.shape)
     cell = (2 * math.pi / n) ** d
 
     def take_snapshot(k: int, u: np.ndarray) -> None:
+        fields[k] = u
+        if not (mark_health or k == 0 or k == last):
+            return
+        i = k if mark_health else min(k, 1)
         if not np.isfinite(u).all():
             raise FloatingPointError(f"solver produced non-finite values by t={times[k]:.6g}")
         spec_mag2 = np.abs(sfft.fftn(u)) ** 2
         total = spec_mag2.sum()
-        fracs[k] = spec_mag2[band].sum() / total if total > 0 else 0.0
-        fields[k] = u
-        l2s[k] = math.sqrt(cell * float(np.sum(u.real**2 + u.imag**2)))
+        fracs[i] = spec_mag2[band].sum() / total if total > 0 else 0.0
+        l2s[i] = math.sqrt(cell * float(np.sum(u.real**2 + u.imag**2)))
 
     u = u0.values.copy()
     take_snapshot(0, u)

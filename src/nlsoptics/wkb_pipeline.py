@@ -201,6 +201,19 @@ def _field_delta(a: SolveResult, b: SolveResult) -> float:
     return float(np.max(np.abs(a.fields[1:] - b.fields[sub])))
 
 
+def _zero_mode_delta(a: SolveResult, b: SolveResult) -> float:
+    """The largest |difference| of the zero Fourier modes (spatial means) of
+    two solves over the marks after t=0, which two solves of one horizon and
+    snapshot times share; the grids may differ, the zero mode is read on
+    each one's own."""
+    return float(np.max(np.abs(_zero_modes(a)[1:] - _zero_modes(b)[1:])))
+
+
+def _zero_modes(res: SolveResult) -> np.ndarray:
+    """The zero Fourier mode (the spatial mean) of the field at each mark."""
+    return res.fields.mean(axis=tuple(range(1, res.fields.ndim)))
+
+
 def _amp_delta(a: TorusTrajectory, b: TorusTrajectory, times: Sequence[float]) -> float:
     """max over times of sum_j |a_j - b_j|: the W norm of the difference of
     the assembled fields, which bounds its sup."""
@@ -469,8 +482,12 @@ class InstabilityRecord:
     and alpha1_tilde is None.  solver_gap is the same quantity measured from
     two spectral solves via the zero Fourier mode (None unless cross-checked).
     The solver_* fields after it record the solves' health: points of the
-    period grid, split steps over both solves, and the worst relative L2
-    drift and top-band aliasing fraction of either.
+    period grid, split steps over every solve of the cross-check, and the
+    worst relative L2 drift and top-band aliasing fraction (at t=0 and
+    t=delta) of the two solves the gap comes from.  The last four hold one
+    entry per datum (base, perturbed): the ladder rung, the physical step,
+    the step-doubling delta and the grid-doubling delta of its zero-mode
+    curve (None unless cross-checked).
     """
 
     variant: str
@@ -498,6 +515,10 @@ class InstabilityRecord:
     solver_steps: Optional[int] = None
     solver_l2_drift: Optional[float] = None
     solver_aliasing: Optional[float] = None
+    solver_rungs: Optional[tuple[int, ...]] = None
+    solver_dts: Optional[tuple[float, ...]] = None
+    solver_step_deltas: Optional[tuple[float, ...]] = None
+    solver_grid_deltas: Optional[tuple[float, ...]] = None
 
 
 def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
@@ -558,10 +579,17 @@ def run_instability(
 
     With cross_check=True (variants with two data only) the gap is also
     measured from two semiclassical solves at eps = 1/K^2 through the zero
-    Fourier mode.  Both data are 2 pi eps periodic, so each solve runs on one
-    period, the cell of `_cell_config`, and costs about 100*delta*K^2 split
-    steps on its points (16 for sigma=1).  The initial data are assembled by
-    `assemble_uapp` on the two-mode set {0, 1} of the period.
+    Fourier mode, sampled at 101 even times in [0, delta].  Both data are
+    2 pi eps periodic, so each solve runs on one period, the cell of
+    `_cell_config` (16 points for sigma=1).  The initial data are assembled
+    by `assemble_uapp` on the two-mode set {0, 1} of the period.  Each
+    datum's step is chosen by `_ladder` from default_dt(eps), capped by the
+    sample segment delta/100, against LADDER_FRACTION*eps on the largest
+    zero-mode gap over the samples (`_zero_mode_delta`); one more solve, at
+    twice the chosen step on the doubled cell, gives its grid-doubling
+    delta.  The solves keep every sample's field but measure their health
+    only at t=0 and t=delta (`solve(..., mark_health=False)`).  A delta over
+    budget is recorded, not raised.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")
@@ -614,6 +642,7 @@ def run_instability(
 
     eps = solver_gap = solver_t_star = solver_dev = None
     solver_n = solver_steps = solver_l2_drift = solver_aliasing = None
+    solver_rungs = solver_dts = step_deltas = grid_deltas = None
     if cross_check:
         if variant == "weak_limit":
             raise ValueError(
@@ -625,21 +654,39 @@ def run_instability(
         # the carrier at 1/eps is wavenumber 1 on the period
         pair = ModeSet.from_vectors([WaveVector((0,)), WaveVector((1,))], sigma)
         sample = np.linspace(0.0, delta, 101)
-        solves = []
+        solver_steps = 0
+        solves, ladders = [], []
         for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t)):
-            u0 = assemble_uapp(ProfileStateTorus(pair, [a0, a1], 0.0), 1.0, cell.n)
-            solves.append(solve(u0, cell, snapshot_times=sample / eps))
+            state = ProfileStateTorus(pair, [a0, a1], 0.0)
+
+            def run(h: float, m: int = cell.n) -> SolveResult:
+                nonlocal solver_steps
+                u0 = assemble_uapp(state, 1.0, m)
+                res = solve(
+                    u0, replace(cell, dt=h / eps, n=m),
+                    snapshot_times=sample / eps, mark_health=False,
+                )
+                solver_steps += res.steps
+                return res
+
+            rung, dt_datum, res, coarse, step_delta = _ladder(
+                run, default_dt(eps), delta / 100, _zero_mode_delta,
+                LADDER_FRACTION * eps,
+            )
+            grid_delta = _zero_mode_delta(coarse, run(2 * dt_datum, 2 * cell.n))
+            solves.append(res)
+            ladders.append((rung, dt_datum, step_delta, grid_delta))
         # one row per sample: the samples are the solves' marks
-        zero_modes = [r.fields.mean(axis=1) for r in solves]
+        zero_modes = [_zero_modes(r) for r in solves]
         diffs = np.abs(zero_modes[0] - zero_modes[1])
         k = int(np.argmax(diffs))
         solver_gap = float(diffs[k])
         solver_t_star = float(sample[k])
         solver_dev = abs(solver_gap - gap)
         solver_n = cell.n
-        solver_steps = sum(r.steps for r in solves)
         solver_l2_drift = max(r.l2_relative_drift for r in solves)
         solver_aliasing = max(float(np.max(r.aliasing_fractions)) for r in solves)
+        solver_rungs, solver_dts, step_deltas, grid_deltas = zip(*ladders)
 
     return InstabilityRecord(
         variant=variant,
@@ -667,4 +714,8 @@ def run_instability(
         solver_steps=solver_steps,
         solver_l2_drift=solver_l2_drift,
         solver_aliasing=solver_aliasing,
+        solver_rungs=solver_rungs,
+        solver_dts=solver_dts,
+        solver_step_deltas=step_deltas,
+        solver_grid_deltas=grid_deltas,
     )

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -330,6 +331,43 @@ class TestInstabilityCommand:
             assert t_cell == f"{t:.12g}"
             assert float(gap_cell) == g  # .17g round-trips exactly
         assert "gap" in capsys.readouterr().out
+        for key in ("solver_rungs", "solver_dts", "solver_step_deltas", "solver_grid_deltas"):
+            assert record[key] is None
+
+    @pytest.mark.parametrize(
+        "K,delta,s,over", [(16, 0.1, -0.5, False), (4, 0.5, -2.0, True)]
+    )
+    def test_cross_check_ladder_in_report_and_summary(self, tmp_path, capsys, K, delta, s, over):
+        doc = torus_doc(
+            initial_modes=[{"kappa": [0], "amplitude": [0.5, 0.0]}],
+            experiment={
+                "type": "instability", "rho": 1.0, "delta": delta, "s": s,
+                "K": K, "grid_points": 500, "cross_check": True,
+            },
+        )
+        scn = write_scenario(tmp_path, doc)
+        premise_met = K > delta ** (1 / s)  # not at K=16, where delta^(1/s) = 100
+        with contextlib.nullcontext() if premise_met else pytest.warns(UserWarning, match="premise"):
+            rc = run(["instability", "--scenario", scn, "--out", str(tmp_path / "out")])
+        assert rc == 0  # an over-budget delta is reported, not raised
+        record = load_report(tmp_path, "instability_report.json")["results"]["record"]
+        eps = record["eps"]
+        budget = 1e-2 * eps
+        rungs, dts = record["solver_rungs"], record["solver_dts"]
+        step_deltas, grid_deltas = record["solver_step_deltas"], record["solver_grid_deltas"]
+        assert len(rungs) == len(dts) == len(step_deltas) == len(grid_deltas) == 2
+        assert rungs == ([1, 1] if over else [8, 8])
+        for rung, dt in zip(rungs, dts):
+            assert dt == pytest.approx(rung * min(eps / 100, delta / 200), rel=1e-12)
+        assert (max(step_deltas) > budget) == over
+        assert max(grid_deltas) < budget
+        out = capsys.readouterr().out.splitlines()
+        for i in range(2):
+            line = next(x for x in out if x.startswith(f"  datum {i + 1}: "))
+            assert f"dt={dts[i] / eps:.4g}*eps rung {rungs[i]}x" in line
+            assert f"step {step_deltas[i] / eps:.2e}*eps" in line
+            assert f"grid {grid_deltas[i] / eps:.2e}*eps" in line
+            assert line.endswith("[over 0.01*eps: step]") == (step_deltas[i] > budget)
 
 
 class TestSmalldivCommand:

@@ -278,6 +278,17 @@ def _reference_solve(u0, cfg, snapshot_times):
     return fields, np.array(l2s), np.array(fracs), steps
 
 
+def _band_limited_field(d, n, seed):
+    """Random field with modes |k|_inf <= 3 only, scaled to peak 0.8."""
+    rng = np.random.default_rng(seed)
+    k = np.fft.fftfreq(n, 1.0 / n)
+    grids = np.meshgrid(*[k] * d, indexing="ij")
+    spec = rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d)
+    spec[np.max([np.abs(g) for g in grids], axis=0) > 3] = 0
+    values = np.fft.ifftn(spec)
+    return GridField(d, n, 0.8 * values / np.max(np.abs(values)))
+
+
 class TestBitIdentity:
     """`solve` reuses one flow per distinct step and preallocated buffers;
     its results must equal the plain loop above bit for bit."""
@@ -288,13 +299,7 @@ class TestBitIdentity:
         "d,n", [(1, 16), (1, 32), (1, 128), (2, 16), (2, 32), (2, 128), (3, 16), (3, 32)]
     )
     def test_matches_reference_loop(self, d, n, sigma, lam):
-        rng = np.random.default_rng(1000 * d + 10 * n + sigma)
-        k = np.fft.fftfreq(n, 1.0 / n)
-        grids = np.meshgrid(*[k] * d, indexing="ij")
-        spec = rng.normal(size=(n,) * d) + 1j * rng.normal(size=(n,) * d)
-        spec[np.max([np.abs(g) for g in grids], axis=0) > 3] = 0
-        values = np.fft.ifftn(spec)
-        u0 = GridField(d, n, 0.8 * values / np.max(np.abs(values)))
+        u0 = _band_limited_field(d, n, 1000 * d + 10 * n + sigma)
         # segments of 0.01, 0.025, 0.025, 0.02 and 0.03: three distinct steps
         snaps = [0.01, 0.035, 0.06, 0.08]
         cfg = SolverConfig(eps=1 / 4, lam=lam, sigma=sigma, dt=4e-3, n=n, t_final=0.11)
@@ -312,6 +317,54 @@ class TestBitIdentity:
         flagged = bool(np.any(fracs > ALIASING_TOLERANCE))
         assert res.aliasing_flagged == flagged
         assert [w.category for w in caught] == [AliasingWarning] * flagged
+
+
+class TestMarkHealth:
+    """Without per-mark health a solve takes the same steps and keeps the
+    same fields; only the health series shrink to t=0 and t_final."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1.3])
+    @pytest.mark.parametrize("sigma", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fields_and_steps_bit_identical(self, d, sigma, lam):
+        u0 = _band_limited_field(d, 16, 97 * d + 10 * sigma)
+        snaps = [0.01, 0.035, 0.06, 0.08]
+        cfg = SolverConfig(eps=1 / 4, lam=lam, sigma=sigma, dt=4e-3, n=16, t_final=0.11)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            full = solve(u0, cfg, snaps)
+            caught.clear()
+            lean = solve(u0, cfg, snaps, mark_health=False)
+        assert np.array_equal(lean.times, full.times)
+        assert np.array_equal(lean.fields, full.fields)
+        assert not lean.fields.flags.writeable
+        assert lean.steps == full.steps
+        ends = [0, -1]
+        assert np.array_equal(lean.l2_values, full.l2_values[ends])
+        assert np.array_equal(lean.aliasing_fractions, full.aliasing_fractions[ends])
+        # clean data at t=0, so the warning reads the final fraction alone;
+        # with coupling the 16-point cells fill the top band, without it not
+        assert lean.aliasing_fractions[0] < ALIASING_TOLERANCE
+        flagged = bool(full.aliasing_fractions[-1] > ALIASING_TOLERANCE)
+        assert lean.aliasing_flagged == flagged
+        assert [w.category for w in caught] == [AliasingWarning] * flagged
+
+    def test_non_finite_field_raises_by_t_final(self):
+        # |u|^2 overflows in the first sub-step, so every mark is NaN
+        u0 = GridField(1, 16, np.full(16, 1e200 + 0j))
+        cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=1e-2, n=16, t_final=0.5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match=r"by t=0\.1$"):
+                solve(u0, cfg, [0.1, 0.3])
+            with pytest.raises(FloatingPointError, match=r"by t=0\.5$"):
+                solve(u0, cfg, [0.1, 0.3], mark_health=False)
+
+    def test_single_mark_measures_once(self):
+        u0 = _band_limited_field(1, 16, 3)
+        cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=1e-2, n=16, t_final=0.0)
+        res = solve(u0, cfg, mark_health=False)
+        assert res.fields.shape == (1, 16)
+        assert res.l2_values.shape == res.aliasing_fractions.shape == (1,)
 
 
 def _count_flows(monkeypatch):
@@ -334,19 +387,25 @@ class TestPropagatorReuse:
         per_solve = []
         real_solve = wkb_pipeline.solve
 
-        def recording(u0, cfg, snapshot_times=None):
+        def recording(u0, cfg, snapshot_times=None, **kwargs):
             start = len(built)
-            res = real_solve(u0, cfg, snapshot_times)
+            res = real_solve(u0, cfg, snapshot_times, **kwargs)
             marks = _snapshot_marks(cfg.t_final, snapshot_times)
             segs = [b - a for a, b in zip(marks[:-1], marks[1:]) if b > a]
             hs = {seg / max(1, math.ceil(seg / cfg.dt - 1e-9)) for seg in segs}
             per_solve.append((len(built) - start, len(hs), len(segs)))
+            steps.append(res.steps)
             return res
 
+        steps = []
         monkeypatch.setattr(wkb_pipeline, "solve", recording)
-        rec = run_instability(1.0, 0.1, -2.0, 16, cross_check=True)
-        assert rec.solver_steps == 5200
-        assert len(per_solve) == 2
+        with pytest.warns(AliasingWarning):  # from the ladder's coarse rungs
+            rec = run_instability(1.0, 0.1, -2.0, 16, cross_check=True)
+        # per datum the ladder walks from rung 16 down to its chosen rung 1,
+        # then solves once on the doubled cell
+        assert rec.solver_rungs == (1, 1)
+        assert len(per_solve) == 2 * (5 + 1)
+        assert sum(steps) == rec.solver_steps
         for builds, distinct, segments in per_solve:
             assert segments == 100
             assert builds == distinct < segments

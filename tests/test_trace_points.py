@@ -5,8 +5,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from nlsoptics import experiments_cli, profile_dynamics, wkb_pipeline
 from nlsoptics.spectral_nls import GridField, SolverConfig, solve
+from nlsoptics.wkb_pipeline import run_instability
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +40,27 @@ def test_solve_counts_match_a_real_solve():
     counts = load_spans()._solve_counts(res, (u0, cfg), {})
     assert counts["steps"] == res.steps
     assert counts["snapshot_bytes"] == res.fields.nbytes
+
+
+def test_solve_counts_match_a_solve_without_mark_health():
+    cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=0.013, n=16, t_final=0.5)
+    u0 = GridField(1, 16, [0.5 + 0.1j] * 16)
+    res = solve(u0, cfg, snapshot_times=[0.07, 0.11, 0.3], mark_health=False)
+    counts = load_spans()._solve_counts(res, (u0, cfg), {})
+    assert counts["steps"] == res.steps
+    assert counts["snapshot_bytes"] == res.fields.nbytes
+
+
+def test_traced_crosscheck_counts():
+    # the instability_gap workload's cross-check at K=16: per datum, rungs
+    # 16 and 8 of the ladder and one grid-doubling solve
+    spans = load_spans()
+    tracer = spans.Tracer()
+    points = [p for p in spans.trace_points(experiments_cli, profile_dynamics, wkb_pipeline)
+              if p[0] is wkb_pipeline and p[1] == "solve"]
+    with tracer.installed(points), pytest.warns(UserWarning, match="premise"):
+        rec = run_instability(1.0, 0.1, -0.5, 16, cross_check=True)
+    solves = [s for s in tracer.spans if s.name == "spectral_nls.solve"]
+    assert len(solves) == 6
+    assert rec.solver_rungs == (8, 8)
+    assert sum(s.counts["steps"] for s in solves) == rec.solver_steps == 1600

@@ -40,6 +40,25 @@ from nlsoptics.wkb_pipeline import (
 )
 
 
+def _crosscheck_steps(rec) -> int:
+    """Split steps of a cross-check, recounted from the record's rungs: per
+    datum, one solve per rung from the top rung's coarse partner down to the
+    chosen rung, and the grid solve at twice the chosen step, each over 100
+    sample segments of delta/100."""
+    seg = rec.delta / 100
+    unit = min(default_dt(rec.eps), seg / 2)
+    top = LADDER_TOP
+    while top > 1 and 2 * top * unit > seg:
+        top //= 2
+    total = 0
+    for rung, dt in zip(rec.solver_rungs, rec.solver_dts, strict=True):
+        assert dt == rung * unit
+        walked = [2 * top] + [top >> i for i in range(8) if rung <= top >> i]
+        for r in walked + [2 * rung]:
+            total += 100 * max(1, math.ceil(seg / (r * unit) - 1e-9))
+    return total
+
+
 def wv(*coords):
     return WaveVector(tuple(coords))
 
@@ -506,8 +525,7 @@ class TestInstability:
         )
         assert rec.solver_formula_deviation < 1.0
         assert rec.solver_grid_n == 16
-        # 100 segments of delta/100 at dt = eps/100: ceil(0.005/(1/1600)) = 8
-        assert rec.solver_steps == 2 * 100 * 8
+        assert rec.solver_steps == _crosscheck_steps(rec)
         assert 0.0 <= rec.solver_l2_drift < 1e-12
         assert 0.0 <= rec.solver_aliasing < 1e-8
 
@@ -519,11 +537,12 @@ class TestInstability:
         eps = 1.0 / (K * K)
         n = default_grid_size(eps, 1, 1)
         assert n == 16 * K * K
-        cfg = SolverConfig(eps, 1.0, 1, default_dt(eps), n, 0.1)
         sample = np.linspace(0.0, 0.1, 101)
         zero_modes = []
         data = ((rec.alpha0, rec.alpha1), (rec.alpha0_tilde, rec.alpha1_tilde))
-        for a0, a1 in data:
+        for (a0, a1), dt in zip(data, rec.solver_dts, strict=True):
+            # each datum at the physical step its ladder chose
+            cfg = SolverConfig(eps, 1.0, 1, dt, n, 0.1)
             spec = np.zeros(n, dtype=complex)
             spec[0] = a0
             spec[K * K] = a1
