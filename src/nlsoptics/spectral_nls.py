@@ -134,13 +134,12 @@ class SolveResult:
     times holds the marks (0, the snapshot times and t_final, sorted), and
     fields the field at each mark, stacked as one read-only (S,) + (n,)*d
     array.  `at` and `final` return GridField views of its rows.  The health
-    series hold one value per mark, or, for a solve without per-mark health,
-    the values at t=0 and t_final."""
+    series hold one value per mark."""
 
     times: np.ndarray  # (S,) marks, starting at 0
     fields: np.ndarray  # (S,) + (n,)*d, read-only
-    l2_values: np.ndarray  # discrete L2 norm at each measured mark
-    aliasing_fractions: np.ndarray  # top-band spectral mass fraction per measured mark
+    l2_values: np.ndarray  # discrete L2 norm at each mark
+    aliasing_fractions: np.ndarray  # top-band spectral mass fraction at each mark
     steps: int  # split steps taken over all segments
 
     @property
@@ -164,8 +163,6 @@ def solve(
     u0: GridField,
     cfg: SolverConfig,
     snapshot_times: Optional[Sequence[float]] = None,
-    *,
-    mark_health: bool = True,
 ) -> SolveResult:
     """Strang-split evolution of u0, with snapshots at the requested times.
 
@@ -180,15 +177,12 @@ def solve(
     fields equal, bit for bit, a loop that builds a flow per segment and
     forms |u|^2 as u.real**2 + u.imag**2.
 
-    At each mark the field is written into the result's stacked fields and
-    its health is measured: a finite check (NaN/overflow raises
-    FloatingPointError), its L2 norm and the aliasing monitor's top-band
-    fraction; top-band mass above ALIASING_TOLERANCE raises an
-    AliasingWarning once the solve ends.  With mark_health=False the steps
-    and every mark's field are unchanged, but health is measured only at
-    t=0 and t_final, so a non-finite field raises by t_final and the
-    warning reads the final fraction: for callers that keep a reduced
-    observable of the marks and check their run otherwise.
+    At each mark the field is written into the result's stacked fields.
+    Once the solve ends, the health of every mark is measured in one pass
+    over the stack (`_health`): a finite check, whose failure raises
+    FloatingPointError naming the first non-finite mark, the L2 norm and the
+    aliasing monitor's top-band fraction; top-band mass above
+    ALIASING_TOLERANCE raises an AliasingWarning.
     """
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
@@ -227,25 +221,7 @@ def solve(
     segments = list(_segments(cfg.t_final, cfg.dt, snapshot_times))
     times = np.array([0.0] + [right for _, right, _, _ in segments])
     fields = np.empty(times.shape + (n,) * d, dtype=complex)
-    last = len(times) - 1
-    l2s = np.empty(len(times) if mark_health else min(len(times), 2))
-    fracs = np.empty(l2s.shape)
-    cell = (2 * math.pi / n) ** d
-
-    def take_snapshot(k: int, u: np.ndarray) -> None:
-        fields[k] = u
-        if not (mark_health or k == 0 or k == last):
-            return
-        i = k if mark_health else min(k, 1)
-        if not np.isfinite(u).all():
-            raise FloatingPointError(f"solver produced non-finite values by t={times[k]:.6g}")
-        spec_mag2 = np.abs(sfft.fftn(u)) ** 2
-        total = spec_mag2.sum()
-        fracs[i] = spec_mag2[band].sum() / total if total > 0 else 0.0
-        l2s[i] = math.sqrt(cell * float(np.sum(u.real**2 + u.imag**2)))
-
-    u = u0.values.copy()
-    take_snapshot(0, u)
+    u = fields[0] = u0.values.copy()
     steps = 0
     flows = {}  # one linear flow per distinct step h of this call
     for k, (_, _, m, h) in enumerate(segments, 1):
@@ -256,9 +232,10 @@ def solve(
         u = rotate(u, h / 2)
         for i in range(m):
             u = rotate(linear(u), h if i < m - 1 else h / 2)
-        take_snapshot(k, u)
+        fields[k] = u
 
     fields.flags.writeable = False
+    l2s, fracs = _health(fields, times, band)
     res = SolveResult(times, fields, l2s, fracs, steps)
     if res.aliasing_flagged:
         warnings.warn(
@@ -268,6 +245,31 @@ def solve(
             stacklevel=2,
         )
     return res
+
+
+def _health(fields: np.ndarray, times: np.ndarray, band: np.ndarray):
+    """(L2 norms, top-band fractions) of the stacked fields, one per mark.
+
+    Each value equals, bit for bit, its per-field form: sqrt(cell * sum
+    |u|^2) and the band's share of sum |F u|^2 (0 for a zero field).  The
+    band entries are gathered into a C-contiguous array before the sum,
+    because summing the strided gather rounds differently on 2D and 3D grids.
+    Raises FloatingPointError naming the first mark with a non-finite value.
+    """
+    marks = len(times)
+    axes = tuple(range(1, fields.ndim))
+    finite = np.isfinite(fields).all(axis=axes)
+    if not finite.all():
+        raise FloatingPointError(
+            f"solver produced non-finite values by t={times[np.argmin(finite)]:.6g}"
+        )
+    spec_mag2 = (np.abs(sfft.fftn(fields, axes=axes)) ** 2).reshape(marks, -1)
+    total = spec_mag2.sum(axis=1)
+    top = np.ascontiguousarray(spec_mag2[:, band.ravel()]).sum(axis=1)
+    fracs = np.divide(top, total, out=np.zeros(marks), where=total > 0)
+    cell = (2 * math.pi / fields.shape[1]) ** (fields.ndim - 1)
+    l2s = np.sqrt(cell * (fields.real**2 + fields.imag**2).reshape(marks, -1).sum(axis=1))
+    return l2s, fracs
 
 
 def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray):

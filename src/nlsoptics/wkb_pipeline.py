@@ -14,7 +14,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,8 +98,8 @@ def assemble_uapp(
 class ConvergenceRow:
     """One epsilon leg of the sweep.  status is 'ok' or a failure note and
     a row that is not ok is excluded from order fits.  A leg whose solve
-    failed keeps NaN errors; a leg whose self-check exceeded its budget keeps
-    its measured errors and deltas.
+    failed keeps NaN errors and no health; a leg whose self-check exceeded
+    its budget keeps its measured errors and deltas.
 
     Health (inside the report hash): the ladder rung (dt in multiples of the
     default step; None when the step is pinned or the check is off), the
@@ -241,6 +240,49 @@ def _cell_config(
     )
 
 
+def _checked_solve(
+    state: ProfileStateTorus, cell: SolverConfig, eps: float, times: Sequence[float],
+    shortest: float, delta, dt: Optional[float] = None,
+):
+    """Solve the period datum `state` (at t=0) on `cell`, with snapshots at
+    the physical `times`, and check its step and grid.
+
+    With dt None the physical step is chosen by `_ladder` from
+    default_dt(eps), capped by the shortest snapshot segment, against
+    LADDER_FRACTION*eps on delta(fine, coarse); one more solve at twice the
+    chosen step on the doubled cell gives the grid-doubling delta, delta of
+    the coarse rung and that solve.  With a physical dt the datum is solved
+    once at it, unchecked.  Every solve runs through this module's `solve`.
+    Returns (res, rung, dt, step_delta, grid_delta, steps, spent): the kept
+    solve, its rung, step and two deltas (rung and deltas None when
+    unchecked), split steps over every solve, and the seconds of each solve
+    by (physical step, cell points).
+    """
+    cell_times = [t / eps for t in times]
+    steps = 0
+    spent = {}
+
+    def run(h: float, m: int = cell.n) -> SolveResult:
+        nonlocal steps
+        t0 = time.perf_counter()
+        res = solve(
+            assemble_uapp(state, 1.0, m), replace(cell, dt=h / eps, n=m),
+            snapshot_times=cell_times,
+        )
+        spent[h, m] = time.perf_counter() - t0
+        steps += res.steps
+        return res
+
+    if dt is not None:
+        res = run(dt)
+        return res, None, dt, None, None, steps, spent
+    rung, dt, res, coarse, step_delta = _ladder(
+        run, default_dt(eps), shortest, delta, LADDER_FRACTION * eps
+    )
+    grid_delta = delta(coarse, run(2 * dt, 2 * cell.n))
+    return res, rung, dt, step_delta, grid_delta, steps, spent
+
+
 def run_convergence(
     modes: ModeSet,
     alpha: Sequence[complex],
@@ -265,13 +307,13 @@ def run_convergence(
     ValueError before the profile integration and before any row.
 
     With dt_self_check, every step not pinned by dt or profile_dt is chosen
-    by `_ladder` against a budget of LADDER_FRACTION*eps: each leg from
-    default_dt(eps), measuring the sup over checkpoints of the pointwise
-    step-doubling gap, plus one grid-doubling solve at twice the chosen step
-    on the doubled cell; the profile system once from PROFILE_DT against
-    LADDER_FRACTION*min(eps), measuring the largest summed amplitude gap
-    sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
-    difference and bounds its sup.  A row any of whose deltas exceeds its
+    by `_ladder` against a budget of LADDER_FRACTION*eps: each leg's by
+    `_checked_solve`, measuring the sup over checkpoints of the pointwise
+    step-doubling gap (`_field_delta`), plus one grid-doubling solve at
+    twice the chosen step on the doubled cell; the profile system once from
+    PROFILE_DT against LADDER_FRACTION*min(eps), measuring the largest
+    summed amplitude gap sum_j |delta a_j| over checkpoints, which is the W
+    norm of the assembled difference and bounds its sup.  A row any of whose deltas exceeds its
     budget is marked failed.  Without the check the steps are default_dt(eps)
     and PROFILE_DT.  A leg whose solve fails (blow-up, overflow) is
     recorded with its failure note instead of aborting the sweep.
@@ -321,57 +363,19 @@ def run_convergence(
     def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:
         n = cell.n * _check_eps(eps)
         dt_row = dt if dt is not None else default_dt(eps)
-        rung = step_delta = grid_delta = None
-        steps = 0
-        spent = {}  # seconds per (step, points) of this leg's solves
         start = time.perf_counter()
-
-        def leg_fields() -> dict:
-            return dict(
-                eps=eps, n=n, dt=dt_row, rung=rung, step_delta=step_delta,
-                grid_delta=grid_delta, steps=steps,
-                runtime=time.perf_counter() - start,
-            )
-
         try:
-            cell_times = [t / eps for t in checks]
-
-            def cell_field(amps, t: float, m: int = cell.n) -> GridField:
-                state = ProfileStateTorus(modes=modes, amps=amps, t=t / eps)
-                return assemble_uapp(state, 1.0, m)
-
-            def run(h: float, m: int = cell.n) -> SolveResult:
-                nonlocal steps
-                t0 = time.perf_counter()
-                res = solve(
-                    cell_field(alpha, 0.0, m), replace(cell, dt=h / eps, n=m),
-                    snapshot_times=cell_times,
-                )
-                spent[h, m] = time.perf_counter() - t0
-                steps += res.steps
-                return res
-
-            if dt is None and dt_self_check:
-                rung, dt_row, res, coarse, step_delta = _ladder(
-                    run, default_dt(eps), shortest,
-                    _field_delta,
-                    LADDER_FRACTION * eps,
-                )
-                grid = run(2 * dt_row, 2 * cell.n)
-                grid_delta = _field_delta(coarse, grid)
-            else:
-                res = run(dt_row)
+            res, rung, dt_row, step_delta, grid_delta, steps, spent = _checked_solve(
+                ProfileStateTorus(modes, alpha, 0.0), cell, eps, checks, shortest,
+                _field_delta, None if dt is None and dt_self_check else dt_row,
+            )
             solve_s = spent[dt_row, cell.n]
             t0 = time.perf_counter()
-            sup_err = 0.0
-            w_err = 0.0
+            sup_err = w_err = 0.0
             for t in checks:
-                uapp = cell_field(traj.at(t), t)
-                diff = GridField(
-                    d=modes.d,
-                    n=cell.n,
-                    values=res.at(t / eps).values - uapp.values,
-                )
+                state = ProfileStateTorus(modes=modes, amps=traj.at(t), t=t / eps)
+                uapp = assemble_uapp(state, 1.0, cell.n)
+                diff = GridField(modes.d, cell.n, res.at(t / eps).values - uapp.values)
                 sup_err = max(sup_err, sup_norm_of_field(diff))
                 w_err = max(w_err, w_norm_of_field(diff))
             budget = LADDER_FRACTION * eps
@@ -383,11 +387,11 @@ def run_convergence(
                 if gap is not None and gap > budget
             ]
             return ConvergenceRow(
-                sup_error=sup_err,
-                w_error=w_err,
+                eps=eps, n=n, dt=dt_row, sup_error=sup_err, w_error=w_err,
                 status="ok" if not over else (
                     f"check over {LADDER_FRACTION:g}*eps: " + ", ".join(over)
                 ),
+                rung=rung, step_delta=step_delta, grid_delta=grid_delta, steps=steps,
                 l2_drift=res.l2_relative_drift,
                 aliasing=float(np.max(res.aliasing_fractions)),
                 stage_s={
@@ -395,14 +399,13 @@ def run_convergence(
                     "solve": solve_s,
                     "assembly_norms": time.perf_counter() - t0,
                 },
-                **leg_fields(),
+                runtime=time.perf_counter() - start,
             )
         except (BlowUpError, ValueError, FloatingPointError) as exc:
             return ConvergenceRow(
-                sup_error=math.nan,
-                w_error=math.nan,
+                eps=eps, n=n, dt=dt_row, sup_error=math.nan, w_error=math.nan,
                 status=f"{type(exc).__name__}: {exc}",
-                **leg_fields(),
+                runtime=time.perf_counter() - start,
             )
 
     rows = [one_leg(eps, cell) for eps, cell in zip(eps_list, cells)]
@@ -483,8 +486,8 @@ class InstabilityRecord:
     two spectral solves via the zero Fourier mode (None unless cross-checked).
     The solver_* fields after it record the solves' health: points of the
     period grid, split steps over every solve of the cross-check, and the
-    worst relative L2 drift and top-band aliasing fraction (at t=0 and
-    t=delta) of the two solves the gap comes from.  The last four hold one
+    worst relative L2 drift and top-band aliasing fraction over every sample
+    of the two solves the gap comes from.  The last four hold one
     entry per datum (base, perturbed): the ladder rung, the physical step,
     the step-doubling delta and the grid-doubling delta of its zero-mode
     curve (None unless cross-checked).
@@ -583,13 +586,12 @@ def run_instability(
     2 pi eps periodic, so each solve runs on one period, the cell of
     `_cell_config` (16 points for sigma=1).  The initial data are assembled
     by `assemble_uapp` on the two-mode set {0, 1} of the period.  Each
-    datum's step is chosen by `_ladder` from default_dt(eps), capped by the
-    sample segment delta/100, against LADDER_FRACTION*eps on the largest
-    zero-mode gap over the samples (`_zero_mode_delta`); one more solve, at
-    twice the chosen step on the doubled cell, gives its grid-doubling
-    delta.  The solves keep every sample's field but measure their health
-    only at t=0 and t=delta (`solve(..., mark_health=False)`).  A delta over
-    budget is recorded, not raised.
+    datum is solved by `_checked_solve`: its step is chosen on the ladder
+    from default_dt(eps), capped by the sample segment delta/100, against
+    LADDER_FRACTION*eps on the largest zero-mode gap over the samples
+    (`_zero_mode_delta`), and one more solve, at twice the chosen step on
+    the doubled cell, gives its grid-doubling delta.  A delta over budget is
+    recorded, not raised.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")
@@ -657,25 +659,13 @@ def run_instability(
         solver_steps = 0
         solves, ladders = [], []
         for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t)):
-            state = ProfileStateTorus(pair, [a0, a1], 0.0)
-
-            def run(h: float, m: int = cell.n) -> SolveResult:
-                nonlocal solver_steps
-                u0 = assemble_uapp(state, 1.0, m)
-                res = solve(
-                    u0, replace(cell, dt=h / eps, n=m),
-                    snapshot_times=sample / eps, mark_health=False,
-                )
-                solver_steps += res.steps
-                return res
-
-            rung, dt_datum, res, coarse, step_delta = _ladder(
-                run, default_dt(eps), delta / 100, _zero_mode_delta,
-                LADDER_FRACTION * eps,
+            res, *ladder, steps, _ = _checked_solve(
+                ProfileStateTorus(pair, [a0, a1], 0.0), cell, eps, sample,
+                delta / 100, _zero_mode_delta,
             )
-            grid_delta = _zero_mode_delta(coarse, run(2 * dt_datum, 2 * cell.n))
+            solver_steps += steps
             solves.append(res)
-            ladders.append((rung, dt_datum, step_delta, grid_delta))
+            ladders.append(ladder)
         # one row per sample: the samples are the solves' marks
         zero_modes = [_zero_modes(r) for r in solves]
         diffs = np.abs(zero_modes[0] - zero_modes[1])

@@ -320,50 +320,22 @@ class TestBitIdentity:
 
 
 class TestMarkHealth:
-    """Without per-mark health a solve takes the same steps and keeps the
-    same fields; only the health series shrink to t=0 and t_final."""
-
-    @pytest.mark.parametrize("lam", [0.0, 1.3])
-    @pytest.mark.parametrize("sigma", [1, 2])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_fields_and_steps_bit_identical(self, d, sigma, lam):
-        u0 = _band_limited_field(d, 16, 97 * d + 10 * sigma)
-        snaps = [0.01, 0.035, 0.06, 0.08]
-        cfg = SolverConfig(eps=1 / 4, lam=lam, sigma=sigma, dt=4e-3, n=16, t_final=0.11)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            full = solve(u0, cfg, snaps)
-            caught.clear()
-            lean = solve(u0, cfg, snaps, mark_health=False)
-        assert np.array_equal(lean.times, full.times)
-        assert np.array_equal(lean.fields, full.fields)
-        assert not lean.fields.flags.writeable
-        assert lean.steps == full.steps
-        ends = [0, -1]
-        assert np.array_equal(lean.l2_values, full.l2_values[ends])
-        assert np.array_equal(lean.aliasing_fractions, full.aliasing_fractions[ends])
-        # clean data at t=0, so the warning reads the final fraction alone;
-        # with coupling the 16-point cells fill the top band, without it not
-        assert lean.aliasing_fractions[0] < ALIASING_TOLERANCE
-        flagged = bool(full.aliasing_fractions[-1] > ALIASING_TOLERANCE)
-        assert lean.aliasing_flagged == flagged
-        assert [w.category for w in caught] == [AliasingWarning] * flagged
+    """Health is measured at every mark, in one pass after the last step."""
 
     def test_non_finite_field_raises_by_t_final(self):
-        # |u|^2 overflows in the first sub-step, so every mark is NaN
+        # |u|^2 overflows in the first sub-step, so every mark after t=0 is
+        # NaN; the solve runs on to t_final and names the first of them
         u0 = GridField(1, 16, np.full(16, 1e200 + 0j))
         cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=1e-2, n=16, t_final=0.5)
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError, match=r"by t=0\.1$"):
                 solve(u0, cfg, [0.1, 0.3])
-            with pytest.raises(FloatingPointError, match=r"by t=0\.5$"):
-                solve(u0, cfg, [0.1, 0.3], mark_health=False)
 
     def test_single_mark_measures_once(self):
         u0 = _band_limited_field(1, 16, 3)
         cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=1e-2, n=16, t_final=0.0)
-        res = solve(u0, cfg, mark_health=False)
-        assert res.fields.shape == (1, 16)
+        res = solve(u0, cfg)
+        assert res.fields.shape == (1, 16) and not res.fields.flags.writeable
         assert res.l2_values.shape == res.aliasing_fractions.shape == (1,)
 
 

@@ -42,15 +42,6 @@ def test_solve_counts_match_a_real_solve():
     assert counts["snapshot_bytes"] == res.fields.nbytes
 
 
-def test_solve_counts_match_a_solve_without_mark_health():
-    cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=0.013, n=16, t_final=0.5)
-    u0 = GridField(1, 16, [0.5 + 0.1j] * 16)
-    res = solve(u0, cfg, snapshot_times=[0.07, 0.11, 0.3], mark_health=False)
-    counts = load_spans()._solve_counts(res, (u0, cfg), {})
-    assert counts["steps"] == res.steps
-    assert counts["snapshot_bytes"] == res.fields.nbytes
-
-
 def test_traced_crosscheck_counts():
     # the instability_gap workload's cross-check at K=16: per datum, rungs
     # 16 and 8 of the ladder and one grid-doubling solve

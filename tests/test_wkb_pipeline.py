@@ -529,6 +529,24 @@ class TestInstability:
         assert 0.0 <= rec.solver_l2_drift < 1e-12
         assert 0.0 <= rec.solver_aliasing < 1e-8
 
+    def test_cross_check_health_covers_every_sample(self):
+        # both data re-solved on the period cell at the steps their ladders chose
+        with pytest.warns(UserWarning, match="premise"):
+            rec = run_instability(1.0, 0.1, -0.5, 16, cross_check=True)
+        eps = rec.eps
+        cell = _cell_config(eps, 1.0, 1, 1, 0.1)
+        pair = ModeSet.from_vectors([WaveVector((0,)), WaveVector((1,))], 1)
+        sample = np.linspace(0.0, 0.1, 101)
+        data = ((rec.alpha0, rec.alpha1), (rec.alpha0_tilde, rec.alpha1_tilde))
+        solves = []
+        for (a0, a1), dt in zip(data, rec.solver_dts, strict=True):
+            u0 = assemble_uapp(ProfileStateTorus(pair, [a0, a1], 0.0), 1.0, cell.n)
+            res = solve(u0, replace(cell, dt=dt / eps), snapshot_times=sample / eps)
+            assert res.l2_values.shape == res.aliasing_fractions.shape == (101,)
+            solves.append(res)
+        assert rec.solver_l2_drift == max(r.l2_relative_drift for r in solves)
+        assert rec.solver_aliasing == max(np.max(r.aliasing_fractions) for r in solves)
+
     @pytest.mark.parametrize("K", [4, 8])
     def test_cross_check_period_matches_full_grid(self, K):
         # oracle: both data solved directly on the full 16*K^2-point grid
