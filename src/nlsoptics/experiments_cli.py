@@ -25,29 +25,28 @@ unit fraction exactly).
 
 Experiment blocks by type:
   closure:     {}
-  profiles:    t_final, dt (default 1e-3), snapshots (default 9),
-               oracle (explicit_torus_1d | explicit_two_mode |
-               explicit_euclid_1d | null), quadrature_dt (euclid oracle)
-  converge:    t_final, checkpoints (default 8), profile_dt (default null),
-               dt_self_check (default true).  Each eps leg is solved on one
-               2*pi*eps period of the torus (exact for lattice carriers),
-               sized by the grid rule at eps=1; rows report the grid the
-               periods tile.  With dt_self_check, a null solver.dt or
-               profile_dt is chosen by a step-doubling ladder (r*eps/100
-               and r*1e-3, r = 16 down to 1) within 1e-2*eps, and each leg
-               adds a grid-doubling check; a number pins that step.  With
-               dt_self_check false the null steps are eps/100 and 1e-3,
-               unchecked.  The report and convergence.csv carry each row's
-               rung, step and grid deltas, split steps, L2 drift and
-               top-band fraction, and the profile step, rung, delta and RK4
-               steps; stage timings go to runtimes.
-  instability: variant, rho, delta, s, K, theta, grid_points (default 10^4),
-               cross_check (default false).  The cross-check picks each
-               datum's step by the same ladder from eps/100, capped by the
-               delta/100 sample segment, on its zero-mode curve, and adds a
-               grid-doubling solve; the report carries each datum's rung,
-               step and both deltas, and the summary flags a delta over
-               1e-2*eps.
+  profiles:    t_final, dt (positive, default 1e-3), snapshots (integer
+               >= 1, default 9), oracle (explicit_torus_1d |
+               explicit_two_mode | explicit_euclid_1d | null),
+               quadrature_dt (euclid oracle)
+  converge:    t_final, checkpoints (integer >= 0, default 8).  Each eps
+               leg is solved on one 2*pi*eps period of the torus, sized by
+               the grid rule at eps=1; rows report the grid the periods
+               tile.  Every leg's split step and the profile RK4 step are
+               chosen by a step-doubling ladder (r*eps/100 and r*1e-3,
+               r = 16 down to 1) within 1e-2*eps, and each leg adds a
+               grid-doubling check; solver.dt, solver.grid_n and
+               experiment.profile_dt must be null.  The report and
+               convergence.csv carry each row's rung, step and grid deltas,
+               split steps, L2 drift and top-band fraction, and the profile
+               step, rung, delta and RK4 steps; timings go to runtimes.
+  instability: variant, rho, delta (in (0, 1]), s, K, theta, grid_points
+               (integer >= 2, default 10^4), cross_check (default false).
+               The cross-check picks each datum's step by the same ladder
+               from eps/100, capped by the delta/100 sample segment, on its
+               zero-mode curve, and adds a grid-doubling solve; the report
+               carries each datum's rung, step and both deltas, and the
+               summary flags a delta over 1e-2*eps.
   smalldiv:    b_grid (default [0.0]), probe (null or {generators,
                beta_bound, b_prime, budget})
 
@@ -129,6 +128,14 @@ def _parse_eps(raw, pos: int) -> Fraction:
     return f
 
 
+def _expect_int(exp: dict, key: str, default: Optional[int], least: int) -> None:
+    value = exp.get(key, default)
+    _expect(
+        type(value) is int and value >= least,
+        f"experiment.{key}: must be an integer >= {least}",
+    )
+
+
 def _parse_amplitude(raw, where: str) -> complex:
     _expect(
         isinstance(raw, list)
@@ -156,7 +163,6 @@ class Scenario:
     domain: dict
     modes: list[ModeSpec]
     closure_limits: dict
-    solver_dt: Optional[float]
     eps_list: list[Fraction]
     experiment: dict
     resolved: dict = field(default_factory=dict)
@@ -267,16 +273,6 @@ def load_scenario(path: str) -> Scenario:
 
     solver = doc.get("solver", {})
     _expect(isinstance(solver, dict), "solver must be an object")
-    sdt = solver.get("dt")
-    _expect(
-        sdt is None or (isinstance(sdt, (int, float)) and sdt > 0),
-        "solver.dt must be null or a positive number",
-    )
-    _expect(
-        solver.get("grid_n") is None,
-        "solver.grid_n: must be null; each eps leg is solved on one 2*pi*eps "
-        "period sized by the grid rule",
-    )
     eps_raw = solver.get("eps_list", [])
     _expect(isinstance(eps_raw, list), "solver.eps_list must be a list")
     eps_list = [_parse_eps(e, i) for i, e in enumerate(eps_raw)]
@@ -291,25 +287,42 @@ def load_scenario(path: str) -> Scenario:
         etype in ("closure", "profiles", "converge", "instability", "smalldiv"),
         f"unknown experiment type {etype!r}",
     )
+    for key, value in (
+        ("solver.dt", solver.get("dt")),
+        ("solver.grid_n", solver.get("grid_n")),
+        ("experiment.profile_dt", exp.get("profile_dt")),
+    ):
+        _expect(
+            value is None,
+            f"{key}: must be null; each eps leg is solved on one 2*pi*eps period "
+            "sized by the grid rule, at steps checked on the step-doubling ladder",
+        )
     if etype in ("profiles", "converge"):
         tf = exp.get("t_final")
         _expect(
             isinstance(tf, (int, float)) and tf > 0,
             f"experiment.t_final must be positive for {etype}",
         )
+    if etype == "profiles":
+        dt = exp.get("dt", 1e-3)
+        _expect(
+            type(dt) in (int, float) and 0 < dt < math.inf,
+            "experiment.dt: must be a positive number",
+        )
+        _expect_int(exp, "snapshots", 9, 1)
     if etype == "converge":
         _expect(dtype == "torus", "converge requires a torus domain")
         _expect(bool(eps_list), "converge requires a non-empty solver.eps_list")
+        _expect_int(exp, "checkpoints", 8, 0)
     if etype == "instability":
         for key in ("rho", "delta", "s"):
             _expect(
                 isinstance(exp.get(key), (int, float)),
                 f"experiment.{key}: must be a number",
             )
-        _expect(
-            isinstance(exp.get("K"), int) and exp["K"] >= 1,
-            "experiment.K must be a positive integer",
-        )
+        _expect_int(exp, "K", None, 1)
+        _expect_int(exp, "grid_points", 10_000, 2)
+        _expect(0 < exp["delta"] <= 1, "experiment.delta: must lie in (0, 1]")
 
     scn = Scenario(
         path=path,
@@ -320,7 +333,6 @@ def load_scenario(path: str) -> Scenario:
         domain=dict(domain),
         modes=modes,
         closure_limits={"max_generations": max_gen, "max_sup_norm": max_norm},
-        solver_dt=None if sdt is None else float(sdt),
         eps_list=eps_list,
         experiment=dict(exp),
     )
@@ -340,7 +352,7 @@ def load_scenario(path: str) -> Scenario:
         ],
         "closure_limits": scn.closure_limits,
         "solver": {
-            "dt": scn.solver_dt,
+            "dt": None,
             "eps_list": [f"{f.numerator}/{f.denominator}" for f in eps_list],
         },
         "experiment": scn.experiment,
@@ -632,7 +644,7 @@ def cmd_profiles(scn: Scenario, out_dir: str, args, flags: dict) -> int:
 
 
 def _rung_label(rung) -> str:
-    return "unchecked" if rung is None else f"{rung}x"
+    return "n/a" if rung is None else f"{rung}x"
 
 
 def _delta_label(value, eps=None) -> str:
@@ -645,7 +657,6 @@ def _delta_label(value, eps=None) -> str:
 def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     exp = scn.experiment
     modes, amps = _closed_modes(scn)
-    profile_dt = exp.get("profile_dt")
     start = time.perf_counter()
     table = run_convergence(
         modes,
@@ -653,10 +664,7 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         scn.lam,
         [float(f) for f in scn.eps_list],
         float(exp["t_final"]),
-        profile_dt=None if profile_dt is None else float(profile_dt),
-        dt=scn.solver_dt,
-        checkpoints=int(exp.get("checkpoints", 8)),
-        dt_self_check=bool(exp.get("dt_self_check", True)),
+        checkpoints=exp.get("checkpoints", 8),
     )
     total = time.perf_counter() - start
 

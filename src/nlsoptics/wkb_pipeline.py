@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-10  # rows below this are rounding noise, excluded from fits
-PROFILE_DT = 1e-3  # profile RK4 step without the self-check; the ladder's unit
+PROFILE_DT = 1e-3  # the profile ladder's unit RK4 step
 LADDER_TOP = 16  # largest multiple of the unit step the ladder tries
 LADDER_FRACTION = 1e-2  # self-check budget, as a fraction of eps
 
@@ -102,10 +102,10 @@ class ConvergenceRow:
     its budget keeps its measured errors and deltas.
 
     Health (inside the report hash): the ladder rung (dt in multiples of the
-    default step; None when the step is pinned or the check is off), the
-    step-doubling and grid-doubling deltas (None when unchecked), split steps
-    over all of the leg's solves, and the L2 drift and worst top-band
-    fraction of the solve the errors come from.  runtime and stage_s
+    default step) and the step-doubling and grid-doubling deltas (all three
+    None when the leg failed), split steps over all of the leg's solves, and
+    the L2 drift and worst top-band fraction of the solve the errors come
+    from.  runtime and stage_s
     (seconds in the checks, the solve, and assembly plus norms) are timings.
     """
 
@@ -132,8 +132,8 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     """The sweep's rows and fits, plus the shared profile integration: its
-    step, ladder rung and step-doubling delta (None when pinned or
-    unchecked), RK4 steps over all of its integrations, and seconds spent."""
+    step, ladder rung and step-doubling delta, RK4 steps over all of its
+    integrations, and seconds spent."""
 
     rows: list[ConvergenceRow]
     checkpoint_times: tuple[float, ...]
@@ -242,21 +242,20 @@ def _cell_config(
 
 def _checked_solve(
     state: ProfileStateTorus, cell: SolverConfig, eps: float, times: Sequence[float],
-    shortest: float, delta, dt: Optional[float] = None,
+    shortest: float, delta,
 ):
     """Solve the period datum `state` (at t=0) on `cell`, with snapshots at
     the physical `times`, and check its step and grid.
 
-    With dt None the physical step is chosen by `_ladder` from
-    default_dt(eps), capped by the shortest snapshot segment, against
-    LADDER_FRACTION*eps on delta(fine, coarse); one more solve at twice the
-    chosen step on the doubled cell gives the grid-doubling delta, delta of
-    the coarse rung and that solve.  With a physical dt the datum is solved
-    once at it, unchecked.  Every solve runs through this module's `solve`.
-    Returns (res, rung, dt, step_delta, grid_delta, steps, spent): the kept
-    solve, its rung, step and two deltas (rung and deltas None when
-    unchecked), split steps over every solve, and the seconds of each solve
-    by (physical step, cell points).
+    The physical step is chosen by `_ladder` from default_dt(eps), capped by
+    the shortest snapshot segment, against LADDER_FRACTION*eps on
+    delta(fine, coarse); one more solve at twice the chosen step on the
+    doubled cell gives the grid-doubling delta, delta of the coarse rung and
+    that solve.  Every solve runs through this module's `solve`.  Returns
+    (res, rung, dt, step_delta, grid_delta, steps, spent): the kept solve,
+    its rung, step and two deltas, split steps over every solve, and the
+    seconds of each solve by (physical step, cell points).  A failing solve
+    raises; the caller's row records it, with no rung and no deltas.
     """
     cell_times = [t / eps for t in times]
     steps = 0
@@ -273,9 +272,6 @@ def _checked_solve(
         steps += res.steps
         return res
 
-    if dt is not None:
-        res = run(dt)
-        return res, None, dt, None, None, steps, spent
     rung, dt, res, coarse, step_delta = _ladder(
         run, default_dt(eps), shortest, delta, LADDER_FRACTION * eps
     )
@@ -290,10 +286,7 @@ def run_convergence(
     eps_list: Sequence[float],
     t_final: float,
     *,
-    profile_dt: Optional[float] = None,
-    dt: Optional[float] = None,
     checkpoints: int = 8,
-    dt_self_check: bool = True,
 ) -> ConvergenceTable:
     """Sweep epsilon, comparing the spectral solution with the assembled
     multiphase field at t_final and `checkpoints` intermediate times.
@@ -303,21 +296,25 @@ def run_convergence(
     integer lattice, so each leg is solved on one 2 pi eps period, the cell
     of `_cell_config`; rows report the physical dt and the grid the cells
     tile, the cell's points times 1/eps.  Every eps must have an integer
-    1/eps: the cells are built before anything runs, so a bad eps raises
-    ValueError before the profile integration and before any row.
+    1/eps: the cells are built before anything runs, so a bad eps, an empty
+    eps_list or a checkpoints that is not an int >= 0 raises ValueError
+    before the profile integration and before any row.
 
-    With dt_self_check, every step not pinned by dt or profile_dt is chosen
-    by `_ladder` against a budget of LADDER_FRACTION*eps: each leg's by
-    `_checked_solve`, measuring the sup over checkpoints of the pointwise
-    step-doubling gap (`_field_delta`), plus one grid-doubling solve at
-    twice the chosen step on the doubled cell; the profile system once from
-    PROFILE_DT against LADDER_FRACTION*min(eps), measuring the largest
-    summed amplitude gap sum_j |delta a_j| over checkpoints, which is the W
-    norm of the assembled difference and bounds its sup.  A row any of whose deltas exceeds its
-    budget is marked failed.  Without the check the steps are default_dt(eps)
-    and PROFILE_DT.  A leg whose solve fails (blow-up, overflow) is
-    recorded with its failure note instead of aborting the sweep.
+    Every step is chosen by `_ladder` against a budget of
+    LADDER_FRACTION*eps: each leg's by `_checked_solve`, measuring the sup
+    over checkpoints of the pointwise step-doubling gap (`_field_delta`),
+    plus one grid-doubling solve at twice the chosen step on the doubled
+    cell; the profile system once from PROFILE_DT against
+    LADDER_FRACTION*min(eps), measuring the largest summed amplitude gap
+    sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
+    difference and bounds its sup.  A row any of whose deltas exceeds its
+    budget is marked failed.  A leg whose solve fails (blow-up, overflow)
+    is recorded with its failure note instead of aborting the sweep.
     """
+    if not eps_list:
+        raise ValueError("eps_list must not be empty")
+    if not (isinstance(checkpoints, int) and checkpoints >= 0):
+        raise ValueError(f"checkpoints must be an integer >= 0, got {checkpoints!r}")
     if not modes.saturated:
         warnings.warn(
             "mode set is not closed under resonances; dropped interactions "
@@ -346,30 +343,21 @@ def run_convergence(
         profile_steps += len(traj.times) - 1
         return traj
 
-    profile_rung = profile_delta = None
-    if profile_dt is None and dt_self_check and eps_list:
-        profile_rung, profile_dt, traj, _, profile_delta = _ladder(
-            integrate,
-            PROFILE_DT,
-            shortest,
-            lambda a, b: _amp_delta(a, b, checks),
-            LADDER_FRACTION * min(eps_list),
-        )
-    else:
-        profile_dt = PROFILE_DT if profile_dt is None else profile_dt
-        traj = integrate(profile_dt)
+    profile_rung, profile_dt, traj, _, profile_delta = _ladder(
+        integrate, PROFILE_DT, shortest, lambda a, b: _amp_delta(a, b, checks),
+        LADDER_FRACTION * min(eps_list),
+    )
     profile_s = time.perf_counter() - start
 
     def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:
         n = cell.n * _check_eps(eps)
-        dt_row = dt if dt is not None else default_dt(eps)
         start = time.perf_counter()
         try:
-            res, rung, dt_row, step_delta, grid_delta, steps, spent = _checked_solve(
+            res, rung, dt, step_delta, grid_delta, steps, spent = _checked_solve(
                 ProfileStateTorus(modes, alpha, 0.0), cell, eps, checks, shortest,
-                _field_delta, None if dt is None and dt_self_check else dt_row,
+                _field_delta,
             )
-            solve_s = spent[dt_row, cell.n]
+            solve_s = spent[dt, cell.n]
             t0 = time.perf_counter()
             sup_err = w_err = 0.0
             for t in checks:
@@ -384,10 +372,10 @@ def run_convergence(
                 for name, gap in (
                     ("step", step_delta), ("grid", grid_delta), ("profile", profile_delta)
                 )
-                if gap is not None and gap > budget
+                if gap > budget
             ]
             return ConvergenceRow(
-                eps=eps, n=n, dt=dt_row, sup_error=sup_err, w_error=w_err,
+                eps=eps, n=n, dt=dt, sup_error=sup_err, w_error=w_err,
                 status="ok" if not over else (
                     f"check over {LADDER_FRACTION:g}*eps: " + ", ".join(over)
                 ),
@@ -403,7 +391,7 @@ def run_convergence(
             )
         except (BlowUpError, ValueError, FloatingPointError) as exc:
             return ConvergenceRow(
-                eps=eps, n=n, dt=dt_row, sup_error=math.nan, w_error=math.nan,
+                eps=eps, n=n, dt=default_dt(eps), sup_error=math.nan, w_error=math.nan,
                 status=f"{type(exc).__name__}: {exc}",
                 runtime=time.perf_counter() - start,
             )

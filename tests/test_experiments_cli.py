@@ -8,7 +8,7 @@ import stat
 import numpy as np
 import pytest
 
-from nlsoptics import experiments_cli
+from nlsoptics import experiments_cli, wkb_pipeline
 from nlsoptics.experiments_cli import (
     REPORT_SCHEMA,
     SCENARIO_SCHEMA,
@@ -206,10 +206,7 @@ class TestConvergeCommand:
         return torus_doc(
             **{"lambda": lam},
             solver={"dt": None, "grid_n": None, "eps_list": ["1/2", "1/4"]},
-            experiment={
-                "type": "converge", "t_final": 0.1,
-                "checkpoints": 1, "dt_self_check": False,
-            },
+            experiment={"type": "converge", "t_final": 0.1, "checkpoints": 1},
         )
 
     def test_sweep_report_and_csv(self, tmp_path, capsys):
@@ -227,9 +224,7 @@ class TestConvergeCommand:
         assert "fitted order" in capsys.readouterr().out
 
     def test_health_in_report_csv_and_summary(self, tmp_path, capsys):
-        doc = self._doc(1.0)
-        del doc["experiment"]["dt_self_check"]
-        scn = write_scenario(tmp_path, doc)
+        scn = write_scenario(tmp_path, self._doc(1.0))
         assert run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
         rep = load_report(tmp_path, "converge_report.json")
         res = rep["results"]
@@ -251,14 +246,29 @@ class TestConvergeCommand:
         out = capsys.readouterr().out
         assert out.count("  health: ") == 2 and out.startswith("profile: ")
 
-    def test_unchecked_rows_record_null_deltas(self, tmp_path):
+    def test_failed_leg_summary_has_no_rung(self, tmp_path, capsys, monkeypatch):
+        # the eps = 1/4 leg's cell has coupling lam*eps = 1/4 and overflows
+        real_solve = wkb_pipeline.solve
+
+        def solve_or_overflow(u0, cfg, snapshot_times=None):
+            if cfg.lam == 1 / 4:
+                raise FloatingPointError("overflow in the split step")
+            return real_solve(u0, cfg, snapshot_times=snapshot_times)
+
+        monkeypatch.setattr(wkb_pipeline, "solve", solve_or_overflow)
         scn = write_scenario(tmp_path, self._doc(1.0))
-        run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")])
-        res = load_report(tmp_path, "converge_report.json")["results"]
-        for r in res["rows"]:
-            assert (r["rung"], r["step_delta"], r["grid_delta"]) == (None, None, None)
-            assert r["steps"] > 0 and r["l2_drift"] is not None
-        assert res["profile"] == {"dt": 1e-3, "rung": None, "delta": None, "rk4_steps": 100}
+        assert run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        health = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  health: ")
+        ]
+        assert "rung n/a step n/a grid n/a 0 steps" in health[1]
+        assert "n/a" not in health[0]
+        rows = load_report(tmp_path, "converge_report.json")["results"]["rows"]
+        assert rows[1]["status"] == "FloatingPointError: overflow in the split step"
+        assert (rows[1]["rung"], rows[1]["step_delta"], rows[1]["grid_delta"]) == (
+            None, None, None,
+        )
 
     def test_floor_passes_any_order_assertion(self, tmp_path):
         scn = write_scenario(tmp_path, self._doc(0.0))
@@ -461,21 +471,52 @@ class TestErrorPaths:
         assert "solver.eps_list[0]" in capsys.readouterr().err
 
     def test_solver_grid_n_rejected_null_accepted(self, tmp_path, capsys):
-        # each leg is solved on one period sized by the grid rule: a grid
-        # size in the scenario is an error, not a silently ignored value
-        doc = torus_doc(
-            solver={"dt": None, "grid_n": 256, "eps_list": ["1/2"]},
-            experiment={"type": "converge", "t_final": 0.1, "checkpoints": 1},
-        )
-        scn = write_scenario(tmp_path, doc)
-        rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "solver.grid_n" in capsys.readouterr().err
-        doc["solver"]["grid_n"] = None
+        # each leg is solved on one period sized by the grid rule, and its
+        # steps are chosen by the ladder: a grid size or a step in the
+        # scenario is an error, not a silently ignored value
+        for section, key, value in (
+            ("solver", "grid_n", 256), ("solver", "dt", 0.01),
+            ("experiment", "profile_dt", 0.002),
+        ):
+            doc = torus_doc(
+                solver={"dt": None, "grid_n": None, "eps_list": ["1/2"]},
+                experiment={"type": "converge", "t_final": 0.1, "checkpoints": 1},
+            )
+            doc[section][key] = value
+            scn = write_scenario(tmp_path, doc)
+            rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert f"{section}.{key}: must be null" in capsys.readouterr().err
+        doc["experiment"]["profile_dt"] = None
         scn = write_scenario(tmp_path, doc)
         assert load_scenario(scn).resolved["solver"] == {
             "dt": None, "eps_list": ["1/2"],
         }
+
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [
+            ({"type": "profiles", "t_final": 0.1, "dt": "fast"}, "dt"),
+            ({"type": "profiles", "t_final": 0.1, "dt": -1}, "dt"),
+            ({"type": "profiles", "t_final": 0.1, "snapshots": 0}, "snapshots"),
+            ({"type": "converge", "t_final": 0.1, "checkpoints": -1}, "checkpoints"),
+            ({"type": "instability", "rho": 1.0, "delta": 0.1, "s": -0.5, "K": 16,
+              "grid_points": 0}, "grid_points"),
+            ({"type": "instability", "rho": 1.0, "delta": 2.0, "s": -0.5, "K": 16},
+             "delta"),
+        ],
+        ids=["dt-string", "dt-negative", "snapshots-0", "checkpoints-negative",
+             "grid_points-0", "delta-2"],
+    )
+    def test_malformed_experiment_number_is_a_scenario_error(
+        self, tmp_path, capsys, experiment, key
+    ):
+        # these used to reach the experiment and die there with a traceback
+        doc = torus_doc(solver={"eps_list": ["1/2"]}, experiment=experiment)
+        scn = write_scenario(tmp_path, doc)
+        rc = run([experiment["type"], "--scenario", scn, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"experiment.{key}: must" in capsys.readouterr().err
 
     def test_kappa_arity_reported(self, tmp_path, capsys):
         doc = torus_doc(dimension=2)
@@ -527,6 +568,23 @@ class TestShippedScenarios:
             (((0, 1), (1, 1), (1, 0)), (0, 0), 1),
             (((1, 0), (1, 1), (0, 1)), (0, 0), 1),
         )
+
+    def test_lam0_converge_is_checked_at_the_floor(self, tmp_path):
+        # the linear sweep's steps go through the ladder like every other
+        # sweep's, and its errors stay at the rounding floor
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        scn = os.path.join(here, "scenarios", "lam0_converge.json")
+        rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "out"),
+                  "--assert-order", "0.9"])
+        assert rc == 0
+        res = load_report(tmp_path, "converge_report.json")["results"]
+        assert len(res["rows"]) == 2
+        for r in res["rows"]:
+            assert r["status"] == "ok" and r["rung"] is not None
+            assert r["step_delta"] <= 1e-2 * r["eps"]
+            assert r["grid_delta"] <= 1e-2 * r["eps"]
+        assert res["profile"]["rung"] is not None
+        assert res["at_floor"] is True
 
     def test_scenario_corpus_loads(self):
         import glob

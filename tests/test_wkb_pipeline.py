@@ -124,7 +124,7 @@ class TestConvergence:
         modes = line_modes(0, 1)
         table = run_convergence(
             modes, [0.7, 0.4], 0.0, [1 / 4, 1 / 8], 0.2,
-            checkpoints=1, dt_self_check=False,
+            checkpoints=1,
         )
         assert all(r.sup_error <= ERROR_FLOOR for r in table.rows)
         assert table.at_floor
@@ -144,7 +144,7 @@ class TestConvergence:
         modes = line_modes(0, 1)
         table = run_convergence(
             modes, [0.5, 0.3], 1.0, [1 / 4, 1 / 8, 1 / 16], 0.1,
-            checkpoints=1, dt_self_check=False,
+            checkpoints=1,
         )
         ok_rows = [table.rows[0], table.rows[2]]
         failed = table.rows[1]
@@ -175,12 +175,29 @@ class TestConvergence:
         with pytest.raises(ValueError, match="1/eps"):
             run_convergence(
                 modes, [0.5, 0.3], 1.0, [1 / 8, 0.3], 0.1,
-                checkpoints=1, dt_self_check=False,
+                checkpoints=1,
             )
         assert calls == []
         # the recorder sees a sweep that does run
         run_convergence(modes, [0.5, 0.3], 1.0, [1 / 8], 0.1, checkpoints=1)
         assert calls[0] == "integrate_torus" and "solve" in calls
+
+    @pytest.mark.parametrize(
+        "eps_list, checkpoints",
+        [([], 1), ([1 / 8], -1), ([1 / 8], 1.5), ([1 / 8], None)],
+    )
+    def test_bad_sweep_shape_raises_before_any_work(self, monkeypatch, eps_list, checkpoints):
+        # a negative checkpoints used to yield rows at the floor with no
+        # checkpoint at all; an empty eps_list an empty table
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(wkb_pipeline, "integrate_torus", forbidden)
+        monkeypatch.setattr(wkb_pipeline, "solve", forbidden)
+        with pytest.raises(ValueError, match="eps_list|checkpoints"):
+            run_convergence(
+                line_modes(0, 1), [0.7, 0.4], 0.0, eps_list, 0.25, checkpoints=checkpoints
+            )
 
     def test_period_solve_matches_full_grid(self):
         # oracle: the full default grid, solved directly at the step the
@@ -224,7 +241,7 @@ class TestConvergence:
         modes = line_modes(0, 1)
         table = run_convergence(
             modes, [0.5, 0.3], 1.0, [1 / 3], 0.1,
-            checkpoints=1, dt_self_check=False,
+            checkpoints=1,
         )
         row = table.rows[0]
         assert row.ok
@@ -235,7 +252,7 @@ class TestConvergence:
         with pytest.warns(UserWarning, match="not closed"):
             run_convergence(
                 modes, [0.5, 0.3], 1.0, [1 / 2], 0.05,
-                checkpoints=1, dt_self_check=False,
+                checkpoints=1,
             )
 
     def test_label_formatting(self):
@@ -348,25 +365,21 @@ class TestStepLadder:
         assert checks[-1] < 0.45
         assert _snapshot_marks(0.45, checks) == [0.0, *checks[:-1], 0.45]
 
-    def test_pins_and_switch_bypass_the_ladder(self):
-        # dt_self_check=False and pinning both steps to the same values run
-        # exactly one solve per leg and one profile integration, bit for bit
-        # equal to a hand-built period solve
+    def test_row_equals_a_hand_built_period_solve(self):
+        # the row's errors and drift are those of one period solve at the
+        # row's recorded step against profiles at the table's step, bit for bit
         modes = line_modes(0, 1)
         alpha = np.array([0.7, 0.4])
         eps, t_final = 1 / 8, 0.3
-        off = run_convergence(
-            modes, alpha, 1.0, [eps], t_final, checkpoints=2, dt_self_check=False
-        )
-        pinned = run_convergence(
-            modes, alpha, 1.0, [eps], t_final, checkpoints=2,
-            dt=default_dt(eps), profile_dt=PROFILE_DT,
-        )
-        checks = off.checkpoint_times
+        table = run_convergence(modes, alpha, 1.0, [eps], t_final, checkpoints=2)
+        row = table.rows[0]
+        assert row.ok and row.rung is not None and table.profile_rung is not None
+        checks = table.checkpoint_times
         traj = integrate_torus(
-            alpha, modes, SimParams(1.0, 1, t_final, PROFILE_DT), snapshot_times=checks
+            alpha, modes, SimParams(1.0, 1, t_final, table.profile_dt),
+            snapshot_times=checks,
         )
-        cell = SolverConfig(1.0, eps, 1, default_dt(eps) / eps, 16, t_final / eps)
+        cell = SolverConfig(1.0, eps, 1, row.dt / eps, 16, t_final / eps)
         u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, 16)
         res = solve(u0, cell, snapshot_times=[t / eps for t in checks])
         sup_err = w_err = 0.0
@@ -375,26 +388,8 @@ class TestStepLadder:
             diff = GridField(1, 16, res.at(t / eps).values - uapp.values)
             sup_err = max(sup_err, sup_norm_of_field(diff))
             w_err = max(w_err, w_norm_of_field(diff))
-        for table in (off, pinned):
-            row = table.rows[0]
-            assert (row.sup_error, row.w_error) == (sup_err, w_err)
-            assert (row.rung, row.step_delta, row.grid_delta) == (None, None, None)
-            assert row.dt == default_dt(eps) and row.steps == res.steps
-            assert row.l2_drift == res.l2_relative_drift
-            assert (table.profile_rung, table.profile_delta) == (None, None)
-            assert table.profile_dt == PROFILE_DT
-            assert table.profile_steps == len(traj.times) - 1
-
-        # pinning one step leaves the other on its ladder
-        dt_only = run_convergence(
-            modes, alpha, 1.0, [eps], t_final, checkpoints=2, dt=default_dt(eps)
-        )
-        assert dt_only.rows[0].rung is None and dt_only.profile_rung is not None
-        profile_only = run_convergence(
-            modes, alpha, 1.0, [eps], t_final, checkpoints=2, profile_dt=PROFILE_DT
-        )
-        assert profile_only.rows[0].rung is not None
-        assert profile_only.profile_rung is None
+        assert (row.sup_error, row.w_error) == (sup_err, w_err)
+        assert row.l2_drift == res.l2_relative_drift
 
 
 class TestRemainderReport:
