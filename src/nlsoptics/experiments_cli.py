@@ -17,38 +17,12 @@ A scenario is one JSON document with a versioned schema:
       "experiment": {"type": "converge", "t_final": 1.0}
     }
 
-Amplitudes are [re, im] pairs.  On a Euclidean domain ({"type": "euclid",
-"length": L, "grid_n": n}) each mode instead carries a "preset", currently
-{"type": "gaussian", "center": c, "width": w, "amplitude": [re, im]}.
-Epsilon values are "1/N" strings (numbers are accepted when they equal a
-unit fraction exactly).
-
-Experiment blocks by type:
-  closure:     {}
-  profiles:    t_final, dt (positive, default 1e-3), snapshots (integer
-               >= 1, default 9), oracle (explicit_torus_1d |
-               explicit_two_mode | explicit_euclid_1d | null),
-               quadrature_dt (euclid oracle)
-  converge:    t_final, checkpoints (integer >= 0, default 8).  Each eps
-               leg is solved on one 2*pi*eps period of the torus, sized by
-               the grid rule at eps=1; rows report the grid the periods
-               tile.  Every leg's split step and the profile RK4 step are
-               chosen by a step-doubling ladder (r*eps/100 and r*1e-3,
-               r = 16 down to 1) within 1e-2*eps, and each leg adds a
-               grid-doubling check; solver.dt, solver.grid_n and
-               experiment.profile_dt must be null.  The report and
-               convergence.csv carry each row's rung, step and grid deltas,
-               split steps, L2 drift and top-band fraction, and the profile
-               step, rung, delta and RK4 steps; timings go to runtimes.
-  instability: variant, rho, delta (in (0, 1]), s, K, theta, grid_points
-               (integer >= 2, default 10^4), cross_check (default false).
-               The cross-check picks each datum's step by the same ladder
-               from eps/100, capped by the delta/100 sample segment, on its
-               zero-mode curve, and adds a grid-doubling solve; the report
-               carries each datum's rung, step and both deltas, and the
-               summary flags a delta over 1e-2*eps.
-  smalldiv:    b_grid (default [0.0]), probe (null or {generators,
-               beta_bound, b_prime, budget})
+Every key, with its type, its bounds and its default, is one row of the
+scenario table: `SCENARIO` and the sections it names, with `EXPERIMENTS`
+holding the block of each experiment type.  `load_scenario` checks a
+document against the table, rejects unknown keys, then applies the rules
+that relate two fields (`_cross_rules`); the resolved document names every
+default a run uses.  The README lists the keys.
 
 Every command writes a JSON report embedding the scenario hash and the
 fully resolved parameter set; reports are byte-identical across runs of the
@@ -71,7 +45,7 @@ import os
 import sys
 import time
 import uuid
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -92,7 +66,7 @@ from .small_divisors import (
     gram_diophantine_probe,
     survey_divisors,
 )
-from .wkb_pipeline import LADDER_FRACTION, gap_curve, run_convergence, run_instability
+from .wkb_pipeline import LADDER_FRACTION, run_convergence, run_instability
 
 SCENARIO_SCHEMA = "nlsoptics-scenario/1"
 REPORT_SCHEMA = "nlsoptics-report/1"
@@ -102,48 +76,6 @@ ORACLES = ("explicit_torus_1d", "explicit_two_mode", "explicit_euclid_1d")
 
 class ScenarioError(Exception):
     """Raised for malformed or inconsistent scenario documents."""
-
-
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ScenarioError(msg)
-
-
-def _parse_eps(raw, pos: int) -> Fraction:
-    where = f"solver.eps_list[{pos}]"
-    if isinstance(raw, str):
-        try:
-            f = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"{where}: cannot parse {raw!r} ({exc})") from None
-    elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        f = Fraction(raw)
-    else:
-        raise ScenarioError(f"{where}: expected a '1/N' string or number, got {raw!r}")
-    _expect(f > 0, f"{where}: epsilon must be positive")
-    _expect(
-        f.numerator == 1,
-        f"{where}: 1/eps must be a positive integer, got {raw!r}",
-    )
-    return f
-
-
-def _expect_int(exp: dict, key: str, default: Optional[int], least: int) -> None:
-    value = exp.get(key, default)
-    _expect(
-        type(value) is int and value >= least,
-        f"experiment.{key}: must be an integer >= {least}",
-    )
-
-
-def _parse_amplitude(raw, where: str) -> complex:
-    _expect(
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw),
-        f"{where}: amplitude must be a [re, im] pair, got {raw!r}",
-    )
-    return complex(raw[0], raw[1])
 
 
 @dataclass
@@ -165,7 +97,280 @@ class Scenario:
     closure_limits: dict
     eps_list: list[Fraction]
     experiment: dict
-    resolved: dict = field(default_factory=dict)
+    resolved: dict  # the document with every default filled in, as reported
+
+
+def _expect(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ScenarioError(msg)
+
+
+REQUIRED = object()  # the default of a key that must be given
+OMIT = object()  # the default of a retired key that the resolved document drops
+
+RETIRED = (
+    "each eps leg is solved on one 2*pi*eps period sized by the grid rule, "
+    "at steps checked on the step-doubling ladder"
+)
+
+
+@dataclass(frozen=True)
+class Row:
+    """One scenario key: its kind, its bounds (spec) and its default.
+
+    int, real    spec is an interval such as "[1, 64]" or "(0, 1]"; reals
+                 become floats, and both ends are finite
+    pow2         an integer interval; the value is also a power of two
+    rational     an interval; the value may be a "p/q" string
+    eps          a "1/N" string, or a number equal to 1/N; becomes "1/N"
+    bool, choice choice's spec holds the allowed values
+    list         spec is the interval of lengths; `item` is each entry's row
+    section      spec is {key: Row}; tagged is {type: {key: Row}}, where the
+                 block's "type" picks the rows
+    retired      spec holds the allowed values; resolves to the default
+
+    A bool is never a number.  An explicit null is accepted where the
+    default is None.
+    """
+
+    kind: str
+    spec: Any = None
+    default: Any = REQUIRED
+    item: Optional["Row"] = None
+
+
+AMPLITUDE = Row("list", "[2, 2]", [0.0, 0.0], item=Row("real", "[-1e3, 1e3]"))
+
+DOMAINS = {
+    "torus": {},
+    "euclid": {
+        "length": Row("real", "(0, 1e6]"),
+        "grid_n": Row("pow2", "[2, 1048576]"),
+    },
+}
+
+PRESETS = {
+    "gaussian": {
+        "center": Row("real", "[-1e6, 1e6]"),
+        "width": Row("real", "(0, 1e6]"),
+        "amplitude": AMPLITUDE,
+    },
+}
+
+MODE = {
+    "kappa": Row("list", "[1, 8]", item=Row("int", "[-1048576, 1048576]")),
+    "amplitude": AMPLITUDE,  # on a euclid domain the preset carries it
+    "preset": Row("tagged", PRESETS, None),
+}
+
+PROBE = {
+    "generators": Row(
+        "list", "[1, 8]",
+        item=Row("list", "[1, 8]", item=Row("rational", "[-1e6, 1e6]")),
+    ),
+    "beta_bound": Row("int", "[1, 64]", 6),
+    "b_prime": Row("real", "[0, 100]", None),
+    "budget": Row("int", "[1, 1e9]", 10_000_000),
+}
+
+EXPERIMENTS = {
+    "closure": {},
+    "profiles": {
+        "t_final": Row("real", "(0, 1e3]"),
+        "dt": Row("real", "(0, 1]", 1e-3),
+        "snapshots": Row("int", "[1, 10000]", 9),
+        "oracle": Row("choice", (None, *ORACLES), None),
+        "quadrature_dt": Row("real", "(0, 1]", None),  # null: dt, on euclid
+    },
+    "converge": {
+        "t_final": Row("real", "(0, 1e3]"),
+        "checkpoints": Row("int", "[0, 10000]", 8),
+        "profile_dt": Row("retired", (None,), OMIT),
+        "dt_self_check": Row("retired", (None, False), OMIT),
+    },
+    "instability": {
+        "variant": Row(
+            "choice", ("perturb_high", "perturb_zero", "weak_limit"), "perturb_high"
+        ),
+        "rho": Row("real", "(0, 100]"),
+        "delta": Row("real", "(0, 1]"),
+        "s": Row("real", "[-4, 0)"),
+        "K": Row("int", "[1, 4096]"),
+        "theta": Row("real", "(0, 1e6]", None),
+        "grid_points": Row("int", "[2, 1000000]", 10_000),
+        "cross_check": Row("bool", None, False),
+    },
+    "smalldiv": {
+        "b_grid": Row("list", "[0, 64]", [0.0], item=Row("real", "[0, 100]")),
+        "probe": Row("section", PROBE, None),
+    },
+}
+
+SCENARIO = {
+    "schema": Row("choice", (SCENARIO_SCHEMA,)),
+    "dimension": Row("int", "[1, 8]"),
+    "sigma": Row("int", "[1, 8]"),
+    "lambda": Row("real", "[-1e3, 1e3]", 1.0),
+    "domain": Row("tagged", DOMAINS, {"type": "torus"}),
+    "initial_modes": Row("list", "[1, 4096]", item=Row("section", MODE)),
+    "closure_limits": Row("section", {
+        "max_generations": Row("int", "[1, 64]", 8),
+        "max_sup_norm": Row("int", "[1, 4096]", 64),
+    }, {}),
+    "solver": Row("section", {
+        "dt": Row("retired", (None,), None),
+        "grid_n": Row("retired", (None,), OMIT),
+        "eps_list": Row("list", "[0, 64]", [], item=Row("eps")),
+    }, {}),
+    "experiment": Row("tagged", EXPERIMENTS),
+}
+
+
+def _within(value, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (lo < value if interval[0] == "(" else lo <= value) and (
+        value < hi if interval[-1] == ")" else value <= hi
+    )
+
+
+def _resolve(value, row: Row, path: str):
+    """Check one value against its row; return it resolved."""
+    kind, spec = row.kind, row.spec
+    if kind == "retired":
+        if any(value is v for v in spec):
+            return row.default
+        what = f"{' or '.join(map(json.dumps, spec))}; {RETIRED}"
+    elif value is None and row.default is None:
+        return None
+    elif kind in ("int", "pow2"):
+        pow2 = kind == "pow2"
+        if type(value) is int and _within(value, spec) and not (pow2 and value & (value - 1)):
+            return value
+        what = f"{'a power of two' if pow2 else 'an integer'} in {spec}"
+    elif kind == "real":
+        if type(value) in (int, float) and _within(value, spec):
+            return float(value)
+        what = f"a real in {spec}"
+    elif kind == "rational":
+        number = value
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError, ZeroDivisionError):
+                number = Fraction(value)
+        if type(number) in (int, float, Fraction) and _within(number, spec):
+            return value
+        what = f"a real or a 'p/q' string in {spec}"
+    elif kind == "eps":
+        f = Fraction(_resolve(value, Row("rational", "(0, 1]"), path))
+        if f.numerator == 1:
+            return f"1/{f.denominator}"
+        what = "1/N for an integer N"
+    elif kind == "bool":
+        if type(value) is bool:
+            return value
+        what = "true or false"
+    elif kind == "choice":
+        if value in spec:
+            return value
+        what = f"one of {', '.join(map(json.dumps, spec))}"
+    elif kind == "list":
+        if isinstance(value, list) and _within(len(value), spec):
+            return [_resolve(v, row.item, f"{path}[{i}]") for i, v in enumerate(value)]
+        what = f"a list of length in {spec}"
+    elif not isinstance(value, dict):
+        what = "an object"
+    elif kind == "section":
+        return _resolve_keys(value, spec, path)
+    else:  # tagged: the block's type picks its rows
+        _expect("type" in value, f"{path}.type: required")
+        tag = _resolve(value["type"], Row("choice", tuple(spec)), f"{path}.type")
+        rest = {k: v for k, v in value.items() if k != "type"}
+        return {"type": tag, **_resolve_keys(rest, spec[tag], path)}
+    raise ScenarioError(f"{path}: must be {what}, got {value!r}")
+
+
+def _resolve_keys(doc: dict, rows: dict, path: str) -> dict:
+    """Resolve an object's keys against their rows, defaults included."""
+    def where(key):
+        return f"{path}.{key}" if path else key
+
+    out = {}
+    for key, row in rows.items():
+        if key in doc:
+            value = doc[key]
+        else:
+            if row.default is REQUIRED:
+                raise ScenarioError(f"{where(key)}: required")
+            if row.default is OMIT:
+                continue
+            value = row.default
+        resolved = _resolve(value, row, where(key))
+        if resolved is not OMIT:
+            out[key] = resolved
+    for key in doc:
+        if key not in rows:
+            raise ScenarioError(f"{where(key)}: unknown key; expected one of "
+                                f"{', '.join(rows) or 'none'}")
+    return out
+
+
+def _check_oracle(oracle: Optional[str], where: str, doc: dict) -> None:
+    """The closed form must describe the scenario's domain and nonlinearity."""
+    euclid = doc["domain"]["type"] == "euclid"
+    needs = {
+        None: True,
+        "explicit_torus_1d": not euclid and doc["dimension"] == 1 and doc["sigma"] == 1,
+        "explicit_two_mode": not euclid,
+        "explicit_euclid_1d": euclid and doc["sigma"] == 1,
+    }
+    _expect(needs[oracle], f"{where}: {oracle} does not apply to a "
+            f"{doc['domain']['type']} domain with dimension {doc['dimension']}, "
+            f"sigma {doc['sigma']}")
+
+
+def _cross_rules(doc: dict, raw: dict) -> list[ModeSpec]:
+    """The rules that relate fields the table checks one by one.  Rewrites
+    the resolved modes into their report form and returns them as specs."""
+    dim, exp, eps_list = doc["dimension"], doc["experiment"], doc["solver"]["eps_list"]
+    euclid = doc["domain"]["type"] == "euclid"
+    _expect(not euclid or dim == 1,
+            f"domain.type: euclid supports dimension 1 only, got dimension {dim}")
+    specs, seen = [], set()
+    for i, m in enumerate(doc["initial_modes"]):
+        where = f"initial_modes[{i}]"
+        kappa = tuple(m["kappa"])
+        _expect(len(kappa) == dim,
+                f"{where}.kappa: arity {len(kappa)} does not match dimension {dim}")
+        _expect(kappa not in seen, f"{where}.kappa: duplicate vector {kappa}")
+        seen.add(kappa)
+        preset = m.pop("preset")
+        _expect((preset is not None) == euclid, f"{where}.preset: "
+                + ("a euclid mode needs one" if euclid else
+                   "only a mode on a euclid domain takes one; domain.type is torus"))
+        if euclid:
+            _expect("amplitude" not in raw["initial_modes"][i],
+                    f"{where}.amplitude: a euclid mode takes it from its preset")
+            m["amplitude"], m["preset"] = preset["amplitude"], preset
+        specs.append(ModeSpec(kappa, complex(*m["amplitude"]), preset))
+
+    etype = exp["type"]
+    if etype == "profiles":
+        _expect(exp["dt"] <= exp["t_final"],
+                "experiment.dt: must not exceed experiment.t_final")
+        _check_oracle(exp["oracle"], "experiment.oracle", doc)
+        if euclid and exp["quadrature_dt"] is None:
+            exp["quadrature_dt"] = exp["dt"]
+    if etype == "converge":
+        _expect(not euclid, "experiment.type: converge needs domain.type torus")
+        _expect(bool(eps_list), "solver.eps_list: converge needs at least one eps")
+    if etype == "instability" and exp["variant"] == "weak_limit":
+        _expect(exp["theta"] is not None,
+                "experiment.theta: required by the weak_limit variant")
+        _expect(not exp["cross_check"], "experiment.cross_check: must be false "
+                "for weak_limit, whose limit datum is not a solution to solve")
+    if etype == "smalldiv" and exp["probe"] is not None:
+        _expect(len({len(g) for g in exp["probe"]["generators"]}) == 1,
+                "experiment.probe.generators: the vectors must share one dimension")
+    return specs
 
 
 def load_scenario(path: str) -> Scenario:
@@ -176,195 +381,30 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     digest = hashlib.sha256(blob).hexdigest()
     try:
-        doc = json.loads(blob)
+        raw = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
-    _expect(isinstance(doc, dict), "scenario root must be an object")
-    _expect(
-        doc.get("schema") == SCENARIO_SCHEMA,
-        f"schema must be {SCENARIO_SCHEMA!r}, got {doc.get('schema')!r}",
+    _expect(isinstance(raw, dict), "scenario root must be an object")
+    doc = _resolve_keys(raw, SCENARIO, "")
+    modes = _cross_rules(doc, raw)
+    return Scenario(
+        path=path, sha256=digest, dimension=doc["dimension"], sigma=doc["sigma"],
+        lam=doc["lambda"], domain=doc["domain"], modes=modes,
+        closure_limits=doc["closure_limits"],
+        eps_list=[Fraction(e) for e in doc["solver"]["eps_list"]],
+        experiment=doc["experiment"], resolved=doc,
     )
-
-    dim = doc.get("dimension")
-    _expect(isinstance(dim, int) and dim >= 1, "dimension must be an integer >= 1")
-    sigma = doc.get("sigma")
-    _expect(isinstance(sigma, int) and sigma >= 1, "sigma must be an integer >= 1")
-    lam = doc.get("lambda", 1.0)
-    _expect(
-        isinstance(lam, (int, float)) and not isinstance(lam, bool),
-        "lambda must be a real number",
-    )
-
-    domain = doc.get("domain", {"type": "torus"})
-    _expect(isinstance(domain, dict) and "type" in domain, "domain must have a type")
-    dtype = domain["type"]
-    _expect(dtype in ("torus", "euclid"), f"unknown domain type {dtype!r}")
-    if dtype == "euclid":
-        _expect(dim == 1, "euclid domain currently supports dimension 1")
-        length = domain.get("length")
-        _expect(
-            isinstance(length, (int, float)) and length > 0,
-            "euclid domain needs a positive length",
-        )
-        gn = domain.get("grid_n")
-        _expect(
-            isinstance(gn, int) and gn >= 2 and gn & (gn - 1) == 0,
-            "euclid domain needs a power-of-two grid_n",
-        )
-
-    raw_modes = doc.get("initial_modes")
-    _expect(
-        isinstance(raw_modes, list) and raw_modes,
-        "initial_modes must be a non-empty list",
-    )
-    modes: list[ModeSpec] = []
-    seen = set()
-    for i, m in enumerate(raw_modes):
-        where = f"initial_modes[{i}]"
-        _expect(isinstance(m, dict), f"{where}: must be an object")
-        kap = m.get("kappa")
-        _expect(isinstance(kap, list), f"{where}.kappa: must be a list")
-        _expect(
-            len(kap) == dim,
-            f"{where}.kappa: arity {len(kap)} does not match dimension {dim}",
-        )
-        _expect(
-            all(isinstance(c, int) and not isinstance(c, bool) for c in kap),
-            f"{where}.kappa: entries must be integers, got {kap!r}",
-        )
-        kt = tuple(kap)
-        _expect(kt not in seen, f"{where}.kappa: duplicate vector {kt}")
-        seen.add(kt)
-        if dtype == "euclid":
-            preset = m.get("preset")
-            _expect(isinstance(preset, dict), f"{where}: euclid modes need a preset")
-            _expect(
-                preset.get("type") == "gaussian",
-                f"{where}.preset: unknown type {preset.get('type')!r}",
-            )
-            for key in ("center", "width"):
-                _expect(
-                    isinstance(preset.get(key), (int, float)),
-                    f"{where}.preset.{key}: must be a number",
-                )
-            _expect(preset["width"] > 0, f"{where}.preset.width: must be positive")
-            amp = _parse_amplitude(
-                preset.get("amplitude", [0.0, 0.0]), f"{where}.preset.amplitude"
-            )
-            modes.append(ModeSpec(kappa=kt, amplitude=amp, preset=dict(preset)))
-        else:
-            amp = _parse_amplitude(
-                m.get("amplitude", [0.0, 0.0]), f"{where}.amplitude"
-            )
-            modes.append(ModeSpec(kappa=kt, amplitude=amp))
-
-    limits = doc.get("closure_limits", {})
-    _expect(isinstance(limits, dict), "closure_limits must be an object")
-    max_gen = limits.get("max_generations", 8)
-    max_norm = limits.get("max_sup_norm", 64)
-    _expect(
-        isinstance(max_gen, int) and max_gen >= 1,
-        "closure_limits.max_generations must be an integer >= 1",
-    )
-    _expect(
-        isinstance(max_norm, int) and max_norm >= 1,
-        "closure_limits.max_sup_norm must be an integer >= 1",
-    )
-
-    solver = doc.get("solver", {})
-    _expect(isinstance(solver, dict), "solver must be an object")
-    eps_raw = solver.get("eps_list", [])
-    _expect(isinstance(eps_raw, list), "solver.eps_list must be a list")
-    eps_list = [_parse_eps(e, i) for i, e in enumerate(eps_raw)]
-
-    exp = doc.get("experiment")
-    _expect(
-        isinstance(exp, dict) and "type" in exp,
-        "exactly one experiment block with a type is required",
-    )
-    etype = exp["type"]
-    _expect(
-        etype in ("closure", "profiles", "converge", "instability", "smalldiv"),
-        f"unknown experiment type {etype!r}",
-    )
-    for key, value in (
-        ("solver.dt", solver.get("dt")),
-        ("solver.grid_n", solver.get("grid_n")),
-        ("experiment.profile_dt", exp.get("profile_dt")),
-    ):
-        _expect(
-            value is None,
-            f"{key}: must be null; each eps leg is solved on one 2*pi*eps period "
-            "sized by the grid rule, at steps checked on the step-doubling ladder",
-        )
-    if etype in ("profiles", "converge"):
-        tf = exp.get("t_final")
-        _expect(
-            isinstance(tf, (int, float)) and tf > 0,
-            f"experiment.t_final must be positive for {etype}",
-        )
-    if etype == "profiles":
-        dt = exp.get("dt", 1e-3)
-        _expect(
-            type(dt) in (int, float) and 0 < dt < math.inf,
-            "experiment.dt: must be a positive number",
-        )
-        _expect_int(exp, "snapshots", 9, 1)
-    if etype == "converge":
-        _expect(dtype == "torus", "converge requires a torus domain")
-        _expect(bool(eps_list), "converge requires a non-empty solver.eps_list")
-        _expect_int(exp, "checkpoints", 8, 0)
-    if etype == "instability":
-        for key in ("rho", "delta", "s"):
-            _expect(
-                isinstance(exp.get(key), (int, float)),
-                f"experiment.{key}: must be a number",
-            )
-        _expect_int(exp, "K", None, 1)
-        _expect_int(exp, "grid_points", 10_000, 2)
-        _expect(0 < exp["delta"] <= 1, "experiment.delta: must lie in (0, 1]")
-
-    scn = Scenario(
-        path=path,
-        sha256=digest,
-        dimension=dim,
-        sigma=sigma,
-        lam=float(lam),
-        domain=dict(domain),
-        modes=modes,
-        closure_limits={"max_generations": max_gen, "max_sup_norm": max_norm},
-        eps_list=eps_list,
-        experiment=dict(exp),
-    )
-    scn.resolved = {
-        "schema": SCENARIO_SCHEMA,
-        "dimension": dim,
-        "sigma": sigma,
-        "lambda": float(lam),
-        "domain": scn.domain,
-        "initial_modes": [
-            {
-                "kappa": list(m.kappa),
-                "amplitude": [m.amplitude.real, m.amplitude.imag],
-                **({"preset": m.preset} if m.preset else {}),
-            }
-            for m in modes
-        ],
-        "closure_limits": scn.closure_limits,
-        "solver": {
-            "dt": None,
-            "eps_list": [f"{f.numerator}/{f.denominator}" for f in eps_list],
-        },
-        "experiment": scn.experiment,
-    }
-    return scn
 
 
 def _jsonable(obj) -> Any:
     """Recursively convert to JSON-safe values: complex to [re, im],
-    Fraction to 'p/q', NaN/inf to None, numpy scalars to python."""
+    Fraction to 'p/q', NaN/inf to None, numpy scalars to python; dataclass
+    fields marked metadata={"report": False} are left out."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+        return {
+            f.name: _jsonable(getattr(obj, f.name))
+            for f in fields(obj) if f.metadata.get("report", True)
+        }
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -504,9 +544,7 @@ def cmd_closure(scn: Scenario, out_dir: str, args, flags: dict) -> int:
 
 def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: dict) -> int:
     exp = scn.experiment
-    t_final = float(exp["t_final"])
-    dt = float(exp.get("dt", 1e-3))
-    snaps = int(exp.get("snapshots", 9))
+    t_final, dt, snaps = exp["t_final"], exp["dt"], exp["snapshots"]
     modes, amps = _closed_modes(scn)
     params = SimParams(lam=scn.lam, sigma=scn.sigma, t_final=t_final, dt=dt)
     snap_times = [t_final * k / snaps for k in range(snaps + 1)]
@@ -539,8 +577,6 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
 
     deviation = None
     if oracle == "explicit_torus_1d":
-        _expect(scn.dimension == 1 and scn.sigma == 1,
-                "explicit_torus_1d oracle needs d=1, sigma=1")
         deviation = max(
             float(np.max(np.abs(row - explicit_torus_1d(amps, scn.lam, float(t)))))
             for t, row in zip(traj.times, traj.amps)
@@ -553,8 +589,6 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
             r0, r1 = explicit_two_mode(amps[0], amps[1], scn.sigma, scn.lam, float(t))
             dev = max(dev, abs(row[0] - r0), abs(row[1] - r1))
         deviation = float(dev)
-    elif oracle is not None:
-        raise ScenarioError(f"oracle {oracle!r} does not apply to a torus scenario")
 
     if deviation is not None:
         results["oracle_max_deviation"] = deviation
@@ -569,11 +603,8 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
 
 def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: dict) -> int:
     exp = scn.experiment
-    t_final = float(exp["t_final"])
-    dt = float(exp.get("dt", 1e-3))
-    snaps = int(exp.get("snapshots", 9))
-    length = float(scn.domain["length"])
-    n = int(scn.domain["grid_n"])
+    t_final, dt, snaps = exp["t_final"], exp["dt"], exp["snapshots"]
+    length, n = scn.domain["length"], scn.domain["grid_n"]
     modes, _ = _closed_modes(scn)
     _expect(
         len(modes.vectors) == len(scn.modes),
@@ -616,15 +647,11 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
     }
 
     if oracle == "explicit_euclid_1d":
-        _expect(scn.sigma == 1, "explicit_euclid_1d oracle needs sigma=1")
-        qdt = float(exp.get("quadrature_dt", dt))
         kappas = [float(v.coords[0]) for v in modes.vectors]
-        ref = explicit_euclid_1d(funcs, kappas, scn.lam, t_final, x, qdt)
+        ref = explicit_euclid_1d(funcs, kappas, scn.lam, t_final, x, exp["quadrature_dt"])
         deviation = float(np.max(np.abs(traj.fields[-1] - ref)))
         results["oracle_max_deviation"] = deviation
         print(f"oracle {oracle} max deviation {deviation:.3e}")
-    elif oracle is not None:
-        raise ScenarioError(f"oracle {oracle!r} does not apply to a euclid scenario")
 
     print(
         f"profiles: {len(modes.vectors)} euclid profiles, {traj.interaction_tuples} tuples, "
@@ -635,9 +662,9 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
 
 
 def cmd_profiles(scn: Scenario, out_dir: str, args, flags: dict) -> int:
-    oracle = args.oracle or scn.experiment.get("oracle")
-    if oracle is not None:
-        _expect(oracle in ORACLES, f"unknown oracle {oracle!r}")
+    if args.oracle is not None:
+        _check_oracle(args.oracle, "--oracle", scn.resolved)
+    oracle = args.oracle or scn.experiment["oracle"]
     if scn.domain["type"] == "euclid":
         return _profiles_euclid(scn, out_dir, oracle, flags)
     return _profiles_torus(scn, out_dir, oracle, flags)
@@ -663,8 +690,8 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         amps,
         scn.lam,
         [float(f) for f in scn.eps_list],
-        float(exp["t_final"]),
-        checkpoints=exp.get("checkpoints", 8),
+        exp["t_final"],
+        checkpoints=exp["checkpoints"],
     )
     total = time.perf_counter() - start
 
@@ -754,26 +781,15 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
 
 def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     exp = scn.experiment
-    grid_points = int(exp.get("grid_points", 10_000))
     start = time.perf_counter()
     record = run_instability(
-        float(exp["rho"]),
-        float(exp["delta"]),
-        float(exp["s"]),
-        int(exp["K"]),
-        sigma=scn.sigma,
-        lam=scn.lam,
-        variant=exp.get("variant", "perturb_high"),
-        theta=exp.get("theta"),
-        grid_points=grid_points,
-        cross_check=bool(exp.get("cross_check", False)),
+        exp["rho"], exp["delta"], exp["s"], exp["K"], sigma=scn.sigma, lam=scn.lam,
+        variant=exp["variant"], theta=exp["theta"], grid_points=exp["grid_points"],
+        cross_check=exp["cross_check"],
     )
     total = time.perf_counter() - start
 
-    times, curve = gap_curve(
-        record.alpha0, record.theta0, record.alpha0_tilde, record.theta0_tilde,
-        record.lam, record.delta, grid_points,
-    )
+    times, curve = record.curve
     lines = map("{:.12g},{:.17g}\n".format, times.tolist(), curve.tolist())
     _atomic_write_bytes(
         os.path.join(out_dir, "gap_curve.csv"), ("t,gap\n" + "".join(lines)).encode()
@@ -816,15 +832,9 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
 def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     exp = scn.experiment
     modes, _ = _closed_modes(scn)
-    b_grid = exp.get("b_grid", [0.0])
-    _expect(
-        isinstance(b_grid, list)
-        and all(isinstance(b, (int, float)) and b >= 0 for b in b_grid),
-        "experiment.b_grid must be a list of nonnegative numbers",
-    )
     start = time.perf_counter()
     survey = survey_divisors(modes, scn.sigma)
-    fit = fit_generalized_bound(modes, scn.sigma, [float(b) for b in b_grid])
+    fit = fit_generalized_bound(modes, scn.sigma, exp["b_grid"])
     total = time.perf_counter() - start
 
     _write_csv(
@@ -834,36 +844,11 @@ def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     )
     results: dict = {"survey": survey, "generalized_fit": fit}
 
-    probe_cfg = exp.get("probe")
+    probe_cfg = exp["probe"]
     if probe_cfg is not None:
-        _expect(isinstance(probe_cfg, dict), "experiment.probe must be an object")
-        gens_raw = probe_cfg.get("generators")
-        _expect(
-            isinstance(gens_raw, list) and gens_raw,
-            "probe.generators must be a non-empty list of vectors",
-        )
-        gens = []
-        for i, g in enumerate(gens_raw):
-            _expect(isinstance(g, list) and g, f"probe.generators[{i}] must be a vector")
-            row = []
-            for c in g:
-                if isinstance(c, str):
-                    try:
-                        row.append(Fraction(c))
-                    except (ValueError, ZeroDivisionError):
-                        raise ScenarioError(
-                            f"probe.generators[{i}]: cannot parse {c!r}"
-                        ) from None
-                elif isinstance(c, (int, float)) and not isinstance(c, bool):
-                    row.append(c)
-                else:
-                    raise ScenarioError(f"probe.generators[{i}]: bad entry {c!r}")
-            gens.append(row)
         probe = gram_diophantine_probe(
-            gens,
-            int(probe_cfg.get("beta_bound", 6)),
-            b_prime=probe_cfg.get("b_prime"),
-            budget=int(probe_cfg.get("budget", 10_000_000)),
+            probe_cfg["generators"], probe_cfg["beta_bound"],
+            b_prime=probe_cfg["b_prime"], budget=probe_cfg["budget"],
         )
         results["probe"] = probe
         note = " (partial scan)" if probe.partial else ""

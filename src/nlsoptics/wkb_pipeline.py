@@ -475,10 +475,12 @@ class InstabilityRecord:
     The solver_* fields after it record the solves' health: points of the
     period grid, split steps over every solve of the cross-check, and the
     worst relative L2 drift and top-band aliasing fraction over every sample
-    of the two solves the gap comes from.  The last four hold one
-    entry per datum (base, perturbed): the ladder rung, the physical step,
+    of the two solves the gap comes from.  solver_rungs to
+    solver_grid_deltas hold one entry per datum (base, perturbed): the ladder rung, the physical step,
     the step-doubling delta and the grid-doubling delta of its zero-mode
-    curve (None unless cross-checked).
+    curve (None unless cross-checked).  `curve` holds the formula's
+    (times, gaps) arrays that gap and t_star are read from; it stays out of
+    reports (metadata report=False) and out of comparisons.
     """
 
     variant: str
@@ -510,6 +512,9 @@ class InstabilityRecord:
     solver_dts: Optional[tuple[float, ...]] = None
     solver_step_deltas: Optional[tuple[float, ...]] = None
     solver_grid_deltas: Optional[tuple[float, ...]] = None
+    curve: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False, metadata={"report": False}
+    )
 
 
 def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
@@ -696,4 +701,5 @@ def run_instability(
         solver_dts=solver_dts,
         solver_step_deltas=step_deltas,
         solver_grid_deltas=grid_deltas,
+        curve=(times, gaps),
     )

@@ -1,12 +1,18 @@
 import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import math
 import os
 import stat
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsoptics import experiments_cli, wkb_pipeline
 from nlsoptics.experiments_cli import (
@@ -15,6 +21,10 @@ from nlsoptics.experiments_cli import (
     load_scenario,
     run,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -39,16 +49,16 @@ def torus_doc(**extra):
     return doc
 
 
-def record_calls(monkeypatch, name):
-    """Wrap experiments_cli.<name> so each return value is kept in a list."""
+def record_calls(monkeypatch, name, module=experiments_cli):
+    """Wrap module.<name> so each return value is kept in a list."""
     returned = []
-    real = getattr(experiments_cli, name)
+    real = getattr(module, name)
 
     def recording(*args, **kwargs):
         returned.append(real(*args, **kwargs))
         return returned[-1]
 
-    monkeypatch.setattr(experiments_cli, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return returned
 
 
@@ -316,7 +326,8 @@ class TestConvergeCommand:
 
 class TestInstabilityCommand:
     def test_record_and_curve(self, tmp_path, capsys, monkeypatch):
-        curves = record_calls(monkeypatch, "gap_curve")
+        # one formula curve per command: the record's, also behind the CSV
+        curves = record_calls(monkeypatch, "gap_curve", wkb_pipeline)
         doc = torus_doc(
             initial_modes=[{"kappa": [0], "amplitude": [0.5, 0.0]}],
             experiment={
@@ -493,33 +504,68 @@ class TestErrorPaths:
             "dt": None, "eps_list": ["1/2"],
         }
 
+    INSTABILITY = {"type": "instability", "rho": 1.0, "delta": 0.1, "s": -0.5, "K": 16}
+    PROBE = {"generators": [[1, 0], [0, "1/3"]]}
+
     @pytest.mark.parametrize(
-        "experiment, key",
+        "changes, path",
         [
-            ({"type": "profiles", "t_final": 0.1, "dt": "fast"}, "dt"),
-            ({"type": "profiles", "t_final": 0.1, "dt": -1}, "dt"),
-            ({"type": "profiles", "t_final": 0.1, "snapshots": 0}, "snapshots"),
-            ({"type": "converge", "t_final": 0.1, "checkpoints": -1}, "checkpoints"),
-            ({"type": "instability", "rho": 1.0, "delta": 0.1, "s": -0.5, "K": 16,
-              "grid_points": 0}, "grid_points"),
-            ({"type": "instability", "rho": 1.0, "delta": 2.0, "s": -0.5, "K": 16},
-             "delta"),
+            ({"experiment": {"type": "profiles", "t_final": 0.1, "dt": "fast"}},
+             "experiment.dt"),
+            ({"experiment": {"type": "profiles", "t_final": 0.1, "dt": -1}}, "experiment.dt"),
+            ({"experiment": {"type": "profiles", "t_final": 0.1, "snapshots": 0}},
+             "experiment.snapshots"),
+            ({"experiment": {"type": "converge", "t_final": 0.1, "checkpoints": -1}},
+             "experiment.checkpoints"),
+            ({"experiment": {**INSTABILITY, "grid_points": 0}}, "experiment.grid_points"),
+            ({"experiment": {**INSTABILITY, "delta": 2.0}}, "experiment.delta"),
+            ({"experiment": {**INSTABILITY, "cross_check": "no"}}, "experiment.cross_check"),
+            ({"experiment": {**INSTABILITY, "rho": math.nan}}, "experiment.rho"),
+            ({"experiment": {**INSTABILITY, "rho": True}}, "experiment.rho"),
+            ({"experiment": {"type": "converge", "t_final": True}}, "experiment.t_final"),
+            ({"sigma": True, "experiment": {"type": "closure"}}, "sigma"),
+            ({"closure_limits": {"max_generations": True}, "experiment": {"type": "closure"}},
+             "closure_limits.max_generations"),
+            ({"domain": {"type": "euclid", "length": True, "grid_n": 256},
+              "experiment": {"type": "profiles", "t_final": 0.1}}, "domain.length"),
+            ({"experiment": {"type": "converge", "t_final": 0.1, "checkpont": 1}},
+             "experiment.checkpont"),
+            ({"comment": "two modes", "experiment": {"type": "closure"}}, "comment"),
+            ({"experiment": {"type": "smalldiv", "probe": {**PROBE, "budget": -5}}},
+             "experiment.probe.budget"),
+            ({"experiment": {**INSTABILITY, "rho": -1.0}}, "experiment.rho"),
+            ({"experiment": {**INSTABILITY, "s": 0.5}}, "experiment.s"),
+            ({"experiment": {**INSTABILITY, "variant": "bogus"}}, "experiment.variant"),
+            ({"experiment": {**INSTABILITY, "variant": "weak_limit"}}, "experiment.theta"),
+            ({"lambda": math.inf, "experiment": {"type": "closure"}}, "lambda"),
+            ({"experiment": {"type": "profiles", "t_final": 1e308}}, "experiment.t_final"),
+            ({"initial_modes": [{"kappa": [0], "amplitude": [1e308, 1e308]}],
+              "experiment": {"type": "closure"}}, "initial_modes[0].amplitude"),
+            ({"experiment": {"type": "smalldiv", "probe": {**PROBE, "beta_bound": "six"}}},
+             "experiment.probe.beta_bound"),
         ],
         ids=["dt-string", "dt-negative", "snapshots-0", "checkpoints-negative",
-             "grid_points-0", "delta-2"],
+             "grid_points-0", "delta-2", "cross_check-string", "rho-nan", "rho-true",
+             "t_final-true", "sigma-true", "max_generations-true", "length-true",
+             "misspelt-key", "extra-top-level-key", "budget-negative", "rho-negative",
+             "s-positive", "variant-bogus", "weak_limit-without-theta", "lambda-inf",
+             "t_final-1e308", "amplitude-1e308", "beta_bound-string"],
     )
     def test_malformed_experiment_number_is_a_scenario_error(
-        self, tmp_path, capsys, experiment, key
+        self, tmp_path, capsys, changes, path
     ):
-        # these used to reach the experiment and die there with a traceback
-        doc = torus_doc(solver={"eps_list": ["1/2"]}, experiment=experiment)
+        # each of these used to reach the experiment and die there with a
+        # traceback, or to run with the value ignored or misread
+        doc = torus_doc(solver={"eps_list": ["1/2"]}, **changes)
         scn = write_scenario(tmp_path, doc)
-        rc = run([experiment["type"], "--scenario", scn, "--out", str(tmp_path / "o")])
+        command = doc["experiment"]["type"]
+        rc = run([command, "--scenario", scn, "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert f"experiment.{key}: must" in capsys.readouterr().err
+        assert f"scenario error: {path}" in capsys.readouterr().err
 
     def test_kappa_arity_reported(self, tmp_path, capsys):
-        doc = torus_doc(dimension=2)
+        # a complete document: the table's checks run before this cross-field one
+        doc = torus_doc(dimension=2, experiment={"type": "closure"})
         scn = write_scenario(tmp_path, doc)
         rc = run(["closure", "--scenario", scn, "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -586,17 +632,112 @@ class TestShippedScenarios:
         assert res["profile"]["rung"] is not None
         assert res["at_floor"] is True
 
+    # the defaults a run uses when its document leaves the key out
+    DEFAULTS = {
+        "closure": {},
+        "profiles": {"dt": 1e-3, "snapshots": 9, "oracle": None, "quadrature_dt": None},
+        "converge": {"checkpoints": 8},
+        "instability": {
+            "variant": "perturb_high", "theta": None, "grid_points": 10_000,
+            "cross_check": False,
+        },
+        "smalldiv": {"b_grid": [0.0], "probe": None},
+    }
+
     def test_scenario_corpus_loads(self):
-        import glob
-        import os
-
-        from nlsoptics.experiments_cli import load_scenario
-
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        paths = sorted(glob.glob(os.path.join(here, "scenarios", "*.json")))
+        paths = sorted(SCENARIOS.glob("*.json"))
         assert len(paths) >= 10
+        for etype, rows in experiments_cli.EXPERIMENTS.items():
+            defaults = {k: row.default for k, row in rows.items()
+                        if row.default is not experiments_cli.REQUIRED
+                        and row.default is not experiments_cli.OMIT}
+            assert defaults == self.DEFAULTS[etype], etype
         for p in paths:
-            scn = load_scenario(p)
-            assert scn.experiment["type"] in (
-                "closure", "profiles", "converge", "instability", "smalldiv"
-            )
+            given = json.loads(p.read_text())["experiment"]
+            exp = load_scenario(str(p)).resolved["experiment"]
+            assert exp["type"] in self.DEFAULTS
+            for key, default in self.DEFAULTS[exp["type"]].items():
+                assert key in exp, (p.name, key)
+                if key not in given:
+                    assert exp[key] == default, (p.name, key)
+            if exp.get("probe") is not None:
+                assert exp["probe"]["budget"] == 10_000_000
+
+    def test_benchmark_documents_load(self, tmp_path):
+        # the benchmark generates its own documents; a schema change that
+        # rejects one of them would break the benchmark's parent runs
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses look their module up
+        try:
+            spec.loader.exec_module(workloads)
+        finally:
+            del sys.modules[spec.name]
+        assert workloads.WORKLOADS
+        for workload in workloads.WORKLOADS.values():
+            for seed in (0, 1, 7, 11001):
+                out = tmp_path / f"{workload.name}-{seed}"
+                out.mkdir()
+                for path, doc in workloads.generate(workload, seed, str(out)).values():
+                    scn = load_scenario(path)
+                    assert scn.experiment["type"] == doc["experiment"]["type"]
+
+
+HOSTILE = (True, math.nan, math.inf, -1, "hostile", 1e308, "<delete>", "<extra key>")
+# documents run end to end; the others stop at load_scenario
+FULL_RUN = ("closure_creation2d", "closure_two_mode_quintic", "smalldiv_square",
+            "profiles_torus_1d", "instability_part1")
+
+
+def _fields(node, path=""):
+    """(path of the object, object, key) for every key of every object."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path, node, key
+            yield from _fields(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _fields(value, f"{path}[{i}]")
+
+
+@st.composite
+def hostile_documents(draw):
+    """A shipped scenario with one field set to a hostile value, deleted, or
+    joined by an unknown key; returns (name, document, path of the field)."""
+    name = draw(st.sampled_from(sorted(p.stem for p in SCENARIOS.glob("*.json"))))
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    where, obj, key = draw(st.sampled_from(list(_fields(doc))))
+    value = draw(st.sampled_from(HOSTILE))
+    if value == "<delete>":
+        del obj[key]
+    elif value == "<extra key>":
+        key = "hostile_key"
+        obj[key] = 0
+    else:
+        obj[key] = value
+    return name, doc, f"{where}.{key}" if where else key
+
+
+class TestHostileFields:
+    @given(hostile_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_runs_or_names_the_key(self, case):
+        name, doc, path = case
+        command = json.loads((SCENARIOS / f"{name}.json").read_text())["experiment"]["type"]
+        with tempfile.TemporaryDirectory() as tmp:
+            scn = os.path.join(tmp, "scn.json")
+            with open(scn, "w") as fh:
+                json.dump(doc, fh)
+            if name not in FULL_RUN:
+                try:
+                    load_scenario(scn)
+                except experiments_cli.ScenarioError as exc:
+                    assert path in str(exc)
+                return
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = run([command, "--scenario", scn, "--out", os.path.join(tmp, "out")])
+            if rc == 0:
+                assert os.path.exists(os.path.join(tmp, "out", f"{command}_report.json"))
+            else:
+                assert rc == 2 and path in err.getvalue(), (rc, err.getvalue())
