@@ -29,7 +29,8 @@ fully resolved parameter set; reports are byte-identical across runs of the
 same scenario and tool version except for the recorded runtimes, which are
 excluded from the content hash.  All writes are atomic (temp then rename).
 Exit codes: 0 success, 1 failed assertion (--assert-order, integer-lattice
-divisor check), 2 scenario errors.
+divisor check) or a profile run that tripped the blow-up guard, 2 scenario
+errors.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import numpy as np
 
 from .lattice_geometry import ModeSet, WaveVector, close_under_resonances
 from .profile_dynamics import (
+    BlowUpError,
     SimParams,
     _relative_drift,
     explicit_euclid_1d,
@@ -542,6 +544,20 @@ def cmd_closure(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     return 0
 
 
+def _blow_up(exc: BlowUpError, scn: Scenario, peak: float) -> int:
+    """A profile run that tripped the RK4 blow-up guard is a failed run
+    (exit 1): one stderr line with the time and the step condition
+    dt*|lambda|*max|a|^(2 sigma), the nonlinear phase one step turns."""
+    dt = scn.experiment["dt"]
+    cond = dt * abs(scn.lam) * peak ** (2 * scn.sigma)
+    print(
+        f"profiles failed: {exc}; step condition dt*|lambda|*max|a|^(2 sigma) "
+        f"= {cond:.3g} at dt={dt:g}",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: dict) -> int:
     exp = scn.experiment
     t_final, dt, snaps = exp["t_final"], exp["dt"], exp["snapshots"]
@@ -549,7 +565,10 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
     params = SimParams(lam=scn.lam, sigma=scn.sigma, t_final=t_final, dt=dt)
     snap_times = [t_final * k / snaps for k in range(snaps + 1)]
     start = time.perf_counter()
-    traj = integrate_torus(amps, modes, params, snapshot_times=snap_times)
+    try:
+        traj = integrate_torus(amps, modes, params, snapshot_times=snap_times)
+    except BlowUpError as exc:
+        return _blow_up(exc, scn, float(np.max(np.abs(amps))))
     runtime = time.perf_counter() - start
 
     # one formatting pass; numbers need no CSV quoting
@@ -625,7 +644,10 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
     params = SimParams(lam=scn.lam, sigma=scn.sigma, t_final=t_final, dt=dt)
     snap_times = [t_final * k / snaps for k in range(snaps + 1)]
     start = time.perf_counter()
-    traj = integrate_euclid(fields0, modes, params, length, snapshot_times=snap_times)
+    try:
+        traj = integrate_euclid(fields0, modes, params, length, snapshot_times=snap_times)
+    except BlowUpError as exc:
+        return _blow_up(exc, scn, float(np.max(np.abs(fields0))))
     runtime = time.perf_counter() - start
 
     _write_npy(os.path.join(out_dir, "fields_initial.npy"), traj.fields[0])
@@ -782,11 +804,14 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
 def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     exp = scn.experiment
     start = time.perf_counter()
-    record = run_instability(
-        exp["rho"], exp["delta"], exp["s"], exp["K"], sigma=scn.sigma, lam=scn.lam,
-        variant=exp["variant"], theta=exp["theta"], grid_points=exp["grid_points"],
-        cross_check=exp["cross_check"],
-    )
+    try:
+        record = run_instability(
+            exp["rho"], exp["delta"], exp["s"], exp["K"], sigma=scn.sigma, lam=scn.lam,
+            variant=exp["variant"], theta=exp["theta"], grid_points=exp["grid_points"],
+            cross_check=exp["cross_check"],
+        )
+    except OverflowError as exc:
+        raise ScenarioError(f"experiment.delta: too small; {exc}") from None
     total = time.perf_counter() - start
 
     times, curve = record.curve
@@ -846,10 +871,13 @@ def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
 
     probe_cfg = exp["probe"]
     if probe_cfg is not None:
-        probe = gram_diophantine_probe(
-            probe_cfg["generators"], probe_cfg["beta_bound"],
-            b_prime=probe_cfg["b_prime"], budget=probe_cfg["budget"],
-        )
+        try:
+            probe = gram_diophantine_probe(
+                probe_cfg["generators"], probe_cfg["beta_bound"],
+                b_prime=probe_cfg["b_prime"], budget=probe_cfg["budget"],
+            )
+        except OverflowError as exc:
+            raise ScenarioError(f"experiment.probe.generators: {exc}") from None
         results["probe"] = probe
         note = " (partial scan)" if probe.partial else ""
         exact = "" if probe.exact_minimum is None else f" = {probe.exact_minimum}"

@@ -10,7 +10,9 @@ additionally transported at velocity kappa_j; the substitution
 b_j(t,x) = a_j(t, x + t*kappa_j) removes the transport term exactly, and the
 shift is realized spectrally, so no spatial derivative is ever discretized.
 
-Time stepping is classical fixed-step RK4 throughout.
+Time stepping is classical fixed-step RK4 throughout.  Only the Euclidean
+integrator transforms, and it imports scipy.fft when called, so the torus
+side never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .lattice_geometry import ModeSet, _coupling_classes, _interaction_table
 
@@ -319,7 +320,7 @@ def _axis_wavenumbers(
     The integers k of the 2 pi torus when length is None, else the physical
     wavenumbers 2 pi k / length of [0, length)^d.
     """
-    k = sfft.fftfreq(n, d=1.0 / n)
+    k = np.fft.fftfreq(n, d=1.0 / n)
     if length is not None:
         k = 2 * math.pi * k / length
     return [k.reshape([n if a == axis else 1 for a in range(d)]) for axis in range(d)]
@@ -344,6 +345,8 @@ def integrate_euclid(
     Snapshots (lab frame) are recorded at the marks of `_snapshot_marks`
     (0, the snapshot times and t_final); the discrete mass at every step.
     """
+    import scipy.fft as sfft
+
     alpha = np.asarray(alpha, dtype=complex)
     state0 = ProfileStateEuclid(modes, alpha, 0.0, length)  # validates shape
     if modes.sigma != params.sigma:

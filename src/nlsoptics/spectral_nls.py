@@ -16,6 +16,10 @@ the discrete L2 norm to rounding, so the solver inherits exact mass
 conservation.  Carriers sit at integer frequencies kappa/eps with 1/eps a
 positive integer; the grid rule below keeps their (2 sigma + 1)-fold
 harmonics inside the resolved band.
+
+scipy.fft is imported by the functions that transform, not at module load,
+so a process that never transforms never loads it; a flow binds it once,
+when it is built.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .lattice_geometry import WaveVector
 from .profile_dynamics import _axis_wavenumbers, _relative_drift, _segments, _time_index
@@ -256,6 +259,8 @@ def _health(fields: np.ndarray, times: np.ndarray, band: np.ndarray):
     because summing the strided gather rounds differently on 2D and 3D grids.
     Raises FloatingPointError naming the first mark with a non-finite value.
     """
+    import scipy.fft as sfft
+
     marks = len(times)
     axes = tuple(range(1, fields.ndim))
     finite = np.isfinite(fields).all(axis=axes)
@@ -280,6 +285,8 @@ def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray):
     by matmul along each axis (a matrix-vector product in 1D); every
     result is a fresh C-contiguous array.  Above it, one FFT pair.
     """
+    import scipy.fft as sfft
+
     if n > DENSE_MAX_N:
         mult = np.exp(-0.5j * s * ksq)
         return lambda u: sfft.ifftn(sfft.fftn(u, overwrite_x=True) * mult, overwrite_x=True)
@@ -322,6 +329,8 @@ def plane_wave_exact(alpha: complex, kappa, cfg: SolverConfig, t: float) -> Grid
 
 def w_norm_of_field(u: GridField) -> float:
     """l1 sum of discrete Fourier coefficient magnitudes: the grid W norm."""
+    import scipy.fft as sfft
+
     coef = sfft.fftn(u.values) / u.n**u.d
     return float(np.sum(np.abs(coef)))
 

@@ -5,7 +5,8 @@ quantify the modulated-phase instability of the weak limit.
 The approximate field carries each profile on its oscillation e^{i phi/eps}
 with phi = kappa.x - t|kappa|^2/2; on the torus grid that is a pure Fourier
 mode at integer wavenumber kappa/eps, so assembly happens in Fourier space
-and is exact to rounding.
+and is exact to rounding.  Assembly and the Euclidean remainder bound
+import scipy.fft when called, not at module load.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import fftn, ifftn
-from scipy.optimize import brentq
 
 from .lattice_geometry import ModeSet, WaveVector
 from .profile_dynamics import (
@@ -73,6 +72,8 @@ def assemble_uapp(
     the Nyquist band of the grid; otherwise the oscillation cannot be
     represented and a ValueError is raised.
     """
+    from scipy.fft import ifftn
+
     inv = _check_eps(eps)
     modes = profiles.modes
     d = modes.d
@@ -443,6 +444,8 @@ def remainder_report(state, sigma: Optional[int] = None) -> RemainderReport:
     if isinstance(state, ProfileStateTorus):
         r2 = 0.0
     else:
+        from scipy.fft import fftn
+
         d = modes.d
         n = state.fields.shape[1]
         dx = state.length / n
@@ -519,20 +522,35 @@ class InstabilityRecord:
 
 def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
     """Invert the cross part of the modulation rate: find alpha1 >= 0 with
-    theta0(alpha0, alpha1) = theta + alpha0^(2 sigma)."""
+    theta0(alpha0, alpha1) = theta + alpha0^(2 sigma).
+
+    The left side is a polynomial in y = alpha1^2 with nonnegative
+    coefficients, so the excess increases on y >= 0.  At sigma=1 it is
+    2y - theta, and the root is exact; above, y is bisected on the doubling
+    bracket until its ends are adjacent floats, and the end with the smaller
+    excess is kept."""
     if theta <= 0:
         raise ValueError("theta must be positive")
+    if sigma == 1:
+        return math.sqrt(theta / 2)
     own = alpha0 * alpha0
 
     def excess(y: float) -> float:
         return two_mode_theta(own, y, sigma) - own**sigma - theta
 
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while excess(hi) < 0:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > 1e12:
             raise ValueError("no amplitude realizes the requested theta")
-    y = brentq(excess, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if excess(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    y = lo if abs(excess(lo)) < abs(excess(hi)) else hi
     return math.sqrt(y)
 
 
@@ -571,7 +589,9 @@ def run_instability(
 
     The separation argument needs K large enough that the perturbation is
     actually small in H^s, i.e. K > delta^(1/s); smaller K still produces
-    the gap but the record flags the premise as unmet.
+    the gap but the record flags the premise as unmet.  Raises
+    OverflowError when delta is so small that the perturbed rate of
+    'perturb_high', of order delta^-sigma, overflows a float.
 
     With cross_check=True (variants with two data only) the gap is also
     measured from two semiclassical solves at eps = 1/K^2 through the zero
@@ -605,7 +625,15 @@ def run_instability(
         alpha0_t = alpha0
         alpha1_t = math.sqrt(alpha1 * alpha1 + 1.0 / delta)
         theta0 = two_mode_theta(own, alpha1 * alpha1, sigma)
-        theta0_t = two_mode_theta(own, alpha1_t * alpha1_t, sigma)
+        try:
+            theta0_t = two_mode_theta(own, alpha1_t * alpha1_t, sigma)
+        except OverflowError:
+            theta0_t = math.inf
+        if math.isinf(theta0_t):
+            raise OverflowError(
+                f"the perturbed rate, of order delta^-sigma, overflows at "
+                f"delta={delta:.6g}, sigma={sigma}"
+            )
     elif variant == "perturb_zero":
         alpha1 = alpha0 * K ** (-s)
         alpha0_t = alpha0 + delta
@@ -622,10 +650,14 @@ def run_instability(
         theta0 = two_mode_theta(own, alpha1 * alpha1, sigma)
         theta0_t = own**sigma  # the naive limit only sees its own modulus
 
-    hs_ok = K > delta ** (1.0 / s)
+    try:
+        hs_bound = delta ** (1.0 / s)
+    except OverflowError:  # no integer K exceeds it
+        hs_bound = math.inf
+    hs_ok = K > hs_bound
     if not hs_ok:
         warnings.warn(
-            f"K={K} <= delta^(1/s)={delta ** (1.0 / s):.6g}: the data are "
+            f"K={K} <= delta^(1/s)={hs_bound:.6g}: the data are "
             "not close in H^s, the separation premise is unmet",
             stacklevel=2,
         )

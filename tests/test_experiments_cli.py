@@ -6,6 +6,7 @@ import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -209,6 +210,22 @@ class TestProfilesCommand:
         fields = np.load(tmp_path / "out" / "fields_final.npy")
         assert fields.shape == (2, 256)
         assert (tmp_path / "out" / "mass.csv").exists()
+
+    def test_blow_up_is_a_failed_run(self, tmp_path, capsys):
+        # valid key by key, but the RK4 step is too long for these amplitudes
+        doc = torus_doc(
+            initial_modes=[{"kappa": [k], "amplitude": [20.0, 0.0]} for k in (-1, 0, 1)],
+            experiment={"type": "profiles", "t_final": 0.1},
+        )
+        scn = write_scenario(tmp_path, doc)
+        rc = run(["profiles", "--scenario", scn, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        t = float(err.split("tripped at t=")[1].split(";")[0])
+        assert 0 < t < 0.01
+        assert "dt*|lambda|*max|a|^(2 sigma) = 0.4 at dt=0.001" in err
+        assert not (tmp_path / "out" / "profiles_report.json").exists()
 
 
 class TestConvergeCommand:
@@ -543,13 +560,21 @@ class TestErrorPaths:
               "experiment": {"type": "closure"}}, "initial_modes[0].amplitude"),
             ({"experiment": {"type": "smalldiv", "probe": {**PROBE, "beta_bound": "six"}}},
              "experiment.probe.beta_bound"),
+            # in bounds key by key, but 1/delta^sigma overflows a float
+            ({"sigma": 8, "experiment": {**INSTABILITY, "delta": 1e-300, "K": 4}},
+             "experiment.delta"),
+            # in bounds key by key, but too large for the exact integer scan
+            ({"experiment": {"type": "smalldiv", "probe": {
+                "generators": [["1/999999937"], ["1/999999929"]], "beta_bound": 64}}},
+             "experiment.probe.generators"),
         ],
         ids=["dt-string", "dt-negative", "snapshots-0", "checkpoints-negative",
              "grid_points-0", "delta-2", "cross_check-string", "rho-nan", "rho-true",
              "t_final-true", "sigma-true", "max_generations-true", "length-true",
              "misspelt-key", "extra-top-level-key", "budget-negative", "rho-negative",
              "s-positive", "variant-bogus", "weak_limit-without-theta", "lambda-inf",
-             "t_final-1e308", "amplitude-1e308", "beta_bound-string"],
+             "t_final-1e308", "amplitude-1e308", "beta_bound-string", "delta-overflow",
+             "generators-overflow"],
     )
     def test_malformed_experiment_number_is_a_scenario_error(
         self, tmp_path, capsys, changes, path
@@ -681,6 +706,36 @@ class TestShippedScenarios:
                 for path, doc in workloads.generate(workload, seed, str(out)).values():
                     scn = load_scenario(path)
                     assert scn.experiment["type"] == doc["experiment"]["type"]
+
+
+FOOTPRINT = """
+import json, sys
+from nlsoptics import experiments_cli
+def heavy():
+    return [m for m in ("scipy.optimize", "scipy.fft") if m in sys.modules]
+seen = {"import": heavy()}
+for command, name in json.loads(sys.argv[1]):
+    rc = experiments_cli.run([command, "--scenario", name, "--out", sys.argv[2]])
+    seen[name] = heavy() if rc == 0 else f"exit {rc}"
+print(json.dumps(seen))
+"""
+
+
+class TestImportFootprint:
+    def test_lattice_commands_load_no_transform_code(self, tmp_path):
+        # the lattice side (closure, torus profiles, divisor survey) runs no
+        # transform, so neither scipy.fft nor scipy.optimize may be imported
+        runs = [["closure", "closure_creation2d"], ["closure", "closure_two_mode_quintic"],
+                ["smalldiv", "smalldiv_square"], ["profiles", "profiles_torus_1d"]]
+        runs = [[command, str(SCENARIOS / f"{name}.json")] for command, name in runs]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT, json.dumps(runs), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"import": [], **{path: [] for _, path in runs}}
 
 
 HOSTILE = (True, math.nan, math.inf, -1, "hostile", 1e308, "<delete>", "<extra key>")

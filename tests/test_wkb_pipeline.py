@@ -32,6 +32,7 @@ from nlsoptics.wkb_pipeline import (
     _cell_config,
     _field_delta,
     _ladder,
+    _solve_alpha1_for_theta,
     assemble_uapp,
     remainder_report,
     run_convergence,
@@ -465,7 +466,7 @@ class TestInstability:
         assert rec.gap >= 0.25
         assert rec.alpha1_tilde == rec.alpha1
 
-    @pytest.mark.parametrize("sigma", [1, 2])
+    @pytest.mark.parametrize("sigma", [1, 2, 3])
     def test_weak_limit_theta_roundtrip(self, sigma):
         theta = 3.0
         rec = run_instability(
@@ -474,9 +475,15 @@ class TestInstability:
         assert rec.theta_user == theta
         assert rec.alpha1_tilde is None
         own = rec.alpha0**2
-        recovered = two_mode_theta(own, rec.alpha1**2, sigma) - own**sigma
-        assert math.isclose(recovered, theta, rel_tol=1e-10)
         assert rec.theta0_tilde == pytest.approx(own**sigma)
+        for theta in (0.5, 3.0):
+            alpha1 = _solve_alpha1_for_theta(rec.alpha0, theta, sigma)
+            if sigma == 1:  # theta0 - alpha0^2 = 2 alpha1^2
+                assert alpha1 == math.sqrt(theta / 2)
+            else:  # the bisection stops at adjacent floats
+                recovered = two_mode_theta(own, alpha1**2, sigma) - own**sigma
+                assert abs(recovered - theta) <= 4 * math.ulp(theta)
+        assert rec.alpha1 == alpha1
 
     def test_weak_limit_cubic_amplitude(self):
         rec = run_instability(1.0, 0.2, -2.0, 32, variant="weak_limit", theta=3.0)
@@ -486,6 +493,14 @@ class TestInstability:
         with pytest.warns(UserWarning, match="premise"):
             rec = run_instability(1.0, 0.5, -2.0, 1)
         assert not rec.hs_condition_ok
+
+    @pytest.mark.parametrize("delta, s", [(1e-300, -0.5), (0.5, -1e-10)])
+    def test_hs_bound_overflow_is_unmet(self, delta, s):
+        # delta^(1/s) overflows a float; no K exceeds it
+        with pytest.warns(UserWarning, match=r"delta\^\(1/s\)=inf"):
+            rec = run_instability(1.0, delta, s, 4)
+        assert not rec.hs_condition_ok
+        assert math.isfinite(rec.gap)
 
     def test_validation(self):
         with pytest.raises(ValueError):
