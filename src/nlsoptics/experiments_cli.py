@@ -68,6 +68,7 @@ from .small_divisors import (
     gram_diophantine_probe,
     survey_divisors,
 )
+from . import wkb_pipeline
 from .wkb_pipeline import LADDER_FRACTION, run_convergence, run_instability
 
 SCENARIO_SCHEMA = "nlsoptics-scenario/1"
@@ -400,13 +401,9 @@ def load_scenario(path: str) -> Scenario:
 
 def _jsonable(obj) -> Any:
     """Recursively convert to JSON-safe values: complex to [re, im],
-    Fraction to 'p/q', NaN/inf to None, numpy scalars to python; dataclass
-    fields marked metadata={"report": False} are left out."""
+    Fraction to 'p/q', NaN/inf to None, numpy scalars to python."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonable(getattr(obj, f.name))
-            for f in fields(obj) if f.metadata.get("report", True)
-        }
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -807,14 +804,16 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     try:
         record = run_instability(
             exp["rho"], exp["delta"], exp["s"], exp["K"], sigma=scn.sigma, lam=scn.lam,
-            variant=exp["variant"], theta=exp["theta"], grid_points=exp["grid_points"],
-            cross_check=exp["cross_check"],
+            variant=exp["variant"], theta=exp["theta"], cross_check=exp["cross_check"],
         )
     except OverflowError as exc:
         raise ScenarioError(f"experiment.delta: too small; {exc}") from None
     total = time.perf_counter() - start
 
-    times, curve = record.curve
+    times, curve = wkb_pipeline.gap_curve(
+        record.alpha0, record.theta0, record.alpha0_tilde, record.theta0_tilde,
+        record.lam, record.delta, exp["grid_points"],
+    )
     lines = map("{:.12g},{:.17g}\n".format, times.tolist(), curve.tolist())
     _atomic_write_bytes(
         os.path.join(out_dir, "gap_curve.csv"), ("t,gap\n" + "".join(lines)).encode()

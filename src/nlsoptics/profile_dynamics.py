@@ -196,14 +196,23 @@ def _rk4_sweep(
     t_final: float,
     dt: float,
     snapshot_times,
-    guard: Callable[[float, np.ndarray], None],
+    guard_level: float,
     record: Callable[[float, np.ndarray, bool], None],
 ) -> None:
     """Fixed-step RK4 from 0 to t_final on the steps of `_segments`.
 
     record(t, y, mark) is called at t=0 and after every step, with mark
-    true at 0 and at each segment end; guard may raise.
+    true at 0 and at each segment end.  Before each call the blow-up guard
+    raises BlowUpError when max|y| is not finite or exceeds guard_level.
     """
+
+    def guard(t: float, y: np.ndarray) -> None:
+        m = float(np.max(np.abs(y))) if y.size else 0.0
+        if not np.isfinite(m):
+            raise BlowUpError(t, f"non-finite values at t={t:.6g}")
+        if m > guard_level:
+            raise BlowUpError(t)
+
     y = y0.copy()
     guard(0.0, y)
     record(0.0, y, True)
@@ -269,19 +278,13 @@ def integrate_torus(
     times = []
     rows = []
 
-    def guard(t, y):
-        m = float(np.max(np.abs(y))) if y.size else 0.0
-        if not np.isfinite(m):
-            raise BlowUpError(t, f"non-finite amplitude at t={t:.6g}")
-        if m > guard_level:
-            raise BlowUpError(t)
-
     def record(t, y, mark):
         times.append(t)
         rows.append(y.copy())
 
     _rk4_sweep(
-        alpha, lambda t, y: coupling(y), params.t_final, params.dt, snapshot_times, guard, record
+        alpha, lambda t, y: coupling(y), params.t_final, params.dt, snapshot_times,
+        guard_level, record,
     )
     return TorusTrajectory(
         modes, params, np.array(times), np.array(rows), _coupling_classes(modes)[-1]
@@ -378,13 +381,6 @@ def integrate_euclid(
     snap_times, snaps = [], []
     mass_times, masses = [], []
 
-    def guard(t, b):
-        m = float(np.max(np.abs(b)))
-        if not np.isfinite(m):
-            raise BlowUpError(t, f"non-finite field at t={t:.6g}")
-        if m > guard_level:
-            raise BlowUpError(t)
-
     def record(t, b, mark):
         mass_times.append(t)
         masses.append(cell * float(np.sum(b.real**2 + b.imag**2)))
@@ -392,7 +388,7 @@ def integrate_euclid(
             snap_times.append(t)
             snaps.append(to_lab(t, b))
 
-    _rk4_sweep(alpha, rhs, params.t_final, params.dt, snapshot_times, guard, record)
+    _rk4_sweep(alpha, rhs, params.t_final, params.dt, snapshot_times, guard_level, record)
     return EuclidTrajectory(
         modes, params, length, np.array(snap_times), np.array(snaps),
         np.array(mass_times), np.array(masses), _coupling_classes(modes)[-1],

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,14 +137,48 @@ class SolveResult:
 
     times holds the marks (0, the snapshot times and t_final, sorted), and
     fields the field at each mark, stacked as one read-only (S,) + (n,)*d
-    array.  `at` and `final` return GridField views of its rows.  The health
-    series hold one value per mark."""
+    array.  `at` and `final` return GridField views of its rows.
+
+    The health series, one value per mark, are each computed in one pass
+    over the stack when first read, so a solve nobody reads (a discarded
+    ladder rung, a grid check) measures nothing: the L2 norms sqrt(cell *
+    sum |u|^2) and the top-band shares of sum |F u|^2 (0 for a zero field),
+    each equal to its per-field form bit for bit.  The band entries are
+    gathered into a C-contiguous array before the sum, because summing the
+    strided gather rounds differently on 2D and 3D grids.  The first read of
+    the fractions warns when one exceeds ALIASING_TOLERANCE."""
 
     times: np.ndarray  # (S,) marks, starting at 0
     fields: np.ndarray  # (S,) + (n,)*d, read-only
-    l2_values: np.ndarray  # discrete L2 norm at each mark
-    aliasing_fractions: np.ndarray  # top-band spectral mass fraction at each mark
     steps: int  # split steps taken over all segments
+
+    @cached_property
+    def l2_values(self) -> np.ndarray:
+        u = self.fields
+        cell = (2 * math.pi / u.shape[1]) ** (u.ndim - 1)
+        return np.sqrt(cell * (u.real**2 + u.imag**2).reshape(len(u), -1).sum(axis=1))
+
+    @cached_property
+    def aliasing_fractions(self) -> np.ndarray:
+        import scipy.fft as sfft
+
+        marks, n, d = len(self.fields), self.fields.shape[1], self.fields.ndim - 1
+        band = np.zeros((n,) * d, dtype=bool)
+        for k in _axis_wavenumbers(d, n):  # integer wavenumbers
+            band |= np.abs(k) >= ALIASING_BAND * n / 2
+        axes = tuple(range(1, d + 1))
+        spec_mag2 = (np.abs(sfft.fftn(self.fields, axes=axes)) ** 2).reshape(marks, -1)
+        total = spec_mag2.sum(axis=1)
+        top = np.ascontiguousarray(spec_mag2[:, band.ravel()]).sum(axis=1)
+        fracs = np.divide(top, total, out=np.zeros(marks), where=total > 0)
+        if np.any(fracs > ALIASING_TOLERANCE):
+            warnings.warn(
+                f"top-band spectral mass fraction reached {np.max(fracs):.3e} "
+                f"(threshold {ALIASING_TOLERANCE}); increase the grid size",
+                AliasingWarning,
+                stacklevel=3,  # past functools' descriptor, to the reader
+            )
+        return fracs
 
     @property
     def aliasing_flagged(self) -> bool:
@@ -181,11 +216,10 @@ def solve(
     forms |u|^2 as u.real**2 + u.imag**2.
 
     At each mark the field is written into the result's stacked fields.
-    Once the solve ends, the health of every mark is measured in one pass
-    over the stack (`_health`): a finite check, whose failure raises
-    FloatingPointError naming the first non-finite mark, the L2 norm and the
-    aliasing monitor's top-band fraction; top-band mass above
-    ALIASING_TOLERANCE raises an AliasingWarning.
+    Once the solve ends, one finite check over the stack raises
+    FloatingPointError naming the first non-finite mark.  The solve measures
+    no health: the result's L2 norms and top-band fractions are computed
+    when first read, and that first read raises the AliasingWarning.
     """
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
@@ -195,11 +229,8 @@ def solve(
     lam, sigma, eps = cfg.lam, cfg.sigma, cfg.eps
 
     ksq = np.zeros((n,) * d)
-    band = np.zeros((n,) * d, dtype=bool)
-    cutoff = ALIASING_BAND * n / 2
     for k in _axis_wavenumbers(d, n):  # integer wavenumbers
         ksq = ksq + k**2
-        band |= np.abs(k) >= cutoff
 
     # Work buffers of the nonlinear sub-step, reused by every step of this
     # call: |u|^2 is the sum of the even and odd entries of the squared
@@ -238,43 +269,12 @@ def solve(
         fields[k] = u
 
     fields.flags.writeable = False
-    l2s, fracs = _health(fields, times, band)
-    res = SolveResult(times, fields, l2s, fracs, steps)
-    if res.aliasing_flagged:
-        warnings.warn(
-            f"top-band spectral mass fraction reached {np.max(fracs):.3e} "
-            f"(threshold {ALIASING_TOLERANCE}); increase the grid size",
-            AliasingWarning,
-            stacklevel=2,
-        )
-    return res
-
-
-def _health(fields: np.ndarray, times: np.ndarray, band: np.ndarray):
-    """(L2 norms, top-band fractions) of the stacked fields, one per mark.
-
-    Each value equals, bit for bit, its per-field form: sqrt(cell * sum
-    |u|^2) and the band's share of sum |F u|^2 (0 for a zero field).  The
-    band entries are gathered into a C-contiguous array before the sum,
-    because summing the strided gather rounds differently on 2D and 3D grids.
-    Raises FloatingPointError naming the first mark with a non-finite value.
-    """
-    import scipy.fft as sfft
-
-    marks = len(times)
-    axes = tuple(range(1, fields.ndim))
-    finite = np.isfinite(fields).all(axis=axes)
+    finite = np.isfinite(fields).all(axis=tuple(range(1, d + 1)))
     if not finite.all():
         raise FloatingPointError(
             f"solver produced non-finite values by t={times[np.argmin(finite)]:.6g}"
         )
-    spec_mag2 = (np.abs(sfft.fftn(fields, axes=axes)) ** 2).reshape(marks, -1)
-    total = spec_mag2.sum(axis=1)
-    top = np.ascontiguousarray(spec_mag2[:, band.ravel()]).sum(axis=1)
-    fracs = np.divide(top, total, out=np.zeros(marks), where=total > 0)
-    cell = (2 * math.pi / fields.shape[1]) ** (fields.ndim - 1)
-    l2s = np.sqrt(cell * (fields.real**2 + fields.imag**2).reshape(marks, -1).sum(axis=1))
-    return l2s, fracs
+    return SolveResult(times, fields, steps)
 
 
 def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray):

@@ -470,8 +470,8 @@ class InstabilityRecord:
 
     alpha0/alpha1 describe the base datum alpha0 + alpha1 e^{ix/eps}; the
     tilde pair is the perturbed one.  theta0/theta0_tilde are the zero-mode
-    modulation rates, t_star the within-[0, delta] time of maximal gap, and
-    gap its value |alpha0 e^{-i lam t theta0} - alpha0~ e^{-i lam t theta0~}|.
+    modulation rates, gap the sup over [0, delta] of |alpha0 e^{-i lam t theta0}
+    - alpha0~ e^{-i lam t theta0~}| and t_star its first time (`run_instability`).
     For the weak-limit variant the tilde datum is the formal limit profile
     and alpha1_tilde is None.  solver_gap is the same quantity measured from
     two spectral solves via the zero Fourier mode (None unless cross-checked).
@@ -481,9 +481,7 @@ class InstabilityRecord:
     of the two solves the gap comes from.  solver_rungs to
     solver_grid_deltas hold one entry per datum (base, perturbed): the ladder rung, the physical step,
     the step-doubling delta and the grid-doubling delta of its zero-mode
-    curve (None unless cross-checked).  `curve` holds the formula's
-    (times, gaps) arrays that gap and t_star are read from; it stays out of
-    reports (metadata report=False) and out of comparisons.
+    curve (None unless cross-checked).
     """
 
     variant: str
@@ -515,28 +513,27 @@ class InstabilityRecord:
     solver_dts: Optional[tuple[float, ...]] = None
     solver_step_deltas: Optional[tuple[float, ...]] = None
     solver_grid_deltas: Optional[tuple[float, ...]] = None
-    curve: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False, metadata={"report": False}
-    )
 
 
 def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
     """Invert the cross part of the modulation rate: find alpha1 >= 0 with
     theta0(alpha0, alpha1) = theta + alpha0^(2 sigma).
 
-    The left side is a polynomial in y = alpha1^2 with nonnegative
-    coefficients, so the excess increases on y >= 0.  At sigma=1 it is
-    2y - theta, and the root is exact; above, y is bisected on the doubling
-    bracket until its ends are adjacent floats, and the end with the smaller
-    excess is kept."""
+    The cross part sum_{n>=1} C(sigma+1, n) C(sigma, n) own^(sigma-n) y^n
+    (own = alpha0^2, y = alpha1^2) is summed alone, free of cancellation
+    against own^sigma, and increases on y >= 0.  At sigma=1 the root of
+    2y - theta is exact; above, y is bisected on the doubling bracket until
+    its ends are adjacent floats, keeping the end with the smaller excess."""
     if theta <= 0:
         raise ValueError("theta must be positive")
     if sigma == 1:
         return math.sqrt(theta / 2)
     own = alpha0 * alpha0
+    coefs = [math.comb(sigma + 1, n) * math.comb(sigma, n) * own ** (sigma - n)
+             for n in range(1, sigma + 1)]
 
     def excess(y: float) -> float:
-        return two_mode_theta(own, y, sigma) - own**sigma - theta
+        return sum(c * y**n for n, c in enumerate(coefs, 1)) - theta
 
     lo, hi = 0.0, 1.0
     while excess(hi) < 0:
@@ -554,15 +551,18 @@ def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
     return math.sqrt(y)
 
 
-def gap_curve(alpha0, theta0, alpha0_t, theta0_t, lam, delta, grid_points):
-    """(times, gaps): the zero-mode gap |alpha0 e^{-i lam theta0 t} -
-    alpha0_t e^{-i lam theta0_t t}| at grid_points even times in [0, delta]."""
-    times = np.linspace(0.0, delta, grid_points)
-    gaps = np.abs(
+def _gaps(alpha0, theta0, alpha0_t, theta0_t, lam, times: np.ndarray) -> np.ndarray:
+    """|alpha0 e^{-i lam theta0 t} - alpha0_t e^{-i lam theta0_t t}| at each time t."""
+    return np.abs(
         alpha0 * np.exp(-1j * lam * theta0 * times)
         - alpha0_t * np.exp(-1j * lam * theta0_t * times)
     )
-    return times, gaps
+
+
+def gap_curve(alpha0, theta0, alpha0_t, theta0_t, lam, delta, grid_points):
+    """(times, gaps): the zero-mode gap at grid_points even times in [0, delta]."""
+    times = np.linspace(0.0, delta, grid_points)
+    return times, _gaps(alpha0, theta0, alpha0_t, theta0_t, lam, times)
 
 
 def run_instability(
@@ -575,7 +575,6 @@ def run_instability(
     lam: float = 1.0,
     variant: str = "perturb_high",
     theta: Optional[float] = None,
-    grid_points: int = 10_000,
     cross_check: bool = False,
 ) -> InstabilityRecord:
     """Quantify how an O(K^s)-small (in H^s, s < 0) change of WKB data at
@@ -586,6 +585,10 @@ def run_instability(
     'perturb_zero' bumps the zero-mode amplitude by delta itself;
     'weak_limit' compares one datum against its formal weak limit, whose
     zero mode misses the cross modulation theta entirely (user-chosen).
+
+    The gap and t* are exact: with omega = lam (theta0 - theta0~) the squared
+    gap is alpha0^2 + alpha0~^2 - 2 alpha0 alpha0~ cos(omega t), so t* = pi/|omega|
+    and gap = alpha0 + alpha0~ when |omega| delta >= pi, else t* = delta.
 
     The separation argument needs K large enough that the perturbation is
     actually small in H^s, i.e. K > delta^(1/s); smaller K still produces
@@ -662,10 +665,12 @@ def run_instability(
             stacklevel=2,
         )
 
-    times, gaps = gap_curve(alpha0, theta0, alpha0_t, theta0_t, lam, delta, grid_points)
-    k_star = int(np.argmax(gaps))
-    t_star = float(times[k_star])
-    gap = float(gaps[k_star])
+    omega = abs(lam * (theta0 - theta0_t))
+    if omega * delta >= math.pi:
+        t_star, gap = math.pi / omega, alpha0 + alpha0_t
+    else:
+        t_star = delta
+        gap = float(_gaps(alpha0, theta0, alpha0_t, theta0_t, lam, np.array([delta]))[0])
 
     eps = solver_gap = solver_t_star = solver_dev = None
     solver_n = solver_steps = solver_l2_drift = solver_aliasing = None
@@ -733,5 +738,4 @@ def run_instability(
         solver_dts=solver_dts,
         solver_step_deltas=step_deltas,
         solver_grid_deltas=grid_deltas,
-        curve=(times, gaps),
     )

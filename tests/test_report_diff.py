@@ -1,0 +1,66 @@
+"""tools/report_diff.py: runs two trees on the shipped scenarios and prints
+one line per difference of their outputs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("report_diff", ROOT / "tools" / "report_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tree_against_itself(capsys):
+    tool = load_tool()
+    assert tool.main([str(ROOT), str(ROOT), "closure_two_mode_quintic", "instability_part1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "2 scenarios, 0 differences\n"
+
+
+def _write(root: Path, files: dict) -> None:
+    for rel, data in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+
+
+def test_comparison_skips_runtimes_only(tmp_path):
+    report = {"content_hash": "ab", "results": {"gap": 0.5, "rows": [1, 2]},
+              "runtimes": {"total": 0.1}}
+    csv_old = b"eps,runtime,status\n0.5,0.012,ok\n0.25,0.020,ok\n"
+    old = {
+        "codes.json": {"a": 0, "b": 0},
+        "a/converge_report.json": report,
+        "a/convergence.csv": csv_old,
+        "b/gap_curve.csv": b"t,gap\n0,0\n",
+        "b/edges.csv": b"x\n",
+    }
+    new = {
+        "codes.json": {"a": 0, "b": 1},
+        "a/converge_report.json": {
+            **report, "results": {"gap": 0.5, "rows": [1, 2.0]}, "runtimes": {"total": 9.0},
+        },
+        "a/convergence.csv": b"eps,runtime,status\n0.5,0.999,ok\n0.25,0.020,failed\n",
+        "b/gap_curve.csv": b"t,gap\n0,1e-17\n",
+        "b/modes.csv": b"x\n",
+    }
+    _write(tmp_path / "old", old)
+    _write(tmp_path / "new", new)
+    tool = load_tool()
+    lines = tool.diff_outputs(tmp_path / "old", tmp_path / "new")
+    assert lines == [
+        "a/converge_report.json.results.rows[1]: 2 != 2.0",
+        "a/convergence.csv: row 2: ['0.25', 'ok'] != ['0.25', 'failed']",
+        "b/edges.csv: only in old",
+        "b/gap_curve.csv: files differ",
+        "b/modes.csv: only in new",
+        "exit.b: 0 != 1",
+    ]
+    # the same roots on both sides differ nowhere
+    assert tool.diff_outputs(tmp_path / "old", tmp_path / "old") == []

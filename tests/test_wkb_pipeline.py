@@ -1,5 +1,7 @@
 import math
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -484,6 +486,43 @@ class TestInstability:
                 recovered = two_mode_theta(own, alpha1**2, sigma) - own**sigma
                 assert abs(recovered - theta) <= 4 * math.ulp(theta)
         assert rec.alpha1 == alpha1
+        # rho=10, where alpha0^(2 sigma) >> theta: the cross terms alone,
+        # summed exactly at the returned alpha1, give theta back to rounding
+        own = Fraction(5.0) ** 2
+        for s, theta in ((sigma, 1e-3), (8, 1e-6)) if sigma > 1 else ():
+            y = Fraction(_solve_alpha1_for_theta(5.0, theta, s)) ** 2
+            cross = sum(
+                math.comb(s + 1, n) * math.comb(s, n) * own ** (s - n) * y**n
+                for n in range(1, s + 1)
+            )
+            assert abs(float((cross - Fraction(theta)) / Fraction(theta))) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "kwargs,omega",
+        [
+            ({"lam": 2.0}, 8.0),  # the rates differ by 2/delta = 4
+            ({"variant": "weak_limit", "theta": 20.0}, 20.0),
+        ],
+    )
+    def test_gap_sup_reached_inside_the_window(self, kwargs, omega):
+        # |omega| delta >= pi: the sup alpha0 + alpha0~ is first reached at
+        # pi/|omega|, which a sampled curve only approaches
+        rec = run_instability(1.0, 0.5, -2.0, 4, **kwargs)
+        assert rec.t_star == pytest.approx(math.pi / omega, rel=1e-12)
+        assert rec.gap == rec.alpha0 + rec.alpha0_tilde == 1.0
+        times, gaps = wkb_pipeline.gap_curve(
+            rec.alpha0, rec.theta0, rec.alpha0_tilde, rec.theta0_tilde, rec.lam,
+            rec.delta, 10_001,
+        )
+        assert np.max(gaps) <= rec.gap + 1e-15
+        # the sampled argmax may sit on a later peak; the first near-sup
+        # sample sits at t*
+        assert abs(times[np.argmax(gaps >= rec.gap - 1e-6)] - rec.t_star) < 1e-3
+
+    def test_constant_gap_at_delta(self):
+        # lam = 0: omega = 0, the gap never moves; t* is delta
+        rec = run_instability(1.0, 0.5, -2.0, 4, lam=0.0)
+        assert (rec.t_star, rec.gap) == (0.5, 0.0)
 
     def test_weak_limit_cubic_amplitude(self):
         rec = run_instability(1.0, 0.2, -2.0, 32, variant="weak_limit", theta=3.0)
@@ -581,3 +620,58 @@ class TestInstability:
         k = int(np.argmax(diffs))
         assert math.isclose(rec.solver_gap, diffs[k], rel_tol=1e-10)
         assert math.isclose(rec.solver_t_star, sample[k], rel_tol=1e-10)
+
+
+def _record_solves(monkeypatch) -> list:
+    """Wrap this module's `solve`; returns the list of its results."""
+    results = []
+    real = wkb_pipeline.solve
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(wkb_pipeline, "solve", recording)
+    return results
+
+
+def _measured(results) -> list:
+    """The solves whose health was read: a cached property, once computed,
+    sits in the instance dict."""
+    health = [{"l2_values", "aliasing_fractions"} & set(vars(r)) for r in results]
+    assert all(h in (set(), {"l2_values", "aliasing_fractions"}) for h in health)
+    return [r for r, h in zip(results, health) if h]
+
+
+class TestHealthOnRead:
+    """Only the solves a record reports measure health: discarded ladder
+    rungs and grid checks compute no norms, no transforms, and warn nothing."""
+
+    def test_crosscheck_measures_the_kept_solves(self, monkeypatch):
+        results = _record_solves(monkeypatch)
+        with pytest.warns(UserWarning, match="premise"):
+            rec = run_instability(1.0, 0.1, -0.5, 16, cross_check=True)
+        assert rec.solver_rungs == (8, 8) and len(results) == 6
+        assert len(_measured(results)) == 2
+
+    def test_coarse_rungs_warn_nothing(self, monkeypatch):
+        # the walk from rung 16 to rung 1 passes rungs whose top band holds
+        # 1e-2 to 1e-1 of the mass; the kept rung-1 solves hold about 1e-13
+        results = _record_solves(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = run_instability(1.0, 0.1, -2.0, 16, cross_check=True)
+        assert rec.solver_rungs == (1, 1) and len(results) == 12
+        assert len(_measured(results)) == 2
+        assert caught == []
+        assert rec.solver_aliasing < 1e-8
+
+    def test_converge_measures_one_solve_per_row(self, monkeypatch):
+        results = _record_solves(monkeypatch)
+        table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4, 1 / 8], 0.3,
+                                checkpoints=2)
+        assert all(r.ok for r in table.rows)
+        assert len(results) > 2 * len(table.rows)
+        kept = _measured(results)
+        assert len(kept) == len(table.rows)
+        assert [r.l2_relative_drift for r in kept] == [r.l2_drift for r in table.rows]

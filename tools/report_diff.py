@@ -1,0 +1,158 @@
+"""Compare what two source trees report on the shipped scenarios.
+
+    python tools/report_diff.py OLD_TREE NEW_TREE [SCENARIO ...]
+
+Each tree's `src/` runs the scenarios through `experiments_cli`, in one
+subprocess per tree (the two run side by side), each into a fresh
+directory; the commands' own output is dropped.  The scenarios are every
+file of NEW_TREE's `scenarios/`, or the ones named, by stem
+(`instability_part1`) or by path; both trees run the same files.  Compared
+per scenario: the exit code, each report without its `runtimes` (so its
+`content_hash` is compared), and every side file byte for byte, except the
+`runtime` column of `convergence.csv`.  One line is printed per
+difference; the exit status is 1 if anything differs, else 0.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# Runs in each tree's process: argv is the output root, then the scenarios.
+# Each scenario's exit code goes into codes.json; a command that raises
+# stops the run, and its traceback is printed.
+RUNNER = """
+import json, os, sys
+from nlsoptics.experiments_cli import run
+
+out, codes = sys.argv[1], {}
+for path in sys.argv[2:]:
+    name = os.path.splitext(os.path.basename(path))[0]
+    with open(path) as fh:
+        command = json.load(fh)["experiment"]["type"]
+    codes[name] = run([command, "--scenario", path, "--out", os.path.join(out, name)])
+with open(os.path.join(out, "codes.json"), "w") as fh:
+    json.dump(codes, fh)
+"""
+
+
+def scenario_paths(tree: Path, names) -> list[Path]:
+    """The named scenarios (stems resolve in tree's scenarios/), or all."""
+    if not names:
+        return sorted((tree / "scenarios").glob("*.json"))
+    found = []
+    for name in names:
+        path = Path(name)
+        if not path.is_file():
+            path = tree / "scenarios" / f"{name}.json"
+        if not path.is_file():
+            raise SystemExit(f"report_diff: no scenario {name!r}")
+        found.append(path.resolve())
+    return found
+
+
+def run_trees(trees, scenarios, outs) -> None:
+    """Run every scenario under each tree's src/, one process per tree."""
+    procs = []
+    for tree, out in zip(trees, outs):
+        env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
+        argv = [sys.executable, "-c", RUNNER, str(out), *map(str, scenarios)]
+        procs.append((tree, subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+        )))
+    for tree, proc in procs:
+        _, err = proc.communicate()
+        if proc.returncode != 0:
+            raise SystemExit(f"report_diff: {tree} failed to run:\n{err}")
+
+
+def diff_values(old, new, where: str) -> list[str]:
+    """One line per leaf where two JSON values differ (types included)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        lines = []
+        for key in sorted(old.keys() | new.keys()):
+            at = f"{where}.{key}"
+            if key not in new:
+                lines.append(f"{at}: only in old")
+            elif key not in old:
+                lines.append(f"{at}: only in new")
+            else:
+                lines += diff_values(old[key], new[key], at)
+        return lines
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [
+            line for i, (a, b) in enumerate(zip(old, new))
+            for line in diff_values(a, b, f"{where}[{i}]")
+        ]
+    if type(old) is not type(new) or old != new:
+        return [f"{where}: {old!r} != {new!r}"]
+    return []
+
+
+def _csv_without(data: bytes, column: str) -> list[list[str]]:
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    drop = rows[0].index(column) if rows and column in rows[0] else None
+    return [[c for i, c in enumerate(row) if i != drop] for row in rows]
+
+
+def diff_file(rel: str, old: bytes, new: bytes) -> list[str]:
+    """Differences of one output file, compared as its kind asks."""
+    if rel.endswith("_report.json"):
+        a, b = json.loads(old), json.loads(new)
+        a.pop("runtimes", None)
+        b.pop("runtimes", None)
+        return diff_values(a, b, rel)
+    if os.path.basename(rel) == "convergence.csv":
+        a, b = _csv_without(old, "runtime"), _csv_without(new, "runtime")
+        if len(a) != len(b):
+            return [f"{rel}: {len(a)} rows != {len(b)}"]
+        return [f"{rel}: row {i}: {x} != {y}" for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    return [] if old == new else [f"{rel}: files differ"]
+
+
+def diff_outputs(old_root: Path, new_root: Path) -> list[str]:
+    """Every difference between two output roots written by RUNNER."""
+    def files(root):
+        return {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+
+    old, new = files(old_root), files(new_root)
+    lines = []
+    for rel in sorted(old.keys() | new.keys()):
+        if rel not in new:
+            lines.append(f"{rel}: only in old")
+        elif rel not in old:
+            lines.append(f"{rel}: only in new")
+        elif rel == "codes.json":
+            lines += diff_values(
+                json.loads(old[rel].read_bytes()), json.loads(new[rel].read_bytes()), "exit"
+            )
+        else:
+            lines += diff_file(rel, old[rel].read_bytes(), new[rel].read_bytes())
+    return lines
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) < 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old_tree, new_tree = Path(argv[0]), Path(argv[1])
+    scenarios = scenario_paths(new_tree, argv[2:])
+    with tempfile.TemporaryDirectory(prefix="report_diff-") as tmp:
+        outs = [Path(tmp) / "old", Path(tmp) / "new"]
+        run_trees([old_tree, new_tree], scenarios, outs)
+        lines = diff_outputs(*outs)
+    for line in lines:
+        print(line)
+    print(f"{len(scenarios)} scenarios, {len(lines)} differences", file=sys.stderr)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
