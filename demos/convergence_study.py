@@ -41,7 +41,7 @@ def main():
     print(f"fitted order: sup {table.fitted_order_label('sup')}, "
           f"w {table.fitted_order_label('w')}")
 
-    params = SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-3)
+    params = SimParams(lam=1.0, t_final=1.0, dt=1e-3)
     final = integrate_torus(alpha, modes, params).final
     rep = remainder_report(final)
     print(f"\nremainder budget: curvature term {rep.r2_bound}, "

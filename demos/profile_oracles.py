@@ -28,7 +28,7 @@ def main():
     # d=1 cubic: each |a_j| is frozen and the phase rotates at 2M - |a_j|^2
     modes = line_modes(-1, 0, 1)
     alpha = np.array([0.5, 1.0, 0.7 * cmath.exp(1j * cmath.pi / 4)])
-    params = SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-3)
+    params = SimParams(lam=1.0, t_final=1.0, dt=1e-3)
     traj = integrate_torus(alpha, modes, params)
     ref = explicit_torus_1d(alpha, 1.0, 1.0)
     print("d=1 cubic law, three modes:")
@@ -41,7 +41,7 @@ def main():
     print("\ntwo modes, closed form per sigma:")
     for sigma in (1, 2, 3):
         m = line_modes(0, 2, sigma=sigma)
-        p = SimParams(lam=-0.7, sigma=sigma, t_final=1.0, dt=1e-3)
+        p = SimParams(lam=-0.7, t_final=1.0, dt=1e-3)
         tr = integrate_torus(np.array([a_j, a_l]), m, p)
         ref = np.array(explicit_two_mode(a_j, a_l, sigma, -0.7, 1.0))
         print(f"  sigma={sigma}: max deviation "

@@ -2,133 +2,31 @@
 
 Resonant lattice closures, coupled profile equations and their closed forms,
 Wiener-algebra norms, a split-step spectral reference solver, the end-to-end
-approximation pipeline, small-divisor surveys, and a scenario CLI.
+approximation pipeline, small-divisor surveys, and a scenario CLI.  The
+package republishes each module's public names, its `__all__`.
 """
 
-from .lattice_geometry import (
-    ClosureWarning,
-    ModeSet,
-    Phase,
-    ResonantTuple,
-    WaveVector,
-    close_under_resonances,
-    complete_rectangle,
-    enumerate_interactions,
-    load_mode_document,
-    mode_document,
-    rescale_to_integers,
-    resonance_defect,
+from . import (
+    lattice_geometry,
+    profile_dynamics,
+    small_divisors,
+    spectral_nls,
+    wiener_norms,
+    wkb_pipeline,
 )
-from .profile_dynamics import (
-    BlowUpError,
-    EuclidTrajectory,
-    ProfileStateEuclid,
-    ProfileStateTorus,
-    SimParams,
-    TorusTrajectory,
-    explicit_euclid_1d,
-    explicit_torus_1d,
-    explicit_two_mode,
-    integrate_euclid,
-    integrate_torus,
-    interactions_for,
-    total_mass,
-    two_mode_theta,
-)
-from .wiener_norms import (
-    FourierSeries,
-    ProfileSpectrum,
-    e_norm,
-    free_propagator,
-    substitution_isometry_check,
-    w_norm,
-)
-from .spectral_nls import (
-    AliasingWarning,
-    GridField,
-    SolveResult,
-    SolverConfig,
-    default_dt,
-    default_grid_size,
-    plane_wave_exact,
-    solve,
-    sup_norm_of_field,
-    w_norm_of_field,
-)
-from .small_divisors import (
-    DivisorSurvey,
-    GramProbe,
-    fit_generalized_bound,
-    gram_diophantine_probe,
-    survey_divisors,
-)
-from .wkb_pipeline import (
-    ConvergenceRow,
-    ConvergenceTable,
-    InstabilityRecord,
-    RemainderReport,
-    assemble_uapp,
-    remainder_report,
-    run_convergence,
-    run_instability,
-)
+from .lattice_geometry import *
+from .profile_dynamics import *
+from .wiener_norms import *
+from .spectral_nls import *
+from .small_divisors import *
+from .wkb_pipeline import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliasingWarning",
-    "BlowUpError",
-    "ClosureWarning",
-    "ConvergenceRow",
-    "ConvergenceTable",
-    "DivisorSurvey",
-    "EuclidTrajectory",
-    "FourierSeries",
-    "GramProbe",
-    "GridField",
-    "InstabilityRecord",
-    "ModeSet",
-    "Phase",
-    "ProfileSpectrum",
-    "ProfileStateEuclid",
-    "ProfileStateTorus",
-    "RemainderReport",
-    "ResonantTuple",
-    "SimParams",
-    "SolveResult",
-    "SolverConfig",
-    "TorusTrajectory",
-    "WaveVector",
-    "assemble_uapp",
-    "close_under_resonances",
-    "complete_rectangle",
-    "default_dt",
-    "default_grid_size",
-    "e_norm",
-    "enumerate_interactions",
-    "explicit_euclid_1d",
-    "explicit_torus_1d",
-    "explicit_two_mode",
-    "fit_generalized_bound",
-    "free_propagator",
-    "gram_diophantine_probe",
-    "integrate_euclid",
-    "integrate_torus",
-    "interactions_for",
-    "load_mode_document",
-    "mode_document",
-    "plane_wave_exact",
-    "remainder_report",
-    "rescale_to_integers",
-    "resonance_defect",
-    "run_convergence",
-    "run_instability",
-    "solve",
-    "substitution_isometry_check",
-    "sup_norm_of_field",
-    "survey_divisors",
-    "total_mass",
-    "two_mode_theta",
-    "w_norm",
-    "w_norm_of_field",
-]
+__all__ = []
+__all__ += lattice_geometry.__all__
+__all__ += profile_dynamics.__all__
+__all__ += wiener_norms.__all__
+__all__ += spectral_nls.__all__
+__all__ += small_divisors.__all__
+__all__ += wkb_pipeline.__all__

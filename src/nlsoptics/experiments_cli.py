@@ -29,8 +29,8 @@ fully resolved parameter set; reports are byte-identical across runs of the
 same scenario and tool version except for the recorded runtimes, which are
 excluded from the content hash.  All writes are atomic (temp then rename).
 Exit codes: 0 success, 1 failed assertion (--assert-order, integer-lattice
-divisor check) or a profile run that tripped the blow-up guard, 2 scenario
-errors.
+divisor check) or a profile run that tripped the blow-up guard (in
+converge, at the profile ladder's rung 1), 2 scenario errors.
 """
 
 from __future__ import annotations
@@ -559,7 +559,7 @@ def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: d
     exp = scn.experiment
     t_final, dt, snaps = exp["t_final"], exp["dt"], exp["snapshots"]
     modes, amps = _closed_modes(scn)
-    params = SimParams(lam=scn.lam, sigma=scn.sigma, t_final=t_final, dt=dt)
+    params = SimParams(lam=scn.lam, t_final=t_final, dt=dt)
     snap_times = [t_final * k / snaps for k in range(snaps + 1)]
     start = time.perf_counter()
     try:
@@ -638,7 +638,7 @@ def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: 
         funcs[modes.index(WaveVector(spec.kappa))] = gaussian(spec.preset)
     fields0 = np.stack([f(x) for f in funcs]).astype(complex)
 
-    params = SimParams(lam=scn.lam, sigma=scn.sigma, t_final=t_final, dt=dt)
+    params = SimParams(lam=scn.lam, t_final=t_final, dt=dt)
     snap_times = [t_final * k / snaps for k in range(snaps + 1)]
     start = time.perf_counter()
     try:
@@ -704,14 +704,13 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     exp = scn.experiment
     modes, amps = _closed_modes(scn)
     start = time.perf_counter()
-    table = run_convergence(
-        modes,
-        amps,
-        scn.lam,
-        [float(f) for f in scn.eps_list],
-        exp["t_final"],
-        checkpoints=exp["checkpoints"],
-    )
+    try:
+        table = run_convergence(modes, amps, scn.lam, [float(f) for f in scn.eps_list],
+                                exp["t_final"], checkpoints=exp["checkpoints"])
+    except BlowUpError as exc:  # at rung 1: the ladder walks past coarser blow-ups
+        print(f"converge failed: {exc} (profile ladder rung 1, its finest step)",
+              file=sys.stderr)
+        return 1
     total = time.perf_counter() - start
 
     health = ("rung", "step_delta", "grid_delta", "steps", "l2_drift", "aliasing")
@@ -808,12 +807,11 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         )
     except OverflowError as exc:
         raise ScenarioError(f"experiment.delta: too small; {exc}") from None
+    except FloatingPointError as exc:
+        raise ScenarioError(f"experiment.delta: {exc}") from None
     total = time.perf_counter() - start
 
-    times, curve = wkb_pipeline.gap_curve(
-        record.alpha0, record.theta0, record.alpha0_tilde, record.theta0_tilde,
-        record.lam, record.delta, exp["grid_points"],
-    )
+    times, curve = wkb_pipeline.gap_curve(record, exp["grid_points"])
     lines = map("{:.12g},{:.17g}\n".format, times.tolist(), curve.tolist())
     _atomic_write_bytes(
         os.path.join(out_dir, "gap_curve.csv"), ("t,gap\n" + "".join(lines)).encode()
@@ -857,8 +855,8 @@ def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     exp = scn.experiment
     modes, _ = _closed_modes(scn)
     start = time.perf_counter()
-    survey = survey_divisors(modes, scn.sigma)
-    fit = fit_generalized_bound(modes, scn.sigma, exp["b_grid"])
+    survey = survey_divisors(modes)
+    fit = fit_generalized_bound(modes, b_grid=exp["b_grid"])
     total = time.perf_counter() - start
 
     _write_csv(

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lattice_geometry import ModeSet, _coupling_classes, _interaction_table
+from .wiener_norms import _box_coefficients
 
 __all__ = [
     "SimParams",
@@ -55,18 +56,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """Coupling, nonlinearity exponent, horizon, and time step."""
+    """Coupling, horizon, and time step; the mode set carries sigma."""
 
     lam: float
-    sigma: int
     t_final: float
     dt: float
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
             raise ValueError("coupling must be finite")
-        if self.sigma < 1:
-            raise ValueError("sigma must be a positive integer")
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
         if self.dt <= 0:
@@ -270,8 +268,6 @@ def integrate_torus(
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (len(modes),):
         raise ValueError("one initial amplitude per mode required")
-    if modes.sigma != params.sigma:
-        raise ValueError("params.sigma must match the mode set")
     coupling = _coupling(modes, -1j * params.lam)
 
     guard_level = BLOWUP_FACTOR * max(float(np.sum(np.abs(alpha))), 1e-300)
@@ -347,13 +343,15 @@ def integrate_euclid(
 
     Snapshots (lab frame) are recorded at the marks of `_snapshot_marks`
     (0, the snapshot times and t_final); the discrete mass at every step.
+    Aborts with BlowUpError when any |a_j| exceeds 1e6 times the initial E
+    norm dxi^d * sum |b| over the `_box_coefficients` b of the profiles,
+    dxi = 2 pi / length: the `e_norm` of their `FourierSeries.from_grid`
+    spectra.  Non-finite values abort too.
     """
     import scipy.fft as sfft
 
     alpha = np.asarray(alpha, dtype=complex)
     state0 = ProfileStateEuclid(modes, alpha, 0.0, length)  # validates shape
-    if modes.sigma != params.sigma:
-        raise ValueError("params.sigma must match the mode set")
     d, n = modes.d, state0.n
     nonlinear = _coupling(modes, -1j * params.lam, d)
     cell = (length / n) ** d
@@ -364,7 +362,8 @@ def integrate_euclid(
     # kappa_j . xi on the grid, one entry per mode, shaped (|J|, n, ..., n)
     kdotxi = sum(kap[:, axis].reshape((-1,) + (1,) * d) * xi[axis] for axis in range(d))
 
-    enorm0 = float((2 * math.pi) ** (-d / 2) * cell * np.abs(sfft.fftn(alpha, axes=axes)).sum())
+    dxi = 2 * math.pi / length
+    enorm0 = dxi**d * float(np.abs(_box_coefficients(alpha, length, d)).sum())
     guard_level = BLOWUP_FACTOR * max(enorm0, 1e-300)
 
     def to_lab(t, b):
@@ -452,14 +451,20 @@ def explicit_euclid_1d(
     return out
 
 
+def _two_mode_terms(own_sq, other_sq, sigma: int) -> list:
+    """The terms C(sigma+1, n) C(sigma, n) own^(sigma-n) other^n, n = 0..sigma,
+    of the two-mode rate, in the arguments' arithmetic (floats or Fractions)."""
+    return [
+        math.comb(sigma + 1, n) * math.comb(sigma, n) * own_sq ** (sigma - n) * other_sq**n
+        for n in range(sigma + 1)
+    ]
+
+
 def two_mode_theta(own_sq: float, other_sq: float, sigma: int) -> float:
     """Constant modulation rate of one profile in a two-mode closed system:
     theta = sum_n C(sigma+1, n) C(sigma, n) own^(sigma-n) other^n with the
-    moduli squared as arguments."""
-    return float(sum(
-        math.comb(sigma + 1, nn) * math.comb(sigma, nn) * own_sq ** (sigma - nn) * other_sq**nn
-        for nn in range(sigma + 1)
-    ))
+    moduli squared as arguments (`_two_mode_terms`)."""
+    return float(sum(_two_mode_terms(own_sq, other_sq, sigma)))
 
 
 def explicit_two_mode(

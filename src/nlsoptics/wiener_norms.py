@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "FourierSeries",
     "ProfileSpectrum",
-    "PRUNE_TOLERANCE",
     "w_norm",
     "e_norm",
     "substitution_isometry_check",
@@ -152,24 +151,35 @@ class FourierSeries:
     def from_grid(cls, values: np.ndarray, length: float) -> "FourierSeries":
         """Discrete transform of samples on a uniform periodic box of side length.
 
-        Coefficient convention: b_k = (2 pi)^(-d/2) * dx^d * sum_m f(x_m) e^{-i xi_k x_m},
-        the rectangle-rule surrogate of the unitary Fourier transform, on the
-        grid xi_k = k * (2 pi / length).
+        The coefficients are `_box_coefficients` of the samples on the grid
+        xi_k = k * (2 pi / length).
         """
         values = np.asarray(values, dtype=complex)
-        d = values.ndim
         n = values.shape[0]
         if any(s != n for s in values.shape):
             raise ValueError("grid must have equal extent per dimension")
-        dx = length / n
-        coef = np.fft.fftn(values) * (dx ** d) * (2 * math.pi) ** (-d / 2)
+        coef = _box_coefficients(values, length, values.ndim)
         freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        terms = {}
-        for idx in np.ndindex(values.shape):
-            c = coef[idx]
-            if abs(c) >= PRUNE_TOLERANCE:
-                terms[tuple(int(freqs[i]) for i in idx)] = complex(c)
+        keys = np.stack(np.meshgrid(*[freqs] * values.ndim, indexing="ij"), axis=-1)
+        kept = np.abs(coef) >= PRUNE_TOLERANCE
+        terms = dict(zip(map(tuple, keys[kept].tolist()), coef[kept].tolist()))
         return cls(terms, dxi=2 * math.pi / length)
+
+
+def _box_coefficients(values: np.ndarray, length: float, d: int) -> np.ndarray:
+    """b_k = (2 pi)^(-d/2) * dx^d * sum_m f(x_m) e^{-i xi_k x_m} over the last
+    d axes of values, samples of f on the uniform periodic box [0, length)^d.
+
+    The rectangle-rule surrogate of the unitary Fourier transform on the
+    grid xi_k = k * dxi, dxi = 2 pi / length, in FFT order; dxi^d * sum |b_k|
+    is the W norm of f's `from_grid` series.  Loads scipy.fft when called.
+    """
+    import scipy.fft as sfft
+
+    values = np.asarray(values, dtype=complex)
+    dx = length / values.shape[-1]
+    axes = tuple(range(values.ndim - d, values.ndim))
+    return sfft.fftn(values, axes=axes) * (dx**d * (2 * math.pi) ** (-d / 2))
 
 
 @dataclass(frozen=True)

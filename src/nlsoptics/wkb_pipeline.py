@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .profile_dynamics import (
     TorusTrajectory,
     _axis_wavenumbers,
     _snapshot_marks,
+    _two_mode_terms,
     integrate_torus,
     two_mode_theta,
 )
@@ -43,18 +45,17 @@ from .spectral_nls import (
     sup_norm_of_field,
     w_norm_of_field,
 )
+from .wiener_norms import _box_coefficients
 
 __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
     "RemainderReport",
     "InstabilityRecord",
-    "ERROR_FLOOR",
     "assemble_uapp",
     "run_convergence",
     "remainder_report",
     "run_instability",
-    "two_mode_theta",
 ]
 
 ERROR_FLOOR = 1e-10  # rows below this are rounding noise, excluded from fits
@@ -173,20 +174,30 @@ def _ladder(run, unit: float, shortest: float, delta, budget: float):
     run(h) integrates the whole horizon at step h and delta(fine, coarse)
     measures two such runs.  Each rung is compared with the run at twice its
     step, and the walk stops at the first rung within budget, keeping only
-    the run the next comparison needs.  The top is LADDER_TOP, capped so
-    that twice its step still fits in the shortest snapshot segment: beyond
-    that both runs take one step per segment and agree vacuously (unit is
-    shrunk to half that segment for the same reason).  Returns (rung, step,
-    fine, coarse, delta); at rung 1 the delta may exceed the budget.
+    the run the next comparison needs.  A run that trips the blow-up guard
+    is None, and a comparison with it is over budget (delta inf), except
+    that a blow-up at rung 1 itself raises its BlowUpError.  The top is
+    LADDER_TOP, capped so that twice its step still fits in the shortest
+    snapshot segment: beyond that both runs take one step per segment and
+    agree vacuously (unit is shrunk to half that segment for the same
+    reason).  Returns (rung, step, fine, coarse, delta); at rung 1 the delta
+    may exceed the budget.
     """
     unit = min(unit, shortest / 2)
     r = LADDER_TOP
     while r > 1 and 2 * r * unit > shortest:
         r //= 2
-    coarse = run(2 * r * unit)
+
+    def attempt(h: float):
+        try:
+            return run(h)
+        except BlowUpError:
+            return None
+
+    coarse = attempt(2 * r * unit)
     while True:
-        fine = run(r * unit)
-        gap = delta(fine, coarse)
+        fine = (run if r == 1 else attempt)(r * unit)
+        gap = math.inf if fine is None or coarse is None else delta(fine, coarse)
         if gap <= budget or r == 1:
             return r, r * unit, fine, coarse, gap
         r, coarse = r // 2, fine
@@ -309,8 +320,10 @@ def run_convergence(
     LADDER_FRACTION*min(eps), measuring the largest summed amplitude gap
     sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
     difference and bounds its sup.  A row any of whose deltas exceeds its
-    budget is marked failed.  A leg whose solve fails (blow-up, overflow)
-    is recorded with its failure note instead of aborting the sweep.
+    budget is marked failed.  A leg whose solve fails (non-finite values)
+    is recorded with its failure note instead of aborting the sweep.  A
+    profile rung that trips the blow-up guard counts as over budget; only a
+    blow-up at rung 1 raises BlowUpError, and then no row is made.
     """
     if not eps_list:
         raise ValueError("eps_list must not be empty")
@@ -339,7 +352,7 @@ def run_convergence(
 
     def integrate(h: float) -> TorusTrajectory:
         nonlocal profile_steps
-        params = SimParams(lam=lam, sigma=modes.sigma, t_final=t_final, dt=h)
+        params = SimParams(lam=lam, t_final=t_final, dt=h)
         traj = integrate_torus(alpha, modes, params, snapshot_times=checks)
         profile_steps += len(traj.times) - 1
         return traj
@@ -390,7 +403,7 @@ def run_convergence(
                 },
                 runtime=time.perf_counter() - start,
             )
-        except (BlowUpError, ValueError, FloatingPointError) as exc:
+        except (ValueError, FloatingPointError) as exc:
             return ConvergenceRow(
                 eps=eps, n=n, dt=default_dt(eps), sup_error=math.nan, w_error=math.nan,
                 status=f"{type(exc).__name__}: {exc}",
@@ -419,8 +432,9 @@ def run_convergence(
 class RemainderReport:
     """Ingredients of the remainder estimate for the current profile state.
 
-    r2_bound is half the summed Wiener norm of the profile Laplacians (zero
-    on the torus, where profiles carry no transverse variable).  min_delta is
+    r2_bound is half the summed Wiener norm of the profile Laplacians,
+    1/2 dxi^d sum |xi|^2 |b| over the `_box_coefficients` b of the profiles
+    (zero on the torus, where profiles carry no transverse variable).  min_delta is
     the smallest nonzero resonance defect over all interaction tuples, in
     lattice units; it is positive whenever any non-resonant tuple exists,
     which is what lets the non-characteristic source be integrated by parts.
@@ -434,30 +448,20 @@ class RemainderReport:
     min_delta: Optional[int]
 
 
-def remainder_report(state, sigma: Optional[int] = None) -> RemainderReport:
+def remainder_report(state) -> RemainderReport:
     if not isinstance(state, (ProfileStateTorus, ProfileStateEuclid)):
         raise TypeError("state must be a torus or euclid profile state")
     modes = state.modes
-    if sigma is None:
-        sigma = modes.sigma
-    survey = survey_divisors(modes, sigma)
+    survey = survey_divisors(modes)
     if isinstance(state, ProfileStateTorus):
         r2 = 0.0
     else:
-        from scipy.fft import fftn
-
-        d = modes.d
-        n = state.fields.shape[1]
-        dx = state.length / n
-        dxi = 2.0 * math.pi / state.length
-        xi_sq = sum(xi * xi for xi in _axis_wavenumbers(d, n, state.length))
-        acc = 0.0
-        for j in range(state.fields.shape[0]):
-            hat = fftn(state.fields[j])
-            acc += float(np.sum(xi_sq * np.abs(hat)))
-        r2 = 0.5 * (2.0 * math.pi) ** (-0.5 * d) * (dx * dxi) ** d * acc
+        d, length = modes.d, state.length
+        b = _box_coefficients(state.fields, length, d)
+        xi_sq = sum(xi * xi for xi in _axis_wavenumbers(d, state.n, length))
+        r2 = 0.5 * (2 * math.pi / length) ** d * float(np.sum(xi_sq * np.abs(b)))
     return RemainderReport(
-        sigma=sigma,
+        sigma=modes.sigma,
         r2_bound=r2,
         nonresonant_tuples=survey.nonresonant_count,
         min_delta=survey.min_delta,
@@ -470,8 +474,9 @@ class InstabilityRecord:
 
     alpha0/alpha1 describe the base datum alpha0 + alpha1 e^{ix/eps}; the
     tilde pair is the perturbed one.  theta0/theta0_tilde are the zero-mode
-    modulation rates, gap the sup over [0, delta] of |alpha0 e^{-i lam t theta0}
-    - alpha0~ e^{-i lam t theta0~}| and t_star its first time (`run_instability`).
+    modulation rates, gap the sup over [0, delta] of |alpha0 - alpha0~ e^{i omega t}|,
+    omega = lam (theta0 - theta0~) summed exactly (`_rate_difference`), and
+    t_star its first time (`run_instability`).
     For the weak-limit variant the tilde datum is the formal limit profile
     and alpha1_tilde is None.  solver_gap is the same quantity measured from
     two spectral solves via the zero Fourier mode (None unless cross-checked).
@@ -519,21 +524,19 @@ def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
     """Invert the cross part of the modulation rate: find alpha1 >= 0 with
     theta0(alpha0, alpha1) = theta + alpha0^(2 sigma).
 
-    The cross part sum_{n>=1} C(sigma+1, n) C(sigma, n) own^(sigma-n) y^n
-    (own = alpha0^2, y = alpha1^2) is summed alone, free of cancellation
-    against own^sigma, and increases on y >= 0.  At sigma=1 the root of
-    2y - theta is exact; above, y is bisected on the doubling bracket until
-    its ends are adjacent floats, keeping the end with the smaller excess."""
+    The cross part, the terms n >= 1 of `_two_mode_terms` (own = alpha0^2,
+    y = alpha1^2), is summed alone, free of cancellation against own^sigma,
+    and increases on y >= 0.  At sigma=1 the root of 2y - theta is exact;
+    above, y is bisected on the doubling bracket until its ends are adjacent
+    floats, keeping the end with the smaller excess."""
     if theta <= 0:
         raise ValueError("theta must be positive")
     if sigma == 1:
         return math.sqrt(theta / 2)
     own = alpha0 * alpha0
-    coefs = [math.comb(sigma + 1, n) * math.comb(sigma, n) * own ** (sigma - n)
-             for n in range(1, sigma + 1)]
 
     def excess(y: float) -> float:
-        return sum(c * y**n for n, c in enumerate(coefs, 1)) - theta
+        return sum(_two_mode_terms(own, y, sigma)[1:]) - theta
 
     lo, hi = 0.0, 1.0
     while excess(hi) < 0:
@@ -551,18 +554,32 @@ def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
     return math.sqrt(y)
 
 
-def _gaps(alpha0, theta0, alpha0_t, theta0_t, lam, times: np.ndarray) -> np.ndarray:
-    """|alpha0 e^{-i lam theta0 t} - alpha0_t e^{-i lam theta0_t t}| at each time t."""
-    return np.abs(
-        alpha0 * np.exp(-1j * lam * theta0 * times)
-        - alpha0_t * np.exp(-1j * lam * theta0_t * times)
+def _rate_difference(lam, sigma, alpha0, alpha1, alpha0_t, alpha1_t) -> float:
+    """omega = lam (theta0 - theta0~), the zero-mode rates of the data
+    (alpha0, alpha1) and (alpha0_t, alpha1_t), summed exactly from the
+    squares of the float amplitudes (`_two_mode_terms` on Fractions) and
+    rounded once.  alpha1_t None is the weak limit, which sees only its own
+    modulus.  Raises OverflowError when omega overflows a float."""
+    def rate(a0, a1):
+        return sum(_two_mode_terms(Fraction(a0) ** 2, Fraction(a1 or 0.0) ** 2, sigma))
+
+    return float(Fraction(lam) * (rate(alpha0, alpha1) - rate(alpha0_t, alpha1_t)))
+
+
+def _gaps(alpha0, alpha0_t, omega, times: np.ndarray) -> np.ndarray:
+    """|alpha0 - alpha0_t e^{i omega t}| at each time t: the zero-mode gap
+    |alpha0 e^{-i lam theta0 t} - alpha0_t e^{-i lam theta0_t t}|."""
+    return np.abs(alpha0 - alpha0_t * np.exp(1j * omega * times))
+
+
+def gap_curve(rec: InstabilityRecord, grid_points: int):
+    """(times, gaps): the record's zero-mode gap at grid_points even times in
+    [0, delta], from its exact omega (`_rate_difference`)."""
+    omega = _rate_difference(
+        rec.lam, rec.sigma, rec.alpha0, rec.alpha1, rec.alpha0_tilde, rec.alpha1_tilde
     )
-
-
-def gap_curve(alpha0, theta0, alpha0_t, theta0_t, lam, delta, grid_points):
-    """(times, gaps): the zero-mode gap at grid_points even times in [0, delta]."""
-    times = np.linspace(0.0, delta, grid_points)
-    return times, _gaps(alpha0, theta0, alpha0_t, theta0_t, lam, times)
+    times = np.linspace(0.0, rec.delta, grid_points)
+    return times, _gaps(rec.alpha0, rec.alpha0_tilde, omega, times)
 
 
 def run_instability(
@@ -586,15 +603,18 @@ def run_instability(
     'weak_limit' compares one datum against its formal weak limit, whose
     zero mode misses the cross modulation theta entirely (user-chosen).
 
-    The gap and t* are exact: with omega = lam (theta0 - theta0~) the squared
-    gap is alpha0^2 + alpha0~^2 - 2 alpha0 alpha0~ cos(omega t), so t* = pi/|omega|
+    The gap and t* are exact: with omega = lam (theta0 - theta0~), summed
+    exactly from the amplitudes by `_rate_difference` (two rounded rates of
+    order alpha1^(2 sigma) would cancel), the squared gap is
+    alpha0^2 + alpha0~^2 - 2 alpha0 alpha0~ cos(omega t), so t* = pi/|omega|
     and gap = alpha0 + alpha0~ when |omega| delta >= pi, else t* = delta.
 
     The separation argument needs K large enough that the perturbation is
     actually small in H^s, i.e. K > delta^(1/s); smaller K still produces
     the gap but the record flags the premise as unmet.  Raises
     OverflowError when delta is so small that the perturbed rate of
-    'perturb_high', of order delta^-sigma, overflows a float.
+    'perturb_high', of order delta^-sigma, or omega overflows a float, and
+    FloatingPointError when the perturbed datum rounds to the base one.
 
     With cross_check=True (variants with two data only) the gap is also
     measured from two semiclassical solves at eps = 1/K^2 through the zero
@@ -607,7 +627,8 @@ def run_instability(
     LADDER_FRACTION*eps on the largest zero-mode gap over the samples
     (`_zero_mode_delta`), and one more solve, at twice the chosen step on
     the doubled cell, gives its grid-doubling delta.  A delta over budget is
-    recorded, not raised.
+    recorded, not raised.  Raises OverflowError before any solve when the
+    data overflow when squared, so that the solves' health would not be finite.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")
@@ -621,37 +642,36 @@ def run_instability(
         raise ValueError(f"unknown variant {variant!r}")
 
     alpha0 = rho / 2.0
-    own = alpha0 * alpha0
     theta_user = None
-    if variant == "perturb_high":
-        alpha1 = alpha0 * K ** (-s)
-        alpha0_t = alpha0
-        alpha1_t = math.sqrt(alpha1 * alpha1 + 1.0 / delta)
-        theta0 = two_mode_theta(own, alpha1 * alpha1, sigma)
-        try:
-            theta0_t = two_mode_theta(own, alpha1_t * alpha1_t, sigma)
-        except OverflowError:
-            theta0_t = math.inf
-        if math.isinf(theta0_t):
-            raise OverflowError(
-                f"the perturbed rate, of order delta^-sigma, overflows at "
-                f"delta={delta:.6g}, sigma={sigma}"
-            )
-    elif variant == "perturb_zero":
-        alpha1 = alpha0 * K ** (-s)
-        alpha0_t = alpha0 + delta
-        alpha1_t = alpha1
-        theta0 = two_mode_theta(own, alpha1 * alpha1, sigma)
-        theta0_t = two_mode_theta(alpha0_t * alpha0_t, alpha1 * alpha1, sigma)
-    else:
+    if variant == "weak_limit":
         if theta is None:
             raise ValueError("weak_limit variant requires theta")
         theta_user = float(theta)
         alpha1 = _solve_alpha1_for_theta(alpha0, theta_user, sigma)
-        alpha0_t = alpha0
-        alpha1_t = None
-        theta0 = two_mode_theta(own, alpha1 * alpha1, sigma)
-        theta0_t = own**sigma  # the naive limit only sees its own modulus
+        alpha0_t, alpha1_t = alpha0, None  # the naive limit sees only its own modulus
+    else:
+        alpha1 = alpha0 * K ** (-s)
+        if variant == "perturb_high":
+            alpha0_t, alpha1_t = alpha0, math.sqrt(alpha1 * alpha1 + 1.0 / delta)
+        else:
+            alpha0_t, alpha1_t = alpha0 + delta, alpha1
+        if (alpha0_t, alpha1_t) == (alpha0, alpha1):
+            raise FloatingPointError(
+                f"delta={delta:.6g} is lost to rounding: the perturbed datum is "
+                f"the base datum ({alpha0:.6g}, {alpha1:.6g})"
+            )
+    try:
+        theta0 = two_mode_theta(alpha0 * alpha0, alpha1 * alpha1, sigma)
+        a1_t = alpha1_t or 0.0
+        theta0_t = two_mode_theta(alpha0_t * alpha0_t, a1_t * a1_t, sigma)
+        omega = _rate_difference(lam, sigma, alpha0, alpha1, alpha0_t, alpha1_t)
+    except OverflowError:
+        theta0_t = math.inf
+    if math.isinf(theta0_t):
+        raise OverflowError(
+            f"the perturbed rate, of order delta^-sigma, or lam times the rate "
+            f"difference overflows at delta={delta:.6g}, sigma={sigma}"
+        )
 
     try:
         hs_bound = delta ** (1.0 / s)
@@ -665,12 +685,11 @@ def run_instability(
             stacklevel=2,
         )
 
-    omega = abs(lam * (theta0 - theta0_t))
-    if omega * delta >= math.pi:
-        t_star, gap = math.pi / omega, alpha0 + alpha0_t
+    if abs(omega) * delta >= math.pi:
+        t_star, gap = math.pi / abs(omega), alpha0 + alpha0_t
     else:
         t_star = delta
-        gap = float(_gaps(alpha0, theta0, alpha0_t, theta0_t, lam, np.array([delta]))[0])
+        gap = float(_gaps(alpha0, alpha0_t, omega, np.array([delta]))[0])
 
     eps = solver_gap = solver_t_star = solver_dev = None
     solver_n = solver_steps = solver_l2_drift = solver_aliasing = None
@@ -686,6 +705,12 @@ def run_instability(
         # the carrier at 1/eps is wavenumber 1 on the period
         pair = ModeSet.from_vectors([WaveVector((0,)), WaveVector((1,))], sigma)
         sample = np.linspace(0.0, delta, 101)
+        # |F u|^2 <= n sum |u|^2 = n^2 (a0^2 + a1^2), kept by the split step,
+        # so every square the health reads is finite if the larger datum's is
+        peak = cell.n * (alpha0_t + alpha1_t)
+        if not math.isfinite(peak * peak):
+            raise OverflowError(f"the cross-check datum ({alpha0_t:.6g}, {alpha1_t:.6g}) "
+                                f"overflows when squared on {cell.n} points")
         solver_steps = 0
         solves, ladders = [], []
         for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t)):

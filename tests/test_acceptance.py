@@ -115,7 +115,7 @@ def test_criterion_02_mode_creation_sweep(announce):
         (1, 1): 0.25 * cmath.exp(1j * math.pi / 6),
     })
     traj = integrate_torus(
-        alpha, modes, SimParams(lam=1.0, sigma=1, t_final=0.5, dt=1e-3)
+        alpha, modes, SimParams(lam=1.0, t_final=0.5, dt=1e-3)
     )
     a00 = abs(traj.final.amps[modes.index(wv(0, 0))])
     table = run_convergence(modes, alpha, 1.0, EPS_SWEEP, 0.5)
@@ -135,7 +135,7 @@ def test_criterion_03_oracle_agreement(announce):
     # the generic integrators must reproduce every closed form: d=1 cubic
     # law, two-mode binomial phases for sigma 1..3, and the Euclidean
     # two-Gaussian quadrature form
-    params = SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-3)
+    params = SimParams(lam=1.0, t_final=1.0, dt=1e-3)
     modes = closure([(-1,), (0,), (1,)], 1)
     alpha = amps_for(modes, {
         (-1,): 0.5,
@@ -152,7 +152,7 @@ def test_criterion_03_oracle_agreement(announce):
     a_j, a_l = 0.8 * cmath.exp(0.2j), 0.55j
     pair_alpha = amps_for(pair_modes, {(0,): a_j, (2,): a_l})
     for sigma in (1, 2, 3):
-        p = SimParams(lam=-0.7, sigma=sigma, t_final=1.0, dt=1e-3)
+        p = SimParams(lam=-0.7, t_final=1.0, dt=1e-3)
         m = closure([(0,), (2,)], sigma)
         tr = integrate_torus(pair_alpha, m, p)
         ref = explicit_two_mode(a_j, a_l, sigma, -0.7, 1.0)
@@ -190,7 +190,7 @@ def test_criterion_04_conservation(announce):
         (1,): 0.7 * cmath.exp(1j * math.pi / 4),
     })
     traj = integrate_torus(
-        alpha, modes, SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-3)
+        alpha, modes, SimParams(lam=1.0, t_final=1.0, dt=1e-3)
     )
     mass = traj.mass_series()
     mass_drift = float(np.max(np.abs(mass - mass[0])) / mass[0])
@@ -304,7 +304,7 @@ def test_criterion_06_quintic_initial_derivative(announce):
     h = 4e-5
     traj = integrate_torus(
         alpha, modes,
-        SimParams(lam=lam, sigma=2, t_final=h, dt=h / 8),
+        SimParams(lam=lam, t_final=h, dt=h / 8),
         snapshot_times=[h / 2, h],
     )
     j3 = modes.index(wv(3))

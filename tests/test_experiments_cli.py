@@ -236,6 +236,49 @@ class TestConvergeCommand:
             experiment={"type": "converge", "t_final": 0.1, "checkpoints": 1},
         )
 
+    def _blow_up_doc(self, lam, amps):
+        return torus_doc(
+            **{"lambda": lam},
+            initial_modes=[
+                {"kappa": [k], "amplitude": [a, 0.0]} for k, a in enumerate(amps)
+            ],
+            solver={"eps_list": ["1/8", "1/16"]},
+            experiment={"type": "converge", "t_final": 0.5},
+        )
+
+    def test_profile_blow_up_above_rung_1_walks_down(self, tmp_path, monkeypatch):
+        # the top rung's coarse partner (step 0.032) turns the phase by about
+        # 6 rad a step and trips the guard; the ladder counts it over budget
+        tripped = []
+        real = wkb_pipeline.integrate_torus
+
+        def integrate(alpha, modes, params, **kw):
+            try:
+                return real(alpha, modes, params, **kw)
+            except experiments_cli.BlowUpError:
+                tripped.append(params.dt)
+                raise
+
+        monkeypatch.setattr(wkb_pipeline, "integrate_torus", integrate)
+        scn = write_scenario(tmp_path, self._blow_up_doc(1.0, (12.0, 5.0)))
+        rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert tripped and tripped[0] == pytest.approx(0.032)
+        res = load_report(tmp_path, "converge_report.json")["results"]
+        assert res["profile"]["rung"] == 1
+        assert [r["rung"] for r in res["rows"]] == [1, 1]
+        assert all(r["status"].startswith("check over 0.01*eps") for r in res["rows"])
+
+    def test_profile_blow_up_at_rung_1_fails_the_sweep(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, self._blow_up_doc(1000.0, (1000.0, 500.0)))
+        rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("converge failed: amplitude blow-up guard tripped at t=")
+        assert "rung 1" in err
+        assert not (tmp_path / "out" / "converge_report.json").exists()
+
     def test_sweep_report_and_csv(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, self._doc(1.0))
         rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")])
@@ -406,6 +449,31 @@ class TestInstabilityCommand:
             assert f"step {step_deltas[i] / eps:.2e}*eps" in line
             assert f"grid {grid_deltas[i] / eps:.2e}*eps" in line
             assert line.endswith("[over 0.01*eps: step]") == (step_deltas[i] > budget)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"s": -3.0}, "lost to rounding"),  # alpha1^2 + 1/delta is alpha1^2
+            ({"variant": "perturb_zero", "rho": 100.0, "delta": 1e-15},
+             "lost to rounding"),  # alpha0 + delta is alpha0
+            ({"rho": 100.0, "delta": 1e-307, "s": -4.0, "cross_check": True},
+             "overflows when squared"),
+        ],
+        ids=["perturb_high-rounding", "perturb_zero-rounding", "cross_check-overflow"],
+    )
+    def test_unrepresentable_data_refused(self, tmp_path, capsys, changes, message):
+        # in bounds key by key; the perturbation is lost to rounding, or the
+        # cross-check's fields overflow when squared
+        doc = torus_doc(experiment={
+            "type": "instability", "rho": 1.0, "delta": 0.1, "s": -2.0, "K": 4096,
+            **changes,
+        })
+        scn = write_scenario(tmp_path, doc)
+        rc = run(["instability", "--scenario", scn, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: experiment.delta: ") and message in err
+        assert not (tmp_path / "out" / "instability_report.json").exists()
 
 
 class TestSmalldivCommand:

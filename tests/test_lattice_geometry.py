@@ -185,6 +185,29 @@ class TestClosureLimits:
         assert not s.saturated
         assert max(s.generations) == 1
 
+    def test_final_scan_finds_the_set_complete(self):
+        # the one generation creates (0, 0); the scan after the budget finds
+        # nothing more, so the closure is saturated and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ClosureWarning)
+            s = closure([(0, 1), (1, 0), (1, 1)], 1, max_generations=1)
+        assert s.saturated
+        assert [v.coords for v in s.vectors] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert s.generations == (1, 0, 0, 0)
+
+    def test_final_scan_finds_only_corners_beyond_the_cap(self):
+        # generation 1 creates (2, 1), within the cap; every corner the scan
+        # after the budget finds has sup norm above 2, so the cap decides
+        with pytest.warns(ClosureWarning, match="sup-norm cap"):
+            s = closure([(-1, -1), (-1, 1), (1, 0), (2, -1)], 1,
+                        max_generations=1, max_sup_norm=2)
+        assert not s.saturated
+        assert [v.coords for v in s.vectors] == [(-1, -1), (-1, 1), (1, 0), (2, -1), (2, 1)]
+        # without the cap, a second generation creates (3, 0) and saturates
+        wide = closure([(-1, -1), (-1, 1), (1, 0), (2, -1)], 1, max_generations=2)
+        assert wide.saturated
+        assert [v.coords for v, g in zip(wide.vectors, wide.generations) if g == 2] == [(3, 0)]
+
 
 def _hnf_membership(diffs, target):
     """Exact integer test: is target in the lattice spanned by diffs?

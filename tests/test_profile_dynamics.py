@@ -23,8 +23,10 @@ from nlsoptics.profile_dynamics import (
     interactions_for,
     total_mass,
 )
+from nlsoptics import profile_dynamics
 from nlsoptics.profile_dynamics import _coupling, _snapshot_marks
 from nlsoptics.spectral_nls import GridField, SolverConfig, solve
+from nlsoptics.wiener_norms import FourierSeries, ProfileSpectrum, e_norm
 
 
 def wv(*coords):
@@ -43,7 +45,7 @@ class TestTimeGrid:
 
     def _runs(self):
         modes = line_modes(-1, 1)
-        params = SimParams(lam=1.0, sigma=1, t_final=self.T, dt=self.DT)
+        params = SimParams(lam=1.0, t_final=self.T, dt=self.DT)
         torus = integrate_torus([0.6, 0.3j], modes, params, snapshot_times=self.SNAPS)
         x = np.arange(64) * (20.0 / 64)
         fields = np.stack([np.exp(-((x - 10.0) ** 2)), 0.5 * np.exp(-((x - 9.0) ** 2))])
@@ -76,7 +78,7 @@ class TestTorusIntegration:
     def test_matches_1d_closed_form(self):
         modes = line_modes(-1, 0, 1)
         alpha = np.array([0.5, 1.0, 0.7 * np.exp(1j * np.pi / 4)])
-        params = SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-3)
+        params = SimParams(lam=1.0, t_final=1.0, dt=1e-3)
         traj = integrate_torus(alpha, modes, params)
         ref = explicit_torus_1d(alpha, 1.0, 1.0)
         assert np.max(np.abs(traj.amps[-1] - ref)) < 1e-8
@@ -85,7 +87,7 @@ class TestTorusIntegration:
     def test_matches_two_mode_closed_form(self, sigma):
         modes = line_modes(0, 2, sigma=sigma)
         alpha = np.array([0.8, 0.5j])
-        params = SimParams(lam=-1.0, sigma=sigma, t_final=1.0, dt=1e-3)
+        params = SimParams(lam=-1.0, t_final=1.0, dt=1e-3)
         traj = integrate_torus(alpha, modes, params)
         ref = explicit_two_mode(alpha[0], alpha[1], sigma, -1.0, 1.0)
         assert abs(traj.amps[-1][0] - ref[0]) < 1e-8
@@ -93,7 +95,7 @@ class TestTorusIntegration:
 
     def test_snapshot_times_recorded(self):
         modes = line_modes(0, 1)
-        params = SimParams(lam=1.0, sigma=1, t_final=0.5, dt=1e-2)
+        params = SimParams(lam=1.0, t_final=0.5, dt=1e-2)
         traj = integrate_torus(
             np.array([1.0, 0.5]), modes, params, snapshot_times=[0.17, 0.25]
         )
@@ -106,7 +108,7 @@ class TestTorusIntegration:
     def test_mass_and_moduli_conserved(self):
         modes = line_modes(-1, 0, 1)
         alpha = np.array([0.5, 1.0, 0.7 * np.exp(1j * np.pi / 4)])
-        params = SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-3)
+        params = SimParams(lam=1.0, t_final=1.0, dt=1e-3)
         traj = integrate_torus(alpha, modes, params,
                                snapshot_times=np.linspace(0, 1, 11))
         masses = traj.mass_series()
@@ -117,16 +119,10 @@ class TestTorusIntegration:
 
     def test_blow_up_guard_raises(self):
         modes = line_modes(0, 1)
-        params = SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-2)
+        params = SimParams(lam=1.0, t_final=1.0, dt=1e-2)
         bad = np.array([np.nan + 0j, 0.5])
         with pytest.raises(BlowUpError):
             integrate_torus(bad, modes, params)
-
-    def test_sigma_mismatch_rejected(self):
-        modes = line_modes(0, 1, sigma=2)
-        params = SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-2)
-        with pytest.raises(ValueError):
-            integrate_torus(np.array([1.0, 0.5]), modes, params)
 
     @given(
         st.lists(
@@ -139,7 +135,7 @@ class TestTorusIntegration:
     @settings(max_examples=20, deadline=None)
     def test_mass_conserved_random_data(self, amps):
         modes = line_modes(-1, 0, 1)
-        params = SimParams(lam=1.0, sigma=1, t_final=0.3, dt=1e-3)
+        params = SimParams(lam=1.0, t_final=0.3, dt=1e-3)
         traj = integrate_torus(np.array(amps), modes, params)
         masses = traj.mass_series()
         if masses[0] > 1e-12:
@@ -154,7 +150,7 @@ class TestQuinticCascade:
         alpha[modes.index(wv(-1))] = 0.6
         alpha[modes.index(wv(0))] = 0.8
         alpha[modes.index(wv(2))] = 0.7
-        params = SimParams(lam=1.0, sigma=2, t_final=0.2, dt=1e-3)
+        params = SimParams(lam=1.0, t_final=0.2, dt=1e-3)
         traj = integrate_torus(alpha, modes, params)
         a3 = traj.amps[-1][modes.index(wv(3))]
         assert abs(a3) > 1e-3
@@ -171,7 +167,7 @@ class TestQuinticCascade:
         alpha[modes.index(wv(2))] = 0.7 * np.exp(1.1j)
         lam = 1.0
         h = 1e-6
-        params = SimParams(lam=lam, sigma=2, t_final=h, dt=h / 10)
+        params = SimParams(lam=lam, t_final=h, dt=h / 10)
         traj = integrate_torus(alpha, modes, params)
         fd = traj.amps[-1][j3] / h
         expected = (
@@ -194,7 +190,7 @@ class TestEuclidIntegration:
         length, n = 60.0, 1024
         modes = line_modes(-1, 1)
         x, fields = self._gaussians(length, n)
-        params = SimParams(lam=1.0, sigma=1, t_final=1.0, dt=1e-3)
+        params = SimParams(lam=1.0, t_final=1.0, dt=1e-3)
         traj = integrate_euclid(fields, modes, params, length)
         funcs = [
             lambda y: 0.9 * np.exp(-((y - 25.0) ** 2) / (2 * 1.5**2)),
@@ -203,11 +199,31 @@ class TestEuclidIntegration:
         ref = explicit_euclid_1d(funcs, [-1.0, 1.0], 1.0, 1.0, x, 1e-3)
         assert np.max(np.abs(traj.fields[-1] - ref)) < 1e-6
 
+    def test_guard_is_1e6_times_the_e_norm(self, monkeypatch):
+        # the shipped Gaussians at n=2048: E norm 4.011, the e_norm of the
+        # from_grid spectra, not (L / 2 pi)^d times it (38.30)
+        levels = []
+        real = profile_dynamics._rk4_sweep
+
+        def sweep(*args):
+            levels.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(profile_dynamics, "_rk4_sweep", sweep)
+        length, n = 60.0, 2048
+        modes = line_modes(-1, 1)
+        _, fields = self._gaussians(length, n)
+        integrate_euclid(fields, modes, SimParams(lam=1.0, t_final=1e-3, dt=1e-3), length)
+        spectra = ProfileSpectrum([FourierSeries.from_grid(f, length) for f in fields],
+                                  [(-1,), (1,)])
+        assert e_norm(spectra) == pytest.approx(4.011, abs=5e-4)
+        assert levels == [pytest.approx(1e6 * e_norm(spectra), rel=1e-12)]
+
     def test_mass_conserved(self):
         length, n = 60.0, 512
         modes = line_modes(-1, 1)
         _, fields = self._gaussians(length, n)
-        params = SimParams(lam=-1.0, sigma=1, t_final=0.5, dt=2e-3)
+        params = SimParams(lam=-1.0, t_final=0.5, dt=2e-3)
         traj = integrate_euclid(fields, modes, params, length)
         drift = np.max(np.abs(traj.masses - traj.masses[0])) / traj.masses[0]
         assert drift < 1e-10
@@ -219,7 +235,7 @@ class TestEuclidIntegration:
         modes = line_modes(2)
         x = np.arange(n) * (length / n)
         f = (0.8 * np.exp(-((x - 30.0) ** 2) / 2.0)).astype(complex)[None, :]
-        params = SimParams(lam=0.0, sigma=1, t_final=1.5, dt=1e-2)
+        params = SimParams(lam=0.0, t_final=1.5, dt=1e-2)
         traj = integrate_euclid(f, modes, params, length)
         expected = 0.8 * np.exp(-((x - 1.5 * 2.0 - 30.0) ** 2) / 2.0)
         assert np.max(np.abs(traj.fields[-1][0] - expected)) < 1e-10
@@ -312,7 +328,7 @@ class TestCouplingSum:
 
     def test_trajectory_counts_tuples(self):
         modes = line_modes(-1, 0, 1)
-        traj = integrate_torus([0.5, 1.0, 0.3], modes, SimParams(1.0, 1, 0.01, 1e-3))
+        traj = integrate_torus([0.5, 1.0, 0.3], modes, SimParams(1.0, 0.01, 1e-3))
         assert traj.interaction_tuples == 15  # (j, l, l) and (l, l, j): 2*3 - 1 each
         assert len(traj.times) == 11
 
@@ -327,8 +343,8 @@ class TestCouplingSum:
             quintic = close_under_resonances([wv(k) for k in range(-4, 5)], 2, max_sup_norm=4)
         for modes, want in ((line_modes(-1, 0, 1), 15), (box, 29393), (quintic, 4077)):
             assert sum(map(len, interactions_for(modes))) == want
-            n, sigma = len(modes), modes.sigma
-            params = SimParams(1.0, sigma, 1e-3, 1e-3)
+            n = len(modes)
+            params = SimParams(1.0, 1e-3, 1e-3)
             torus = integrate_torus(np.full(n, 0.1 + 0j), modes, params)
             euclid = integrate_euclid(
                 np.full((n,) + (4,) * modes.d, 0.1 + 0j), modes, params, 2 * math.pi

@@ -40,6 +40,7 @@ def test_comparison_skips_runtimes_only(tmp_path):
         "a/convergence.csv": csv_old,
         "b/gap_curve.csv": b"t,gap\n0,0\n",
         "b/edges.csv": b"x\n",
+        "b/modes.csv": b"k0,generation\n1,0\n",
     }
     new = {
         "codes.json": {"a": 0, "b": 1},
@@ -48,7 +49,8 @@ def test_comparison_skips_runtimes_only(tmp_path):
         },
         "a/convergence.csv": b"eps,runtime,status\n0.5,0.999,ok\n0.25,0.020,failed\n",
         "b/gap_curve.csv": b"t,gap\n0,1e-17\n",
-        "b/modes.csv": b"x\n",
+        "b/modes.csv": b"k0,generation\n1,0\n2,1\n",
+        "b/trajectory.csv": b"x\n",
     }
     _write(tmp_path / "old", old)
     _write(tmp_path / "new", new)
@@ -58,9 +60,27 @@ def test_comparison_skips_runtimes_only(tmp_path):
         "a/converge_report.json.results.rows[1]: 2 != 2.0",
         "a/convergence.csv: row 2: ['0.25', 'ok'] != ['0.25', 'failed']",
         "b/edges.csv: only in old",
-        "b/gap_curve.csv: files differ",
-        "b/modes.csv: only in new",
+        "b/gap_curve.csv: 1 of 4 cells differ, largest relative difference 1",
+        "b/modes.csv: files differ",  # a row more: no cell by cell comparison
+        "b/trajectory.csv: only in new",
         "exit.b: 0 != 1",
     ]
     # the same roots on both sides differ nowhere
     assert tool.diff_outputs(tmp_path / "old", tmp_path / "old") == []
+
+
+def test_differences_carry_their_size():
+    tool = load_tool()
+    assert tool.diff_values({"gap": 0.5, "n": 3, "ok": True}, {"gap": 0.5000000000000001,
+                            "n": 4, "ok": False}, "r") == [
+        "r.gap: 0.5 != 0.5000000000000001 (relative 2.22e-16)",
+        "r.n: 3 != 4 (relative 0.25)",
+        "r.ok: True != False",
+    ]
+    old = b"t,gap,note\n0,1.0,a\n0.5,2.0,b\n1,4.0,c\n"
+    new = b"t,gap,note\n0,1.0,a\n0.5,2.000000000000001,b\n1,4.0000000000000036,d\n"
+    assert tool.diff_file("x/gap_curve.csv", old, new) == [
+        "x/gap_curve.csv: 3 of 12 cells differ, largest relative difference 8.88e-16, "
+        "1 not numeric"
+    ]
+    assert tool.diff_file("x/gap_curve.csv", old, old) == []

@@ -8,6 +8,7 @@ import pytest
 
 from nlsoptics.lattice_geometry import ModeSet, WaveVector, close_under_resonances
 from nlsoptics.profile_dynamics import (
+    BlowUpError,
     ProfileStateEuclid,
     ProfileStateTorus,
     SimParams,
@@ -23,7 +24,7 @@ from nlsoptics.spectral_nls import (
     w_norm_of_field,
 )
 from nlsoptics import wkb_pipeline
-from nlsoptics.profile_dynamics import _snapshot_marks
+from nlsoptics.profile_dynamics import _snapshot_marks, _two_mode_terms
 from nlsoptics.wkb_pipeline import (
     ERROR_FLOOR,
     LADDER_FRACTION,
@@ -215,7 +216,7 @@ class TestConvergence:
         checks = table.checkpoint_times
         traj = integrate_torus(
             alpha, modes,
-            SimParams(lam=1.0, sigma=1, t_final=t_final, dt=table.profile_dt),
+            SimParams(lam=1.0, t_final=t_final, dt=table.profile_dt),
             snapshot_times=checks,
         )
         for eps, row in zip(eps_list, table.rows):
@@ -288,6 +289,38 @@ class TestStepLadder:
         )
         assert (rung, step, fine, coarse, gap) == (4, 4.0, 4.0, 8.0, 64.0)
         assert runs == [2.0 * LADDER_TOP, 16.0, 8.0, 4.0]  # one new run per rung
+
+    def test_blown_up_rung_is_over_budget(self):
+        # steps above 4 trip the guard: their comparisons are over budget
+        # (delta inf) and the walk goes on; rung 2 against rung 4 passes
+        runs = []
+
+        def run(h):
+            runs.append(h)
+            if h > 4:
+                raise BlowUpError(0.5)
+            return h
+
+        rung, step, fine, coarse, gap = _ladder(
+            run, 1.0, 1e9, lambda a, b: b - a, budget=100.0
+        )
+        assert (rung, step, fine, coarse, gap) == (2, 2.0, 2.0, 4.0, 2.0)
+        assert runs == [2.0 * LADDER_TOP, 16.0, 8.0, 4.0, 2.0]
+
+    def test_blow_up_at_rung_one_raises(self):
+        def run(h):
+            if h > 1:
+                raise BlowUpError(0.5)
+            return h
+
+        # the coarse partner of rung 1 blew up: the delta is inf, not raised
+        assert _ladder(run, 1.0, 1e9, lambda a, b: 0.0, 0.0) == (1, 1.0, 1.0, None, math.inf)
+
+        def run_all(h):
+            raise BlowUpError(0.25)
+
+        with pytest.raises(BlowUpError, match="t=0.25"):
+            _ladder(run_all, 1.0, 1e9, lambda a, b: 0.0, 0.0)
 
     def test_leg_takes_the_largest_passing_rung(self):
         # criterion 1's data at eps = 1/8: rung 4 passes, and the solve pair
@@ -379,7 +412,7 @@ class TestStepLadder:
         assert row.ok and row.rung is not None and table.profile_rung is not None
         checks = table.checkpoint_times
         traj = integrate_torus(
-            alpha, modes, SimParams(1.0, 1, t_final, table.profile_dt),
+            alpha, modes, SimParams(1.0, t_final, table.profile_dt),
             snapshot_times=checks,
         )
         cell = SolverConfig(1.0, eps, 1, row.dt / eps, 16, t_final / eps)
@@ -433,6 +466,18 @@ class TestRemainderReport:
 
 
 class TestTwoModeTheta:
+    def test_bracket_doubles_past_one(self):
+        # sigma=2, alpha0=0.5: 1.5 y + 3 y^2 = 100 needs y = 5.53, past the
+        # first bracket [0, 1]; the exact cross terms give theta back
+        alpha1 = _solve_alpha1_for_theta(0.5, 100.0, 2)
+        y = Fraction(alpha1) ** 2
+        assert y > 4
+        cross = sum(_two_mode_terms(Fraction(0.25), y, 2)[1:])
+        assert abs(float(cross / 100 - 1)) <= 2e-15
+        # 3 y^2 = 1e30 needs y = 5.8e14, past the largest bracket
+        with pytest.raises(ValueError, match="no amplitude"):
+            _solve_alpha1_for_theta(0.5, 1e30, 2)
+
     def test_cubic_rates(self):
         assert two_mode_theta(0.25, 0.09, 1) == pytest.approx(0.25 + 2 * 0.09)
 
@@ -510,14 +555,47 @@ class TestInstability:
         rec = run_instability(1.0, 0.5, -2.0, 4, **kwargs)
         assert rec.t_star == pytest.approx(math.pi / omega, rel=1e-12)
         assert rec.gap == rec.alpha0 + rec.alpha0_tilde == 1.0
-        times, gaps = wkb_pipeline.gap_curve(
-            rec.alpha0, rec.theta0, rec.alpha0_tilde, rec.theta0_tilde, rec.lam,
-            rec.delta, 10_001,
-        )
+        times, gaps = wkb_pipeline.gap_curve(rec, 10_001)
         assert np.max(gaps) <= rec.gap + 1e-15
         # the sampled argmax may sit on a later peak; the first near-sup
         # sample sits at t*
         assert abs(times[np.argmax(gaps >= rec.gap - 1e-6)] - rec.t_star) < 1e-3
+
+    def test_rates_that_round_together_keep_their_difference(self):
+        # alpha1 = 50 * 4096^2: theta0 and theta0~ round to one float, while
+        # the exact difference of the data's rates is 50^2 - 51^2 = -101
+        rec = run_instability(100.0, 1.0, -2.0, 4096, variant="perturb_zero")
+        assert rec.theta0 == rec.theta0_tilde
+        assert rec.t_star == math.pi / 101
+        assert rec.gap == rec.alpha0 + rec.alpha0_tilde == 101.0
+        times, gaps = wkb_pipeline.gap_curve(rec, 10_001)
+        assert np.max(gaps) == pytest.approx(101.0, rel=1e-6)
+
+    def test_sigma_8_rate_difference_past_rounding(self):
+        # both rates are 2.13e259; the exact difference, led by
+        # 288 (alpha0~^2 - alpha0^2) alpha1^14, turns the phase by pi at once
+        rec = run_instability(100.0, 0.5, -4.0, 4096, sigma=8, variant="perturb_zero")
+        assert rec.theta0 == rec.theta0_tilde
+        assert rec.gap == 100.5
+        assert 0 < rec.t_star < 1e-200
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((1.0, 0.1, -3.0, 4096), {}),  # alpha1^2 + 1/delta rounds to alpha1^2
+            ((1.0, 0.1, -4.0, 4096), {}),
+            ((100.0, 1e-15, -2.0, 4096), {"variant": "perturb_zero"}),  # 50 + 1e-15
+        ],
+    )
+    def test_perturbation_lost_to_rounding_is_refused(self, args, kwargs):
+        with pytest.raises(FloatingPointError, match="lost to rounding"):
+            run_instability(*args, **kwargs)
+
+    def test_cross_check_data_overflowing_when_squared_are_refused(self):
+        # alpha1~ = 3.2e153: 16 (alpha0 + alpha1~) squared overflows
+        with pytest.warns(UserWarning, match="premise"), \
+                pytest.raises(OverflowError, match="overflows when squared"):
+            run_instability(100.0, 1e-307, -4.0, 4096, cross_check=True)
 
     def test_constant_gap_at_delta(self):
         # lam = 0: omega = 0, the gap never moves; t* is delta

@@ -8,9 +8,13 @@ directory; the commands' own output is dropped.  The scenarios are every
 file of NEW_TREE's `scenarios/`, or the ones named, by stem
 (`instability_part1`) or by path; both trees run the same files.  Compared
 per scenario: the exit code, each report without its `runtimes` (so its
-`content_hash` is compared), and every side file byte for byte, except the
-`runtime` column of `convergence.csv`.  One line is printed per
-difference; the exit status is 1 if anything differs, else 0.
+`content_hash` is compared), and every side file: `convergence.csv` row by
+row without its `runtime` column, the other CSV files cell by cell, the
+rest byte for byte.  One line is printed per difference; two numbers that
+differ carry their relative difference |a - b| / max(|a|, |b|), and a CSV
+file of unchanged shape gets one line with the number of differing cells
+and the largest relative difference among them.  The exit status is 1 if
+anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,12 +96,55 @@ def diff_values(old, new, where: str) -> list[str]:
             for line in diff_values(a, b, f"{where}[{i}]")
         ]
     if type(old) is not type(new) or old != new:
-        return [f"{where}: {old!r} != {new!r}"]
+        line = f"{where}: {old!r} != {new!r}"
+        if _is_number(old) and _is_number(new) and old != new:
+            line += f" (relative {_relative(old, new):.3g})"
+        return [line]
     return []
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _relative(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); inf when either is not finite, 0 for 0 and -0."""
+    scale = max(abs(a), abs(b))
+    if scale == 0:
+        return 0.0
+    r = abs(a - b) / scale
+    return r if math.isfinite(r) else math.inf
+
+
+def _cell_number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def diff_csv_cells(rel: str, a: list[list[str]], b: list[list[str]]) -> list[str]:
+    """One line for two CSV tables of one shape: how many cells differ and
+    the largest relative difference of the numeric ones."""
+    cells = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if x != y]
+    if not cells:
+        return []
+    numbers = [(_cell_number(x), _cell_number(y)) for x, y in cells]
+    rels = [_relative(x, y) for x, y in numbers if x is not None and y is not None]
+    line = f"{rel}: {len(cells)} of {sum(map(len, a))} cells differ"
+    if rels:
+        line += f", largest relative difference {max(rels):.3g}"
+    if len(rels) < len(cells):
+        line += f", {len(cells) - len(rels)} not numeric"
+    return [line]
+
+
+def _csv_rows(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode())))
+
+
 def _csv_without(data: bytes, column: str) -> list[list[str]]:
-    rows = list(csv.reader(io.StringIO(data.decode())))
+    rows = _csv_rows(data)
     drop = rows[0].index(column) if rows and column in rows[0] else None
     return [[c for i, c in enumerate(row) if i != drop] for row in rows]
 
@@ -113,7 +161,13 @@ def diff_file(rel: str, old: bytes, new: bytes) -> list[str]:
         if len(a) != len(b):
             return [f"{rel}: {len(a)} rows != {len(b)}"]
         return [f"{rel}: row {i}: {x} != {y}" for i, (x, y) in enumerate(zip(a, b)) if x != y]
-    return [] if old == new else [f"{rel}: files differ"]
+    if old == new:
+        return []
+    if rel.endswith(".csv"):
+        a, b = _csv_rows(old), _csv_rows(new)
+        if list(map(len, a)) == list(map(len, b)):
+            return diff_csv_cells(rel, a, b)
+    return [f"{rel}: files differ"]
 
 
 def diff_outputs(old_root: Path, new_root: Path) -> list[str]:
@@ -128,10 +182,10 @@ def diff_outputs(old_root: Path, new_root: Path) -> list[str]:
             lines.append(f"{rel}: only in old")
         elif rel not in old:
             lines.append(f"{rel}: only in new")
-        elif rel == "codes.json":
-            lines += diff_values(
-                json.loads(old[rel].read_bytes()), json.loads(new[rel].read_bytes()), "exit"
-            )
+        elif rel == "codes.json":  # exit codes: no relative difference
+            a, b = json.loads(old[rel].read_bytes()), json.loads(new[rel].read_bytes())
+            lines += [f"exit.{k}: {a.get(k)} != {b.get(k)}"
+                      for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
         else:
             lines += diff_file(rel, old[rel].read_bytes(), new[rel].read_bytes())
     return lines
