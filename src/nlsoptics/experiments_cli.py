@@ -478,16 +478,17 @@ def _emit_report(
     return path
 
 
-def _closed_modes(scn: Scenario) -> tuple[ModeSet, np.ndarray]:
+def _closed_modes(scn: Scenario, record_edges: bool = False) -> tuple[ModeSet, np.ndarray]:
     """Close the scenario vectors under resonances and align amplitudes to
-    the resulting lexicographic order (created modes start at zero)."""
+    the resulting lexicographic order (created modes start at zero).  Only
+    the closure command lists creation edges; the others never read them."""
     vecs = [WaveVector(m.kappa) for m in scn.modes]
     modes = close_under_resonances(
         vecs,
         scn.sigma,
         max_generations=scn.closure_limits["max_generations"],
         max_sup_norm=scn.closure_limits["max_sup_norm"],
-        record_edges=True,
+        record_edges=record_edges,
     )
     amps = np.zeros(len(modes.vectors), dtype=complex)
     for spec in scn.modes:
@@ -501,7 +502,7 @@ def _kappa_label(coords: tuple[int, ...]) -> str:
 
 def cmd_closure(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     start = time.perf_counter()
-    modes, _ = _closed_modes(scn)
+    modes, _ = _closed_modes(scn, record_edges=True)
     runtime = time.perf_counter() - start
     created = sum(1 for g in modes.generations if g > 0)
     rows = [

@@ -312,13 +312,12 @@ def _defect_blocks(arr: np.ndarray, sigma: int):
     The int64 prefix sums vec = sum +-kappa and nsum = sum +-|kappa|^2 of all
     2*sigma-prefixes are built once; the tuples are then visited in blocks
     of one leading index l_1, so no |J|^(2 sigma + 1) table is ever held.
-    Yields (start, vec, defects) per block: vec[r] belongs to prefix number
-    start + r and defects[r, m] = |vec[r] + kappa_m|^2 - nsum[r] - |kappa_m|^2
-    = |vec[r]|^2 - nsum[r] + 2 vec[r].kappa_m is the defect of (prefix, m).
+    Yields (start, defects) per block: defects[r, m] = |vec[r] + kappa_m|^2
+    - nsum[r] - |kappa_m|^2 = |vec[r]|^2 - nsum[r] + 2 vec[r].kappa_m is the
+    defect of (prefix number start + r, m).
     """
     n, d = arr.shape
-    if d * ((2 * sigma + 1) * int(np.abs(arr).max())) ** 2 >= 2**62:
-        raise OverflowError("wave vectors too large for exact int64 defects")
+    _check_defect_range(arr, sigma)
     norms = np.einsum("ij,ij->i", arr, arr)
     sums = _prefix_sums(np.column_stack([arr, norms]), 2 * sigma)
     vec = sums[:, :d]
@@ -326,7 +325,13 @@ def _defect_blocks(arr: np.ndarray, sigma: int):
     rows = n ** (2 * sigma - 1)
     for start in range(0, len(sums), rows):
         v = vec[start:start + rows]
-        yield start, v, base[start:start + rows, None] + 2 * (v @ arr.T)
+        yield start, base[start:start + rows, None] + 2 * (v @ arr.T)
+
+
+def _check_defect_range(arr: np.ndarray, sigma: int) -> None:
+    """Refuse wave vectors whose (2*sigma+1)-tuple defects overflow int64."""
+    if arr.shape[1] * ((2 * sigma + 1) * int(np.abs(arr).max())) ** 2 >= 2**62:
+        raise OverflowError("wave vectors too large for exact int64 defects")
 
 
 def _row_finder(arr: np.ndarray):
@@ -355,31 +360,92 @@ def _row_finder(arr: np.ndarray):
     return find
 
 
+def _line_codes(offsets: np.ndarray, bound: int) -> np.ndarray:
+    """An int64 code of the line through 0 of each nonzero 2D offset row,
+    equal for offsets on one line and distinct otherwise.
+
+    The line's primitive direction (a, b) is signed so that a > 0, or a == 0
+    and b > 0; with |a|, |b| <= bound the code is a*(2 bound + 1) + b + bound.
+    """
+    p = offsets // np.gcd(offsets[:, 0], offsets[:, 1])[:, None]
+    p *= np.sign(np.where(p[:, 0] != 0, p[:, 0], p[:, 1]))[:, None]
+    return p[:, 0] * (2 * bound + 1) + p[:, 1] + bound
+
+
+def _right_angles(arr: np.ndarray, touch: np.ndarray) -> list[np.ndarray]:
+    """Every (k, l, m) of distinct rows of a 2D arr with a right angle at l
+    and at least one of k, l, m flagged in touch.
+
+    (kappa_k - kappa_l).(kappa_m - kappa_l) == 0 exactly when kappa_k -
+    kappa_l lies on the line of the rotated offset rot(kappa_m - kappa_l),
+    rot(a, b) = (-b, a).  Every ordered pair (l, v), v != l, is keyed by l
+    and the line of its offset; every pair (l, m) with l or m flagged is
+    keyed by l and the line of its rotated offset, and joined with the pairs
+    (l, k) of the same key by the sort/searchsorted/repeat idiom of
+    _interaction_table.  A right angle whose only flagged vertex is k is the
+    mirror (m, l, k) of one found with m flagged.  O(|J|^2 log |J| + output)
+    in integer arithmetic.  Within the int64 defect range the line codes fit
+    in int64, and they are ranked before l enters the key, so no key
+    overflows.  Returns the index columns [k, l, m], unordered.
+    """
+    n = len(arr)
+    bound = int(arr.max() - arr.min())  # bounds every offset coordinate
+    l, v = np.divmod(np.flatnonzero(~np.eye(n, dtype=bool)), n)
+    offsets = arr[v] - arr[l]
+    outer = np.flatnonzero(touch[l] | touch[v])
+    rotated = offsets[outer, ::-1] * [-1, 1]
+    lines, rank = np.unique(
+        np.concatenate([_line_codes(offsets, bound), _line_codes(rotated, bound)]),
+        return_inverse=True,
+    )
+    key = np.concatenate([l, l[outer]]) * len(lines) + rank
+    by_key = np.argsort(key[:len(l)])
+    ranked = key[by_key]
+    lo = np.searchsorted(ranked, key[len(l):])
+    count = np.searchsorted(ranked, key[len(l):], side="right") - lo
+    pair = np.repeat(np.arange(len(outer)), count)
+    member = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    k, l, m = v[by_key[lo[pair] + member]], l[outer[pair]], v[outer[pair]]
+    flip = ~(touch[k] | touch[l])
+    return [np.concatenate([k, m[flip]]), np.concatenate([l, l[flip]]),
+            np.concatenate([m, k[flip]])]
+
+
 def _creation_scan(arr: np.ndarray, new_mask: np.ndarray, sigma: int):
     """Resonant tuples of rows of arr whose combined vector is not a row.
 
-    The zero-defect tuples of every block of _defect_blocks are collected
-    first; those whose combined vector is a row of arr (by _row_finder) are
-    dropped in numpy, and when new_mask flags any row, so are the tuples
-    touching none (handled in an earlier generation).  For sigma=1 the
-    resonant triples (k, l, m) are the right angles at l and the combined
-    vector is the fourth rectangle corner.  Returns (idx, made): the index
-    rows and created coordinates, in lexicographic order, for sigma=1 with l
-    leading.
+    For sigma=1 the resonant triples (k, l, m) are the right angles at l,
+    and the combined vector kappa_k - kappa_l + kappa_m is the fourth
+    rectangle corner.  In 2D a right angle pairs the line of one offset with
+    the perpendicular line of the other, and a line is a key, so the
+    candidates come from a join on lines (_right_angles).  In d >= 3 the
+    perpendicular of a line is a plane, which is no key, and sigma >= 2 has
+    no right angle to join on: there the candidates are the zero-defect
+    tuples of the prefix kernel (_defect_blocks), which the divisor survey
+    also keeps, since it visits every tuple by definition.  Both paths
+    refuse the same vectors (the int64 defect range) and give the same
+    arrays.  When new_mask flags any row, only tuples touching a flagged
+    row are kept (the others were handled in an earlier generation); then
+    those whose combined vector is a row of arr (by _row_finder) are
+    dropped.  Returns (idx, made): the index rows and created coordinates,
+    in lexicographic order, for sigma=1 with l leading.
     """
-    parts = []
-    for start, vec, defects in _defect_blocks(arr, sigma):
-        r, m = np.nonzero(defects == 0)
-        parts.append((start + r, m, vec[r] + arr[m]))
-    prefix, last, made = (np.concatenate(p) for p in zip(*parts))
+    touch = new_mask | ~new_mask.any()
+    if sigma == 1 and arr.shape[1] == 2:
+        _check_defect_range(arr, sigma)
+        cols = _right_angles(arr, touch)
+    else:
+        parts = []
+        for start, defects in _defect_blocks(arr, sigma):
+            r, m = np.nonzero(defects == 0)
+            parts.append((start + r, m))
+        prefix, last = (np.concatenate(p) for p in zip(*parts))
+        cols = [*np.unravel_index(prefix, (len(arr),) * (2 * sigma)), last]
+        live = np.logical_or.reduce([touch[c] for c in cols])
+        cols = [c[live] for c in cols]
+    made = sum(arr[c] for c in cols[0::2]) - sum(arr[c] for c in cols[1::2])
     keep = _row_finder(arr)(made) < 0
-    if new_mask.any():
-        touched = _prefix_sums(new_mask.astype(np.int64), 2 * sigma, alternate=False) > 0
-        keep &= touched[prefix] | new_mask[last]
-    idx = np.column_stack(
-        np.unravel_index(prefix[keep], (len(arr),) * (2 * sigma)) + (last[keep],)
-    )
-    made = made[keep]
+    idx, made = np.column_stack(cols)[keep], made[keep]
     if sigma == 1:
         order = np.lexsort((idx[:, 2], idx[:, 0], idx[:, 1]))
         idx, made = idx[order], made[order]
@@ -404,13 +470,16 @@ def close_under_resonances(
     sup norm exceeds max_sup_norm are discarded, which also marks the result
     unsaturated.
 
-    Each generation runs the blocked prefix-sum kernel (_creation_scan) and
-    drops in numpy the tuples whose combined vector is present or that touch
-    no vector of the previous generation; the sup-norm cap is applied to the
+    Each generation runs one creation scan (_creation_scan), which keeps in
+    numpy the tuples that touch a vector of the previous generation and
+    whose combined vector is absent; the sup-norm cap is applied to the
     created corners in numpy too, so WaveVectors are built only for distinct
     corners within it.  For sigma=1 this is rectangle completion of right
-    angles; in d=1 with sigma=1 no triple can create, so the closure is the
-    input.
+    angles.  A scan is a join on perpendicular lines for sigma=1 in 2D,
+    O(|J|^2 log |J| + output), and the blocked prefix-sum kernel,
+    O(|J|^(2 sigma + 1)), otherwise; _creation_scan says why.  In d=1 with
+    sigma=1 no triple can create, so the closure is the input.
+    creation_edges are listed only when record_edges is set.
     """
     vecs = list(dict.fromkeys(initial))
     if not vecs:

@@ -68,7 +68,7 @@ def survey_divisors(modes: ModeSet, sigma: Optional[int] = None) -> DivisorSurve
     nonres = 0
     best: Optional[int] = None
     best_at = 0
-    for start, _, defects in _defect_blocks(modes.as_array(), sigma):
+    for start, defects in _defect_blocks(modes.as_array(), sigma):
         absd = np.abs(defects)
         mask = absd > 0
         count = int(np.count_nonzero(mask))
@@ -112,7 +112,7 @@ def fit_generalized_bound(
     prefix = _prefix_sums(log_weights, 2 * sigma, alternate=False)
     best = [math.inf] * len(b_grid)
     nonres = False
-    for start, _, defects in _defect_blocks(modes.as_array(), sigma):
+    for start, defects in _defect_blocks(modes.as_array(), sigma):
         absd = np.abs(defects)
         mask = absd > 0
         if not mask.any():

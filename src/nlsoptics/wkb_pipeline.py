@@ -442,7 +442,6 @@ class RemainderReport:
     tuples inside the set, so the report understates the true source.
     """
 
-    sigma: int
     r2_bound: float
     nonresonant_tuples: int
     min_delta: Optional[int]
@@ -461,7 +460,6 @@ def remainder_report(state) -> RemainderReport:
         xi_sq = sum(xi * xi for xi in _axis_wavenumbers(d, state.n, length))
         r2 = 0.5 * (2 * math.pi / length) ** d * float(np.sum(xi_sq * np.abs(b)))
     return RemainderReport(
-        sigma=modes.sigma,
         r2_bound=r2,
         nonresonant_tuples=survey.nonresonant_count,
         min_delta=survey.min_delta,
@@ -628,7 +626,10 @@ def run_instability(
     (`_zero_mode_delta`), and one more solve, at twice the chosen step on
     the doubled cell, gives its grid-doubling delta.  A delta over budget is
     recorded, not raised.  Raises OverflowError before any solve when the
-    data overflow when squared, so that the solves' health would not be finite.
+    data overflow when squared, so that the solves' health would not be
+    finite, and FloatingPointError when the rounding floor of the zero-mode
+    read, n ulps of alpha0~ + alpha1~, exceeds that budget, so that the
+    solver gap would be rounding noise.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")
@@ -711,6 +712,15 @@ def run_instability(
         if not math.isfinite(peak * peak):
             raise OverflowError(f"the cross-check datum ({alpha0_t:.6g}, {alpha1_t:.6g}) "
                                 f"overflows when squared on {cell.n} points")
+        # the zero mode is the mean of n samples of size up to alpha0 + alpha1,
+        # so rounding reads it to about n ulps of that size at best
+        floor = cell.n * math.ulp(alpha0_t + alpha1_t)
+        if floor > LADDER_FRACTION * eps:
+            raise FloatingPointError(
+                f"the cross-check datum ({alpha0_t:.6g}, {alpha1_t:.6g}) hides its "
+                f"zero mode: rounding on {cell.n} points reads it to {floor:.3g}, "
+                f"over the step budget {LADDER_FRACTION:g}*eps = {LADDER_FRACTION * eps:.3g}"
+            )
         solver_steps = 0
         solves, ladders = [], []
         for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t)):

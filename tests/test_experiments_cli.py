@@ -458,12 +458,16 @@ class TestInstabilityCommand:
              "lost to rounding"),  # alpha0 + delta is alpha0
             ({"rho": 100.0, "delta": 1e-307, "s": -4.0, "cross_check": True},
              "overflows when squared"),
+            ({"rho": 100.0, "delta": 1e-40, "s": -4.0, "cross_check": True},
+             "hides its zero mode"),
         ],
-        ids=["perturb_high-rounding", "perturb_zero-rounding", "cross_check-overflow"],
+        ids=["perturb_high-rounding", "perturb_zero-rounding", "cross_check-overflow",
+             "cross_check-zero-mode-rounding"],
     )
     def test_unrepresentable_data_refused(self, tmp_path, capsys, changes, message):
-        # in bounds key by key; the perturbation is lost to rounding, or the
-        # cross-check's fields overflow when squared
+        # in bounds key by key; the perturbation is lost to rounding, the
+        # cross-check's fields overflow when squared, or its zero mode is
+        # read below the rounding of the datum
         doc = torus_doc(experiment={
             "type": "instability", "rho": 1.0, "delta": 0.1, "s": -2.0, "K": 4096,
             **changes,
@@ -701,11 +705,29 @@ class TestShippedScenarios:
 
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         scn = load_scenario(os.path.join(here, "scenarios", "closure_creation2d.json"))
-        modes, _ = _closed_modes(scn)
+        modes, _ = _closed_modes(scn, record_edges=True)  # as cmd_closure calls it
         # the list the per-triple rectangle scan produced, order included
         assert modes.creation_edges == (
             (((0, 1), (1, 1), (1, 0)), (0, 0), 1),
             (((1, 0), (1, 1), (0, 1)), (0, 0), 1),
+        )
+
+    def test_only_closure_builds_edges(self, tmp_path, monkeypatch):
+        # profiles never reads creation edges, so its closure builds none;
+        # the closure command lists them in edges.csv as before
+        doc = json.loads((SCENARIOS / "closure_creation2d.json").read_text())
+        closure_scn = write_scenario(tmp_path, doc, "closure.json")
+        doc["experiment"] = {"type": "profiles", "t_final": 0.01, "dt": 0.001}
+        profiles_scn = write_scenario(tmp_path, doc, "profiles.json")
+        closed = record_calls(monkeypatch, "close_under_resonances")
+        assert run(["profiles", "--scenario", profiles_scn, "--out", str(tmp_path / "p")]) == 0
+        assert run(["closure", "--scenario", closure_scn, "--out", str(tmp_path / "c")]) == 0
+        assert [len(m) for m in closed] == [4, 4]
+        assert closed[0].creation_edges == () and len(closed[1].creation_edges) == 2
+        assert (tmp_path / "c" / "edges.csv").read_text() == (
+            "parents,created,generation\n"
+            '"(0,1) (1,1) (1,0)","(0,0)",1\n'
+            '"(1,0) (1,1) (0,1)","(0,0)",1\n'
         )
 
     def test_lam0_converge_is_checked_at_the_floor(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 from fractions import Fraction
@@ -19,7 +20,12 @@ from nlsoptics.lattice_geometry import (
     rescale_to_integers,
     resonance_defect,
 )
-from nlsoptics.lattice_geometry import _defect_blocks, _prefix_sums, _row_finder
+from nlsoptics.lattice_geometry import (
+    _creation_scan,
+    _defect_blocks,
+    _prefix_sums,
+    _row_finder,
+)
 
 
 def wv(*coords):
@@ -169,6 +175,32 @@ class TestGoldenClosures:
         s = closure([(0, 0), (0, 1), (1, 0), (1, 1)], 1)
         assert len(s.vectors) == 4 and s.saturated
         assert all(g == 0 for g in s.generations)
+
+    def test_mode_lattice_box_golden(self):
+        # the 81-mode box of perfbench's mode_lattice workload, pinned from
+        # the prefix-kernel scan
+        with pytest.warns(ClosureWarning):
+            s = closure([(0, 0), (1, 0), (0, 1), (2, 1)], 1, max_generations=8,
+                        max_sup_norm=4, record_edges=True)
+        assert [v.coords for v in s.vectors] == [
+            (x, y) for x in range(-4, 5) for y in range(-4, 5)
+        ]
+        assert np.array(s.generations).reshape(9, 9).tolist() == [
+            [7, 7, 7, 6, 7, 7, 6, 7, 7],
+            [7, 6, 6, 6, 5, 5, 6, 6, 6],
+            [6, 6, 6, 5, 5, 5, 5, 6, 6],
+            [6, 6, 5, 4, 3, 3, 4, 4, 6],
+            [6, 5, 4, 3, 0, 0, 2, 4, 5],
+            [6, 5, 4, 2, 0, 1, 1, 3, 5],
+            [6, 5, 4, 3, 1, 0, 2, 4, 5],
+            [6, 6, 5, 4, 3, 3, 4, 4, 6],
+            [7, 6, 6, 5, 5, 5, 5, 6, 6],
+        ]
+        assert not s.saturated and len(s.creation_edges) == 1774
+        assert s.creation_edges[0] == (((1, 0), (0, 0), (0, 1)), (1, 1), 1)
+        assert s.creation_edges[-1] == (((3, -4), (4, 3), (-3, 4)), (-4, -3), 7)
+        digest = hashlib.sha256(repr(s.creation_edges).encode()).hexdigest()
+        assert digest == "69257f5690a08c0e8def72ea7165f2b2200343185790d9194fdd8a9ed5211e63"
 
 
 class TestClosureLimits:
@@ -382,15 +414,44 @@ class TestBlockedKernel:
         arr = np.array([v.coords for v in vecs], dtype=np.int64)
         blocks = list(_defect_blocks(arr, sigma))
         assert len(blocks) == len(vecs)  # one block per leading index
-        assert [start for start, _, _ in blocks] == [
+        assert [start for start, _ in blocks] == [
             i * 4 ** (2 * sigma - 1) for i in range(4)
         ]
-        flat = np.concatenate([defects.ravel() for _, _, defects in blocks])
+        flat = np.concatenate([defects.ravel() for _, defects in blocks])
         want = [
             resonance_defect([vecs[i] for i in tup])
             for tup in itertools.product(range(4), repeat=2 * sigma + 1)
         ]
         assert flat.tolist() == want
+
+    @given(
+        st.one_of(
+            st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                     min_size=1, max_size=40, unique=True),
+            # collinear sets: points of one line through a lattice point
+            st.tuples(
+                st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                st.lists(st.integers(-2, 2), min_size=1, max_size=5, unique=True),
+            ).map(lambda t: [(t[0][0] + s * t[1][0], t[0][1] + s * t[1][1])
+                             for s in (t[2] if t[1] != (0, 0) else t[2][:1])]),
+        ),
+        st.lists(st.booleans(), min_size=40, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_right_angle_join_matches_prefix_kernel(self, coords, flags):
+        # the sigma=1 2D scan is a join on perpendicular lines; embedded in
+        # 3D the same set goes through the prefix kernel, and both scans
+        # return the same arrays, bit for bit
+        arr = np.array(sorted(coords), dtype=np.int64)
+        new_mask = np.array(flags[:len(arr)])
+        idx, made = _creation_scan(arr, new_mask, 1)
+        flat = np.column_stack([arr, np.zeros(len(arr), dtype=np.int64)])
+        want_idx, want_made = _creation_scan(flat, new_mask, 1)
+        assert idx.dtype == want_idx.dtype and made.dtype == want_made.dtype
+        assert np.array_equal(idx, want_idx) and idx.shape == want_idx.shape
+        assert not want_made[:, 2].any()
+        assert np.array_equal(made, want_made[:, :2]) and made.shape[1] == 2
 
     def test_row_finder(self):
         arr = np.array([[2, 0], [-1, 5], [0, 0], [2, 5]], dtype=np.int64)

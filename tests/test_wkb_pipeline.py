@@ -436,7 +436,7 @@ class TestRemainderReport:
         assert rep.r2_bound == 0.0
         assert rep.min_delta == 2
         assert rep.nonresonant_tuples == 2
-        assert rep.sigma == 1
+        assert state.modes.sigma == 1
 
     def test_euclid_gaussian_matches_continuum(self):
         # (1/2)(2 pi)^(-1/2) int xi^2 |f_hat_raw| dxi = sqrt(2 pi)/2 for e^{-x^2/2}
@@ -596,6 +596,14 @@ class TestInstability:
         with pytest.warns(UserWarning, match="premise"), \
                 pytest.raises(OverflowError, match="overflows when squared"):
             run_instability(100.0, 1e-307, -4.0, 4096, cross_check=True)
+
+    @pytest.mark.parametrize("delta", [1e-40, 1e-100])
+    def test_cross_check_zero_mode_below_rounding_is_refused(self, delta):
+        # alpha1~ = 1e20 and 1e50: 16 ulps of alpha0 + alpha1~ dwarf the
+        # step budget 0.01*eps, so the solver gap would read rounding noise
+        with pytest.warns(UserWarning, match="premise"), \
+                pytest.raises(FloatingPointError, match="hides its zero mode"):
+            run_instability(100.0, delta, -4.0, 4096, cross_check=True)
 
     def test_constant_gap_at_delta(self):
         # lam = 0: omega = 0, the gap never moves; t* is delta
