@@ -39,6 +39,7 @@ __all__ = [
     "GridField",
     "SolverConfig",
     "SolveResult",
+    "SolveStack",
     "AliasingWarning",
     "default_grid_size",
     "default_dt",
@@ -70,7 +71,10 @@ def _check_eps(eps: float) -> int:
 
 @dataclass(frozen=True)
 class GridField:
-    """Complex field sampled on the uniform grid x_m = 2 pi m / n of [0,2pi)^d."""
+    """Complex field sampled on the uniform grid x_m = 2 pi m / n of [0,2pi)^d.
+
+    values may also hold a stack of B fields on that grid, on a leading
+    axis, (B,) + (n,)*d: the stacked data `solve` evolves together."""
 
     d: int
     n: int
@@ -78,8 +82,10 @@ class GridField:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.n,) * self.d:
-            raise ValueError(f"values must have shape {(self.n,) * self.d}")
+        grid = (self.n,) * self.d
+        stack = values.ndim - self.d  # 0 for one field, 1 for a stack
+        if stack not in (0, 1) or values.shape[stack:] != grid:
+            raise ValueError(f"values must have shape {grid}, or (B,) + {grid} for B fields")
         if self.n & (self.n - 1) or self.n < 2:
             raise ValueError("n must be a power of two")
         object.__setattr__(self, "values", values)
@@ -133,7 +139,8 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Snapshots of one solve, one per mark of the shared time grid.
+    """Snapshots of one solve, or of one datum of a stacked solve, one per
+    mark of the shared time grid.
 
     times holds the marks (0, the snapshot times and t_final, sorted), and
     fields the field at each mark, stacked as one read-only (S,) + (n,)*d
@@ -197,12 +204,39 @@ class SolveResult:
         return GridField.from_values(self.fields[_time_index(self.times, t)])
 
 
+class SolveStack(tuple):
+    """The SolveResults of one stacked solve, one per datum in stack order.
+
+    times are the marks the data share, and fields the (S, B) + (n,)*d
+    array the solve wrote, of which each datum's result holds a
+    C-contiguous, read-only copy of its column."""
+
+    times: np.ndarray
+    fields: np.ndarray
+
+    def __new__(cls, times: np.ndarray, fields: np.ndarray, steps: int):
+        results = []
+        for b in range(fields.shape[1]):
+            own = np.ascontiguousarray(fields[:, b])
+            own.flags.writeable = False
+            results.append(SolveResult(times, own, steps))
+        stack = super().__new__(cls, results)
+        stack.times, stack.fields = times, fields
+        return stack
+
+
 def solve(
     u0: GridField,
     cfg: SolverConfig,
     snapshot_times: Optional[Sequence[float]] = None,
-) -> SolveResult:
+) -> SolveResult | SolveStack:
     """Strang-split evolution of u0, with snapshots at the requested times.
+
+    u0 is one field, and the solve returns its SolveResult; or a stack of B
+    fields on a leading axis (see GridField), evolved together with the same
+    steps, and the solve returns their SolveStack, each datum's result equal
+    bit for bit to its own solve.  A stacked step makes the same numpy calls
+    as a step of one field, so per-call overhead is paid once per stack.
 
     The steps are those of `_segments`, the time grid the profile RK4 also
     walks: each segment between marks takes the fewest equal steps of at
@@ -217,9 +251,10 @@ def solve(
 
     At each mark the field is written into the result's stacked fields.
     Once the solve ends, one finite check over the stack raises
-    FloatingPointError naming the first non-finite mark.  The solve measures
-    no health: the result's L2 norms and top-band fractions are computed
-    when first read, and that first read raises the AliasingWarning.
+    FloatingPointError naming the first mark at which a field is not
+    finite.  The solve measures no health: the result's L2 norms and
+    top-band fractions are computed when first read, and that first read
+    raises the AliasingWarning.
     """
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
@@ -227,6 +262,7 @@ def solve(
         raise ValueError("initial field contains non-finite values")
     d, n = u0.d, cfg.n
     lam, sigma, eps = cfg.lam, cfg.sigma, cfg.eps
+    stack = u0.values.shape[: u0.values.ndim - d]  # () for one field, (B,) for a stack
 
     ksq = np.zeros((n,) * d)
     for k in _axis_wavenumbers(d, n):  # integer wavenumbers
@@ -235,11 +271,11 @@ def solve(
     # Work buffers of the nonlinear sub-step, reused by every step of this
     # call: |u|^2 is the sum of the even and odd entries of the squared
     # real view, the same sums u.real**2 + u.imag**2 forms.
-    sq = np.empty((n,) * (d - 1) + (2 * n,))
+    sq = np.empty(stack + (n,) * (d - 1) + (2 * n,))
     re2, im2 = sq[..., 0::2], sq[..., 1::2]
-    mag2 = np.empty((n,) * d)
+    mag2 = np.empty(u0.values.shape)
     power = mag2 if sigma == 1 else np.empty_like(mag2)
-    phase = np.empty((n,) * d, dtype=complex)
+    phase = np.empty(u0.values.shape, dtype=complex)
 
     def rotate(u: np.ndarray, tau: float) -> np.ndarray:
         if tau == 0 or lam == 0:
@@ -254,7 +290,7 @@ def solve(
 
     segments = list(_segments(cfg.t_final, cfg.dt, snapshot_times))
     times = np.array([0.0] + [right for _, right, _, _ in segments])
-    fields = np.empty(times.shape + (n,) * d, dtype=complex)
+    fields = np.empty(times.shape + u0.values.shape, dtype=complex)
     u = fields[0] = u0.values.copy()
     steps = 0
     flows = {}  # one linear flow per distinct step h of this call
@@ -262,45 +298,59 @@ def solve(
         steps += m
         linear = flows.get(h)
         if linear is None:
-            linear = flows[h] = _linear_flow(d, n, eps * h, ksq)
+            linear = flows[h] = _linear_flow(d, n, eps * h, ksq, bool(stack))
         u = rotate(u, h / 2)
         for i in range(m):
             u = rotate(linear(u), h if i < m - 1 else h / 2)
         fields[k] = u
 
     fields.flags.writeable = False
-    finite = np.isfinite(fields).all(axis=tuple(range(1, d + 1)))
+    finite = np.isfinite(fields).all(axis=tuple(range(1, fields.ndim)))
     if not finite.all():
         raise FloatingPointError(
             f"solver produced non-finite values by t={times[np.argmin(finite)]:.6g}"
         )
+    if stack:
+        return SolveStack(times, fields, steps)
     return SolveResult(times, fields, steps)
 
 
-def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray):
-    """u -> F^-1 diag(exp(-i s |k|^2 / 2)) F u on the (n,)*d grid.
+def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray, stacked: bool):
+    """u -> F^-1 diag(exp(-i s |k|^2 / 2)) F u on the (n,)*d grid, or on
+    each field of a (B,) + (n,)*d stack when stacked.
 
     Up to DENSE_MAX_N points per axis the flow is the per-axis propagator
     P = F^-1 diag(exp(-i s k^2 / 2)) F, an n x n circulant matrix, applied
     by matmul along each axis (a matrix-vector product in 1D); every
-    result is a fresh C-contiguous array.  Above it, one FFT pair.
+    result is a fresh C-contiguous array.  Above it, one FFT pair.  A
+    stack's flow rounds each field exactly as the flow of that field does:
+    in 1D each row is a (1, n) by (n, n) matmul, which rounds like P.dot
+    (one (B, n) by (n, n) product does not).
     """
     import scipy.fft as sfft
 
     if n > DENSE_MAX_N:
         mult = np.exp(-0.5j * s * ksq)
-        return lambda u: sfft.ifftn(sfft.fftn(u, overwrite_x=True) * mult, overwrite_x=True)
+        axes = tuple(range(-d, 0)) if stacked else None
+        return lambda u: sfft.ifftn(
+            sfft.fftn(u, axes=axes, overwrite_x=True) * mult, axes=axes, overwrite_x=True
+        )
     k = sfft.fftfreq(n, 1.0 / n)
     prop = sfft.ifft(np.exp(-0.5j * s * k**2)[:, None] * sfft.fft(np.eye(n), axis=0), axis=0)
+    prop_t = prop.T
+    if stacked and d == 1:
+        return lambda u: np.matmul(u[:, None, :], prop_t)[:, 0]
     if d == 1:
         return prop.dot
-    prop_t = prop.T
 
     def flow(u: np.ndarray) -> np.ndarray:
-        u = prop.dot(u.reshape(n, -1))
-        for a in range(1, d - 1):  # axis a is the middle axis of (n^a, n, rest)
-            u = prop @ u.reshape(n**a, n, -1)
-        return u.reshape(-1, n).dot(prop_t).reshape((n,) * d)
+        shape, first = u.shape, 0
+        if not stacked:  # one field's first axis is its leading axis
+            u, first = prop.dot(u.reshape(n, -1)), 1
+        for a in range(first, d - 1):
+            # axis a of each field is the middle axis of (B n^a, n, rest)
+            u = prop @ u.reshape(-1, n, n ** (d - 1 - a))
+        return u.reshape(-1, n).dot(prop_t).reshape(shape)
 
     return flow
 

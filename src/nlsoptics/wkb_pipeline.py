@@ -168,39 +168,51 @@ def _fit_order(rows: Sequence[ConvergenceRow], attr: str) -> Optional[float]:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _ladder(run, unit: float, shortest: float, delta, budget: float):
-    """Choose a step on the power-of-two ladder r*unit, r = top, ..., 2, 1.
+def _ladder(run, data: Sequence, unit: float, shortest: float, delta, budget: float):
+    """Choose a step for each of the data on the power-of-two ladder
+    r*unit, r = top, ..., 2, 1.
 
-    run(h) integrates the whole horizon at step h and delta(fine, coarse)
-    measures two such runs.  Each rung is compared with the run at twice its
-    step, and the walk stops at the first rung within budget, keeping only
-    the run the next comparison needs.  A run that trips the blow-up guard
-    is None, and a comparison with it is over budget (delta inf), except
-    that a blow-up at rung 1 itself raises its BlowUpError.  The top is
-    LADDER_TOP, capped so that twice its step still fits in the shortest
-    snapshot segment: beyond that both runs take one step per segment and
-    agree vacuously (unit is shrunk to half that segment for the same
-    reason).  Returns (rung, step, fine, coarse, delta); at rung 1 the delta
-    may exceed the budget.
+    run(h, some) integrates the data in `some` (a sub-list of data, in
+    order) together over the whole horizon at step h, and returns one run
+    per datum; delta(fine, coarse) measures two runs of one datum.  Each
+    rung is compared with the run at twice its step, and a datum leaves the
+    walk at its first rung within budget: the data still walking share
+    every run, and only the runs the next comparison needs are kept.  A
+    call that trips the blow-up guard gives None for each of its data, and a
+    comparison with None is over budget (delta inf), except that a blow-up
+    at rung 1 itself raises its BlowUpError.  The top is LADDER_TOP, capped
+    so that twice its step still fits in the shortest snapshot segment:
+    beyond that both runs take one step per segment and agree vacuously
+    (unit is shrunk to half that segment for the same reason).  Returns one
+    (rung, step, fine, coarse, delta) per datum; at rung 1 the delta may
+    exceed the budget.
     """
     unit = min(unit, shortest / 2)
     r = LADDER_TOP
     while r > 1 and 2 * r * unit > shortest:
         r //= 2
 
-    def attempt(h: float):
+    def attempt(h: float, some: list):
         try:
-            return run(h)
+            return run(h, some)
         except BlowUpError:
-            return None
+            return [None] * len(some)
 
-    coarse = attempt(2 * r * unit)
-    while True:
-        fine = (run if r == 1 else attempt)(r * unit)
-        gap = math.inf if fine is None or coarse is None else delta(fine, coarse)
-        if gap <= budget or r == 1:
-            return r, r * unit, fine, coarse, gap
-        r, coarse = r // 2, fine
+    chosen = [None] * len(data)
+    walking = list(range(len(data)))
+    coarse = attempt(2 * r * unit, list(data))
+    while walking:
+        fine = (run if r == 1 else attempt)(r * unit, [data[i] for i in walking])
+        still, kept = [], []
+        for i, f, c in zip(walking, fine, coarse):
+            gap = math.inf if f is None or c is None else delta(f, c)
+            if gap <= budget or r == 1:
+                chosen[i] = (r, r * unit, f, c, gap)
+            else:
+                still.append(i)
+                kept.append(f)
+        r, walking, coarse = r // 2, still, kept
+    return chosen
 
 
 def _field_delta(a: SolveResult, b: SolveResult) -> float:
@@ -253,42 +265,57 @@ def _cell_config(
 
 
 def _checked_solve(
-    state: ProfileStateTorus, cell: SolverConfig, eps: float, times: Sequence[float],
-    shortest: float, delta,
+    states: Sequence[ProfileStateTorus], cell: SolverConfig, eps: float,
+    times: Sequence[float], shortest: float, delta,
 ):
-    """Solve the period datum `state` (at t=0) on `cell`, with snapshots at
-    the physical `times`, and check its step and grid.
+    """Solve the period data `states` (at t=0) on `cell`, with snapshots at
+    the physical `times`, and check each datum's step and grid.
 
-    The physical step is chosen by `_ladder` from default_dt(eps), capped by
-    the shortest snapshot segment, against LADDER_FRACTION*eps on
-    delta(fine, coarse); one more solve at twice the chosen step on the
-    doubled cell gives the grid-doubling delta, delta of the coarse rung and
-    that solve.  Every solve runs through this module's `solve`.  Returns
-    (res, rung, dt, step_delta, grid_delta, steps, spent): the kept solve,
-    its rung, step and two deltas, split steps over every solve, and the
-    seconds of each solve by (physical step, cell points).  A failing solve
-    raises; the caller's row records it, with no rung and no deltas.
+    Each datum's physical step is chosen by `_ladder` from default_dt(eps),
+    capped by the shortest snapshot segment, against LADDER_FRACTION*eps on
+    delta(fine, coarse), and the data still walking share each rung's
+    solve.  One more solve at twice a chosen step on the doubled cell,
+    shared by the data that chose that step, gives each of them its
+    grid-doubling delta, delta of its coarse rung and that solve.  Every
+    solve runs through this module's `solve`: of one field when it solves
+    one datum, else of their stack.  Returns (checked, steps, spent): one
+    (res, rung, dt, step_delta, grid_delta) per datum, the kept solve, its
+    rung, step and two deltas; split steps over every datum of every solve;
+    and the seconds of each solve by (physical step, cell points).  A
+    failing solve raises; a converge row records it, with no rung and no
+    deltas.
     """
     cell_times = [t / eps for t in times]
     steps = 0
     spent = {}
 
-    def run(h: float, m: int = cell.n) -> SolveResult:
+    def run(h: float, some: list, m: int = cell.n) -> list:
         nonlocal steps
         t0 = time.perf_counter()
-        res = solve(
-            assemble_uapp(state, 1.0, m), replace(cell, dt=h / eps, n=m),
-            snapshot_times=cell_times,
-        )
+        cfg = replace(cell, dt=h / eps, n=m)
+        u0 = [assemble_uapp(state, 1.0, m) for state in some]
+        if len(u0) == 1:
+            res = [solve(u0[0], cfg, snapshot_times=cell_times)]
+        else:
+            stack = GridField(u0[0].d, m, np.stack([u.values for u in u0]))
+            res = solve(stack, cfg, snapshot_times=cell_times)
         spent[h, m] = time.perf_counter() - t0
-        steps += res.steps
+        steps += sum(r.steps for r in res)
         return res
 
-    rung, dt, res, coarse, step_delta = _ladder(
-        run, default_dt(eps), shortest, delta, LADDER_FRACTION * eps
-    )
-    grid_delta = delta(coarse, run(2 * dt, 2 * cell.n))
-    return res, rung, dt, step_delta, grid_delta, steps, spent
+    walks = _ladder(run, states, default_dt(eps), shortest, delta, LADDER_FRACTION * eps)
+    by_step = {}
+    for i, (_, dt, *_) in enumerate(walks):
+        by_step.setdefault(dt, []).append(i)
+    grid_deltas = [math.nan] * len(states)
+    for dt, which in by_step.items():
+        for i, res in zip(which, run(2 * dt, [states[i] for i in which], 2 * cell.n)):
+            grid_deltas[i] = delta(walks[i][3], res)
+    checked = [
+        (res, rung, dt, step_delta, grid_delta)
+        for (rung, dt, res, _, step_delta), grid_delta in zip(walks, grid_deltas)
+    ]
+    return checked, steps, spent
 
 
 def run_convergence(
@@ -357,9 +384,9 @@ def run_convergence(
         profile_steps += len(traj.times) - 1
         return traj
 
-    profile_rung, profile_dt, traj, _, profile_delta = _ladder(
-        integrate, PROFILE_DT, shortest, lambda a, b: _amp_delta(a, b, checks),
-        LADDER_FRACTION * min(eps_list),
+    [(profile_rung, profile_dt, traj, _, profile_delta)] = _ladder(
+        lambda h, _: [integrate(h)], [alpha], PROFILE_DT, shortest,
+        lambda a, b: _amp_delta(a, b, checks), LADDER_FRACTION * min(eps_list),
     )
     profile_s = time.perf_counter() - start
 
@@ -367,8 +394,8 @@ def run_convergence(
         n = cell.n * _check_eps(eps)
         start = time.perf_counter()
         try:
-            res, rung, dt, step_delta, grid_delta, steps, spent = _checked_solve(
-                ProfileStateTorus(modes, alpha, 0.0), cell, eps, checks, shortest,
+            [(res, rung, dt, step_delta, grid_delta)], steps, spent = _checked_solve(
+                [ProfileStateTorus(modes, alpha, 0.0)], cell, eps, checks, shortest,
                 _field_delta,
             )
             solve_s = spent[dt, cell.n]
@@ -619,17 +646,20 @@ def run_instability(
     Fourier mode, sampled at 101 even times in [0, delta].  Both data are
     2 pi eps periodic, so each solve runs on one period, the cell of
     `_cell_config` (16 points for sigma=1).  The initial data are assembled
-    by `assemble_uapp` on the two-mode set {0, 1} of the period.  Each
-    datum is solved by `_checked_solve`: its step is chosen on the ladder
-    from default_dt(eps), capped by the sample segment delta/100, against
-    LADDER_FRACTION*eps on the largest zero-mode gap over the samples
-    (`_zero_mode_delta`), and one more solve, at twice the chosen step on
-    the doubled cell, gives its grid-doubling delta.  A delta over budget is
-    recorded, not raised.  Raises OverflowError before any solve when the
-    data overflow when squared, so that the solves' health would not be
-    finite, and FloatingPointError when the rounding floor of the zero-mode
-    read, n ulps of alpha0~ + alpha1~, exceeds that budget, so that the
-    solver gap would be rounding noise.
+    by `assemble_uapp` on the two-mode set {0, 1} of the period.  Both
+    data are solved by one `_checked_solve`, which walks them down the
+    ladder together: each datum's step is chosen from default_dt(eps),
+    capped by the sample segment delta/100, against LADDER_FRACTION*eps on
+    the largest zero-mode gap over the samples (`_zero_mode_delta`), and
+    one more solve, at twice the chosen step on the doubled cell, gives its
+    grid-doubling delta.  While both data walk, and for a grid check at a
+    step both chose, they are solved as one stack, so a cross-check whose
+    data choose one rung makes half the solve calls of two walks.  A delta
+    over budget is recorded, not raised.  Raises OverflowError before any
+    solve when the data overflow when squared, so that the solves' health
+    would not be finite, and FloatingPointError when the rounding floor of
+    the zero-mode read, n ulps of alpha0~ + alpha1~, exceeds that budget,
+    so that the solver gap would be rounding noise.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")
@@ -721,16 +751,12 @@ def run_instability(
                 f"zero mode: rounding on {cell.n} points reads it to {floor:.3g}, "
                 f"over the step budget {LADDER_FRACTION:g}*eps = {LADDER_FRACTION * eps:.3g}"
             )
-        solver_steps = 0
-        solves, ladders = [], []
-        for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t)):
-            res, *ladder, steps, _ = _checked_solve(
-                ProfileStateTorus(pair, [a0, a1], 0.0), cell, eps, sample,
-                delta / 100, _zero_mode_delta,
-            )
-            solver_steps += steps
-            solves.append(res)
-            ladders.append(ladder)
+        checked, solver_steps, _ = _checked_solve(
+            [ProfileStateTorus(pair, [a0, a1], 0.0)
+             for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t))],
+            cell, eps, sample, delta / 100, _zero_mode_delta,
+        )
+        solves = [res for res, *_ in checked]
         # one row per sample: the samples are the solves' marks
         zero_modes = [_zero_modes(r) for r in solves]
         diffs = np.abs(zero_modes[0] - zero_modes[1])
@@ -741,7 +767,9 @@ def run_instability(
         solver_n = cell.n
         solver_l2_drift = max(r.l2_relative_drift for r in solves)
         solver_aliasing = max(float(np.max(r.aliasing_fractions)) for r in solves)
-        solver_rungs, solver_dts, step_deltas, grid_deltas = zip(*ladders)
+        solver_rungs, solver_dts, step_deltas, grid_deltas = zip(
+            *(ladder for _, *ladder in checked)
+        )
 
     return InstabilityRecord(
         variant=variant,

@@ -7,8 +7,8 @@ EXPORTS = [
     "ConvergenceTable", "DivisorSurvey", "EuclidTrajectory", "FourierSeries",
     "GramProbe", "GridField", "InstabilityRecord", "ModeSet", "Phase",
     "ProfileSpectrum", "ProfileStateEuclid", "ProfileStateTorus", "RemainderReport",
-    "ResonantTuple", "SimParams", "SolveResult", "SolverConfig", "TorusTrajectory",
-    "WaveVector", "assemble_uapp", "close_under_resonances", "complete_rectangle",
+    "ResonantTuple", "SimParams", "SolveResult", "SolveStack", "SolverConfig",
+    "TorusTrajectory", "WaveVector", "assemble_uapp", "close_under_resonances", "complete_rectangle",
     "default_dt", "default_grid_size", "e_norm", "enumerate_interactions",
     "explicit_euclid_1d", "explicit_torus_1d", "explicit_two_mode",
     "fit_generalized_bound", "free_propagator", "gram_diophantine_probe",

@@ -14,6 +14,7 @@ from nlsoptics.spectral_nls import (
     AliasingWarning,
     GridField,
     SolverConfig,
+    SolveStack,
     default_dt,
     default_grid_size,
     _linear_flow,
@@ -213,7 +214,7 @@ class TestLinearFlow:
             assert field.flags.c_contiguous
         assert res.l2_relative_drift <= 1e-13
         assert not res.aliasing_flagged
-        flow = _linear_flow(d, n, eps * 1e-2, ksq)
+        flow = _linear_flow(d, n, eps * 1e-2, ksq, False)
         assert flow(u0.values.copy()).flags.c_contiguous
         # the cases straddle the switch: n = 8, 16, 64 dense, n = 128 FFT
         assert (n <= DENSE_MAX_N) == (n in (8, 16, 64))
@@ -348,15 +349,57 @@ class TestMarkHealth:
         assert res.l2_values.shape == res.aliasing_fractions.shape == (1,)
 
 
+class TestStackedSolve:
+    """A stack of data on a leading axis shares one loop of numpy calls; each
+    datum's result must equal its own solve bit for bit."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1.3])
+    @pytest.mark.parametrize("sigma", [1, 2])
+    @pytest.mark.parametrize("d,n", [(1, 16), (1, 32), (1, 128), (2, 16)])
+    def test_each_datum_equals_its_own_solve(self, d, n, sigma, lam):
+        data = [_band_limited_field(d, n, 1000 * d + 10 * n + seed) for seed in range(3)]
+        snaps = [0.01, 0.035, 0.06, 0.08]
+        cfg = SolverConfig(eps=1 / 4, lam=lam, sigma=sigma, dt=4e-3, n=n, t_final=0.11)
+        stacked = solve(GridField(d, n, np.stack([u.values for u in data])), cfg, snaps)
+        assert isinstance(stacked, SolveStack) and len(stacked) == len(data)
+        assert stacked.fields.shape == (6, len(data)) + (n,) * d
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasingWarning)  # 16-point cells with coupling
+            for u0, res in zip(data, stacked):
+                one = solve(u0, cfg, snaps)
+                assert res.times is stacked.times
+                assert np.array_equal(res.times, one.times)
+                assert res.fields.flags.c_contiguous and not res.fields.flags.writeable
+                assert np.array_equal(res.fields, one.fields)
+                assert res.steps == one.steps
+                assert np.array_equal(res.l2_values, one.l2_values)
+                assert np.array_equal(res.aliasing_fractions, one.aliasing_fractions)
+
+    def test_non_finite_datum_raises_naming_the_mark(self):
+        # the second datum's |u|^2 overflows in the first sub-step; the
+        # stack names the first mark, as the datum's own solve does
+        good = _band_limited_field(1, 16, 3).values
+        stack = GridField(1, 16, np.stack([good, np.full(16, 1e200 + 0j)]))
+        cfg = SolverConfig(eps=1 / 2, lam=1.0, sigma=1, dt=1e-2, n=16, t_final=0.5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match=r"by t=0\.1$"):
+                solve(stack, cfg, [0.1, 0.3])
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError):
+            GridField(1, 16, np.zeros((2, 2, 16), dtype=complex))
+        assert GridField(2, 8, np.zeros((3, 8, 8), dtype=complex)).values.shape == (3, 8, 8)
+
+
 def _count_flows(monkeypatch):
     """Patch the module's flow builder with a counter; returns the list of
     step arguments s, one per build."""
     built = []
     real = spectral_nls._linear_flow
 
-    def counting(d, n, s, ksq):
+    def counting(d, n, s, ksq, stacked):
         built.append(s)
-        return real(d, n, s, ksq)
+        return real(d, n, s, ksq, stacked)
 
     monkeypatch.setattr(spectral_nls, "_linear_flow", counting)
     return built
@@ -375,16 +418,18 @@ class TestPropagatorReuse:
             segs = [b - a for a, b in zip(marks[:-1], marks[1:]) if b > a]
             hs = {seg / max(1, math.ceil(seg / cfg.dt - 1e-9)) for seg in segs}
             per_solve.append((len(built) - start, len(hs), len(segs)))
-            steps.append(res.steps)
+            steps.extend(r.steps for r in (res if isinstance(res, SolveStack) else [res]))
             return res
 
         steps = []
         monkeypatch.setattr(wkb_pipeline, "solve", recording)
         rec = run_instability(1.0, 0.1, -2.0, 16, cross_check=True)
-        # per datum the ladder walks from rung 16 down to its chosen rung 1,
-        # then solves once on the doubled cell
+        # both data walk the ladder together from its top rung's coarse
+        # partner down to their chosen rung 1, one stacked solve per rung,
+        # then share one solve on the doubled cell
         assert rec.solver_rungs == (1, 1)
-        assert len(per_solve) == 2 * (5 + 1)
+        assert len(per_solve) == 5 + 1
+        assert len(steps) == 2 * len(per_solve)
         assert sum(steps) == rec.solver_steps
         for builds, distinct, segments in per_solve:
             assert segments == 100

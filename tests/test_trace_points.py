@@ -5,6 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nlsoptics import experiments_cli, profile_dynamics, wkb_pipeline
@@ -40,11 +41,20 @@ def test_solve_counts_match_a_real_solve():
     counts = load_spans()._solve_counts(res, (u0, cfg), {})
     assert counts["steps"] == res.steps
     assert counts["snapshot_bytes"] == res.fields.nbytes
+    # a stack of two data: the counter reads the shared marks, the grid of
+    # one datum and the (marks, 2, 16) fields, so it counts one datum's work
+    stack = GridField(1, 16, np.stack([u0.values, 2 * u0.values]))
+    both = solve(stack, cfg, snapshot_times=[0.07, 0.11, 0.3])
+    counts = load_spans()._solve_counts(both, (stack, cfg), {})
+    assert counts["steps"] == res.steps == both[0].steps == both[1].steps
+    assert counts["point_steps"] == res.steps * 16
+    assert counts["snapshot_bytes"] == res.fields.nbytes == both.fields.nbytes // 2
 
 
 def test_traced_crosscheck_counts():
-    # the instability_gap workload's cross-check at K=16: per datum, rungs
-    # 16 and 8 of the ladder and one grid-doubling solve
+    # the instability_gap workload's cross-check at K=16: both data walk
+    # rungs 16 and 8 of the ladder together and share one grid-doubling
+    # solve, each a stacked solve whose span counts one datum's steps
     spans = load_spans()
     tracer = spans.Tracer()
     points = [p for p in spans.trace_points(experiments_cli, profile_dynamics, wkb_pipeline)
@@ -52,6 +62,6 @@ def test_traced_crosscheck_counts():
     with tracer.installed(points), pytest.warns(UserWarning, match="premise"):
         rec = run_instability(1.0, 0.1, -0.5, 16, cross_check=True)
     solves = [s for s in tracer.spans if s.name == "spectral_nls.solve"]
-    assert len(solves) == 6
+    assert len(solves) == 3
     assert rec.solver_rungs == (8, 8)
-    assert sum(s.counts["steps"] for s in solves) == rec.solver_steps == 1600
+    assert 2 * sum(s.counts["steps"] for s in solves) == rec.solver_steps == 1600

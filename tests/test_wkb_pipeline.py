@@ -17,6 +17,7 @@ from nlsoptics.profile_dynamics import (
 from nlsoptics.spectral_nls import (
     GridField,
     SolverConfig,
+    SolveStack,
     default_dt,
     default_grid_size,
     solve,
@@ -275,6 +276,11 @@ def criterion_one_data():
     return modes, alpha
 
 
+def _one(run):
+    """A ladder run of one datum from run(h)."""
+    return lambda h, some: [run(h)]
+
+
 class TestStepLadder:
     def test_walks_down_to_the_first_passing_rung(self):
         # delta of rung r is (2 r)^2: 16 and 8 fail a budget of 100, 4 passes
@@ -284,8 +290,8 @@ class TestStepLadder:
             runs.append(h)
             return h
 
-        rung, step, fine, coarse, gap = _ladder(
-            run, 1.0, 1e9, lambda a, b: b * b, budget=100.0
+        [(rung, step, fine, coarse, gap)] = _ladder(
+            _one(run), [None], 1.0, 1e9, lambda a, b: b * b, budget=100.0
         )
         assert (rung, step, fine, coarse, gap) == (4, 4.0, 4.0, 8.0, 64.0)
         assert runs == [2.0 * LADDER_TOP, 16.0, 8.0, 4.0]  # one new run per rung
@@ -301,8 +307,8 @@ class TestStepLadder:
                 raise BlowUpError(0.5)
             return h
 
-        rung, step, fine, coarse, gap = _ladder(
-            run, 1.0, 1e9, lambda a, b: b - a, budget=100.0
+        [(rung, step, fine, coarse, gap)] = _ladder(
+            _one(run), [None], 1.0, 1e9, lambda a, b: b - a, budget=100.0
         )
         assert (rung, step, fine, coarse, gap) == (2, 2.0, 2.0, 4.0, 2.0)
         assert runs == [2.0 * LADDER_TOP, 16.0, 8.0, 4.0, 2.0]
@@ -314,13 +320,37 @@ class TestStepLadder:
             return h
 
         # the coarse partner of rung 1 blew up: the delta is inf, not raised
-        assert _ladder(run, 1.0, 1e9, lambda a, b: 0.0, 0.0) == (1, 1.0, 1.0, None, math.inf)
+        assert _ladder(_one(run), [None], 1.0, 1e9, lambda a, b: 0.0, 0.0) == [
+            (1, 1.0, 1.0, None, math.inf)
+        ]
 
         def run_all(h):
             raise BlowUpError(0.25)
 
         with pytest.raises(BlowUpError, match="t=0.25"):
-            _ladder(run_all, 1.0, 1e9, lambda a, b: 0.0, 0.0)
+            _ladder(_one(run_all), [None], 1.0, 1e9, lambda a, b: 0.0, 0.0)
+
+    def test_data_walk_together_and_leave_at_their_own_rungs(self):
+        # datum "a" has delta (2 r)^2 and passes at rung 4; "b" passes at the
+        # top; the rungs both walk are one call each, "a" walks on alone
+        calls = []
+
+        def run(h, some):
+            calls.append((h, tuple(some)))
+            return [(datum, h) for datum in some]
+
+        def delta(fine, coarse):
+            return coarse[1] ** 2 if fine[0] == "a" else 0.0
+
+        walks = _ladder(run, ["a", "b"], 1.0, 1e9, delta, budget=100.0)
+        assert walks == [
+            (4, 4.0, ("a", 4.0), ("a", 8.0), 64.0),
+            (LADDER_TOP, 16.0, ("b", 16.0), ("b", 32.0), 0.0),
+        ]
+        assert calls == [
+            (2.0 * LADDER_TOP, ("a", "b")), (16.0, ("a", "b")),
+            (8.0, ("a",)), (4.0, ("a",)),
+        ]
 
     def test_leg_takes_the_largest_passing_rung(self):
         # criterion 1's data at eps = 1/8: rung 4 passes, and the solve pair
@@ -367,8 +397,8 @@ class TestStepLadder:
                 runs.append(solve(u0, cfg, snapshot_times=checks))
                 return runs[-1]
 
-            rung, step, *_ = _ladder(
-                run, unit, shortest, lambda a, b: math.inf, budget=0.0
+            [(rung, step, *_)] = _ladder(
+                _one(run), [None], unit, shortest, lambda a, b: math.inf, budget=0.0
             )
             assert rung == 1 and step <= unit
             for coarse, fine in zip(runs, runs[1:]):
@@ -709,7 +739,8 @@ class TestInstability:
 
 
 def _record_solves(monkeypatch) -> list:
-    """Wrap this module's `solve`; returns the list of its results."""
+    """Wrap this module's `solve`; returns the list of its results, one per
+    call (a stacked solve's is its SolveStack)."""
     results = []
     real = wkb_pipeline.solve
 
@@ -722,8 +753,9 @@ def _record_solves(monkeypatch) -> list:
 
 
 def _measured(results) -> list:
-    """The solves whose health was read: a cached property, once computed,
+    """The data whose health was read: a cached property, once computed,
     sits in the instance dict."""
+    results = [r for res in results for r in (res if isinstance(res, SolveStack) else [res])]
     health = [{"l2_values", "aliasing_fractions"} & set(vars(r)) for r in results]
     assert all(h in (set(), {"l2_values", "aliasing_fractions"}) for h in health)
     return [r for r, h in zip(results, health) if h]
@@ -737,7 +769,7 @@ class TestHealthOnRead:
         results = _record_solves(monkeypatch)
         with pytest.warns(UserWarning, match="premise"):
             rec = run_instability(1.0, 0.1, -0.5, 16, cross_check=True)
-        assert rec.solver_rungs == (8, 8) and len(results) == 6
+        assert rec.solver_rungs == (8, 8) and len(results) == 3
         assert len(_measured(results)) == 2
 
     def test_coarse_rungs_warn_nothing(self, monkeypatch):
@@ -747,7 +779,7 @@ class TestHealthOnRead:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rec = run_instability(1.0, 0.1, -2.0, 16, cross_check=True)
-        assert rec.solver_rungs == (1, 1) and len(results) == 12
+        assert rec.solver_rungs == (1, 1) and len(results) == 6
         assert len(_measured(results)) == 2
         assert caught == []
         assert rec.solver_aliasing < 1e-8
