@@ -902,7 +902,7 @@ def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         )
     _emit_report(out_dir, "smalldiv", scn, results, {"total": total}, flags)
 
-    if modes.scale == 1 and not survey.all_resonant and survey.min_delta < 1:
+    if not survey.all_resonant and survey.min_delta < 1:
         print(
             "integer-lattice divisor assertion failed: min_delta < 1",
             file=sys.stderr,

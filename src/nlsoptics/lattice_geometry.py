@@ -1,4 +1,4 @@
-"""Wave vectors, characteristic phases, and resonance closure.
+"""Integer wave vectors, resonance defects, and resonance closure.
 
 A plane-wave phase with wave vector kappa is phi(t,x) = kappa.x - t|kappa|^2/2,
 the solution of the eikonal equation d_t phi + |grad phi|^2/2 = 0 with linear
@@ -7,25 +7,20 @@ alternating-sign combination is again characteristic, i.e. when
 
     |sum_p (-1)^(p+1) kappa_p|^2  ==  sum_p (-1)^(p+1) |kappa_p|^2.
 
-Everything here is exact integer arithmetic.  Rational vectors are admitted at
-ingestion and rescaled to a common integer lattice; the scale factor is kept so
-results can be reported in user units.
+Everything here is exact integer arithmetic: wave vectors are integer, so
+every defect is an integer and a nonzero defect is at least 1 in absolute value.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "WaveVector",
-    "Phase",
     "ModeSet",
     "ResonantTuple",
     "ClosureWarning",
@@ -33,9 +28,6 @@ __all__ = [
     "complete_rectangle",
     "close_under_resonances",
     "enumerate_interactions",
-    "rescale_to_integers",
-    "load_mode_document",
-    "mode_document",
 ]
 
 
@@ -101,29 +93,6 @@ def _check_dim(a: WaveVector, b: WaveVector) -> None:
 
 
 @dataclass(frozen=True)
-class Phase:
-    """Characteristic phase phi(t,x) = kappa.x - t*omega with omega = |kappa|^2/2.
-
-    omega is stored as an exact rational; the invariant omega == |kappa|^2 / 2
-    is enforced at construction.
-    """
-
-    kappa: WaveVector
-    omega: Fraction = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        expected = Fraction(self.kappa.norm_sq, 2)
-        if self.omega is None:
-            object.__setattr__(self, "omega", expected)
-        elif Fraction(self.omega) != expected:
-            raise ValueError(f"omega must equal |kappa|^2/2 = {expected}")
-
-    def __call__(self, t: float, x: Sequence[float]) -> float:
-        """Evaluate phi(t, x) in user units."""
-        return float(sum(k * xi for k, xi in zip(self.kappa.coords, x)) - t * self.omega)
-
-
-@dataclass(frozen=True)
 class ResonantTuple:
     """Ordered index tuple (l_1, ..., l_{2 sigma + 1}) resonant toward mode j."""
 
@@ -135,12 +104,13 @@ class ResonantTuple:
 class ModeSet:
     """A finite set of wave vectors closed (or truncated) under resonances.
 
+    The vectors are integer lattice vectors in the units of the input, and
+    sigma >= 1 is checked here, so every consumer takes sigma from the set.
     Vectors are kept in lexicographic order; this ordering is the canonical
     index set J that all downstream modules use.  ``generations[i]`` is the
     closure generation at which ``vectors[i]`` first appeared (0 for initial
     data).  ``saturated`` is True iff a full creation scan produced nothing new
-    within limits, i.e. the set is genuinely closed.  ``scale`` carries the
-    rational unit so that user vectors are ``scale * vectors[i]``.
+    within limits, i.e. the set is genuinely closed.
     """
 
     d: int
@@ -148,7 +118,6 @@ class ModeSet:
     vectors: tuple[WaveVector, ...]
     generations: tuple[int, ...]
     saturated: bool
-    scale: Fraction = Fraction(1)
     creation_edges: tuple = ()
 
     def __post_init__(self):
@@ -199,7 +168,6 @@ class ModeSet:
         *,
         generations: Optional[Sequence[int]] = None,
         saturated: bool = False,
-        scale: Fraction = Fraction(1),
     ) -> "ModeSet":
         vecs = list(vectors)
         if not vecs:
@@ -213,7 +181,6 @@ class ModeSet:
             vectors=tuple(vecs[i] for i in order),
             generations=tuple(gens[i] for i in order),
             saturated=saturated,
-            scale=scale,
         )
 
 
@@ -257,38 +224,6 @@ def complete_rectangle(
     if (l - m).dot(l - k) != 0:
         return None
     return k - l + m
-
-
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    """Least common multiple of the denominators of values (1 when empty)."""
-    return math.lcm(*(v.denominator for v in values))
-
-
-def rescale_to_integers(
-    raw_vectors: Sequence[Sequence],
-) -> tuple[list[WaveVector], Fraction]:
-    """Scale rational input vectors onto the integer lattice.
-
-    Accepts entries that are ints, Fractions, or strings like "3/4".  Returns
-    (integer vectors, scale) with user_vector = scale * integer_vector.  Floats
-    are rejected: the defect test must stay decidable.
-    """
-    rows = []
-    for vec in raw_vectors:
-        row = []
-        for c in vec:
-            if isinstance(c, float):
-                raise TypeError(
-                    "float coordinates are not accepted; pass ints, Fractions, "
-                    "or 'p/q' strings so arithmetic stays exact"
-                )
-            row.append(Fraction(c))
-        rows.append(row)
-    denom = _common_denominator(c for row in rows for c in row)
-    ints = [
-        WaveVector(tuple(int(c * denom) for c in row)) for row in rows
-    ]
-    return ints, Fraction(1, denom)
 
 
 def _prefix_sums(per_mode: np.ndarray, length: int, *, alternate: bool = True) -> np.ndarray:
@@ -458,7 +393,6 @@ def close_under_resonances(
     *,
     max_generations: int = 8,
     max_sup_norm: int = 64,
-    scale: Fraction = Fraction(1),
     record_edges: bool = False,
 ) -> ModeSet:
     """Close a set of wave vectors under (2*sigma+1)-wave resonant creation.
@@ -552,7 +486,6 @@ def close_under_resonances(
         vectors=tuple(ordered),
         generations=tuple(generation[v] for v in ordered),
         saturated=saturated,
-        scale=scale,
         creation_edges=tuple(edges),
     )
 
@@ -661,55 +594,3 @@ def enumerate_interactions(modes: ModeSet, j: int) -> list[ResonantTuple]:
         ResonantTuple(indices=tuple(row), target=j)
         for row in idx[bounds[j]:bounds[j + 1]].tolist()
     ]
-
-
-def load_mode_document(source) -> tuple[int, int, list[WaveVector], Fraction]:
-    """Parse {dimension, sigma, vectors: [[...], ...]} from a dict, path, or JSON text.
-
-    Returns (dimension, sigma, integer vectors, scale).  Vector entries may be
-    ints or rational strings; they are rescaled to the integer lattice.
-    """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = None
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except (TypeError, OSError):
-            text = source
-        doc = json.loads(text)
-    try:
-        d = int(doc["dimension"])
-        sigma = int(doc["sigma"])
-        raw = doc["vectors"]
-    except KeyError as exc:
-        raise ValueError(f"mode document missing field {exc}") from None
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("mode document needs a nonempty 'vectors' list")
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != d:
-            raise ValueError(
-                f"vectors[{i}] must be a list of {d} coordinates, got {row!r}"
-            )
-    vectors, scale = rescale_to_integers(raw)
-    return d, sigma, vectors, scale
-
-
-def mode_document(modes: ModeSet) -> dict:
-    """Serialize a ModeSet to the structured document format, user units restored."""
-    scale = modes.scale
-
-    def report(v: WaveVector):
-        if scale == 1:
-            return list(v.coords)
-        return [str(Fraction(c) * scale) for c in v.coords]
-
-    return {
-        "dimension": modes.d,
-        "sigma": modes.sigma,
-        "vectors": [report(v) for v in modes.vectors],
-        "generations": list(modes.generations),
-        "saturated": modes.saturated,
-        "scale": str(scale),
-    }

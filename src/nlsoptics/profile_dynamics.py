@@ -38,7 +38,6 @@ __all__ = [
     "explicit_euclid_1d",
     "explicit_two_mode",
     "two_mode_theta",
-    "total_mass",
     "TorusTrajectory",
     "EuclidTrajectory",
 ]
@@ -482,14 +481,3 @@ def explicit_two_mode(
         alpha_j * np.exp(-1j * lam * t * two_mode_theta(mj, ml, sigma)),
         alpha_l * np.exp(-1j * lam * t * two_mode_theta(ml, mj, sigma)),
     )
-
-
-def total_mass(state) -> float:
-    """sum_j |a_j|^2 on the torus; sum_j of squared discrete L2 norms on the box."""
-    if isinstance(state, ProfileStateTorus):
-        return float(np.sum(np.abs(state.amps) ** 2))
-    if isinstance(state, ProfileStateEuclid):
-        cell = (state.length / state.n) ** state.modes.d
-        return cell * float(np.sum(state.fields.real**2 + state.fields.imag**2))
-    arr = np.asarray(state)
-    return float(np.sum(np.abs(arr) ** 2))

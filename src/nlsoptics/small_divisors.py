@@ -15,11 +15,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lattice_geometry import ModeSet, _common_denominator, _defect_blocks, _prefix_sums
+from .lattice_geometry import ModeSet, _defect_blocks, _prefix_sums
 
 __all__ = [
     "DivisorSurvey",
@@ -35,10 +35,10 @@ class DivisorSurvey:
     """Defect statistics over all ordered tuples of a mode set.
 
     min_delta and argmin are None exactly when every tuple is resonant (the
-    distinguished all-resonant outcome, e.g. a single mode).  Defects are in
-    lattice units: for a rescaled rational set, user-unit defects carry an
-    extra factor scale**2.  The weighted minima c(b) for b > 0 are
-    fit_generalized_bound's; c(0) is min_delta.
+    distinguished all-resonant outcome, e.g. a single mode).  The wave
+    vectors are integer, so every defect is an integer and min_delta >= 1.
+    The weighted minima c(b) for b > 0 are fit_generalized_bound's; c(0) is
+    min_delta.
     """
 
     sigma: int
@@ -46,24 +46,21 @@ class DivisorSurvey:
     nonresonant_count: int
     min_delta: Optional[int]
     argmin: Optional[tuple[int, ...]]
-    scale: Fraction
 
     @property
     def all_resonant(self) -> bool:
         return self.nonresonant_count == 0
 
 
-def survey_divisors(modes: ModeSet, sigma: Optional[int] = None) -> DivisorSurvey:
-    """Scan all tuples in J^(2*sigma+1), recording the nonzero-defect minimum.
+def survey_divisors(modes: ModeSet) -> DivisorSurvey:
+    """Scan all tuples in J^(2*sigma+1), sigma = modes.sigma, recording the
+    nonzero-defect minimum.
 
     Each defect block of the lattice kernel (_defect_blocks, one leading
     index l_1 per block, rows in lexicographic order) is reduced as it
     comes: count, running minimum, and the lexicographically first argmin.
     """
-    if sigma is None:
-        sigma = modes.sigma
-    if sigma < 1:
-        raise ValueError("sigma must be a positive integer")
+    sigma = modes.sigma
     n, width = len(modes), 2 * sigma + 1
     nonres = 0
     best: Optional[int] = None
@@ -87,15 +84,14 @@ def survey_divisors(modes: ModeSet, sigma: Optional[int] = None) -> DivisorSurve
         argmin=None if best is None else tuple(
             int(i) for i in np.unravel_index(best_at, (n,) * width)
         ),
-        scale=modes.scale,
     )
 
 
 def fit_generalized_bound(
-    modes: ModeSet, sigma: Optional[int] = None, b_grid: Sequence[float] = (0.0,)
+    modes: ModeSet, b_grid: Sequence[float] = (0.0,)
 ) -> list[tuple[float, Optional[float]]]:
     """Largest admissible constant c(b) = min over non-resonant tuples of
-    |delta| * prod_p <kappa_p>^b, for each b in b_grid.
+    |delta| * prod_p <kappa_p>^b, for each b in b_grid, sigma = modes.sigma.
 
     Since <kappa> >= 1, c(b) is nondecreasing in b.  Returns (b, c) pairs;
     c is None when the non-resonant set is empty.  Each defect block of
@@ -103,8 +99,7 @@ def fit_generalized_bound(
     the sum of log <kappa_p> = log(1 + |kappa_p|^2) / 2 over its slots, is
     added slot by slot.
     """
-    if sigma is None:
-        sigma = modes.sigma
+    sigma = modes.sigma
     for b in b_grid:
         if b < 0:
             raise ValueError("b must be nonnegative")
@@ -151,6 +146,11 @@ class GramProbe:
     b_prime: Optional[float]
     c_prime_at_argmin: Optional[float]
     c_prime_scan: Optional[float]
+
+
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators of values (1 when empty)."""
+    return math.lcm(*(v.denominator for v in values))
 
 
 def _parse_generators(generators):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -119,13 +119,6 @@ class FourierSeries:
         for k, v in self.terms.items():
             key = tuple(a + b for a, b in zip(k, off))
             out[key] = out.get(key, 0j) + v
-        return FourierSeries(out, self.dxi)
-
-    def apply_multiplier(self, m: Callable[[tuple[float, ...]], complex]) -> "FourierSeries":
-        """New series with b_k replaced by m(kappa_k) * b_k, kappa_k = k*dxi."""
-        out = {}
-        for k, v in self.terms.items():
-            out[k] = m(tuple(c * self.dxi for c in k)) * v
         return FourierSeries(out, self.dxi)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -280,6 +273,8 @@ def free_propagator(f: FourierSeries, t: float, eps: float) -> FourierSeries:
 
     A modulus-one multiplier per coefficient, so the W norm is unchanged.
     """
-    return f.apply_multiplier(
-        lambda kappa: complex(np.exp(-0.5j * eps * t * sum(c * c for c in kappa)))
-    )
+    out = {}
+    for k, v in f.terms.items():
+        kappa = tuple(c * f.dxi for c in k)
+        out[k] = complex(np.exp(-0.5j * eps * t * sum(c * c for c in kappa))) * v
+    return FourierSeries(out, f.dxi)

@@ -512,6 +512,9 @@ class TestSmalldivCommand:
         assert "not generic" in out
         rep = load_report(tmp_path, "smalldiv_report.json")
         assert rep["results"]["survey"]["min_delta"] == 2
+        assert set(rep["results"]["survey"]) == {
+            "sigma", "tuples_scanned", "nonresonant_count", "min_delta", "argmin",
+        }
         assert rep["results"]["probe"]["exact_minimum"] == "1/9"
         fit_lines = (tmp_path / "out" / "generalized_fit.csv").read_text().splitlines()
         assert fit_lines[0] == "b,c"

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +9,10 @@ from hypothesis import given, settings, strategies as st
 from nlsoptics.lattice_geometry import (
     ClosureWarning,
     ModeSet,
-    Phase,
     WaveVector,
     close_under_resonances,
     complete_rectangle,
     enumerate_interactions,
-    load_mode_document,
-    mode_document,
-    rescale_to_integers,
     resonance_defect,
 )
 from nlsoptics.lattice_geometry import (
@@ -64,14 +59,6 @@ class TestWaveVector:
     def test_numpy_integer_coords_coerced(self):
         v = WaveVector((np.int64(2), -1))
         assert v.coords == (2, -1) and type(v.coords[0]) is int
-
-
-class TestPhase:
-    def test_dispersion_locked(self):
-        p = Phase(wv(1, 2))
-        assert p.omega == Fraction(5, 2)
-        with pytest.raises(ValueError):
-            Phase(wv(1, 2), omega=Fraction(3))
 
 
 class TestResonanceDefect:
@@ -510,35 +497,3 @@ class TestBlockedKernel:
             (((2,), (0,), (2,), (0,), (-1,)), (3,), 1),
         )
 
-
-class TestRescaleAndDocuments:
-    def test_rescale_rational(self):
-        vecs, scale = rescale_to_integers([(Fraction(1, 2), Fraction(3, 2)),
-                                           (Fraction(1), Fraction(0))])
-        assert [v.coords for v in vecs] == [(1, 3), (2, 0)]
-        assert scale == Fraction(1, 2)
-
-    def test_rescale_rejects_floats(self):
-        with pytest.raises(TypeError):
-            rescale_to_integers([(0.5, 1.5)])
-
-    def test_document_round_trip(self, tmp_path):
-        import json
-
-        s = closure([(0, 1), (1, 0), (1, 1)], 1)
-        doc = mode_document(s)
-        path = tmp_path / "modes.json"
-        path.write_text(json.dumps(doc))
-        dim, sigma, vecs, scale = load_mode_document(str(path))
-        assert dim == 2 and sigma == 1 and scale == Fraction(1)
-        assert vecs == list(s.vectors)
-
-    def test_document_rational_round_trip(self):
-        vecs, scale = rescale_to_integers(
-            [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))]
-        )
-        s = ModeSet.from_vectors(vecs, 1, scale=scale)
-        doc = mode_document(s)
-        dim, sigma, vecs2, scale2 = load_mode_document(doc)
-        assert scale2 == scale
-        assert vecs2 == list(s.vectors)

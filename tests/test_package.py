@@ -5,18 +5,18 @@ import nlsoptics
 EXPORTS = [
     "AliasingWarning", "BlowUpError", "ClosureWarning", "ConvergenceRow",
     "ConvergenceTable", "DivisorSurvey", "EuclidTrajectory", "FourierSeries",
-    "GramProbe", "GridField", "InstabilityRecord", "ModeSet", "Phase",
+    "GramProbe", "GridField", "InstabilityRecord", "ModeSet",
     "ProfileSpectrum", "ProfileStateEuclid", "ProfileStateTorus", "RemainderReport",
     "ResonantTuple", "SimParams", "SolveResult", "SolveStack", "SolverConfig",
     "TorusTrajectory", "WaveVector", "assemble_uapp", "close_under_resonances", "complete_rectangle",
     "default_dt", "default_grid_size", "e_norm", "enumerate_interactions",
     "explicit_euclid_1d", "explicit_torus_1d", "explicit_two_mode",
     "fit_generalized_bound", "free_propagator", "gram_diophantine_probe",
-    "integrate_euclid", "integrate_torus", "interactions_for", "load_mode_document",
-    "mode_document", "plane_wave_exact", "remainder_report", "rescale_to_integers",
+    "integrate_euclid", "integrate_torus", "interactions_for",
+    "plane_wave_exact", "remainder_report",
     "resonance_defect", "run_convergence", "run_instability", "solve",
     "substitution_isometry_check", "sup_norm_of_field", "survey_divisors",
-    "total_mass", "two_mode_theta", "w_norm", "w_norm_of_field",
+    "two_mode_theta", "w_norm", "w_norm_of_field",
 ]
 MODULES = ("lattice_geometry", "profile_dynamics", "wiener_norms", "spectral_nls",
            "small_divisors", "wkb_pipeline")

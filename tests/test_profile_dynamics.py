@@ -21,7 +21,6 @@ from nlsoptics.profile_dynamics import (
     integrate_euclid,
     integrate_torus,
     interactions_for,
-    total_mass,
 )
 from nlsoptics import profile_dynamics
 from nlsoptics.profile_dynamics import _coupling, _snapshot_marks
@@ -239,17 +238,6 @@ class TestEuclidIntegration:
         traj = integrate_euclid(f, modes, params, length)
         expected = 0.8 * np.exp(-((x - 1.5 * 2.0 - 30.0) ** 2) / 2.0)
         assert np.max(np.abs(traj.fields[-1][0] - expected)) < 1e-10
-
-    def test_total_mass_helper(self):
-        length, n = 60.0, 512
-        modes = line_modes(-1, 1)
-        _, fields = self._gaussians(length, n)
-        from nlsoptics.profile_dynamics import ProfileStateEuclid
-
-        state = ProfileStateEuclid(modes, fields, 0.0, length)
-        cell = length / n
-        manual = cell * float(np.sum(np.abs(fields) ** 2))
-        assert math.isclose(total_mass(state), manual, rel_tol=1e-12)
 
 
 class TestClosedForms:

@@ -18,10 +18,8 @@ def wv(*coords):
     return WaveVector(tuple(coords))
 
 
-def modeset(coords, sigma=1, scale=Fraction(1)):
-    return ModeSet.from_vectors(
-        [wv(*c) for c in coords], sigma, saturated=True, scale=scale
-    )
+def modeset(coords, sigma=1):
+    return ModeSet.from_vectors([wv(*c) for c in coords], sigma, saturated=True)
 
 
 small_sets = st.lists(
@@ -38,6 +36,8 @@ class TestSurvey:
         assert s.min_delta == 2
         assert s.argmin == (0, 1, 0)
         assert not s.all_resonant
+        with pytest.raises(ValueError):  # the mode set rejects sigma < 1
+            modeset([(0,), (1,)], sigma=0)
 
     def test_single_mode_all_resonant(self):
         s = survey_divisors(modeset([(5,)]))
@@ -60,20 +60,6 @@ class TestSurvey:
     def test_defects_even_for_cubic_integer_modes(self):
         s = survey_divisors(modeset([(1, 2), (-1, 0), (3, 1)]))
         assert s.min_delta is not None and s.min_delta % 2 == 0
-
-    def test_sigma_override(self):
-        base = modeset([(0,), (2,)])
-        s = survey_divisors(base, sigma=2)
-        assert s.sigma == 2
-        assert s.tuples_scanned == 2**5
-
-    def test_scale_carried_through(self):
-        s = survey_divisors(modeset([(0,), (1,)], scale=Fraction(1, 3)))
-        assert s.scale == Fraction(1, 3)
-
-    def test_bad_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            survey_divisors(modeset([(0,), (1,)]), sigma=0)
 
     @given(small_sets, st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
     @settings(max_examples=40, deadline=None)
