@@ -36,8 +36,6 @@ class TestSurvey:
         assert s.min_delta == 2
         assert s.argmin == (0, 1, 0)
         assert not s.all_resonant
-        with pytest.raises(ValueError):  # the mode set rejects sigma < 1
-            modeset([(0,), (1,)], sigma=0)
 
     def test_single_mode_all_resonant(self):
         s = survey_divisors(modeset([(5,)]))
@@ -60,6 +58,11 @@ class TestSurvey:
     def test_defects_even_for_cubic_integer_modes(self):
         s = survey_divisors(modeset([(1, 2), (-1, 0), (3, 1)]))
         assert s.min_delta is not None and s.min_delta % 2 == 0
+
+    def test_bad_sigma_rejected(self):
+        # sigma comes from the mode set, which rejects sigma < 1 before any survey
+        with pytest.raises(ValueError):
+            survey_divisors(modeset([(0,), (1,)], sigma=0))
 
     @given(small_sets, st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
     @settings(max_examples=40, deadline=None)
