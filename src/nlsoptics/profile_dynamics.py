@@ -10,9 +10,7 @@ additionally transported at velocity kappa_j; the substitution
 b_j(t,x) = a_j(t, x + t*kappa_j) removes the transport term exactly, and the
 shift is realized spectrally, so no spatial derivative is ever discretized.
 
-Time stepping is classical fixed-step RK4 throughout.  Only the Euclidean
-integrator transforms, and it imports scipy.fft when called, so the torus
-side never loads it.
+Time stepping is classical fixed-step RK4 throughout.
 """
 
 from __future__ import annotations
@@ -347,8 +345,6 @@ def integrate_euclid(
     dxi = 2 pi / length: the `e_norm` of their `FourierSeries.from_grid`
     spectra.  Non-finite values abort too.
     """
-    import scipy.fft as sfft
-
     alpha = np.asarray(alpha, dtype=complex)
     state0 = ProfileStateEuclid(modes, alpha, 0.0, length)  # validates shape
     d, n = modes.d, state0.n
@@ -365,15 +361,14 @@ def integrate_euclid(
     enorm0 = dxi**d * float(np.abs(_box_coefficients(alpha, length, d)).sum())
     guard_level = BLOWUP_FACTOR * max(enorm0, 1e-300)
 
-    def to_lab(t, b):
-        """a_j(t, x) from the co-moving fields."""
-        return sfft.ifftn(
-            sfft.fftn(b, axes=axes) * np.exp(-1j * t * kdotxi), axes=axes
-        )
+    def to_lab(b, phase):
+        """a_j(t, x) from the co-moving fields, phase = e^{-i t kappa_j.xi}."""
+        return np.fft.ifftn(np.fft.fftn(b, axes=axes) * phase, axes=axes)
 
     def rhs(t, b):
-        return sfft.ifftn(
-            sfft.fftn(nonlinear(to_lab(t, b)), axes=axes) * np.exp(1j * t * kdotxi), axes=axes
+        phase = np.exp(-1j * t * kdotxi)
+        return np.fft.ifftn(
+            np.fft.fftn(nonlinear(to_lab(b, phase)), axes=axes) * np.conj(phase), axes=axes
         )
 
     snap_times, snaps = [], []
@@ -384,7 +379,7 @@ def integrate_euclid(
         masses.append(cell * float(np.sum(b.real**2 + b.imag**2)))
         if mark:
             snap_times.append(t)
-            snaps.append(to_lab(t, b))
+            snaps.append(to_lab(b, np.exp(-1j * t * kdotxi)))
 
     _rk4_sweep(alpha, rhs, params.t_final, params.dt, snapshot_times, guard_level, record)
     return EuclidTrajectory(

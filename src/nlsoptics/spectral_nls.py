@@ -16,10 +16,6 @@ the discrete L2 norm to rounding, so the solver inherits exact mass
 conservation.  Carriers sit at integer frequencies kappa/eps with 1/eps a
 positive integer; the grid rule below keeps their (2 sigma + 1)-fold
 harmonics inside the resolved band.
-
-scipy.fft is imported by the functions that transform, not at module load,
-so a process that never transforms never loads it; a flow binds it once,
-when it is built.
 """
 
 from __future__ import annotations
@@ -51,10 +47,12 @@ __all__ = [
 
 ALIASING_BAND = 0.9  # frequencies with |k|_inf >= ALIASING_BAND * (n/2) are "top 10%"
 ALIASING_TOLERANCE = 1e-8
-# Largest points-per-axis for the dense per-axis propagator.  Measured on a
-# 2-core Xeon: the dense linear flow beats the FFT pair through 1D n=256,
-# the whole split step ties it at 2D n=64, and the dense flow loses at 1D
-# n=1024 (0.5-0.8 ms vs 0.05 ms) and 2D n=128.
+# Largest points-per-axis for the dense per-axis propagator.  Per call of the
+# linear flow on a 2-core Xeon, median of 300 batches of 50 calls on one
+# OpenBLAS thread, dense flow against the numpy FFT pair: 1D 0.5 vs 14 us at
+# n=16, 0.7 vs 15 us at n=32, 1.6 vs 15 us at n=64; 2D 5.6 vs 30, 14 vs 44
+# and 71 vs 87 us at the same n.  Under OpenBLAS's default 2 threads the
+# worst 1D n=64 batch took 8 ms per call (the pair's worst: 79 us).
 DENSE_MAX_N = 64
 
 
@@ -167,14 +165,12 @@ class SolveResult:
 
     @cached_property
     def aliasing_fractions(self) -> np.ndarray:
-        import scipy.fft as sfft
-
         marks, n, d = len(self.fields), self.fields.shape[1], self.fields.ndim - 1
         band = np.zeros((n,) * d, dtype=bool)
         for k in _axis_wavenumbers(d, n):  # integer wavenumbers
             band |= np.abs(k) >= ALIASING_BAND * n / 2
         axes = tuple(range(1, d + 1))
-        spec_mag2 = (np.abs(sfft.fftn(self.fields, axes=axes)) ** 2).reshape(marks, -1)
+        spec_mag2 = (np.abs(np.fft.fftn(self.fields, axes=axes)) ** 2).reshape(marks, -1)
         total = spec_mag2.sum(axis=1)
         top = np.ascontiguousarray(spec_mag2[:, band.ravel()]).sum(axis=1)
         fracs = np.divide(top, total, out=np.zeros(marks), where=total > 0)
@@ -333,16 +329,12 @@ def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray, stacked: bool):
     in 1D each row is an (n, n) by (n, 1) matmul, which rounds like P.dot
     (one (B, n) by (n, n) product does not).
     """
-    import scipy.fft as sfft
-
     if n > DENSE_MAX_N:
         mult = np.exp(-0.5j * s * ksq)
         axes = tuple(range(-d, 0)) if stacked else None
-        return lambda u: sfft.ifftn(
-            sfft.fftn(u, axes=axes, overwrite_x=True) * mult, axes=axes, overwrite_x=True
-        )
-    k = sfft.fftfreq(n, 1.0 / n)
-    prop = sfft.ifft(np.exp(-0.5j * s * k**2)[:, None] * sfft.fft(np.eye(n), axis=0), axis=0)
+        return lambda u: np.fft.ifftn(np.fft.fftn(u, axes=axes) * mult, axes=axes)
+    k = _axis_wavenumbers(1, n)[0]
+    prop = np.fft.ifft(np.exp(-0.5j * s * k**2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
     prop_t = prop.T
     if stacked and d == 1:
         return lambda u: np.matmul(prop, u[..., None])[..., 0]
@@ -385,9 +377,7 @@ def plane_wave_exact(alpha: complex, kappa, cfg: SolverConfig, t: float) -> Grid
 
 def w_norm_of_field(u: GridField) -> float:
     """l1 sum of discrete Fourier coefficient magnitudes: the grid W norm."""
-    import scipy.fft as sfft
-
-    coef = sfft.fftn(u.values) / u.n**u.d
+    coef = np.fft.fftn(u.values) / u.n**u.d
     return float(np.sum(np.abs(coef)))
 
 

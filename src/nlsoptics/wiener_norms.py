@@ -165,14 +165,12 @@ def _box_coefficients(values: np.ndarray, length: float, d: int) -> np.ndarray:
 
     The rectangle-rule surrogate of the unitary Fourier transform on the
     grid xi_k = k * dxi, dxi = 2 pi / length, in FFT order; dxi^d * sum |b_k|
-    is the W norm of f's `from_grid` series.  Loads scipy.fft when called.
+    is the W norm of f's `from_grid` series.
     """
-    import scipy.fft as sfft
-
     values = np.asarray(values, dtype=complex)
     dx = length / values.shape[-1]
     axes = tuple(range(values.ndim - d, values.ndim))
-    return sfft.fftn(values, axes=axes) * (dx**d * (2 * math.pi) ** (-d / 2))
+    return np.fft.fftn(values, axes=axes) * (dx**d * (2 * math.pi) ** (-d / 2))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@ quantify the modulated-phase instability of the weak limit.
 The approximate field carries each profile on its oscillation e^{i phi/eps}
 with phi = kappa.x - t|kappa|^2/2; on the torus grid that is a pure Fourier
 mode at integer wavenumber kappa/eps, so assembly happens in Fourier space
-and is exact to rounding.  Assembly and the Euclidean remainder bound
-import scipy.fft when called, not at module load.
+and is exact to rounding.
 """
 
 from __future__ import annotations
@@ -73,8 +72,6 @@ def assemble_uapp(
     the Nyquist band of the grid; otherwise the oscillation cannot be
     represented and a ValueError is raised.
     """
-    from scipy.fft import ifftn
-
     inv = _check_eps(eps)
     modes = profiles.modes
     d = modes.d
@@ -92,7 +89,7 @@ def assemble_uapp(
         nsq = int(kap @ kap)
         phase = np.exp(-0.5j * nsq * inv * t)
         spec[tuple(int(w) % n for w in wave)] += profiles.amps[j] * phase
-    values = ifftn(spec) * n**d
+    values = np.fft.ifftn(spec) * n**d
     return GridField(d=d, n=n, values=values)
 
 

@@ -805,7 +805,7 @@ FOOTPRINT = """
 import json, sys
 from nlsoptics import experiments_cli
 def heavy():
-    return [m for m in ("scipy.optimize", "scipy.fft") if m in sys.modules]
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 seen = {"import": heavy()}
 for command, name in json.loads(sys.argv[1]):
     rc = experiments_cli.run([command, "--scenario", name, "--out", sys.argv[2]])
@@ -815,11 +815,14 @@ print(json.dumps(seen))
 
 
 class TestImportFootprint:
-    def test_lattice_commands_load_no_transform_code(self, tmp_path):
-        # the lattice side (closure, torus profiles, divisor survey) runs no
-        # transform, so neither scipy.fft nor scipy.optimize may be imported
+    def test_no_command_loads_scipy(self, tmp_path):
+        # every command kind, the transforming ones (converge, instability,
+        # Euclidean profiles) included, runs on numpy alone
         runs = [["closure", "closure_creation2d"], ["closure", "closure_two_mode_quintic"],
-                ["smalldiv", "smalldiv_square"], ["profiles", "profiles_torus_1d"]]
+                ["smalldiv", "smalldiv_square"], ["profiles", "profiles_torus_1d"],
+                ["converge", "th11_converge"], ["converge", "creation2d_converge"],
+                ["instability", "instability_crosscheck"],
+                ["profiles", "profiles_euclid_gaussians"]]
         runs = [[command, str(SCENARIOS / f"{name}.json")] for command, name in runs]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
