@@ -24,13 +24,14 @@ document against the table, rejects unknown keys, then applies the rules
 that relate two fields (`_cross_rules`); the resolved document names every
 default a run uses.  The README lists the keys.
 
-Every command writes a JSON report embedding the scenario hash and the
-fully resolved parameter set; reports are byte-identical across runs of the
-same scenario and tool version except for the recorded runtimes, which are
-excluded from the content hash.  All writes are atomic (temp then rename).
-Exit codes: 0 success, 1 failed assertion (--assert-order, integer-lattice
-divisor check) or a profile run that tripped the blow-up guard (in
-converge, at the profile ladder's rung 1), 2 scenario errors.
+Each command returns its results, runtimes and side files; `run` alone
+writes them: the side files, then a JSON report embedding the scenario hash
+and the resolved parameters, byte-identical across runs of one scenario and
+tool version except for the runtimes, which the content hash excludes.  All
+writes are atomic (temp then rename).  Exit codes: 0 success, 1 failed
+assertion (--assert-order, integer-lattice divisor check; its report is
+written) or profile blow-up (in converge, at the ladder's rung 1), 2
+scenario errors; a blow-up or a scenario error writes nothing.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ ORACLES = ("explicit_torus_1d", "explicit_two_mode", "explicit_euclid_1d")
 
 class ScenarioError(Exception):
     """Raised for malformed or inconsistent scenario documents."""
+
+
+class CommandFailed(Exception):
+    """Raised for a run that ends without results, such as a profile run
+    that tripped the RK4 blow-up guard; the message is its one stderr line."""
 
 
 @dataclass
@@ -439,31 +445,25 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write_bytes(path, (text + "\n").encode())
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write_bytes(path, buf.getvalue().encode())
+    return buf.getvalue().encode()
 
 
-def _write_npy(path: str, array: np.ndarray) -> None:
+def _npy_bytes(array: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, array)
-    _atomic_write_bytes(path, buf.getvalue())
+    return buf.getvalue()
 
 
-def _emit_report(
-    out_dir: str, command: str, scn: Scenario, results: dict, runtimes: dict, flags: dict
-) -> str:
+def _report_bytes(args, scn: Scenario, results: dict, runtimes: dict) -> bytes:
+    flags = {key: getattr(args, key, None) for key in ("assert_order", "oracle")}
     envelope = {
         "schema": REPORT_SCHEMA,
-        "command": command,
+        "command": args.command,
         "scenario_hash": scn.sha256,
         "resolved": _jsonable({**scn.resolved, "flags": flags}),
         "results": _jsonable(results),
@@ -473,9 +473,8 @@ def _emit_report(
     )
     envelope["content_hash"] = hashlib.sha256(canon.encode()).hexdigest()
     envelope["runtimes"] = _jsonable(runtimes)
-    path = os.path.join(out_dir, f"{command}_report.json")
-    _write_json(path, envelope)
-    return path
+    text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode()
 
 
 def _closed_modes(scn: Scenario, record_edges: bool = False) -> tuple[ModeSet, np.ndarray]:
@@ -496,11 +495,16 @@ def _closed_modes(scn: Scenario, record_edges: bool = False) -> tuple[ModeSet, n
     return modes, amps
 
 
+# what a command returns to `run`: its results, its runtimes, each side
+# file's bytes by name, and its exit code
+Outcome = tuple[dict, dict, dict[str, bytes], int]
+
+
 def _kappa_label(coords: tuple[int, ...]) -> str:
     return "(" + ",".join(str(c) for c in coords) + ")"
 
 
-def cmd_closure(scn: Scenario, out_dir: str, args, flags: dict) -> int:
+def cmd_closure(scn: Scenario, args) -> Outcome:
     start = time.perf_counter()
     modes, _ = _closed_modes(scn, record_edges=True)
     runtime = time.perf_counter() - start
@@ -509,23 +513,20 @@ def cmd_closure(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         list(v.coords) + [g] for v, g in zip(modes.vectors, modes.generations)
     ]
     header = [f"k{i}" for i in range(scn.dimension)] + ["generation"]
-    _write_csv(os.path.join(out_dir, "modes.csv"), header, rows)
     edge_rows = [
         [" ".join(_kappa_label(p) for p in parents), _kappa_label(child), gen]
         for parents, child, gen in modes.creation_edges
     ]
-    _write_csv(
-        os.path.join(out_dir, "edges.csv"),
-        ["parents", "created", "generation"],
-        edge_rows,
-    )
+    files = {
+        "modes.csv": _csv_bytes(header, rows),
+        "edges.csv": _csv_bytes(["parents", "created", "generation"], edge_rows),
+    }
     results = {
         "vectors": [list(v.coords) for v in modes.vectors],
         "generations": list(modes.generations),
         "created_count": created,
         "saturated": modes.saturated,
     }
-    _emit_report(out_dir, "closure", scn, results, {"total": runtime}, flags)
     if created == 0 and modes.saturated:
         print("saturated, no new vectors")
     else:
@@ -534,160 +535,114 @@ def cmd_closure(scn: Scenario, out_dir: str, args, flags: dict) -> int:
             f"closure: {len(scn.modes)} vectors in, {len(modes.vectors)} out "
             f"({created} created), {note}"
         )
-    for parents, child, gen in modes.creation_edges:
-        print(
-            f"  generation {gen}: {_kappa_label(child)} from "
-            + " ".join(_kappa_label(p) for p in parents)
-        )
-    return 0
+    for parents, child, gen in edge_rows:
+        print(f"  generation {gen}: {child} from {parents}")
+    return results, {"total": runtime}, files, 0
 
 
-def _blow_up(exc: BlowUpError, scn: Scenario, peak: float) -> int:
-    """A profile run that tripped the RK4 blow-up guard is a failed run
-    (exit 1): one stderr line with the time and the step condition
-    dt*|lambda|*max|a|^(2 sigma), the nonlinear phase one step turns."""
-    dt = scn.experiment["dt"]
-    cond = dt * abs(scn.lam) * peak ** (2 * scn.sigma)
-    print(
-        f"profiles failed: {exc}; step condition dt*|lambda|*max|a|^(2 sigma) "
-        f"= {cond:.3g} at dt={dt:g}",
-        file=sys.stderr,
-    )
-    return 1
+def _gaussian(preset: dict):
+    c, w = float(preset["center"]), float(preset["width"])
+    a = complex(*preset["amplitude"])
+    return lambda y: a * np.exp(-((y - c) ** 2) / (2.0 * w * w))
 
 
-def _profiles_torus(scn: Scenario, out_dir: str, oracle: Optional[str], flags: dict) -> int:
+def cmd_profiles(scn: Scenario, args) -> Outcome:
+    """RK4 profiles on the torus (amplitudes) or the Euclidean box (fields);
+    only the data, the integrator, the side files and the oracle differ."""
+    _check_oracle(args.oracle, "--oracle", scn.resolved)
     exp = scn.experiment
+    oracle = args.oracle or exp["oracle"]
     t_final, dt, snaps = exp["t_final"], exp["dt"], exp["snapshots"]
-    modes, amps = _closed_modes(scn)
-    params = SimParams(lam=scn.lam, t_final=t_final, dt=dt)
-    snap_times = [t_final * k / snaps for k in range(snaps + 1)]
-    start = time.perf_counter()
-    try:
-        traj = integrate_torus(amps, modes, params, snapshot_times=snap_times)
-    except BlowUpError as exc:
-        return _blow_up(exc, scn, float(np.max(np.abs(amps))))
-    runtime = time.perf_counter() - start
-
-    # one formatting pass; numbers need no CSV quoting
-    header = ",".join(
-        ["t"] + [f"{part}_j{j}" for j in range(len(modes.vectors)) for part in ("re", "im")]
-    )
-    row = "{:.12g}" + ",{:.17g}" * (2 * len(modes.vectors)) + "\n"
-    lines = (
-        row.format(t, *parts)
-        for t, parts in zip(traj.times.tolist(), traj.amps.view(float).tolist())
-    )
-    _atomic_write_bytes(
-        os.path.join(out_dir, "trajectory.csv"), (header + "\n" + "".join(lines)).encode()
-    )
-
-    drift = _relative_drift(traj.mass_series())
-    results = {
-        "modes": [list(v.coords) for v in modes.vectors],
-        "final_amps": traj.amps[-1],
-        "mass_relative_drift": drift,
-        "interaction_tuples": traj.interaction_tuples,
-        "rk4_steps": len(traj.times) - 1,
-        "oracle": oracle,
-    }
-
-    deviation = None
-    if oracle == "explicit_torus_1d":
-        deviation = max(
-            float(np.max(np.abs(row - explicit_torus_1d(amps, scn.lam, float(t)))))
-            for t, row in zip(traj.times, traj.amps)
-        )
-    elif oracle == "explicit_two_mode":
+    euclid = scn.domain["type"] == "euclid"
+    modes, data = _closed_modes(scn)
+    if oracle == "explicit_two_mode":
         _expect(len(modes.vectors) == 2,
                 "explicit_two_mode oracle needs exactly two modes after closure")
-        dev = 0.0
-        for t, row in zip(traj.times, traj.amps):
-            r0, r1 = explicit_two_mode(amps[0], amps[1], scn.sigma, scn.lam, float(t))
-            dev = max(dev, abs(row[0] - r0), abs(row[1] - r1))
-        deviation = float(dev)
-
-    if deviation is not None:
-        results["oracle_max_deviation"] = deviation
-        print(f"oracle {oracle} max deviation {deviation:.3e}")
-    print(
-        f"profiles: {len(modes.vectors)} modes, {traj.interaction_tuples} tuples, "
-        f"{len(traj.times) - 1} RK4 steps to t={t_final:g}, mass drift {drift:.3e}"
-    )
-    _emit_report(out_dir, "profiles", scn, results, {"total": runtime}, flags)
-    return 0
-
-
-def _profiles_euclid(scn: Scenario, out_dir: str, oracle: Optional[str], flags: dict) -> int:
-    exp = scn.experiment
-    t_final, dt, snaps = exp["t_final"], exp["dt"], exp["snapshots"]
-    length, n = scn.domain["length"], scn.domain["grid_n"]
-    modes, _ = _closed_modes(scn)
-    _expect(
-        len(modes.vectors) == len(scn.modes),
-        "euclid scenarios must list a preset for every mode of the closed set",
-    )
-    x = np.arange(n) * (length / n)
-
-    def gaussian(preset):
-        c, w = float(preset["center"]), float(preset["width"])
-        a = complex(*preset["amplitude"])
-        return lambda y: a * np.exp(-((y - c) ** 2) / (2.0 * w * w))
-
-    funcs = [None] * len(modes.vectors)
-    for spec in scn.modes:
-        funcs[modes.index(WaveVector(spec.kappa))] = gaussian(spec.preset)
-    fields0 = np.stack([f(x) for f in funcs]).astype(complex)
+    if euclid:
+        length, n = scn.domain["length"], scn.domain["grid_n"]
+        _expect(
+            len(modes.vectors) == len(scn.modes),
+            "euclid scenarios must list a preset for every mode of the closed set",
+        )
+        x = np.arange(n) * (length / n)
+        funcs = [None] * len(modes.vectors)
+        for spec in scn.modes:
+            funcs[modes.index(WaveVector(spec.kappa))] = _gaussian(spec.preset)
+        data = np.stack([f(x) for f in funcs]).astype(complex)
 
     params = SimParams(lam=scn.lam, t_final=t_final, dt=dt)
     snap_times = [t_final * k / snaps for k in range(snaps + 1)]
     start = time.perf_counter()
     try:
-        traj = integrate_euclid(fields0, modes, params, length, snapshot_times=snap_times)
+        if euclid:
+            traj = integrate_euclid(data, modes, params, length, snapshot_times=snap_times)
+        else:
+            traj = integrate_torus(data, modes, params, snapshot_times=snap_times)
     except BlowUpError as exc:
-        return _blow_up(exc, scn, float(np.max(np.abs(fields0))))
+        # the step condition dt*|lambda|*max|a|^(2 sigma) is the nonlinear
+        # phase one step turns
+        cond = dt * abs(scn.lam) * float(np.max(np.abs(data))) ** (2 * scn.sigma)
+        raise CommandFailed(
+            f"profiles failed: {exc}; step condition dt*|lambda|*max|a|^(2 sigma) "
+            f"= {cond:.3g} at dt={dt:g}"
+        ) from None
     runtime = time.perf_counter() - start
 
-    _write_npy(os.path.join(out_dir, "fields_initial.npy"), traj.fields[0])
-    _write_npy(os.path.join(out_dir, "fields_final.npy"), traj.fields[-1])
-    _write_csv(
-        os.path.join(out_dir, "mass.csv"),
-        ["t", "mass"],
-        [[f"{t:.12g}", f"{m:.17g}"] for t, m in zip(traj.mass_times, traj.masses)],
-    )
-    drift = _relative_drift(traj.masses)
     results = {
         "modes": [list(v.coords) for v in modes.vectors],
-        "grid_n": n,
-        "length": length,
-        "mass_relative_drift": drift,
         "interaction_tuples": traj.interaction_tuples,
-        "rk4_steps": len(traj.mass_times) - 1,
         "oracle": oracle,
     }
+    if euclid:
+        files = {
+            "fields_initial.npy": _npy_bytes(traj.fields[0]),
+            "fields_final.npy": _npy_bytes(traj.fields[-1]),
+            "mass.csv": _csv_bytes(
+                ["t", "mass"],
+                [[f"{t:.12g}", f"{m:.17g}"] for t, m in zip(traj.mass_times, traj.masses)],
+            ),
+        }
+        masses, steps, what = traj.masses, len(traj.mass_times) - 1, "euclid profiles"
+        results.update(grid_n=n, length=length)
+    else:
+        # one formatting pass; numbers need no CSV quoting
+        header = ",".join(
+            ["t"] + [f"{part}_j{j}" for j in range(len(modes.vectors)) for part in ("re", "im")]
+        )
+        row = "{:.12g}" + ",{:.17g}" * (2 * len(modes.vectors)) + "\n"
+        lines = (
+            row.format(t, *parts)
+            for t, parts in zip(traj.times.tolist(), traj.amps.view(float).tolist())
+        )
+        files = {"trajectory.csv": (header + "\n" + "".join(lines)).encode()}
+        masses, steps, what = traj.mass_series(), len(traj.times) - 1, "modes"
+        results["final_amps"] = traj.amps[-1]
+    drift = _relative_drift(masses)
+    results.update(mass_relative_drift=drift, rk4_steps=steps)
 
     if oracle == "explicit_euclid_1d":
         kappas = [float(v.coords[0]) for v in modes.vectors]
         ref = explicit_euclid_1d(funcs, kappas, scn.lam, t_final, x, exp["quadrature_dt"])
         deviation = float(np.max(np.abs(traj.fields[-1] - ref)))
+    elif oracle == "explicit_torus_1d":
+        deviation = max(
+            float(np.max(np.abs(row - explicit_torus_1d(data, scn.lam, float(t)))))
+            for t, row in zip(traj.times, traj.amps)
+        )
+    elif oracle == "explicit_two_mode":
+        deviation = 0.0
+        for t, row in zip(traj.times, traj.amps):
+            r0, r1 = explicit_two_mode(data[0], data[1], scn.sigma, scn.lam, float(t))
+            deviation = max(deviation, abs(row[0] - r0), abs(row[1] - r1))
+        deviation = float(deviation)
+    if oracle is not None:
         results["oracle_max_deviation"] = deviation
         print(f"oracle {oracle} max deviation {deviation:.3e}")
-
     print(
-        f"profiles: {len(modes.vectors)} euclid profiles, {traj.interaction_tuples} tuples, "
-        f"{len(traj.mass_times) - 1} RK4 steps to t={t_final:g}, mass drift {drift:.3e}"
+        f"profiles: {len(modes.vectors)} {what}, {traj.interaction_tuples} tuples, "
+        f"{steps} RK4 steps to t={t_final:g}, mass drift {drift:.3e}"
     )
-    _emit_report(out_dir, "profiles", scn, results, {"total": runtime}, flags)
-    return 0
-
-
-def cmd_profiles(scn: Scenario, out_dir: str, args, flags: dict) -> int:
-    if args.oracle is not None:
-        _check_oracle(args.oracle, "--oracle", scn.resolved)
-    oracle = args.oracle or scn.experiment["oracle"]
-    if scn.domain["type"] == "euclid":
-        return _profiles_euclid(scn, out_dir, oracle, flags)
-    return _profiles_torus(scn, out_dir, oracle, flags)
+    return results, {"total": runtime}, files, 0
 
 
 def _rung_label(rung) -> str:
@@ -701,7 +656,7 @@ def _delta_label(value, eps=None) -> str:
     return f"{value:.2e}" if eps is None else f"{value / eps:.2e}*eps"
 
 
-def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
+def cmd_converge(scn: Scenario, args) -> Outcome:
     exp = scn.experiment
     modes, amps = _closed_modes(scn)
     start = time.perf_counter()
@@ -709,14 +664,13 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         table = run_convergence(modes, amps, scn.lam, [float(f) for f in scn.eps_list],
                                 exp["t_final"], checkpoints=exp["checkpoints"])
     except BlowUpError as exc:  # at rung 1: the ladder walks past coarser blow-ups
-        print(f"converge failed: {exc} (profile ladder rung 1, its finest step)",
-              file=sys.stderr)
-        return 1
+        raise CommandFailed(
+            f"converge failed: {exc} (profile ladder rung 1, its finest step)"
+        ) from None
     total = time.perf_counter() - start
 
     health = ("rung", "step_delta", "grid_delta", "steps", "l2_drift", "aliasing")
-    _write_csv(
-        os.path.join(out_dir, "convergence.csv"),
+    csv_bytes = _csv_bytes(
         ["eps", "grid_n", "dt", "sup_error", "w_error", *health, "runtime", "status"],
         [
             [
@@ -762,8 +716,6 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         "profile": table.profile_s,
         "stages": [r.stage_s for r in table.rows],
     }
-    _emit_report(out_dir, "converge", scn, results, runtimes, flags)
-
     print(
         f"profile: dt={table.profile_dt:.4g} rung {_rung_label(table.profile_rung)} "
         f"delta {_delta_label(table.profile_delta)} {table.profile_steps} RK4 steps"
@@ -785,20 +737,19 @@ def cmd_converge(scn: Scenario, out_dir: str, args, flags: dict) -> int:
         f"fitted order: sup {table.fitted_order_label('sup')}, "
         f"w {table.fitted_order_label('w')}"
     )
-    if args.assert_order is not None:
-        if table.at_floor:
-            return 0
-        if table.order_sup is None or table.order_sup < args.assert_order:
-            got = "n/a" if table.order_sup is None else f"{table.order_sup:.3f}"
-            print(
-                f"order assertion failed: {got} < {args.assert_order}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    failed = args.assert_order is not None and not table.at_floor and (
+        table.order_sup is None or table.order_sup < args.assert_order
+    )
+    if failed:
+        got = "n/a" if table.order_sup is None else f"{table.order_sup:.3f}"
+        print(
+            f"order assertion failed: {got} < {args.assert_order}",
+            file=sys.stderr,
+        )
+    return results, runtimes, {"convergence.csv": csv_bytes}, int(failed)
 
 
-def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
+def cmd_instability(scn: Scenario, args) -> Outcome:
     exp = scn.experiment
     start = time.perf_counter()
     try:
@@ -814,10 +765,7 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
 
     times, curve = wkb_pipeline.gap_curve(record, exp["grid_points"])
     lines = map("{:.12g},{:.17g}\n".format, times.tolist(), curve.tolist())
-    _atomic_write_bytes(
-        os.path.join(out_dir, "gap_curve.csv"), ("t,gap\n" + "".join(lines)).encode()
-    )
-    _emit_report(out_dir, "instability", scn, {"record": record}, {"total": total}, flags)
+    files = {"gap_curve.csv": ("t,gap\n" + "".join(lines)).encode()}
 
     print(
         f"{record.variant}: gap {record.gap:.4f} at t*={record.t_star:.4f} "
@@ -849,10 +797,10 @@ def cmd_instability(scn: Scenario, out_dir: str, args, flags: dict) -> int:
                 f"step {_delta_label(step_delta, record.eps)} "
                 f"grid {_delta_label(grid_delta, record.eps)}{note}"
             )
-    return 0
+    return {"record": record}, {"total": total}, files, 0
 
 
-def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
+def cmd_smalldiv(scn: Scenario, args) -> Outcome:
     exp = scn.experiment
     modes, _ = _closed_modes(scn)
     start = time.perf_counter()
@@ -860,8 +808,7 @@ def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
     fit = fit_generalized_bound(modes, b_grid=exp["b_grid"])
     total = time.perf_counter() - start
 
-    _write_csv(
-        os.path.join(out_dir, "generalized_fit.csv"),
+    csv_bytes = _csv_bytes(
         ["b", "c"],
         [[f"{b:.12g}", "" if c is None else f"{c:.17g}"] for b, c in fit],
     )
@@ -900,15 +847,13 @@ def cmd_smalldiv(scn: Scenario, out_dir: str, args, flags: dict) -> int:
             f"{survey.nonresonant_count} non-resonant tuples "
             f"(of {survey.tuples_scanned})"
         )
-    _emit_report(out_dir, "smalldiv", scn, results, {"total": total}, flags)
-
-    if not survey.all_resonant and survey.min_delta < 1:
+    failed = not survey.all_resonant and survey.min_delta < 1
+    if failed:
         print(
             "integer-lattice divisor assertion failed: min_delta < 1",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return results, {"total": total}, {"generalized_fit.csv": csv_bytes}, int(failed)
 
 
 COMMANDS = {
@@ -960,15 +905,19 @@ def run(argv=None) -> int:
                 f"scenario declares experiment {expected!r}, "
                 f"invoked command {args.command!r}"
             )
-        os.makedirs(args.out, exist_ok=True)
-        flags = {
-            "assert_order": getattr(args, "assert_order", None),
-            "oracle": getattr(args, "oracle", None),
-        }
-        return COMMANDS[args.command](scn, args.out, args, flags)
+        results, runtimes, files, code = COMMANDS[args.command](scn, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    except CommandFailed as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    files[f"{args.command}_report.json"] = _report_bytes(args, scn, results, runtimes)
+    # the report goes last: a report on disk means its side files are complete
+    os.makedirs(args.out, exist_ok=True)
+    for name, data in files.items():
+        _atomic_write_bytes(os.path.join(args.out, name), data)
+    return code
 
 
 def entrypoint(argv=None) -> None:

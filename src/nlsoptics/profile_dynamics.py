@@ -234,10 +234,6 @@ class TorusTrajectory:
     amps: np.ndarray  # (S, |J|)
     interaction_tuples: int = 0  # ordered resonant tuples in the coupling
 
-    def __iter__(self):
-        for t, a in zip(self.times, self.amps):
-            yield ProfileStateTorus(self.modes, a, float(t))
-
     @property
     def final(self) -> ProfileStateTorus:
         return ProfileStateTorus(self.modes, self.amps[-1], float(self.times[-1]))

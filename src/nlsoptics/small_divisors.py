@@ -214,14 +214,13 @@ def gram_diophantine_probe(
             for i in range(p)
         ]
         q = _common_denominator(g for row in gram_exact for g in row)
-        gram_scaled = np.array(
-            [[int(gram_exact[i][j] * q) for j in range(p)] for i in range(p)],
-            dtype=np.int64,
-        )
-        # the scan works on q*value as int64; guard against overflow
-        cap = int(np.abs(gram_scaled).sum()) * 2 * beta_bound * p * p
+        scaled = [[int(g * q) for g in row] for row in gram_exact]
+        # the scan works on q*value as int64; guard against overflow on the
+        # exact ints, before any of them is converted
+        cap = sum(abs(g) for row in scaled for g in row) * 2 * beta_bound * p * p
         if cap >= 2**62:
             raise OverflowError("rational generators too large for exact scan")
+        gram_scaled = np.array(scaled, dtype=np.int64)
         gvals_dtype = np.int64
     else:
         gram_scaled = np.array(

@@ -225,7 +225,7 @@ class TestProfilesCommand:
         t = float(err.split("tripped at t=")[1].split(";")[0])
         assert 0 < t < 0.01
         assert "dt*|lambda|*max|a|^(2 sigma) = 0.4 at dt=0.001" in err
-        assert not (tmp_path / "out" / "profiles_report.json").exists()
+        assert not (tmp_path / "out").exists()  # no report and no side file
 
 
 class TestConvergeCommand:
@@ -277,7 +277,7 @@ class TestConvergeCommand:
         assert err.count("\n") == 1
         assert err.startswith("converge failed: amplitude blow-up guard tripped at t=")
         assert "rung 1" in err
-        assert not (tmp_path / "out" / "converge_report.json").exists()
+        assert not (tmp_path / "out").exists()  # no report and no side file
 
     def test_sweep_report_and_csv(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, self._doc(1.0))
@@ -363,6 +363,10 @@ class TestConvergeCommand:
         )
         assert rc == 1
         assert "order assertion failed" in capsys.readouterr().err
+        # a failed assertion still writes its report, after its side file
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "converge_report.json", "convergence.csv",
+        ]
 
     def test_determinism_modulo_runtimes(self, tmp_path):
         scn = write_scenario(tmp_path, self._doc(1.0))
@@ -642,6 +646,11 @@ class TestErrorPaths:
             ({"experiment": {"type": "smalldiv", "probe": {
                 "generators": [["1/999999937"], ["1/999999929"]], "beta_bound": 64}}},
              "experiment.probe.generators"),
+            # the two-mode closed form on a set that closes to three modes
+            ({"initial_modes": [{"kappa": [k], "amplitude": [0.5, 0.0]} for k in (-1, 0, 1)],
+              "experiment": {"type": "profiles", "t_final": 0.1,
+                             "oracle": "explicit_two_mode"}},
+             "explicit_two_mode oracle needs exactly two modes"),
         ],
         ids=["dt-string", "dt-negative", "snapshots-0", "checkpoints-negative",
              "grid_points-0", "delta-2", "cross_check-string", "rho-nan", "rho-true",
@@ -649,7 +658,7 @@ class TestErrorPaths:
              "misspelt-key", "extra-top-level-key", "budget-negative", "rho-negative",
              "s-positive", "variant-bogus", "weak_limit-without-theta", "lambda-inf",
              "t_final-1e308", "amplitude-1e308", "beta_bound-string", "delta-overflow",
-             "generators-overflow"],
+             "generators-overflow", "two-mode-oracle-on-three-modes"],
     )
     def test_malformed_experiment_number_is_a_scenario_error(
         self, tmp_path, capsys, changes, path
@@ -662,6 +671,7 @@ class TestErrorPaths:
         rc = run([command, "--scenario", scn, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"scenario error: {path}" in capsys.readouterr().err
+        assert not list((tmp_path / "o").rglob("*"))  # a refused run writes nothing
 
     def test_kappa_arity_reported(self, tmp_path, capsys):
         # a complete document: the table's checks run before this cross-field one

@@ -36,6 +36,7 @@ def test_comparison_skips_runtimes_only(tmp_path):
     csv_old = b"eps,runtime,status\n0.5,0.012,ok\n0.25,0.020,ok\n"
     old = {
         "codes.json": {"a": 0, "b": 0},
+        "stdout.json": {"a": "x 1\ny 2\n", "b": "same\n"},
         "a/converge_report.json": report,
         "a/convergence.csv": csv_old,
         "b/gap_curve.csv": b"t,gap\n0,0\n",
@@ -44,6 +45,7 @@ def test_comparison_skips_runtimes_only(tmp_path):
     }
     new = {
         "codes.json": {"a": 0, "b": 1},
+        "stdout.json": {"a": "x 1\ny 3\nz\n", "b": "same\n"},
         "a/converge_report.json": {
             **report, "results": {"gap": 0.5, "rows": [1, 2.0]}, "runtimes": {"total": 9.0},
         },
@@ -64,6 +66,8 @@ def test_comparison_skips_runtimes_only(tmp_path):
         "b/modes.csv: files differ",  # a row more: no cell by cell comparison
         "b/trajectory.csv: only in new",
         "exit.b: 0 != 1",
+        "stdout.a[1]: 'y 2' != 'y 3'",  # one line per differing stdout line
+        "stdout.a[2]: None != 'z'",
     ]
     # the same roots on both sides differ nowhere
     assert tool.diff_outputs(tmp_path / "old", tmp_path / "old") == []

@@ -273,6 +273,9 @@ class TestGramProbe:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             gram_diophantine_probe([[2**40]])
+        # a Gram entry past int64 is refused before numpy converts it
+        with pytest.raises(OverflowError, match="too large for exact scan"):
+            gram_diophantine_probe([["1/3"], ["7000000000"]])
 
     @given(
         st.lists(

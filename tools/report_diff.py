@@ -4,13 +4,15 @@
 
 Each tree's `src/` runs the scenarios through `experiments_cli`, in one
 subprocess per tree (the two run side by side), each into a fresh
-directory; the commands' own output is dropped.  The scenarios are every
+directory; each command's stdout is kept, its stderr dropped (warnings
+name source lines, which move with any edit).  The scenarios are every
 file of NEW_TREE's `scenarios/`, or the ones named, by stem
 (`instability_part1`) or by path; both trees run the same files.  Compared
-per scenario: the exit code, each report without its `runtimes` (so its
-`content_hash` is compared), and every side file: `convergence.csv` row by
-row without its `runtime` column, the other CSV files cell by cell, the
-rest byte for byte.  One line is printed per difference; two numbers that
+per scenario: the exit code, the stdout line by line, each report without
+its `runtimes` (so its `content_hash` is compared), and every side file:
+`convergence.csv` row by row without its `runtime` column, the other CSV
+files cell by cell, the rest byte for byte.  One line is printed per
+difference (per stdout line that differs, among others); two numbers that
 differ carry their relative difference |a - b| / max(|a|, |b|), and a CSV
 file of unchanged shape gets one line with the number of differing cells
 and the largest relative difference among them.  The exit status is 1 if
@@ -27,23 +29,29 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 # Runs in each tree's process: argv is the output root, then the scenarios.
-# Each scenario's exit code goes into codes.json; a command that raises
-# stops the run, and its traceback is printed.
+# Each scenario's exit code goes into codes.json and its stdout into
+# stdout.json; a command that raises stops the run, and its traceback is
+# printed.
 RUNNER = """
-import json, os, sys
+import contextlib, io, json, os, sys
 from nlsoptics.experiments_cli import run
 
-out, codes = sys.argv[1], {}
+out, codes, stdout = sys.argv[1], {}, {}
 for path in sys.argv[2:]:
     name = os.path.splitext(os.path.basename(path))[0]
     with open(path) as fh:
         command = json.load(fh)["experiment"]["type"]
-    codes[name] = run([command, "--scenario", path, "--out", os.path.join(out, name)])
-with open(os.path.join(out, "codes.json"), "w") as fh:
-    json.dump(codes, fh)
+    with contextlib.redirect_stdout(io.StringIO()) as log:
+        codes[name] = run([command, "--scenario", path, "--out", os.path.join(out, name)])
+    stdout[name] = log.getvalue()
+os.makedirs(out, exist_ok=True)
+for file, value in (("codes.json", codes), ("stdout.json", stdout)):
+    with open(os.path.join(out, file), "w") as fh:
+        json.dump(value, fh)
 """
 
 
@@ -186,6 +194,12 @@ def diff_outputs(old_root: Path, new_root: Path) -> list[str]:
             a, b = json.loads(old[rel].read_bytes()), json.loads(new[rel].read_bytes())
             lines += [f"exit.{k}: {a.get(k)} != {b.get(k)}"
                       for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+        elif rel == "stdout.json":  # one line per differing stdout line
+            a, b = json.loads(old[rel].read_bytes()), json.loads(new[rel].read_bytes())
+            for k in sorted(a.keys() | b.keys()):
+                pairs = zip_longest(a.get(k, "").splitlines(), b.get(k, "").splitlines())
+                lines += [f"stdout.{k}[{i}]: {x!r} != {y!r}"
+                          for i, (x, y) in enumerate(pairs) if x != y]
         else:
             lines += diff_file(rel, old[rel].read_bytes(), new[rel].read_bytes())
     return lines
