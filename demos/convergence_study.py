@@ -36,7 +36,7 @@ def main():
     table = run_convergence(modes, alpha, 1.0, eps_list, 1.0)
     print("eps        n      sup error   w error     status")
     for r in table.rows:
-        print(f"1/{round(1 / r.eps):<8d} {r.n:<6d} {r.sup_error:.3e}  "
+        print(f"1/{round(1 / r.eps):<8d} {r.grid_n:<6d} {r.sup_error:.3e}  "
               f"{r.w_error:.3e}  {r.status}")
     print(f"fitted order: sup {table.fitted_order_label('sup')}, "
           f"w {table.fitted_order_label('w')}")

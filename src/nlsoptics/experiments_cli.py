@@ -31,7 +31,8 @@ tool version except for the runtimes, which the content hash excludes.  All
 writes are atomic (temp then rename).  Exit codes: 0 success, 1 failed
 assertion (--assert-order, integer-lattice divisor check; its report is
 written) or profile blow-up (in converge, at the ladder's rung 1), 2
-scenario errors; a blow-up or a scenario error writes nothing.
+scenario errors or an --out that is not a directory; a blow-up or an exit 2
+writes nothing.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .small_divisors import (
     survey_divisors,
 )
 from . import wkb_pipeline
-from .wkb_pipeline import LADDER_FRACTION, run_convergence, run_instability
+from .wkb_pipeline import LADDER_FRACTION, ConvergenceRow, run_convergence, run_instability
 
 SCENARIO_SCHEMA = "nlsoptics-scenario/1"
 REPORT_SCHEMA = "nlsoptics-report/1"
@@ -96,7 +97,6 @@ class ModeSpec:
 
 @dataclass
 class Scenario:
-    path: str
     sha256: str
     dimension: int
     sigma: int
@@ -397,7 +397,7 @@ def load_scenario(path: str) -> Scenario:
     doc = _resolve_keys(raw, SCENARIO, "")
     modes = _cross_rules(doc, raw)
     return Scenario(
-        path=path, sha256=digest, dimension=doc["dimension"], sigma=doc["sigma"],
+        sha256=digest, dimension=doc["dimension"], sigma=doc["sigma"],
         lam=doc["lambda"], domain=doc["domain"], modes=modes,
         closure_limits=doc["closure_limits"],
         eps_list=[Fraction(e) for e in doc["solver"]["eps_list"]],
@@ -669,61 +669,30 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
         ) from None
     total = time.perf_counter() - start
 
-    health = ("rung", "step_delta", "grid_delta", "steps", "l2_drift", "aliasing")
-    csv_bytes = _csv_bytes(
-        ["eps", "grid_n", "dt", "sup_error", "w_error", *health, "runtime", "status"],
-        [
-            [
-                f"{r.eps:.12g}",
-                r.n,
-                f"{r.dt:.12g}",
-                f"{r.sup_error:.17g}",
-                f"{r.w_error:.17g}",
-                *("" if getattr(r, k) is None else getattr(r, k) for k in health),
-                f"{r.runtime:.3f}",
-                r.status,
-            ]
-            for r in table.rows
-        ],
-    )
-    results = {
-        "rows": [
-            {
-                "eps": r.eps,
-                "grid_n": r.n,
-                "dt": r.dt,
-                "sup_error": r.sup_error,
-                "w_error": r.w_error,
-                "status": r.status,
-                **{k: getattr(r, k) for k in health},
-            }
-            for r in table.rows
-        ],
-        "checkpoint_times": table.checkpoint_times,
-        "order_sup": table.order_sup,
-        "order_w": table.order_w,
-        "at_floor": table.at_floor,
-        "profile": {
-            "dt": table.profile_dt,
-            "rung": table.profile_rung,
-            "delta": table.profile_delta,
-            "rk4_steps": table.profile_steps,
-        },
-    }
+    # convergence.csv: every row field but stage_s, each cell in its format
+    # here or else as str, and None as an empty cell
+    formats = {"eps": ".12g", "dt": ".12g", "sup_error": ".17g", "w_error": ".17g",
+               "runtime": ".3f"}
+    columns = [f.name for f in fields(ConvergenceRow) if f.name != "stage_s"]
+    csv_bytes = _csv_bytes(columns, [
+        ["" if (v := getattr(r, k)) is None else format(v, formats.get(k, "")) for k in columns]
+        for r in table.rows
+    ])
+    results = _jsonable(table)  # the timings move to runtimes
     runtimes = {
         "total": total,
-        "rows": [r.runtime for r in table.rows],
-        "profile": table.profile_s,
-        "stages": [r.stage_s for r in table.rows],
+        "rows": [row.pop("runtime") for row in results["rows"]],
+        "profile": results.pop("profile_s"),
+        "stages": [row.pop("stage_s") for row in results["rows"]],
     }
     print(
-        f"profile: dt={table.profile_dt:.4g} rung {_rung_label(table.profile_rung)} "
-        f"delta {_delta_label(table.profile_delta)} {table.profile_steps} RK4 steps"
+        f"profile: dt={table.profile.dt:.4g} rung {_rung_label(table.profile.rung)} "
+        f"delta {_delta_label(table.profile.delta)} {table.profile.rk4_steps} RK4 steps"
     )
     for r in table.rows:
         note = "" if r.ok else f"  [{r.status}]"
         print(
-            f"eps={r.eps:<10.6g} n={r.n:<6d} sup={r.sup_error:.4e} "
+            f"eps={r.eps:<10.6g} n={r.grid_n:<6d} sup={r.sup_error:.4e} "
             f"w={r.w_error:.4e}{note}"
         )
         print(
@@ -895,8 +864,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _not_a_directory(out: str) -> Optional[str]:
+    """The nearest existing path among out and its ancestors, when it is not
+    a directory (then out cannot be created or written to), else None."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return None if os.path.isdir(path) else path
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    blocker = _not_a_directory(args.out)
+    if blocker is not None:
+        print(f"output error: --out {args.out}: {blocker} is not a directory",
+              file=sys.stderr)
+        return 2
     try:
         scn = load_scenario(args.scenario)
         expected = scn.experiment["type"]

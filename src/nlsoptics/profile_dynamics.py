@@ -229,7 +229,6 @@ class TorusTrajectory:
     """Recorded states of a torus integration, one row per accepted step."""
 
     modes: ModeSet
-    params: SimParams
     times: np.ndarray  # (S,)
     amps: np.ndarray  # (S, |J|)
     interaction_tuples: int = 0  # ordered resonant tuples in the coupling
@@ -276,7 +275,7 @@ def integrate_torus(
         guard_level, record,
     )
     return TorusTrajectory(
-        modes, params, np.array(times), np.array(rows), _coupling_classes(modes)[-1]
+        modes, np.array(times), np.array(rows), _coupling_classes(modes)[-1]
     )
 
 
@@ -285,7 +284,6 @@ class EuclidTrajectory:
     """Snapshots of a Euclidean integration in the lab (unshifted) frame."""
 
     modes: ModeSet
-    params: SimParams
     length: float
     times: np.ndarray  # (S,) snapshot times
     fields: np.ndarray  # (S, |J|, n per dimension)
@@ -379,7 +377,7 @@ def integrate_euclid(
 
     _rk4_sweep(alpha, rhs, params.t_final, params.dt, snapshot_times, guard_level, record)
     return EuclidTrajectory(
-        modes, params, length, np.array(snap_times), np.array(snaps),
+        modes, length, np.array(snap_times), np.array(snaps),
         np.array(mass_times), np.array(masses), _coupling_classes(modes)[-1],
     )
 

@@ -259,15 +259,11 @@ def gram_diophantine_probe(
 
     tail_vals = np.zeros(1, dtype=gvals_dtype)
     tail_abs = np.zeros(1, dtype=np.int64)
-    tail_digits = np.zeros((1, 0), dtype=np.int64)
     for g, rng in tail:
-        rows = tail_digits.shape[0]
         tail_vals = (tail_vals[:, None] + g * rng[None, :]).ravel()
         tail_abs = (tail_abs[:, None] + np.abs(rng)[None, :]).ravel()
-        tail_digits = np.concatenate(
-            [np.repeat(tail_digits, len(rng), axis=0), np.tile(rng, rows)[:, None]],
-            axis=1,
-        )
+    # entry r of the tail tables is the combination at index r of this shape
+    tail_shape = [len(rng) for _, rng in tail]
 
     best_val = None
     best_digits = None
@@ -298,8 +294,9 @@ def gram_diophantine_probe(
             ):
                 best_val = v[k]
                 best_abs = int(a[k])
+                at = np.unravel_index(np.nonzero(nz)[0][k], tail_shape)
                 best_digits = tuple(head_combo) + tuple(
-                    int(x) for x in tail_digits[np.nonzero(nz)[0][k]]
+                    int(rng[i]) for (_, rng), i in zip(tail, at)
                 )
             if b_prime is not None:
                 weighted = v.astype(float) * (a.astype(float) ** b_prime) / float(q)

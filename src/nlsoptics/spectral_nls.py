@@ -260,10 +260,6 @@ def solve(
     lam, sigma, eps = cfg.lam, cfg.sigma, cfg.eps
     stack = u0.values.shape[: u0.values.ndim - d]  # () for one field, (B,) for a stack
 
-    ksq = np.zeros((n,) * d)
-    for k in _axis_wavenumbers(d, n):  # integer wavenumbers
-        ksq = ksq + k**2
-
     # Work buffers of the nonlinear sub-step, reused by every step of this
     # call: |u|^2 is the sum of the even and odd entries of the squared
     # real view, the same sums u.real**2 + u.imag**2 forms.  A stack's
@@ -300,7 +296,7 @@ def solve(
         steps += m
         linear = flows.get(h)
         if linear is None:
-            linear = flows[h] = _linear_flow(d, n, eps * h, ksq, bool(stack))
+            linear = flows[h] = _linear_flow(d, n, eps * h, bool(stack))
         u = rotate(u, h / 2)
         for i in range(m):
             u = rotate(linear(u), h if i < m - 1 else h / 2)
@@ -317,7 +313,7 @@ def solve(
     return SolveResult(times, fields, steps)
 
 
-def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray, stacked: bool):
+def _linear_flow(d: int, n: int, s: float, stacked: bool):
     """u -> F^-1 diag(exp(-i s |k|^2 / 2)) F u on the (n,)*d grid, or on
     each field of a (B,) + (n,)*d stack when stacked.
 
@@ -330,7 +326,7 @@ def _linear_flow(d: int, n: int, s: float, ksq: np.ndarray, stacked: bool):
     (one (B, n) by (n, n) product does not).
     """
     if n > DENSE_MAX_N:
-        mult = np.exp(-0.5j * s * ksq)
+        mult = np.exp(-0.5j * s * sum(k**2 for k in _axis_wavenumbers(d, n)))
         axes = tuple(range(-d, 0)) if stacked else None
         return lambda u: np.fft.ifftn(np.fft.fftn(u, axes=axes) * mult, axes=axes)
     k = _axis_wavenumbers(1, n)[0]

@@ -93,34 +93,36 @@ def assemble_uapp(
     return GridField(d=d, n=n, values=values)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ConvergenceRow:
     """One epsilon leg of the sweep.  status is 'ok' or a failure note and
     a row that is not ok is excluded from order fits.  A leg whose solve
     failed keeps NaN errors and no health; a leg whose self-check exceeded
     its budget keeps its measured errors and deltas.
 
-    Health (inside the report hash): the ladder rung (dt in multiples of the
+    The fields, in order, are the columns of `convergence.csv` (all but
+    stage_s) and the keys of a report row (all but the timings).  Health
+    (inside the report hash): the ladder rung (dt in multiples of the
     default step) and the step-doubling and grid-doubling deltas (all three
     None when the leg failed), split steps over all of the leg's solves, and
     the L2 drift and worst top-band fraction of the solve the errors come
-    from.  runtime and stage_s
-    (seconds in the checks, the solve, and assembly plus norms) are timings.
+    from.  runtime and stage_s (seconds in the checks, the solve, and
+    assembly plus norms) are timings.
     """
 
     eps: float
-    n: int
+    grid_n: int
     dt: float
     sup_error: float
     w_error: float
-    runtime: float
-    status: str = "ok"
     rung: Optional[int] = None
     step_delta: Optional[float] = None
     grid_delta: Optional[float] = None
     steps: int = 0
     l2_drift: Optional[float] = None
     aliasing: Optional[float] = None
+    runtime: float
+    status: str = "ok"
     stage_s: dict = field(default_factory=dict)
 
     @property
@@ -128,21 +130,28 @@ class ConvergenceRow:
         return self.status == "ok"
 
 
+@dataclass(frozen=True)
+class ProfileLadder:
+    """The sweep's shared profile integration: its step, ladder rung and
+    step-doubling delta, and RK4 steps over all of its integrations."""
+
+    dt: float
+    rung: Optional[int]
+    delta: Optional[float]
+    rk4_steps: int
+
+
 @dataclass
 class ConvergenceTable:
-    """The sweep's rows and fits, plus the shared profile integration: its
-    step, ladder rung and step-doubling delta, RK4 steps over all of its
-    integrations, and seconds spent."""
+    """The sweep's rows and fits, plus the shared profile integration and
+    the seconds it took."""
 
     rows: list[ConvergenceRow]
     checkpoint_times: tuple[float, ...]
     order_sup: Optional[float]
     order_w: Optional[float]
     at_floor: bool
-    profile_dt: float = PROFILE_DT
-    profile_rung: Optional[int] = None
-    profile_delta: Optional[float] = None
-    profile_steps: int = 0
+    profile: ProfileLadder
     profile_s: float = 0.0
 
     def fitted_order_label(self, which: str = "sup") -> str:
@@ -381,14 +390,15 @@ def run_convergence(
         profile_steps += len(traj.times) - 1
         return traj
 
-    [(profile_rung, profile_dt, traj, _, profile_delta)] = _ladder(
+    [(rung, dt, traj, _, delta)] = _ladder(
         lambda h, _: [integrate(h)], [alpha], PROFILE_DT, shortest,
         lambda a, b: _amp_delta(a, b, checks), LADDER_FRACTION * min(eps_list),
     )
+    profile = ProfileLadder(dt, rung, delta, profile_steps)
     profile_s = time.perf_counter() - start
 
     def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:
-        n = cell.n * _check_eps(eps)
+        grid_n = cell.n * _check_eps(eps)
         start = time.perf_counter()
         try:
             [(res, rung, dt, step_delta, grid_delta)], steps, spent = _checked_solve(
@@ -408,12 +418,12 @@ def run_convergence(
             over = [
                 f"{name} delta {gap / eps:.3g}*eps"
                 for name, gap in (
-                    ("step", step_delta), ("grid", grid_delta), ("profile", profile_delta)
+                    ("step", step_delta), ("grid", grid_delta), ("profile", profile.delta)
                 )
                 if gap > budget
             ]
             return ConvergenceRow(
-                eps=eps, n=n, dt=dt, sup_error=sup_err, w_error=w_err,
+                eps=eps, grid_n=grid_n, dt=dt, sup_error=sup_err, w_error=w_err,
                 status="ok" if not over else (
                     f"check over {LADDER_FRACTION:g}*eps: " + ", ".join(over)
                 ),
@@ -429,7 +439,8 @@ def run_convergence(
             )
         except (ValueError, FloatingPointError) as exc:
             return ConvergenceRow(
-                eps=eps, n=n, dt=default_dt(eps), sup_error=math.nan, w_error=math.nan,
+                eps=eps, grid_n=grid_n, dt=default_dt(eps),
+                sup_error=math.nan, w_error=math.nan,
                 status=f"{type(exc).__name__}: {exc}",
                 runtime=time.perf_counter() - start,
             )
@@ -444,10 +455,7 @@ def run_convergence(
         order_sup=_fit_order(rows, "sup_error"),
         order_w=_fit_order(rows, "w_error"),
         at_floor=at_floor,
-        profile_dt=profile_dt,
-        profile_rung=profile_rung,
-        profile_delta=profile_delta,
-        profile_steps=profile_steps,
+        profile=profile,
         profile_s=profile_s,
     )
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsoptics import experiments_cli, wkb_pipeline
+from nlsoptics.wkb_pipeline import ConvergenceRow
 from nlsoptics.experiments_cli import (
     REPORT_SCHEMA,
     SCENARIO_SCHEMA,
@@ -315,6 +317,20 @@ class TestConvergeCommand:
         )
         out = capsys.readouterr().out
         assert out.count("  health: ") == 2 and out.startswith("profile: ")
+
+    def test_csv_columns_and_report_rows_are_the_row_fields(self, tmp_path):
+        # ConvergenceRow alone says what a leg reports: the CSV has every
+        # field but stage_s, a report row every field but the timings
+        scn = write_scenario(tmp_path, self._doc(1.0))
+        assert run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        names = [f.name for f in dataclasses.fields(ConvergenceRow)]
+        header, cells = read_csv_rows(tmp_path / "out" / "convergence.csv")
+        assert header.split(",") == [k for k in names if k != "stage_s"]
+        assert all(len(row) == len(names) - 1 for row in cells)
+        rows = load_report(tmp_path, "converge_report.json")["results"]["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert set(row) == set(names) - {"runtime", "stage_s"}
 
     def test_failed_leg_summary_has_no_rung(self, tmp_path, capsys, monkeypatch):
         # the eps = 1/4 leg's cell has coupling lam*eps = 1/4 and overflows
@@ -700,6 +716,24 @@ class TestErrorPaths:
         rc = run(["closure", "--scenario", scn, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unusable_out_refused_before_computing(self, tmp_path, capsys, monkeypatch,
+                                                   out):
+        # --out an existing file, or a path under one: refused up front, not
+        # after the command has run
+        closures = record_calls(monkeypatch, "close_under_resonances")
+        scn = write_scenario(tmp_path, torus_doc(experiment={"type": "closure"}))
+        (tmp_path / "afile").write_text("kept")
+        rc = run(["closure", "--scenario", scn, "--out", str(tmp_path / out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"output error: --out {tmp_path / out}: ")
+        assert err.endswith(f"{tmp_path / 'afile'} is not a directory\n")
+        assert closures == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "scn.json"]
+        assert (tmp_path / "afile").read_text() == "kept"
 
     def test_nested_out_dir_created(self, tmp_path):
         doc = torus_doc(experiment={"type": "closure"})

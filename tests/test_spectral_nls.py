@@ -213,7 +213,7 @@ class TestLinearFlow:
             assert field.flags.c_contiguous
         assert res.l2_relative_drift <= 1e-13
         assert not res.aliasing_flagged
-        flow = _linear_flow(d, n, eps * 1e-2, ksq, False)
+        flow = _linear_flow(d, n, eps * 1e-2, False)
         assert flow(u0.values.copy()).flags.c_contiguous
         # the cases straddle the switch: n = 8, 16, 64 dense, n = 128 FFT
         assert (n <= DENSE_MAX_N) == (n in (8, 16, 64))
@@ -396,9 +396,9 @@ def _count_flows(monkeypatch):
     built = []
     real = spectral_nls._linear_flow
 
-    def counting(d, n, s, ksq, stacked):
+    def counting(d, n, s, stacked):
         built.append(s)
-        return real(d, n, s, ksq, stacked)
+        return real(d, n, s, stacked)
 
     monkeypatch.setattr(spectral_nls, "_linear_flow", counting)
     return built

@@ -33,6 +33,7 @@ from nlsoptics.wkb_pipeline import (
     PROFILE_DT,
     ConvergenceRow,
     ConvergenceTable,
+    ProfileLadder,
     _cell_config,
     _field_delta,
     _ladder,
@@ -156,7 +157,7 @@ class TestConvergence:
         assert not failed.ok
         assert failed.status == "FloatingPointError: overflow in the split step"
         assert math.isnan(failed.sup_error) and math.isnan(failed.w_error)
-        assert failed.n == 8 * default_grid_size(1.0, 1, 1)
+        assert failed.grid_n == 8 * default_grid_size(1.0, 1, 1)
         assert all(r.ok and r.sup_error > ERROR_FLOOR for r in ok_rows)
         # the fits see only the two legs that ran
         for attr, order in (("sup_error", table.order_sup), ("w_error", table.order_w)):
@@ -217,7 +218,7 @@ class TestConvergence:
         checks = table.checkpoint_times
         traj = integrate_torus(
             alpha, modes,
-            SimParams(lam=1.0, t_final=t_final, dt=table.profile_dt),
+            SimParams(lam=1.0, t_final=t_final, dt=table.profile.dt),
             snapshot_times=checks,
         )
         for eps, row in zip(eps_list, table.rows):
@@ -235,7 +236,7 @@ class TestConvergence:
                 diff = GridField(2, n, res.at(t).values - uapp.values)
                 sup_err = max(sup_err, sup_norm_of_field(diff))
                 w_err = max(w_err, w_norm_of_field(diff))
-            assert row.n == n
+            assert row.grid_n == n
             assert sup_err > 1e3 * ERROR_FLOOR
             assert math.isclose(row.sup_error, sup_err, rel_tol=1e-10)
             assert math.isclose(row.w_error, w_err, rel_tol=1e-10)
@@ -250,7 +251,7 @@ class TestConvergence:
         )
         row = table.rows[0]
         assert row.ok
-        assert row.n == 3 * default_grid_size(1.0, 1, 1)
+        assert row.grid_n == 3 * default_grid_size(1.0, 1, 1)
 
     def test_unsaturated_set_warns(self):
         modes = line_modes(0, 1, saturated=False)
@@ -263,7 +264,7 @@ class TestConvergence:
     def test_label_formatting(self):
         table = ConvergenceTable(
             rows=[], checkpoint_times=(), order_sup=0.9126, order_w=None,
-            at_floor=False,
+            at_floor=False, profile=ProfileLadder(PROFILE_DT, None, None, 0),
         )
         assert table.fitted_order_label("sup") == "0.913"
         assert table.fitted_order_label("w") == "n/a"
@@ -376,9 +377,9 @@ class TestStepLadder:
         # the default step, plus the 32-point grid at 8x
         per_rung = {r: 9 * math.ceil(800 / (9 * r)) for r in (4, 8, 16, 32)}
         assert row.steps == sum(per_rung.values()) + per_rung[8]
-        assert table.profile_rung == LADDER_TOP
-        assert table.profile_dt == LADDER_TOP * PROFILE_DT
-        assert 0 < table.profile_delta <= LADDER_FRACTION * eps
+        assert table.profile.rung == LADDER_TOP
+        assert table.profile.dt == LADDER_TOP * PROFILE_DT
+        assert 0 < table.profile.delta <= LADDER_FRACTION * eps
 
     @pytest.mark.parametrize("t_final", [1.0, 0.1, 0.013, 0.0031])
     @pytest.mark.parametrize("checkpoints", [1, 3, 8])
@@ -416,7 +417,7 @@ class TestStepLadder:
         assert "profile delta" in row.status
         assert row.rung == 1 and row.dt == default_dt(1 / 4)
         assert row.step_delta > 1e-12 / 4
-        assert table.profile_rung == 1 and table.profile_dt == PROFILE_DT
+        assert table.profile.rung == 1 and table.profile.dt == PROFILE_DT
         # measured, not discarded, but kept out of the fit
         assert math.isfinite(row.sup_error) and row.sup_error > 0
         assert table.order_sup is None
@@ -426,7 +427,7 @@ class TestStepLadder:
         # cap both ladders at a step of a few ulps and never finish
         table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4], 0.45)
         row = table.rows[0]
-        assert row.ok and row.rung == 8 and table.profile_rung == LADDER_TOP
+        assert row.ok and row.rung == 8 and table.profile.rung == LADDER_TOP
         checks = table.checkpoint_times
         assert checks[-1] < 0.45
         assert _snapshot_marks(0.45, checks) == [0.0, *checks[:-1], 0.45]
@@ -439,10 +440,10 @@ class TestStepLadder:
         eps, t_final = 1 / 8, 0.3
         table = run_convergence(modes, alpha, 1.0, [eps], t_final, checkpoints=2)
         row = table.rows[0]
-        assert row.ok and row.rung is not None and table.profile_rung is not None
+        assert row.ok and row.rung is not None and table.profile.rung is not None
         checks = table.checkpoint_times
         traj = integrate_torus(
-            alpha, modes, SimParams(1.0, t_final, table.profile_dt),
+            alpha, modes, SimParams(1.0, t_final, table.profile.dt),
             snapshot_times=checks,
         )
         cell = SolverConfig(1.0, eps, 1, row.dt / eps, 16, t_final / eps)
