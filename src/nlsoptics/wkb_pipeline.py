@@ -27,6 +27,7 @@ from .profile_dynamics import (
     SimParams,
     TorusTrajectory,
     _axis_wavenumbers,
+    _relative_drift,
     _snapshot_marks,
     _two_mode_terms,
     integrate_torus,
@@ -59,7 +60,7 @@ __all__ = [
 
 ERROR_FLOOR = 1e-10  # rows below this are rounding noise, excluded from fits
 PROFILE_DT = 1e-3  # the profile ladder's unit RK4 step
-LADDER_TOP = 16  # largest multiple of the unit step the ladder tries
+LADDER_TOP = 16  # largest multiple of the unit step the profile ladder tries
 LADDER_FRACTION = 1e-2  # self-check budget, as a fraction of eps
 
 
@@ -102,12 +103,16 @@ class ConvergenceRow:
 
     The fields, in order, are the columns of `convergence.csv` (all but
     stage_s) and the keys of a report row (all but the timings).  Health
-    (inside the report hash): the ladder rung (dt in multiples of the
-    default step) and the step-doubling and grid-doubling deltas (all three
-    None when the leg failed), split steps over all of the leg's solves, and
-    the L2 drift and worst top-band fraction of the solve the errors come
-    from.  runtime and stage_s (seconds in the checks, the solve, and
-    assembly plus norms) are timings.
+    (inside the report hash): the ladder rung (dt, the bound on its steps,
+    in multiples of the default step), whether the errors come from the
+    Richardson extrapolant of the rung's solve and the one at twice its
+    step (`_extrapolate`) rather than from the solve itself, and the
+    step-doubling delta of the accepted pair (|E_r - E_2r| when
+    extrapolated) and the grid-doubling delta (all four None when the leg
+    failed), split steps over all of the leg's solves, and the L2 drift and
+    worst top-band fraction of the rung's solve (the extrapolant is not a
+    solve).  runtime and stage_s (seconds in the checks, the rung's solve,
+    and assembly plus norms) are timings.
     """
 
     eps: float
@@ -116,6 +121,7 @@ class ConvergenceRow:
     sup_error: float
     w_error: float
     rung: Optional[int] = None
+    extrapolated: Optional[bool] = None
     step_delta: Optional[float] = None
     grid_delta: Optional[float] = None
     steps: int = 0
@@ -133,12 +139,15 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ProfileLadder:
     """The sweep's shared profile integration: its step, ladder rung and
-    step-doubling delta, and RK4 steps over all of its integrations."""
+    step-doubling delta, RK4 steps over all of its integrations, and the
+    relative drift of the mass sum_j |a_j|^2 (conserved by the profile
+    system) over the kept integration's steps."""
 
     dt: float
     rung: Optional[int]
     delta: Optional[float]
     rk4_steps: int
+    mass_drift: float
 
 
 @dataclass
@@ -174,50 +183,70 @@ def _fit_order(rows: Sequence[ConvergenceRow], attr: str) -> Optional[float]:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _ladder(run, data: Sequence, unit: float, shortest: float, delta, budget: float):
-    """Choose a step for each of the data on the power-of-two ladder
-    r*unit, r = top, ..., 2, 1.
-
-    run(h, some) integrates the data in `some` (a sub-list of data, in
-    order) together over the whole horizon at step h, and returns one run
-    per datum; delta(fine, coarse) measures two runs of one datum.  Each
-    rung is compared with the run at twice its step, and a datum leaves the
-    walk at its first rung within budget: the data still walking share
-    every run, and only the runs the next comparison needs are kept.  A
-    call that trips the blow-up guard gives None for each of its data, and a
-    comparison with None is over budget (delta inf), except that a blow-up
-    at rung 1 itself raises its BlowUpError.  The top is LADDER_TOP, capped
-    so that twice its step still fits in the shortest snapshot segment:
-    beyond that both runs take one step per segment and agree vacuously
-    (unit is shrunk to half that segment for the same reason).  Returns one
-    (rung, step, fine, coarse, delta) per datum; at rung 1 the delta may
-    exceed the budget.
-    """
+def _ladder_top(unit: float, shortest: float, cap: Optional[int] = None):
+    """(unit, top): unit shrunk to at most half the shortest snapshot
+    segment, and the largest power-of-two rung, at most cap, whose coarse
+    partner 2*top*unit still fits in that segment (at least 1).  Beyond it
+    a pair whose runs take the fewest steps of at most r*unit per segment
+    would take one step each and agree vacuously."""
     unit = min(unit, shortest / 2)
-    r = LADDER_TOP
-    while r > 1 and 2 * r * unit > shortest:
-        r //= 2
+    top = 1
+    while 4 * top * unit <= shortest and (cap is None or top < cap):
+        top *= 2
+    return unit, top
 
-    def attempt(h: float, some: list):
+
+def _ladder(run, data: Sequence, top: int, delta, budget: float, combine=None):
+    """Choose a rung for each of the data on the power-of-two ladder
+    r = top, ..., 2, 1.
+
+    run(r, some) integrates the data in `some` (a sub-list of data, in
+    order) together over the whole horizon at rung r, and returns one run
+    per datum; delta(a, b) measures two runs of one datum.  Each rung r is
+    compared with rung 2r, and a datum leaves the walk at its first rung
+    within budget: the data still walking share every run, and only the
+    runs the next comparisons need are kept.  With combine, a symmetric
+    method's Richardson extrapolant, a rung whose plain pair is over budget
+    is tried once more: E_r = combine(run_r, run_2r) against E_2r =
+    combine(run_2r, run_4r), which exists below the top rung; the plain
+    pair is tried first.  A call that trips the blow-up guard gives None for
+    each of its data, and a comparison with None is over budget (delta
+    inf), except that a blow-up at rung 1 itself raises its BlowUpError.
+    Returns one (rung, kept, fine, coarse, delta, extrapolated) per datum:
+    kept is E_r when extrapolated, else the run at rung r (fine), coarse the
+    run at rung 2r, and delta the gap of the accepted pair; at rung 1,
+    with neither pair within budget, kept is fine and delta the plain gap,
+    which may exceed the budget.
+    """
+
+    def attempt(r: int, some: list):
         try:
-            return run(h, some)
+            return run(r, some)
         except BlowUpError:
             return [None] * len(some)
 
     chosen = [None] * len(data)
     walking = list(range(len(data)))
-    coarse = attempt(2 * r * unit, list(data))
+    coarse = attempt(2 * top, list(data))
+    coarse_e = [None] * len(data)  # E_2r of each walking datum, once rung 4r ran
+    r = top
     while walking:
-        fine = (run if r == 1 else attempt)(r * unit, [data[i] for i in walking])
-        still, kept = [], []
-        for i, f, c in zip(walking, fine, coarse):
-            gap = math.inf if f is None or c is None else delta(f, c)
-            if gap <= budget or r == 1:
-                chosen[i] = (r, r * unit, f, c, gap)
+        fine = (run if r == 1 else attempt)(r, [data[i] for i in walking])
+        still, kept, kept_e = [], [], []
+        for i, f, c, ce in zip(walking, fine, coarse, coarse_e):
+            pair = f is not None and c is not None
+            gap = delta(f, c) if pair else math.inf
+            e = combine(f, c) if combine and pair and gap > budget else None
+            e_gap = delta(e, ce) if e is not None and ce is not None else math.inf
+            if gap <= budget or (r == 1 and e_gap > budget):
+                chosen[i] = (r, f, f, c, gap, False)
+            elif e_gap <= budget:
+                chosen[i] = (r, e, f, c, e_gap, True)
             else:
                 still.append(i)
                 kept.append(f)
-        r, walking, coarse = r // 2, still, kept
+                kept_e.append(e)
+        r, walking, coarse, coarse_e = r // 2, still, kept, kept_e
     return chosen
 
 
@@ -270,6 +299,15 @@ def _cell_config(
     )
 
 
+def _extrapolate(fine: SolveResult, coarse: SolveResult) -> SolveResult:
+    """E = (4 fine - coarse) / 3 at each mark, for two Strang solves at steps
+    h and 2h: Strang splitting is symmetric, so its error expands in even
+    powers of the step and E cancels the h^2 term.  E is not a solve: it
+    takes no steps, and its health (L2 norms, top-band fractions) is not
+    read."""
+    return SolveResult(fine.times, (4 * fine.fields - coarse.fields) / 3, 0)
+
+
 def _checked_solve(
     states: Sequence[ProfileStateTorus], cell: SolverConfig, eps: float,
     times: Sequence[float], shortest: float, delta,
@@ -277,49 +315,63 @@ def _checked_solve(
     """Solve the period data `states` (at t=0) on `cell`, with snapshots at
     the physical `times`, and check each datum's step and grid.
 
-    Each datum's physical step is chosen by `_ladder` from default_dt(eps),
-    capped by the shortest snapshot segment, against LADDER_FRACTION*eps on
-    delta(fine, coarse), and the data still walking share each rung's
-    solve.  One more solve at twice a chosen step on the doubled cell,
-    shared by the data that chose that step, gives each of them its
-    grid-doubling delta, delta of its coarse rung and that solve.  Every
+    Each datum's rung is chosen by `_ladder` against LADDER_FRACTION*eps on
+    delta, the plain pair first and then the Richardson extrapolants
+    (`_extrapolate`), and the data still walking share each rung's solve.
+    The ladder's unit is default_dt(eps) and its top the largest rung the
+    shortest snapshot segment allows (`_ladder_top`, not LADDER_TOP).  The
+    rungs are nested: every segment of length `shortest` takes exactly
+    c*2*top/r equal steps at rung r, c = ceil(shortest/(2*top*unit)), so
+    each rung takes twice the steps of the next coarser one and no step
+    exceeds the rung's dt, r*unit (the marks of both callers are uniform;
+    a longer segment would take the fewest steps of at most shortest over
+    that count).
+    One more solve at the chosen rung's coarse step (rung 2r) on the
+    doubled cell, shared by the data that chose that rung, gives each of
+    them its grid-doubling delta: delta of its coarse solve and that
+    doubled-cell twin, whether or not the rung was extrapolated.  Every
     solve runs through this module's `solve`: of one field when it solves
-    one datum, else of their stack.  Returns (checked, steps, spent): one
-    (res, rung, dt, step_delta, grid_delta) per datum, the kept solve, its
-    rung, step and two deltas; split steps over every datum of every solve;
-    and the seconds of each solve by (physical step, cell points).  A
-    failing solve raises; a converge row records it, with no rung and no
-    deltas.
+    one datum, else of their stack.
+
+    Returns (checked, steps, spent): one (kept, fine, rung, dt, step_delta,
+    grid_delta, extrapolated) per datum, where kept is E_r when
+    extrapolated, else the fine solve at rung r, and step_delta the
+    accepted pair's gap; split steps over every datum of every solve; and
+    the seconds of each solve by (rung, cell points).  A failing solve
+    raises; a converge row records it, with no rung and no deltas.
     """
     cell_times = [t / eps for t in times]
+    unit, top = _ladder_top(default_dt(eps), shortest)
+    per = math.ceil(shortest / (2 * top * unit) - 1e-9) * 2 * top  # steps at rung 1
     steps = 0
     spent = {}
 
-    def run(h: float, some: list, m: int = cell.n) -> list:
+    def run(r: int, some: list, m: int = cell.n) -> list:
         nonlocal steps
         t0 = time.perf_counter()
-        cfg = replace(cell, dt=h / eps, n=m)
+        cfg = replace(cell, dt=shortest / (per // r) / eps, n=m)
         u0 = [assemble_uapp(state, 1.0, m) for state in some]
         if len(u0) == 1:
             res = [solve(u0[0], cfg, snapshot_times=cell_times)]
         else:
             stack = GridField(u0[0].d, m, np.stack([u.values for u in u0]))
             res = solve(stack, cfg, snapshot_times=cell_times)
-        spent[h, m] = time.perf_counter() - t0
-        steps += sum(r.steps for r in res)
+        spent[r, m] = time.perf_counter() - t0
+        steps += sum(one.steps for one in res)
         return res
 
-    walks = _ladder(run, states, default_dt(eps), shortest, delta, LADDER_FRACTION * eps)
-    by_step = {}
-    for i, (_, dt, *_) in enumerate(walks):
-        by_step.setdefault(dt, []).append(i)
+    walks = _ladder(run, states, top, delta, LADDER_FRACTION * eps, _extrapolate)
+    by_rung = {}
+    for i, (rung, *_) in enumerate(walks):
+        by_rung.setdefault(rung, []).append(i)
     grid_deltas = [math.nan] * len(states)
-    for dt, which in by_step.items():
-        for i, res in zip(which, run(2 * dt, [states[i] for i in which], 2 * cell.n)):
+    for rung, which in by_rung.items():
+        for i, res in zip(which, run(2 * rung, [states[i] for i in which], 2 * cell.n)):
             grid_deltas[i] = delta(walks[i][3], res)
     checked = [
-        (res, rung, dt, step_delta, grid_delta)
-        for (rung, dt, res, _, step_delta), grid_delta in zip(walks, grid_deltas)
+        (kept, fine, rung, rung * unit, step_delta, grid_delta, extrapolated)
+        for (rung, kept, fine, _, step_delta, extrapolated), grid_delta
+        in zip(walks, grid_deltas)
     ]
     return checked, steps, spent
 
@@ -347,12 +399,17 @@ def run_convergence(
 
     Every step is chosen by `_ladder` against a budget of
     LADDER_FRACTION*eps: each leg's by `_checked_solve`, measuring the sup
-    over checkpoints of the pointwise step-doubling gap (`_field_delta`),
-    plus one grid-doubling solve at twice the chosen step on the doubled
-    cell; the profile system once from PROFILE_DT against
+    over checkpoints of the pointwise step-doubling gap (`_field_delta`) on
+    nested rungs from the top the checkpoint segments allow, the plain
+    Strang pair first and then its Richardson extrapolants, plus one
+    grid-doubling solve at twice the chosen step on the doubled cell; the
+    profile system once from PROFILE_DT, from at most rung LADDER_TOP and
+    on plain pairs only (RK4 is not symmetric), against
     LADDER_FRACTION*min(eps), measuring the largest summed amplitude gap
     sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
-    difference and bounds its sup.  A row any of whose deltas exceeds its
+    difference and bounds its sup.  A leg's errors come from the kept run,
+    the rung's solve or its extrapolant, and its L2 drift and aliasing from
+    the rung's solve.  A row any of whose deltas exceeds its
     budget is marked failed.  A leg whose solve fails (non-finite values)
     is recorded with its failure note instead of aborting the sweep.  A
     profile rung that trips the blow-up guard counts as over budget; only a
@@ -390,22 +447,25 @@ def run_convergence(
         profile_steps += len(traj.times) - 1
         return traj
 
-    [(rung, dt, traj, _, delta)] = _ladder(
-        lambda h, _: [integrate(h)], [alpha], PROFILE_DT, shortest,
+    unit, top = _ladder_top(PROFILE_DT, shortest, LADDER_TOP)
+    [(rung, traj, *_, delta, _)] = _ladder(
+        lambda r, _: [integrate(r * unit)], [alpha], top,
         lambda a, b: _amp_delta(a, b, checks), LADDER_FRACTION * min(eps_list),
     )
-    profile = ProfileLadder(dt, rung, delta, profile_steps)
+    profile = ProfileLadder(
+        rung * unit, rung, delta, profile_steps, _relative_drift(traj.mass_series())
+    )
     profile_s = time.perf_counter() - start
 
     def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:
         grid_n = cell.n * _check_eps(eps)
         start = time.perf_counter()
         try:
-            [(res, rung, dt, step_delta, grid_delta)], steps, spent = _checked_solve(
-                [ProfileStateTorus(modes, alpha, 0.0)], cell, eps, checks, shortest,
-                _field_delta,
+            [(res, fine, rung, dt, step_delta, grid_delta, extrapolated)], steps, spent = (
+                _checked_solve([ProfileStateTorus(modes, alpha, 0.0)], cell, eps, checks,
+                               shortest, _field_delta)
             )
-            solve_s = spent[dt, cell.n]
+            solve_s = spent[rung, cell.n]
             t0 = time.perf_counter()
             sup_err = w_err = 0.0
             for t in checks:
@@ -427,9 +487,9 @@ def run_convergence(
                 status="ok" if not over else (
                     f"check over {LADDER_FRACTION:g}*eps: " + ", ".join(over)
                 ),
-                rung=rung, step_delta=step_delta, grid_delta=grid_delta, steps=steps,
-                l2_drift=res.l2_relative_drift,
-                aliasing=float(np.max(res.aliasing_fractions)),
+                rung=rung, extrapolated=extrapolated, step_delta=step_delta,
+                grid_delta=grid_delta, steps=steps, l2_drift=fine.l2_relative_drift,
+                aliasing=float(np.max(fine.aliasing_fractions)),
                 stage_s={
                     "checks": sum(spent.values()) - solve_s,
                     "solve": solve_s,
@@ -513,10 +573,12 @@ class InstabilityRecord:
     The solver_* fields after it record the solves' health: points of the
     period grid, split steps over every solve of the cross-check, and the
     worst relative L2 drift and top-band aliasing fraction over every sample
-    of the two solves the gap comes from.  solver_rungs to
-    solver_grid_deltas hold one entry per datum (base, perturbed): the ladder rung, the physical step,
-    the step-doubling delta and the grid-doubling delta of its zero-mode
-    curve (None unless cross-checked).
+    of the two solves at the data's rungs.  solver_rungs to
+    solver_extrapolated hold one entry per datum (base, perturbed): the
+    ladder rung, the physical step bound, the step-doubling delta of the
+    accepted pair and the grid-doubling delta of its zero-mode curve, and
+    whether its gap is read from the Richardson extrapolant (None unless
+    cross-checked).
     """
 
     variant: str
@@ -548,6 +610,7 @@ class InstabilityRecord:
     solver_dts: Optional[tuple[float, ...]] = None
     solver_step_deltas: Optional[tuple[float, ...]] = None
     solver_grid_deltas: Optional[tuple[float, ...]] = None
+    solver_extrapolated: Optional[tuple[bool, ...]] = None
 
 
 def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
@@ -653,13 +716,17 @@ def run_instability(
     `_cell_config` (16 points for sigma=1).  The initial data are assembled
     by `assemble_uapp` on the two-mode set {0, 1} of the period.  Both
     data are solved by one `_checked_solve`, which walks them down the
-    ladder together: each datum's step is chosen from default_dt(eps),
-    capped by the sample segment delta/100, against LADDER_FRACTION*eps on
-    the largest zero-mode gap over the samples (`_zero_mode_delta`), and
-    one more solve, at twice the chosen step on the doubled cell, gives its
-    grid-doubling delta.  While both data walk, and for a grid check at a
-    step both chose, they are solved as one stack, so a cross-check whose
-    data choose one rung makes half the solve calls of two walks.  A delta
+    ladder together: each datum's rung is chosen from default_dt(eps), from
+    the top the sample segment delta/100 allows, against
+    LADDER_FRACTION*eps on the largest zero-mode gap over the samples
+    (`_zero_mode_delta`), the plain Strang pair first and then its
+    Richardson extrapolants, and one more solve, at twice the chosen step
+    on the doubled cell, gives its grid-doubling delta.  The solver gap is
+    read from each datum's kept run, its solve or its extrapolant, and the
+    L2 drift and aliasing from its solves.  While both data walk, and for a
+    grid check at a rung both chose, they are solved as one stack, so a
+    cross-check whose data choose one rung makes half the solve calls of
+    two walks.  A delta
     over budget is recorded, not raised.  Raises OverflowError before any
     solve when the data overflow when squared, so that the solves' health
     would not be finite, and FloatingPointError when the rounding floor of
@@ -729,7 +796,7 @@ def run_instability(
 
     eps = solver_gap = solver_t_star = solver_dev = None
     solver_n = solver_steps = solver_l2_drift = solver_aliasing = None
-    solver_rungs = solver_dts = step_deltas = grid_deltas = None
+    solver_rungs = solver_dts = step_deltas = grid_deltas = extrapolated = None
     if cross_check:
         if variant == "weak_limit":
             raise ValueError(
@@ -761,19 +828,19 @@ def run_instability(
              for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t))],
             cell, eps, sample, delta / 100, _zero_mode_delta,
         )
-        solves = [res for res, *_ in checked]
         # one row per sample: the samples are the solves' marks
-        zero_modes = [_zero_modes(r) for r in solves]
+        zero_modes = [_zero_modes(kept) for kept, *_ in checked]
         diffs = np.abs(zero_modes[0] - zero_modes[1])
         k = int(np.argmax(diffs))
         solver_gap = float(diffs[k])
         solver_t_star = float(sample[k])
         solver_dev = abs(solver_gap - gap)
         solver_n = cell.n
-        solver_l2_drift = max(r.l2_relative_drift for r in solves)
-        solver_aliasing = max(float(np.max(r.aliasing_fractions)) for r in solves)
-        solver_rungs, solver_dts, step_deltas, grid_deltas = zip(
-            *(ladder for _, *ladder in checked)
+        fines = [fine for _, fine, *_ in checked]
+        solver_l2_drift = max(r.l2_relative_drift for r in fines)
+        solver_aliasing = max(float(np.max(r.aliasing_fractions)) for r in fines)
+        solver_rungs, solver_dts, step_deltas, grid_deltas, extrapolated = zip(
+            *(ladder for _, _, *ladder in checked)
         )
 
     return InstabilityRecord(
@@ -806,4 +873,5 @@ def run_instability(
         solver_dts=solver_dts,
         solver_step_deltas=step_deltas,
         solver_grid_deltas=grid_deltas,
+        solver_extrapolated=extrapolated,
     )

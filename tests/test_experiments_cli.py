@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,11 +313,16 @@ class TestConvergeCommand:
         assert set(rep["runtimes"]["stages"][0]) == {"checks", "solve", "assembly_norms"}
         header = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[0]
         assert header == (
-            "eps,grid_n,dt,sup_error,w_error,rung,step_delta,grid_delta,steps,"
-            "l2_drift,aliasing,runtime,status"
+            "eps,grid_n,dt,sup_error,w_error,rung,extrapolated,step_delta,grid_delta,"
+            "steps,l2_drift,aliasing,runtime,status"
         )
         out = capsys.readouterr().out
         assert out.count("  health: ") == 2 and out.startswith("profile: ")
+        # the profile system conserves sum |a_j|^2: its drift is RK4's error
+        assert 0 <= profile["mass_drift"] < 1e-6
+        assert out.splitlines()[0].endswith(
+            f"RK4 steps mass drift {profile['mass_drift']:.2e}"
+        )
 
     def test_csv_columns_and_report_rows_are_the_row_fields(self, tmp_path):
         # ConvergenceRow alone says what a leg reports: the CSV has every
@@ -432,11 +438,36 @@ class TestInstabilityCommand:
             assert t_cell == f"{t:.12g}"
             assert float(gap_cell) == g  # .17g round-trips exactly
         assert "gap" in capsys.readouterr().out
-        for key in ("solver_rungs", "solver_dts", "solver_step_deltas", "solver_grid_deltas"):
+        for key in ("solver_rungs", "solver_dts", "solver_step_deltas", "solver_grid_deltas",
+                    "solver_extrapolated"):
             assert record[key] is None
 
+    @pytest.mark.parametrize("experiment", [
+        {"rho": 1.0, "delta": 0.1, "s": -2.0, "K": 32, "grid_points": 10_000},
+        {"rho": 100.0, "delta": 1.0, "s": -2.0, "K": 4096, "grid_points": 777,
+         "variant": "perturb_zero"},
+        {"rho": 3e-5, "delta": 1e-3, "s": -0.5, "K": 7, "grid_points": 2},
+    ], ids=["shipped-size", "perturb_zero", "two-points"])
+    def test_gap_curve_bytes_are_the_per_row_format(self, tmp_path, monkeypatch, experiment):
+        # the one %-format over interleaved cells writes the bytes of
+        # "{:.12g},{:.17g}" row by row
+        curves = record_calls(monkeypatch, "gap_curve", wkb_pipeline)
+        doc = torus_doc(
+            initial_modes=[{"kappa": [0], "amplitude": [0.5, 0.0]}],
+            experiment={"type": "instability", **experiment},
+        )
+        scn = write_scenario(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the H^s premise of a small K
+            assert run(["instability", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        (times, curve), = curves
+        rows = "".join(map("{:.12g},{:.17g}\n".format, times.tolist(), curve.tolist()))
+        written = (tmp_path / "out" / "gap_curve.csv").read_bytes()
+        assert written == ("t,gap\n" + rows).encode()
+        assert written.count(b"\n") == experiment["grid_points"] + 1
+
     @pytest.mark.parametrize(
-        "K,delta,s,over", [(16, 0.1, -0.5, False), (4, 0.5, -2.0, True)]
+        "K,delta,s,over", [(16, 0.1, -0.5, False), (4, 0.8, -2.5, True)]
     )
     def test_cross_check_ladder_in_report_and_summary(self, tmp_path, capsys, K, delta, s, over):
         doc = torus_doc(
@@ -557,6 +588,17 @@ class TestSmalldivCommand:
         assert names == ["generalized_fit.csv", "smalldiv_report.json"]
         for name in names:
             assert stat.S_IMODE(os.stat(out / name).st_mode) == mode
+
+
+class TestParser:
+    def test_two_runs_build_one_parser(self, tmp_path):
+        experiments_cli.build_parser.cache_clear()
+        scn = str(SCENARIOS / "closure_creation2d.json")
+        for out in ("a", "b"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["closure", "--scenario", scn, "--out", str(tmp_path / out)]) == 0
+        info = experiments_cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestErrorPaths:
