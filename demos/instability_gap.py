@@ -42,12 +42,10 @@ def main():
     if rec.solver_gap is not None:
         print(f"solver cross-check at eps={rec.eps}: gap {rec.solver_gap:.4f}, "
               f"deviation {rec.solver_formula_deviation:.2e}")
-        for i, (dt, step_delta, extrapolated) in enumerate(
-            zip(rec.solver_dts, rec.solver_step_deltas, rec.solver_extrapolated), 1
-        ):
-            kept = ", extrapolated" if extrapolated else ""
-            print(f"  datum {i}: step {dt / rec.eps:.3g}*eps{kept}, step-doubling "
-                  f"delta {step_delta / rec.eps:.1e}*eps")
+        for i, check in enumerate(rec.solver_checks, 1):
+            kept = ", extrapolated" if check.extrapolated else ""
+            print(f"  datum {i}: step {check.dt / rec.eps:.3g}*eps{kept}, step-doubling "
+                  f"delta {check.step_delta / rec.eps:.1e}*eps")
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ from .small_divisors import (
     survey_divisors,
 )
 from . import wkb_pipeline
-from .wkb_pipeline import LADDER_FRACTION, ConvergenceRow, run_convergence, run_instability
+from .wkb_pipeline import LADDER_FRACTION, LadderCheck, run_convergence, run_instability
 
 SCENARIO_SCHEMA = "nlsoptics-scenario/1"
 REPORT_SCHEMA = "nlsoptics-report/1"
@@ -646,18 +646,41 @@ def cmd_profiles(scn: Scenario, args) -> Outcome:
     return results, {"total": runtime}, files, 0
 
 
-def _rung_label(rung, extrapolated=False) -> str:
-    """A ladder rung, marked when its run is the Richardson extrapolant."""
-    if rung is None:
-        return "n/a"
-    return f"{rung}x extrapolated" if extrapolated else f"{rung}x"
-
-
 def _delta_label(value, eps=None) -> str:
     """A health value, or a delta in multiples of eps when eps is given."""
     if value is None:
         return "n/a"
     return f"{value:.2e}" if eps is None else f"{value / eps:.2e}*eps"
+
+
+def _check_label(check: Optional[LadderCheck], eps=None, dt_in_eps=False) -> str:
+    """A ladder check as the summary prints it: its step (in multiples of
+    eps with dt_in_eps), its rung, marked when its run is the Richardson
+    extrapolant, and its step and grid deltas (`_delta_label`); a check
+    without a grid, the profile ladder's, prints its one delta.  A failed
+    leg has no check."""
+    if check is None:
+        return "dt=n/a rung n/a step n/a grid n/a"
+    dt = f"{check.dt / eps:.4g}*eps" if dt_in_eps else f"{check.dt:.4g}"
+    rung = f"{check.rung}x extrapolated" if check.extrapolated else f"{check.rung}x"
+    deltas = (
+        f"delta {_delta_label(check.step_delta, eps)}" if check.grid_delta is None else
+        f"step {_delta_label(check.step_delta, eps)} grid {_delta_label(check.grid_delta, eps)}"
+    )
+    return f"dt={dt} rung {rung} {deltas}"
+
+
+def _row_cells(row: wkb_pipeline.ConvergenceRow) -> dict:
+    """A converge row's `convergence.csv` cells by column: every field but
+    stage_s, with the fields of its check in place of check (all None on a
+    failed leg)."""
+    cells = {}
+    for f in fields(row):
+        if f.name == "check":
+            cells.update((g.name, getattr(row.check, g.name, None)) for g in fields(LadderCheck))
+        elif f.name != "stage_s":
+            cells[f.name] = getattr(row, f.name)
+    return cells
 
 
 def cmd_converge(scn: Scenario, args) -> Outcome:
@@ -673,14 +696,14 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
         ) from None
     total = time.perf_counter() - start
 
-    # convergence.csv: every row field but stage_s, each cell in its format
-    # here or else as str, and None as an empty cell
+    # convergence.csv: each cell in its format here or else as str, and None
+    # as an empty cell
     formats = {"eps": ".12g", "dt": ".12g", "sup_error": ".17g", "w_error": ".17g",
                "runtime": ".3f"}
-    columns = [f.name for f in fields(ConvergenceRow) if f.name != "stage_s"]
-    csv_bytes = _csv_bytes(columns, [
-        ["" if (v := getattr(r, k)) is None else format(v, formats.get(k, "")) for k in columns]
-        for r in table.rows
+    cells = [_row_cells(r) for r in table.rows]
+    csv_bytes = _csv_bytes(list(cells[0]), [
+        ["" if v is None else format(v, formats.get(k, "")) for k, v in row.items()]
+        for row in cells
     ])
     results = _jsonable(table)  # the timings move to runtimes
     runtimes = {
@@ -690,9 +713,8 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
         "stages": [row.pop("stage_s") for row in results["rows"]],
     }
     print(
-        f"profile: dt={table.profile.dt:.4g} rung {_rung_label(table.profile.rung)} "
-        f"delta {_delta_label(table.profile.delta)} {table.profile.rk4_steps} RK4 steps "
-        f"mass drift {_delta_label(table.profile.mass_drift)}"
+        f"profile: {_check_label(table.profile.check)} {table.profile.rk4_steps} RK4 "
+        f"steps mass drift {_delta_label(table.profile.mass_drift)}"
     )
     for r in table.rows:
         note = "" if r.ok else f"  [{r.status}]"
@@ -701,11 +723,8 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
             f"w={r.w_error:.4e}{note}"
         )
         print(
-            f"  health: dt={r.dt:.4g} rung {_rung_label(r.rung, r.extrapolated)} "
-            f"step {_delta_label(r.step_delta, r.eps)} "
-            f"grid {_delta_label(r.grid_delta, r.eps)} "
-            f"{r.steps} steps l2 drift {_delta_label(r.l2_drift)} "
-            f"top band {_delta_label(r.aliasing)}"
+            f"  health: {_check_label(r.check, r.eps)} {r.steps} steps "
+            f"l2 drift {_delta_label(r.l2_drift)} top band {_delta_label(r.aliasing)}"
         )
     print(
         f"fitted order: sup {table.fitted_order_label('sup')}, "
@@ -758,22 +777,10 @@ def cmd_instability(scn: Scenario, args) -> Outcome:
             f"L2 drift {record.solver_l2_drift:.1e}, "
             f"top-band fraction {record.solver_aliasing:.1e}"
         )
-        budget = LADDER_FRACTION * record.eps
-        for i, (rung, dt, step_delta, grid_delta, extrapolated) in enumerate(zip(
-            record.solver_rungs, record.solver_dts, record.solver_step_deltas,
-            record.solver_grid_deltas, record.solver_extrapolated,
-        ), 1):
-            over = [
-                name for name, gap in (("step", step_delta), ("grid", grid_delta))
-                if gap > budget
-            ]
+        for i, check in enumerate(record.solver_checks, 1):
+            over = check.over(LADDER_FRACTION * record.eps)
             note = f"  [over {LADDER_FRACTION:g}*eps: {', '.join(over)}]" if over else ""
-            print(
-                f"  datum {i}: dt={dt / record.eps:.4g}*eps "
-                f"rung {_rung_label(rung, extrapolated)} "
-                f"step {_delta_label(step_delta, record.eps)} "
-                f"grid {_delta_label(grid_delta, record.eps)}{note}"
-            )
+            print(f"  datum {i}: {_check_label(check, record.eps, dt_in_eps=True)}{note}")
     return {"record": record}, {"total": total}, files, 0
 
 

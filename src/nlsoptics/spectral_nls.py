@@ -184,10 +184,6 @@ class SolveResult:
         return fracs
 
     @property
-    def aliasing_flagged(self) -> bool:
-        return bool(np.any(self.aliasing_fractions > ALIASING_TOLERANCE))
-
-    @property
     def l2_relative_drift(self) -> float:
         return _relative_drift(self.l2_values)
 

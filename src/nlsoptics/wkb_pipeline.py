@@ -94,36 +94,59 @@ def assemble_uapp(
     return GridField(d=d, n=n, values=values)
 
 
+@dataclass(frozen=True)
+class LadderCheck:
+    """The step-and-grid check of one run chosen on the step ladder.
+
+    rung is the ladder rung, dt = rung times the ladder's unit step (a bound
+    on the run's steps: the split-step rungs are nested, see
+    `_checked_solve`), and extrapolated whether the kept run is the
+    Richardson extrapolant of the rung's solve and the one at twice its step
+    (`_extrapolate`) rather than the rung's run itself.  step_delta is the
+    step-doubling delta of the accepted pair (|E_r - E_2r| when
+    extrapolated; inf when a run of the pair blew up), grid_delta the
+    grid-doubling delta of the rung's coarse solve against its doubled-cell
+    twin, None for the profile ladder, which has no grid.
+    """
+
+    rung: int
+    dt: float
+    extrapolated: bool
+    step_delta: float
+    grid_delta: Optional[float] = None
+
+    def over(self, budget: float) -> dict[str, float]:
+        """The deltas not within budget by name ('step', 'grid'), in that
+        order: a delta equal to the budget is within it, inf and NaN are
+        not, and a missing grid delta is never over."""
+        return {
+            name: gap
+            for name, gap in (("step", self.step_delta), ("grid", self.grid_delta))
+            if gap is not None and not gap <= budget
+        }
+
+
 @dataclass(kw_only=True)
 class ConvergenceRow:
     """One epsilon leg of the sweep.  status is 'ok' or a failure note and
     a row that is not ok is excluded from order fits.  A leg whose solve
-    failed keeps NaN errors and no health; a leg whose self-check exceeded
-    its budget keeps its measured errors and deltas.
+    failed keeps NaN errors, no check and no health; a leg whose check
+    exceeded its budget keeps its measured errors and deltas.
 
     The fields, in order, are the columns of `convergence.csv` (all but
-    stage_s) and the keys of a report row (all but the timings).  Health
-    (inside the report hash): the ladder rung (dt, the bound on its steps,
-    in multiples of the default step), whether the errors come from the
-    Richardson extrapolant of the rung's solve and the one at twice its
-    step (`_extrapolate`) rather than from the solve itself, and the
-    step-doubling delta of the accepted pair (|E_r - E_2r| when
-    extrapolated) and the grid-doubling delta (all four None when the leg
-    failed), split steps over all of the leg's solves, and the L2 drift and
-    worst top-band fraction of the rung's solve (the extrapolant is not a
-    solve).  runtime and stage_s (seconds in the checks, the rung's solve,
-    and assembly plus norms) are timings.
+    stage_s, with the fields of check in its place) and the keys of a report
+    row (all but the timings).  Health (inside the report hash): the leg's
+    `LadderCheck`, split steps over all of the leg's solves, and the L2
+    drift and worst top-band fraction of the rung's solve (the extrapolant
+    is not a solve).  runtime and stage_s (seconds in the checks, the rung's
+    solve, and assembly plus norms) are timings.
     """
 
     eps: float
     grid_n: int
-    dt: float
     sup_error: float
     w_error: float
-    rung: Optional[int] = None
-    extrapolated: Optional[bool] = None
-    step_delta: Optional[float] = None
-    grid_delta: Optional[float] = None
+    check: Optional[LadderCheck] = None
     steps: int = 0
     l2_drift: Optional[float] = None
     aliasing: Optional[float] = None
@@ -138,14 +161,12 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ProfileLadder:
-    """The sweep's shared profile integration: its step, ladder rung and
-    step-doubling delta, RK4 steps over all of its integrations, and the
+    """The sweep's shared profile integration: its `LadderCheck` (no grid,
+    never extrapolated), RK4 steps over all of its integrations, and the
     relative drift of the mass sum_j |a_j|^2 (conserved by the profile
     system) over the kept integration's steps."""
 
-    dt: float
-    rung: Optional[int]
-    delta: Optional[float]
+    check: LadderCheck
     rk4_steps: int
     mass_drift: float
 
@@ -196,9 +217,9 @@ def _ladder_top(unit: float, shortest: float, cap: Optional[int] = None):
     return unit, top
 
 
-def _ladder(run, data: Sequence, top: int, delta, budget: float, combine=None):
+def _ladder(run, data: Sequence, unit: float, top: int, delta, budget: float, combine=None):
     """Choose a rung for each of the data on the power-of-two ladder
-    r = top, ..., 2, 1.
+    r = top, ..., 2, 1 of the step unit.
 
     run(r, some) integrates the data in `some` (a sub-list of data, in
     order) together over the whole horizon at rung r, and returns one run
@@ -212,11 +233,11 @@ def _ladder(run, data: Sequence, top: int, delta, budget: float, combine=None):
     pair is tried first.  A call that trips the blow-up guard gives None for
     each of its data, and a comparison with None is over budget (delta
     inf), except that a blow-up at rung 1 itself raises its BlowUpError.
-    Returns one (rung, kept, fine, coarse, delta, extrapolated) per datum:
-    kept is E_r when extrapolated, else the run at rung r (fine), coarse the
-    run at rung 2r, and delta the gap of the accepted pair; at rung 1,
-    with neither pair within budget, kept is fine and delta the plain gap,
-    which may exceed the budget.
+    Returns one (check, kept, fine, coarse) per datum: its `LadderCheck`
+    without a grid delta, E_r when extrapolated else the run at rung r
+    (fine), that run, and the run at rung 2r; at rung 1, with neither pair
+    within budget, kept is fine and the check holds the plain gap, which may
+    exceed the budget.
     """
 
     def attempt(r: int, some: list):
@@ -235,13 +256,15 @@ def _ladder(run, data: Sequence, top: int, delta, budget: float, combine=None):
         still, kept, kept_e = [], [], []
         for i, f, c, ce in zip(walking, fine, coarse, coarse_e):
             pair = f is not None and c is not None
-            gap = delta(f, c) if pair else math.inf
-            e = combine(f, c) if combine and pair and gap > budget else None
-            e_gap = delta(e, ce) if e is not None and ce is not None else math.inf
-            if gap <= budget or (r == 1 and e_gap > budget):
-                chosen[i] = (r, f, f, c, gap, False)
-            elif e_gap <= budget:
-                chosen[i] = (r, e, f, c, e_gap, True)
+            plain = LadderCheck(r, r * unit, False, delta(f, c) if pair else math.inf)
+            e = combine(f, c) if combine and pair and plain.over(budget) else None
+            extra = LadderCheck(
+                r, r * unit, True, math.inf if e is None or ce is None else delta(e, ce)
+            )
+            if not plain.over(budget) or (r == 1 and extra.over(budget)):
+                chosen[i] = (plain, f, f, c)
+            elif not extra.over(budget):
+                chosen[i] = (extra, e, f, c)
             else:
                 still.append(i)
                 kept.append(f)
@@ -313,10 +336,12 @@ def _checked_solve(
     times: Sequence[float], shortest: float, delta,
 ):
     """Solve the period data `states` (at t=0) on `cell`, with snapshots at
-    the physical `times`, and check each datum's step and grid.
+    the physical `times`, and check each datum's step and grid: the
+    split-step ladder of `run_convergence` and `run_instability`, which pass
+    their own delta and times.
 
     Each datum's rung is chosen by `_ladder` against LADDER_FRACTION*eps on
-    delta, the plain pair first and then the Richardson extrapolants
+    delta, the plain Strang pair first and then its Richardson extrapolants
     (`_extrapolate`), and the data still walking share each rung's solve.
     The ladder's unit is default_dt(eps) and its top the largest rung the
     shortest snapshot segment allows (`_ladder_top`, not LADDER_TOP).  The
@@ -331,14 +356,15 @@ def _checked_solve(
     them its grid-doubling delta: delta of its coarse solve and that
     doubled-cell twin, whether or not the rung was extrapolated.  Every
     solve runs through this module's `solve`: of one field when it solves
-    one datum, else of their stack.
+    one datum, else of their stack, so data that choose one rung make half
+    the solve calls of two walks.  A delta over budget is recorded in the
+    check, not raised.
 
-    Returns (checked, steps, spent): one (kept, fine, rung, dt, step_delta,
-    grid_delta, extrapolated) per datum, where kept is E_r when
-    extrapolated, else the fine solve at rung r, and step_delta the
-    accepted pair's gap; split steps over every datum of every solve; and
-    the seconds of each solve by (rung, cell points).  A failing solve
-    raises; a converge row records it, with no rung and no deltas.
+    Returns (checked, steps, spent): one (check, kept, fine) per datum, its
+    `LadderCheck`, E_r when extrapolated else the fine solve at rung r, and
+    that solve; split steps over every datum of every solve; and the
+    seconds of each solve by (rung, cell points).  A failing solve raises;
+    a converge row records it, with no check.
     """
     cell_times = [t / eps for t in times]
     unit, top = _ladder_top(default_dt(eps), shortest)
@@ -360,19 +386,15 @@ def _checked_solve(
         steps += sum(one.steps for one in res)
         return res
 
-    walks = _ladder(run, states, top, delta, LADDER_FRACTION * eps, _extrapolate)
+    walks = _ladder(run, states, unit, top, delta, LADDER_FRACTION * eps, _extrapolate)
     by_rung = {}
-    for i, (rung, *_) in enumerate(walks):
-        by_rung.setdefault(rung, []).append(i)
-    grid_deltas = [math.nan] * len(states)
+    for i, (check, *_) in enumerate(walks):
+        by_rung.setdefault(check.rung, []).append(i)
+    checked = [None] * len(states)
     for rung, which in by_rung.items():
-        for i, res in zip(which, run(2 * rung, [states[i] for i in which], 2 * cell.n)):
-            grid_deltas[i] = delta(walks[i][3], res)
-    checked = [
-        (kept, fine, rung, rung * unit, step_delta, grid_delta, extrapolated)
-        for (rung, kept, fine, _, step_delta, extrapolated), grid_delta
-        in zip(walks, grid_deltas)
-    ]
+        for i, twin in zip(which, run(2 * rung, [states[i] for i in which], 2 * cell.n)):
+            check, kept, fine, coarse = walks[i]
+            checked[i] = (replace(check, grid_delta=delta(coarse, twin)), kept, fine)
     return checked, steps, spent
 
 
@@ -397,23 +419,20 @@ def run_convergence(
     eps_list or a checkpoints that is not an int >= 0 raises ValueError
     before the profile integration and before any row.
 
-    Every step is chosen by `_ladder` against a budget of
-    LADDER_FRACTION*eps: each leg's by `_checked_solve`, measuring the sup
-    over checkpoints of the pointwise step-doubling gap (`_field_delta`) on
-    nested rungs from the top the checkpoint segments allow, the plain
-    Strang pair first and then its Richardson extrapolants, plus one
-    grid-doubling solve at twice the chosen step on the doubled cell; the
-    profile system once from PROFILE_DT, from at most rung LADDER_TOP and
-    on plain pairs only (RK4 is not symmetric), against
-    LADDER_FRACTION*min(eps), measuring the largest summed amplitude gap
+    Each leg's step and grid are checked by `_checked_solve` on the sup over
+    checkpoints of the pointwise gap of two solves (`_field_delta`); a leg's
+    errors come from the kept run, the rung's solve or its extrapolant, and
+    its L2 drift and aliasing from the rung's solve.  The profile system's
+    step is chosen by `_ladder` from PROFILE_DT, from at most rung
+    LADDER_TOP and on plain pairs only (RK4 is not symmetric), against
+    LADDER_FRACTION*min(eps), on the largest summed amplitude gap
     sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
-    difference and bounds its sup.  A leg's errors come from the kept run,
-    the rung's solve or its extrapolant, and its L2 drift and aliasing from
-    the rung's solve.  A row any of whose deltas exceeds its
-    budget is marked failed.  A leg whose solve fails (non-finite values)
-    is recorded with its failure note instead of aborting the sweep.  A
-    profile rung that trips the blow-up guard counts as over budget; only a
-    blow-up at rung 1 raises BlowUpError, and then no row is made.
+    difference and bounds its sup.  A row one of whose checks, its own or
+    the profile's, is over LADDER_FRACTION*eps (`LadderCheck.over`) is
+    marked failed.  A leg whose solve fails (non-finite values) is recorded
+    with its failure note instead of aborting the sweep.  A profile rung
+    that trips the blow-up guard counts as over budget; only a blow-up at
+    rung 1 raises BlowUpError, and then no row is made.
     """
     if not eps_list:
         raise ValueError("eps_list must not be empty")
@@ -448,24 +467,22 @@ def run_convergence(
         return traj
 
     unit, top = _ladder_top(PROFILE_DT, shortest, LADDER_TOP)
-    [(rung, traj, *_, delta, _)] = _ladder(
-        lambda r, _: [integrate(r * unit)], [alpha], top,
+    [(check, traj, *_)] = _ladder(
+        lambda r, _: [integrate(r * unit)], [alpha], unit, top,
         lambda a, b: _amp_delta(a, b, checks), LADDER_FRACTION * min(eps_list),
     )
-    profile = ProfileLadder(
-        rung * unit, rung, delta, profile_steps, _relative_drift(traj.mass_series())
-    )
+    profile = ProfileLadder(check, profile_steps, _relative_drift(traj.mass_series()))
     profile_s = time.perf_counter() - start
 
     def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:
         grid_n = cell.n * _check_eps(eps)
         start = time.perf_counter()
         try:
-            [(res, fine, rung, dt, step_delta, grid_delta, extrapolated)], steps, spent = (
-                _checked_solve([ProfileStateTorus(modes, alpha, 0.0)], cell, eps, checks,
-                               shortest, _field_delta)
+            [(check, res, fine)], steps, spent = _checked_solve(
+                [ProfileStateTorus(modes, alpha, 0.0)], cell, eps, checks, shortest,
+                _field_delta,
             )
-            solve_s = spent[rung, cell.n]
+            solve_s = spent[check.rung, cell.n]
             t0 = time.perf_counter()
             sup_err = w_err = 0.0
             for t in checks:
@@ -475,20 +492,13 @@ def run_convergence(
                 sup_err = max(sup_err, sup_norm_of_field(diff))
                 w_err = max(w_err, w_norm_of_field(diff))
             budget = LADDER_FRACTION * eps
-            over = [
-                f"{name} delta {gap / eps:.3g}*eps"
-                for name, gap in (
-                    ("step", step_delta), ("grid", grid_delta), ("profile", profile.delta)
-                )
-                if gap > budget
-            ]
+            over = check.over(budget)
+            over.update(("profile", gap) for gap in profile.check.over(budget).values())
+            note = ", ".join(f"{name} delta {gap / eps:.3g}*eps" for name, gap in over.items())
             return ConvergenceRow(
-                eps=eps, grid_n=grid_n, dt=dt, sup_error=sup_err, w_error=w_err,
-                status="ok" if not over else (
-                    f"check over {LADDER_FRACTION:g}*eps: " + ", ".join(over)
-                ),
-                rung=rung, extrapolated=extrapolated, step_delta=step_delta,
-                grid_delta=grid_delta, steps=steps, l2_drift=fine.l2_relative_drift,
+                eps=eps, grid_n=grid_n, sup_error=sup_err, w_error=w_err,
+                status=f"check over {LADDER_FRACTION:g}*eps: {note}" if over else "ok",
+                check=check, steps=steps, l2_drift=fine.l2_relative_drift,
                 aliasing=float(np.max(fine.aliasing_fractions)),
                 stage_s={
                     "checks": sum(spent.values()) - solve_s,
@@ -499,8 +509,7 @@ def run_convergence(
             )
         except (ValueError, FloatingPointError) as exc:
             return ConvergenceRow(
-                eps=eps, grid_n=grid_n, dt=default_dt(eps),
-                sup_error=math.nan, w_error=math.nan,
+                eps=eps, grid_n=grid_n, sup_error=math.nan, w_error=math.nan,
                 status=f"{type(exc).__name__}: {exc}",
                 runtime=time.perf_counter() - start,
             )
@@ -571,14 +580,10 @@ class InstabilityRecord:
     and alpha1_tilde is None.  solver_gap is the same quantity measured from
     two spectral solves via the zero Fourier mode (None unless cross-checked).
     The solver_* fields after it record the solves' health: points of the
-    period grid, split steps over every solve of the cross-check, and the
-    worst relative L2 drift and top-band aliasing fraction over every sample
-    of the two solves at the data's rungs.  solver_rungs to
-    solver_extrapolated hold one entry per datum (base, perturbed): the
-    ladder rung, the physical step bound, the step-doubling delta of the
-    accepted pair and the grid-doubling delta of its zero-mode curve, and
-    whether its gap is read from the Richardson extrapolant (None unless
-    cross-checked).
+    period grid, split steps over every solve of the cross-check, the worst
+    relative L2 drift and top-band aliasing fraction over every sample of
+    the two solves at the data's rungs, and one `LadderCheck` per datum
+    (base, perturbed) on its zero-mode curve (None unless cross-checked).
     """
 
     variant: str
@@ -606,11 +611,7 @@ class InstabilityRecord:
     solver_steps: Optional[int] = None
     solver_l2_drift: Optional[float] = None
     solver_aliasing: Optional[float] = None
-    solver_rungs: Optional[tuple[int, ...]] = None
-    solver_dts: Optional[tuple[float, ...]] = None
-    solver_step_deltas: Optional[tuple[float, ...]] = None
-    solver_grid_deltas: Optional[tuple[float, ...]] = None
-    solver_extrapolated: Optional[tuple[bool, ...]] = None
+    solver_checks: Optional[tuple[LadderCheck, ...]] = None
 
 
 def _solve_alpha1_for_theta(alpha0: float, theta: float, sigma: int) -> float:
@@ -715,23 +716,15 @@ def run_instability(
     2 pi eps periodic, so each solve runs on one period, the cell of
     `_cell_config` (16 points for sigma=1).  The initial data are assembled
     by `assemble_uapp` on the two-mode set {0, 1} of the period.  Both
-    data are solved by one `_checked_solve`, which walks them down the
-    ladder together: each datum's rung is chosen from default_dt(eps), from
-    the top the sample segment delta/100 allows, against
-    LADDER_FRACTION*eps on the largest zero-mode gap over the samples
-    (`_zero_mode_delta`), the plain Strang pair first and then its
-    Richardson extrapolants, and one more solve, at twice the chosen step
-    on the doubled cell, gives its grid-doubling delta.  The solver gap is
-    read from each datum's kept run, its solve or its extrapolant, and the
-    L2 drift and aliasing from its solves.  While both data walk, and for a
-    grid check at a rung both chose, they are solved as one stack, so a
-    cross-check whose data choose one rung makes half the solve calls of
-    two walks.  A delta
-    over budget is recorded, not raised.  Raises OverflowError before any
-    solve when the data overflow when squared, so that the solves' health
-    would not be finite, and FloatingPointError when the rounding floor of
-    the zero-mode read, n ulps of alpha0~ + alpha1~, exceeds that budget,
-    so that the solver gap would be rounding noise.
+    data are checked together by one `_checked_solve`, from the top the
+    sample segment delta/100 allows, on the largest zero-mode gap over the
+    samples (`_zero_mode_delta`).  The solver gap is read from each datum's
+    kept run, its solve or its extrapolant, and the L2 drift and aliasing
+    from its solves.  Raises OverflowError before any solve when the data
+    overflow when squared, so that the solves' health would not be finite,
+    and FloatingPointError when the rounding floor of the zero-mode read,
+    n ulps of alpha0~ + alpha1~, exceeds the step budget
+    LADDER_FRACTION*eps, so that the solver gap would be rounding noise.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")
@@ -795,8 +788,7 @@ def run_instability(
         gap = float(_gaps(alpha0, alpha0_t, omega, np.array([delta]))[0])
 
     eps = solver_gap = solver_t_star = solver_dev = None
-    solver_n = solver_steps = solver_l2_drift = solver_aliasing = None
-    solver_rungs = solver_dts = step_deltas = grid_deltas = extrapolated = None
+    solver_n = solver_steps = solver_l2_drift = solver_aliasing = solver_checks = None
     if cross_check:
         if variant == "weak_limit":
             raise ValueError(
@@ -829,19 +821,17 @@ def run_instability(
             cell, eps, sample, delta / 100, _zero_mode_delta,
         )
         # one row per sample: the samples are the solves' marks
-        zero_modes = [_zero_modes(kept) for kept, *_ in checked]
+        zero_modes = [_zero_modes(kept) for _, kept, _ in checked]
         diffs = np.abs(zero_modes[0] - zero_modes[1])
         k = int(np.argmax(diffs))
         solver_gap = float(diffs[k])
         solver_t_star = float(sample[k])
         solver_dev = abs(solver_gap - gap)
         solver_n = cell.n
-        fines = [fine for _, fine, *_ in checked]
+        fines = [fine for *_, fine in checked]
         solver_l2_drift = max(r.l2_relative_drift for r in fines)
         solver_aliasing = max(float(np.max(r.aliasing_fractions)) for r in fines)
-        solver_rungs, solver_dts, step_deltas, grid_deltas, extrapolated = zip(
-            *(ladder for _, _, *ladder in checked)
-        )
+        solver_checks = tuple(check for check, *_ in checked)
 
     return InstabilityRecord(
         variant=variant,
@@ -869,9 +859,5 @@ def run_instability(
         solver_steps=solver_steps,
         solver_l2_drift=solver_l2_drift,
         solver_aliasing=solver_aliasing,
-        solver_rungs=solver_rungs,
-        solver_dts=solver_dts,
-        solver_step_deltas=step_deltas,
-        solver_grid_deltas=grid_deltas,
-        solver_extrapolated=extrapolated,
+        solver_checks=solver_checks,
     )

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsoptics import experiments_cli, wkb_pipeline
-from nlsoptics.wkb_pipeline import ConvergenceRow
+from nlsoptics.wkb_pipeline import ConvergenceRow, LadderCheck
 from nlsoptics.experiments_cli import (
     REPORT_SCHEMA,
     SCENARIO_SCHEMA,
@@ -268,8 +268,8 @@ class TestConvergeCommand:
         assert rc == 0
         assert tripped and tripped[0] == pytest.approx(0.032)
         res = load_report(tmp_path, "converge_report.json")["results"]
-        assert res["profile"]["rung"] == 1
-        assert [r["rung"] for r in res["rows"]] == [1, 1]
+        assert res["profile"]["check"]["rung"] == 1
+        assert [r["check"]["rung"] for r in res["rows"]] == [1, 1]
         assert all(r["status"].startswith("check over 0.01*eps") for r in res["rows"])
 
     def test_profile_blow_up_at_rung_1_fails_the_sweep(self, tmp_path, capsys):
@@ -292,7 +292,7 @@ class TestConvergeCommand:
         assert all(r["status"] == "ok" for r in rows)
         assert rep["results"]["order_sup"] is not None
         lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
-        assert lines[0].startswith("eps,grid_n,dt,sup_error")
+        assert lines[0].startswith("eps,grid_n,sup_error,w_error,rung,dt,")
         assert len(lines) == 3
         assert "fitted order" in capsys.readouterr().out
 
@@ -302,18 +302,22 @@ class TestConvergeCommand:
         rep = load_report(tmp_path, "converge_report.json")
         res = rep["results"]
         for r in res["rows"]:
-            assert r["status"] == "ok" and r["rung"] >= 1 and r["steps"] > 0
-            assert 0 <= r["step_delta"] <= 1e-2 * r["eps"]
-            assert 0 <= r["grid_delta"] <= 1e-2 * r["eps"]
+            check = r["check"]
+            assert r["status"] == "ok" and check["rung"] >= 1 and r["steps"] > 0
+            assert 0 <= check["step_delta"] <= 1e-2 * r["eps"]
+            assert 0 <= check["grid_delta"] <= 1e-2 * r["eps"]
             assert r["l2_drift"] < 1e-12 and r["aliasing"] < 1e-8
         profile = res["profile"]
-        assert profile["rung"] >= 1 and profile["rk4_steps"] > 0
-        assert profile["dt"] == profile["rung"] * 1e-3
+        check = profile["check"]
+        assert check["rung"] >= 1 and profile["rk4_steps"] > 0
+        assert check["dt"] == check["rung"] * 1e-3
+        # the profile ladder has no grid and is never extrapolated
+        assert check["grid_delta"] is None and check["extrapolated"] is False
         assert set(rep["runtimes"]) == {"total", "rows", "profile", "stages"}
         assert set(rep["runtimes"]["stages"][0]) == {"checks", "solve", "assembly_norms"}
         header = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[0]
         assert header == (
-            "eps,grid_n,dt,sup_error,w_error,rung,extrapolated,step_delta,grid_delta,"
+            "eps,grid_n,sup_error,w_error,rung,dt,extrapolated,step_delta,grid_delta,"
             "steps,l2_drift,aliasing,runtime,status"
         )
         out = capsys.readouterr().out
@@ -326,17 +330,34 @@ class TestConvergeCommand:
 
     def test_csv_columns_and_report_rows_are_the_row_fields(self, tmp_path):
         # ConvergenceRow alone says what a leg reports: the CSV has every
-        # field but stage_s, a report row every field but the timings
+        # field but stage_s, with the fields of its LadderCheck in place of
+        # check, and a report row every field but the timings; a report's
+        # checks, a row's and each cross-check datum's, are LadderChecks
         scn = write_scenario(tmp_path, self._doc(1.0))
         assert run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
         names = [f.name for f in dataclasses.fields(ConvergenceRow)]
+        check_names = {f.name for f in dataclasses.fields(LadderCheck)}
+        at = names.index("check")
+        columns = names[:at] + [f.name for f in dataclasses.fields(LadderCheck)] + names[at + 1:]
         header, cells = read_csv_rows(tmp_path / "out" / "convergence.csv")
-        assert header.split(",") == [k for k in names if k != "stage_s"]
-        assert all(len(row) == len(names) - 1 for row in cells)
+        assert header.split(",") == [k for k in columns if k != "stage_s"]
+        assert all(len(row) == len(columns) - 1 for row in cells)
         rows = load_report(tmp_path, "converge_report.json")["results"]["rows"]
         assert len(rows) == 2
         for row in rows:
             assert set(row) == set(names) - {"runtime", "stage_s"}
+            assert set(row["check"]) == check_names
+        doc = torus_doc(
+            initial_modes=[{"kappa": [0], "amplitude": [0.5, 0.0]}],
+            experiment={"type": "instability", "rho": 1.0, "delta": 0.1, "s": -0.5,
+                        "K": 16, "grid_points": 2, "cross_check": True},
+        )
+        scn = write_scenario(tmp_path, doc)
+        with pytest.warns(UserWarning, match="premise"):
+            assert run(["instability", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        record = load_report(tmp_path, "instability_report.json")["results"]["record"]
+        assert len(record["solver_checks"]) == 2
+        assert all(set(check) == check_names for check in record["solver_checks"])
 
     def test_failed_leg_summary_has_no_rung(self, tmp_path, capsys, monkeypatch):
         # the eps = 1/4 leg's cell has coupling lam*eps = 1/4 and overflows
@@ -354,13 +375,17 @@ class TestConvergeCommand:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("  health: ")
         ]
-        assert "rung n/a step n/a grid n/a 0 steps" in health[1]
+        assert "dt=n/a rung n/a step n/a grid n/a 0 steps" in health[1]
         assert "n/a" not in health[0]
         rows = load_report(tmp_path, "converge_report.json")["results"]["rows"]
         assert rows[1]["status"] == "FloatingPointError: overflow in the split step"
-        assert (rows[1]["rung"], rows[1]["step_delta"], rows[1]["grid_delta"]) == (
-            None, None, None,
-        )
+        assert rows[1]["check"] is None and rows[0]["check"] is not None
+        # a failed leg's check cells are empty, dt among them
+        header, cells = read_csv_rows(tmp_path / "out" / "convergence.csv")
+        columns = header.split(",")
+        for name in ("rung", "dt", "extrapolated", "step_delta", "grid_delta"):
+            assert cells[1][columns.index(name)] == ""
+            assert cells[0][columns.index(name)] != ""
 
     def test_floor_passes_any_order_assertion(self, tmp_path):
         scn = write_scenario(tmp_path, self._doc(0.0))
@@ -438,9 +463,7 @@ class TestInstabilityCommand:
             assert t_cell == f"{t:.12g}"
             assert float(gap_cell) == g  # .17g round-trips exactly
         assert "gap" in capsys.readouterr().out
-        for key in ("solver_rungs", "solver_dts", "solver_step_deltas", "solver_grid_deltas",
-                    "solver_extrapolated"):
-            assert record[key] is None
+        assert record["solver_checks"] is None
 
     @pytest.mark.parametrize("experiment", [
         {"rho": 1.0, "delta": 0.1, "s": -2.0, "K": 32, "grid_points": 10_000},
@@ -466,10 +489,16 @@ class TestInstabilityCommand:
         assert written == ("t,gap\n" + rows).encode()
         assert written.count(b"\n") == experiment["grid_points"] + 1
 
-    @pytest.mark.parametrize(
-        "K,delta,s,over", [(16, 0.1, -0.5, False), (4, 0.8, -2.5, True)]
-    )
-    def test_cross_check_ladder_in_report_and_summary(self, tmp_path, capsys, K, delta, s, over):
+    @pytest.mark.parametrize("K,delta,s,rungs,extrapolated,over", [
+        (16, 0.1, -0.5, [8, 8], False, ""),
+        (4, 0.8, -2.5, [1, 1], False, "step"),
+        # the extrapolated rung's grid check, at its coarse step, reads a
+        # split-step instability of the doubled cell (ROADMAP item 9)
+        (4, 1.0, -2.0, [2, 2], True, "grid"),
+    ], ids=["16-0.1--0.5-False", "4-0.8--2.5-True", "4-1.0--2.0-grid"])
+    def test_cross_check_ladder_in_report_and_summary(
+        self, tmp_path, capsys, K, delta, s, rungs, extrapolated, over
+    ):
         doc = torus_doc(
             initial_modes=[{"kappa": [0], "amplitude": [0.5, 0.0]}],
             experiment={
@@ -485,21 +514,33 @@ class TestInstabilityCommand:
         record = load_report(tmp_path, "instability_report.json")["results"]["record"]
         eps = record["eps"]
         budget = 1e-2 * eps
-        rungs, dts = record["solver_rungs"], record["solver_dts"]
-        step_deltas, grid_deltas = record["solver_step_deltas"], record["solver_grid_deltas"]
-        assert len(rungs) == len(dts) == len(step_deltas) == len(grid_deltas) == 2
-        assert rungs == ([1, 1] if over else [8, 8])
-        for rung, dt in zip(rungs, dts):
-            assert dt == pytest.approx(rung * min(eps / 100, delta / 200), rel=1e-12)
-        assert (max(step_deltas) > budget) == over
-        assert max(grid_deltas) < budget
+        checks = record["solver_checks"]
+        assert [c["rung"] for c in checks] == rungs
+        assert [c["extrapolated"] for c in checks] == [extrapolated] * 2
+        for c in checks:
+            assert c["dt"] == pytest.approx(c["rung"] * min(eps / 100, delta / 200), rel=1e-12)
+        assert (max(c["step_delta"] for c in checks) > budget) == (over == "step")
+        assert (max(c["grid_delta"] for c in checks) > budget) == (over == "grid")
+        if over == "grid":
+            # as measured when the case was added: E at rung 2 for both data
+            assert record["solver_steps"] == 3800
+            assert [c["step_delta"] / eps for c in checks] == pytest.approx(
+                [7.254e-3, 7.766e-3], rel=1e-3
+            )
+            assert [c["grid_delta"] / eps for c in checks] == pytest.approx(
+                [43.77, 63.55], rel=1e-3
+            )
         out = capsys.readouterr().out.splitlines()
-        for i in range(2):
+        for i, c in enumerate(checks):
             line = next(x for x in out if x.startswith(f"  datum {i + 1}: "))
-            assert f"dt={dts[i] / eps:.4g}*eps rung {rungs[i]}x" in line
-            assert f"step {step_deltas[i] / eps:.2e}*eps" in line
-            assert f"grid {grid_deltas[i] / eps:.2e}*eps" in line
-            assert line.endswith("[over 0.01*eps: step]") == (step_deltas[i] > budget)
+            rung = f"{c['rung']}x extrapolated" if extrapolated else f"{c['rung']}x"
+            assert f"dt={c['dt'] / eps:.4g}*eps rung {rung} " in line
+            assert f"step {c['step_delta'] / eps:.2e}*eps" in line
+            assert f"grid {c['grid_delta'] / eps:.2e}*eps" in line
+            if over:
+                assert line.endswith(f"[over 0.01*eps: {over}]")
+            else:
+                assert "[over" not in line
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -830,10 +871,10 @@ class TestShippedScenarios:
         res = load_report(tmp_path, "converge_report.json")["results"]
         assert len(res["rows"]) == 2
         for r in res["rows"]:
-            assert r["status"] == "ok" and r["rung"] is not None
-            assert r["step_delta"] <= 1e-2 * r["eps"]
-            assert r["grid_delta"] <= 1e-2 * r["eps"]
-        assert res["profile"]["rung"] is not None
+            assert r["status"] == "ok" and r["check"]["rung"] is not None
+            assert r["check"]["step_delta"] <= 1e-2 * r["eps"]
+            assert r["check"]["grid_delta"] <= 1e-2 * r["eps"]
+        assert res["profile"]["check"]["rung"] is not None
         assert res["at_floor"] is True
 
     # the defaults a run uses when its document leaves the key out

@@ -88,3 +88,33 @@ def test_differences_carry_their_size():
         "1 not numeric"
     ]
     assert tool.diff_file("x/gap_curve.csv", old, old) == []
+
+
+def test_csv_cells_are_compared_by_column_name():
+    tool = load_tool()
+    old = b"eps,grid_n,dt,sup_error,rung,runtime,status\n0.5,16,0.01,1e-3,8,0.1,ok\n"
+    moved = b"eps,grid_n,sup_error,rung,dt,runtime,status\n0.5,16,1e-3,8,0.01,0.2,ok\n"
+    # a header that only reorders: one line naming the moved column, and the
+    # cells, compared by name, are equal
+    assert tool.diff_file("a/convergence.csv", old, moved) == [
+        "a/convergence.csv: columns moved: dt"
+    ]
+    changed = b"eps,grid_n,sup_error,rung,dt,runtime,status\n0.5,16,1e-3,4,0.02,0.2,ok\n"
+    assert tool.diff_file("a/convergence.csv", old, changed) == [
+        "a/convergence.csv: columns moved: dt",
+        "a/convergence.csv: row 1: ['0.5', '16', '0.01', '1e-3', '8', 'ok'] != "
+        "['0.5', '16', '0.02', '1e-3', '4', 'ok']",
+    ]
+    # the other CSV files too, cell by cell; of two swapped columns, the
+    # one that left the old header's first column is named
+    assert tool.diff_file("b/gap_curve.csv", b"t,gap\n0,1.0\n", b"gap,t\n1.0,0\n") == [
+        "b/gap_curve.csv: columns moved: gap"
+    ]
+    assert tool.diff_file("b/gap_curve.csv", b"t,gap\n0,1.0\n", b"gap,t\n2.0,0\n") == [
+        "b/gap_curve.csv: columns moved: gap",
+        "b/gap_curve.csv: 1 of 4 cells differ, largest relative difference 0.5",
+    ]
+    # a column added or renamed is no reordering
+    assert tool.diff_file("b/gap_curve.csv", b"t,gap\n0,1\n", b"t,gap,x\n0,1,2\n") == [
+        "b/gap_curve.csv: files differ"
+    ]

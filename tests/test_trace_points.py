@@ -64,18 +64,16 @@ def test_traced_crosscheck_counts():
         rec = run_instability(1.0, 0.1, -0.5, 16, cross_check=True)
     solves = [s for s in tracer.spans if s.name == "spectral_nls.solve"]
     assert len(solves) == 3
-    assert rec.solver_rungs == (8, 8)
+    assert [c.rung for c in rec.solver_checks] == [8, 8]
     assert 2 * sum(s.counts["steps"] for s in solves) == rec.solver_steps == 1600
     # both plain pairs are within budget, so neither datum is extrapolated
-    # and the record is the one the ladder made before extrapolation existed
-    assert rec.solver_extrapolated == (False, False)
-    record = dataclasses.asdict(rec)
-    del record["solver_extrapolated"]
-    assert record == K16_CROSSCHECK
+    # and the record's values are the ones the ladder made before
+    # extrapolation existed
+    assert dataclasses.asdict(rec) == K16_CROSSCHECK
 
 
 # The K=16 cross-check's record as the plain Strang ladder made it, every
-# value bit for bit.
+# value bit for bit; each datum's check is a LadderCheck's fields.
 K16_CROSSCHECK = {
     "variant": "perturb_high", "rho": 1.0, "delta": 0.1, "s": -0.5, "K": 16,
     "sigma": 1, "lam": 1.0, "alpha0": 0.5, "alpha1": 2.0, "alpha0_tilde": 0.5,
@@ -85,8 +83,11 @@ K16_CROSSCHECK = {
     "solver_t_star": 0.1, "solver_formula_deviation": 0.015950400680522003,
     "solver_grid_n": 16, "solver_steps": 1600,
     "solver_l2_drift": 3.9423224289881195e-15,
-    "solver_aliasing": 3.0690876252372924e-29, "solver_rungs": (8, 8),
-    "solver_dts": (0.0003125, 0.0003125),
-    "solver_step_deltas": (3.3889913375368854e-06, 3.673677061529359e-05),
-    "solver_grid_deltas": (7.785228687832109e-15, 2.6151305701706514e-14),
+    "solver_aliasing": 3.0690876252372924e-29,
+    "solver_checks": (
+        {"rung": 8, "dt": 0.0003125, "extrapolated": False,
+         "step_delta": 3.3889913375368854e-06, "grid_delta": 7.785228687832109e-15},
+        {"rung": 8, "dt": 0.0003125, "extrapolated": False,
+         "step_delta": 3.673677061529359e-05, "grid_delta": 2.6151305701706514e-14},
+    ),
 }

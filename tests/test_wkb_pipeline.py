@@ -33,6 +33,7 @@ from nlsoptics.wkb_pipeline import (
     PROFILE_DT,
     ConvergenceRow,
     ConvergenceTable,
+    LadderCheck,
     ProfileLadder,
     _cell_config,
     _extrapolate,
@@ -60,8 +61,9 @@ def _crosscheck_steps(rec) -> int:
         top *= 2
     per = math.ceil(seg / (2 * top * unit) - 1e-9) * 2 * top
     total = 0
-    for rung, dt in zip(rec.solver_rungs, rec.solver_dts, strict=True):
-        assert dt == rung * unit
+    for check in rec.solver_checks:
+        rung = check.rung
+        assert check.dt == rung * unit
         walked = [2 * top] + [top >> i for i in range(12) if rung <= top >> i]
         for r in walked + [2 * rung]:
             total += 100 * (per // r)
@@ -221,14 +223,14 @@ class TestConvergence:
         checks = table.checkpoint_times
         traj = integrate_torus(
             alpha, modes,
-            SimParams(lam=1.0, t_final=t_final, dt=table.profile.dt),
+            SimParams(lam=1.0, t_final=t_final, dt=table.profile.check.dt),
             snapshot_times=checks,
         )
         for eps, row in zip(eps_list, table.rows):
-            assert row.ok and row.rung is not None
-            assert row.dt == row.rung * default_dt(eps)
+            assert row.ok and row.check is not None
+            assert row.check.dt == row.check.rung * default_dt(eps)
             n = default_grid_size(eps, 1, modes.max_sup_norm)
-            cfg = SolverConfig(eps, 1.0, 1, row.dt, n, t_final)
+            cfg = SolverConfig(eps, 1.0, 1, row.check.dt, n, t_final)
             u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), eps, n)
             res = solve(u0, cfg, snapshot_times=checks)
             sup_err = w_err = 0.0
@@ -267,7 +269,7 @@ class TestConvergence:
     def test_label_formatting(self):
         table = ConvergenceTable(
             rows=[], checkpoint_times=(), order_sup=0.9126, order_w=None,
-            at_floor=False, profile=ProfileLadder(PROFILE_DT, None, None, 0, 0.0),
+            at_floor=False, profile=ProfileLadder(LadderCheck(1, PROFILE_DT, False, 0.0), 0, 0.0),
         )
         assert table.fitted_order_label("sup") == "0.913"
         assert table.fitted_order_label("w") == "n/a"
@@ -285,6 +287,18 @@ def _one(run):
     return lambda r, some: [run(r)]
 
 
+class TestLadderCheck:
+    def test_over_names_the_deltas_above_budget(self):
+        assert LadderCheck(1, 0.1, False, 1.0, 1.0).over(1.0) == {}  # equal is within
+        assert LadderCheck(1, 0.1, False, 2.0, 0.5).over(1.0) == {"step": 2.0}
+        assert LadderCheck(1, 0.1, True, 0.5, 3.0).over(1.0) == {"grid": 3.0}
+        both = LadderCheck(2, 0.2, False, math.inf, math.nan).over(1.0)
+        assert list(both) == ["step", "grid"] and both["step"] == math.inf
+        # the profile ladder's check has no grid delta, which is never over
+        assert LadderCheck(1, 0.1, False, 0.5).over(0.0) == {"step": 0.5}
+        assert LadderCheck(1, 0.1, False, 0.0).over(0.0) == {}
+
+
 class TestStepLadder:
     def test_walks_down_to_the_first_passing_rung(self):
         # delta of rung r is (2 r)^2: 16 and 8 fail a budget of 100, 4 passes
@@ -294,8 +308,8 @@ class TestStepLadder:
             runs.append(r)
             return r
 
-        [walk] = _ladder(_one(run), [None], LADDER_TOP, lambda a, b: b * b, budget=100.0)
-        assert walk == (4, 4, 4, 8, 64, False)
+        [walk] = _ladder(_one(run), [None], 1.0, LADDER_TOP, lambda a, b: b * b, budget=100.0)
+        assert walk == (LadderCheck(4, 4.0, False, 64), 4, 4, 8)
         assert runs == [2 * LADDER_TOP, 16, 8, 4]  # one new run per rung
 
     def test_extrapolant_is_tried_after_the_plain_pair(self):
@@ -314,8 +328,8 @@ class TestStepLadder:
         def delta(a, b):
             return 1.0 if isinstance(a, tuple) else b * b
 
-        [walk] = _ladder(_one(run), [None], LADDER_TOP, delta, 100.0, combine)
-        assert walk == (8, ("E", 8), 8, 16, 1.0, True)
+        [walk] = _ladder(_one(run), [None], 1.0, LADDER_TOP, delta, 100.0, combine)
+        assert walk == (LadderCheck(8, 8.0, True, 1.0), ("E", 8), 8, 16)
         assert runs == [32, 16, 8] and combined == [(16, 32), (8, 16)]
 
     def test_plain_pair_within_budget_is_not_extrapolated(self):
@@ -330,16 +344,16 @@ class TestStepLadder:
         def delta(a, b):
             return 0.0 if isinstance(a, tuple) else b * b / 4
 
-        [walk] = _ladder(_one(lambda r: r), [None], LADDER_TOP, delta, 100.0, combine)
-        assert walk == (8, 8, 8, 16, 64.0, False)
+        [walk] = _ladder(_one(lambda r: r), [None], 1.0, LADDER_TOP, delta, 100.0, combine)
+        assert walk == (LadderCheck(8, 8.0, False, 64.0), 8, 8, 16)
         assert combined == [(16, 32)]
 
     def test_rung_one_keeps_the_plain_run_when_both_pairs_fail(self):
         def delta(a, b):
             return 1e3 if isinstance(a, tuple) else 1e6
 
-        [walk] = _ladder(_one(lambda r: r), [None], 4, delta, 1.0, lambda f, c: ("E", f))
-        assert walk == (1, 1, 1, 2, 1e6, False)
+        [walk] = _ladder(_one(lambda r: r), [None], 1.0, 4, delta, 1.0, lambda f, c: ("E", f))
+        assert walk == (LadderCheck(1, 1.0, False, 1e6), 1, 1, 2)
 
     def test_blown_up_rung_is_over_budget(self):
         # rungs above 4 trip the guard: their comparisons are over budget
@@ -352,8 +366,8 @@ class TestStepLadder:
                 raise BlowUpError(0.5)
             return r
 
-        [walk] = _ladder(_one(run), [None], LADDER_TOP, lambda a, b: b - a, budget=100.0)
-        assert walk == (2, 2, 2, 4, 2, False)
+        [walk] = _ladder(_one(run), [None], 1.0, LADDER_TOP, lambda a, b: b - a, budget=100.0)
+        assert walk == (LadderCheck(2, 2.0, False, 2), 2, 2, 4)
         assert runs == [2 * LADDER_TOP, 16, 8, 4, 2]
 
     def test_blow_up_at_rung_one_raises(self):
@@ -363,15 +377,15 @@ class TestStepLadder:
             return r
 
         # the coarse partner of rung 1 blew up: the delta is inf, not raised
-        assert _ladder(_one(run), [None], LADDER_TOP, lambda a, b: 0.0, 0.0) == [
-            (1, 1, 1, None, math.inf, False)
+        assert _ladder(_one(run), [None], 1.0, LADDER_TOP, lambda a, b: 0.0, 0.0) == [
+            (LadderCheck(1, 1.0, False, math.inf), 1, 1, None)
         ]
 
         def run_all(r):
             raise BlowUpError(0.25)
 
         with pytest.raises(BlowUpError, match="t=0.25"):
-            _ladder(_one(run_all), [None], LADDER_TOP, lambda a, b: 0.0, 0.0)
+            _ladder(_one(run_all), [None], 1.0, LADDER_TOP, lambda a, b: 0.0, 0.0)
 
     def test_data_walk_together_and_leave_at_their_own_rungs(self):
         # datum "a" has delta (2 r)^2 and passes at rung 4; "b" passes at the
@@ -385,10 +399,10 @@ class TestStepLadder:
         def delta(fine, coarse):
             return coarse[1] ** 2 if fine[0] == "a" else 0.0
 
-        walks = _ladder(run, ["a", "b"], LADDER_TOP, delta, budget=100.0)
+        walks = _ladder(run, ["a", "b"], 1.0, LADDER_TOP, delta, budget=100.0)
         assert walks == [
-            (4, ("a", 4), ("a", 4), ("a", 8), 64, False),
-            (LADDER_TOP, ("b", 16), ("b", 16), ("b", 32), 0.0, False),
+            (LadderCheck(4, 4.0, False, 64), ("a", 4), ("a", 4), ("a", 8)),
+            (LadderCheck(LADDER_TOP, LADDER_TOP, False, 0.0), ("b", 16), ("b", 16), ("b", 32)),
         ]
         assert calls == [
             (2 * LADDER_TOP, ("a", "b")), (16, ("a", "b")), (8, ("a",)), (4, ("a",)),
@@ -403,10 +417,11 @@ class TestStepLadder:
         eps, t_final = 1 / 8, 1.0
         table = run_convergence(modes, alpha, 1.0, [eps], t_final)
         row = table.rows[0]
-        assert row.ok and row.rung == 8 and row.dt == 8 * default_dt(eps)
-        assert row.extrapolated is False
-        assert 0 < row.step_delta <= LADDER_FRACTION * eps
-        assert 0 < row.grid_delta <= LADDER_FRACTION * eps
+        check = row.check
+        assert row.ok and check.rung == 8 and check.dt == 8 * default_dt(eps)
+        assert check.extrapolated is False
+        assert 0 < check.step_delta <= LADDER_FRACTION * eps
+        assert 0 < check.grid_delta <= LADDER_FRACTION * eps
         checks = table.checkpoint_times
         cell = _cell_config(eps, 1.0, 1, 1, t_final)
         u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, cell.n)
@@ -417,16 +432,17 @@ class TestStepLadder:
             r: solve(u0, replace(cell, dt=times[0] / (128 // r)), snapshot_times=times)
             for r in (8, 16, 32, 64)
         }
-        assert _field_delta(at[8], at[16]) == row.step_delta
+        assert _field_delta(at[8], at[16]) == check.step_delta
         assert _field_delta(at[16], at[32]) > LADDER_FRACTION * eps
         e16, e32 = _extrapolate(at[16], at[32]), _extrapolate(at[32], at[64])
         assert _field_delta(e16, e32) > LADDER_FRACTION * eps
         # 9 segments, solved at rungs 64, 32, 16 and 8, plus the 32-point
         # grid at rung 16
         assert row.steps == 9 * (2 + 4 + 8 + 16 + 8)
-        assert table.profile.rung == LADDER_TOP
-        assert table.profile.dt == LADDER_TOP * PROFILE_DT
-        assert 0 < table.profile.delta <= LADDER_FRACTION * eps
+        profile = table.profile.check
+        assert profile.rung == LADDER_TOP and profile.dt == LADDER_TOP * PROFILE_DT
+        assert profile.extrapolated is False and profile.grid_delta is None
+        assert 0 < profile.step_delta <= LADDER_FRACTION * eps
 
     @pytest.mark.parametrize("eps,t_final,checkpoints", [
         (1 / 8, 1.0, 8), (1 / 64, 1.0, 8), (1 / 4, 0.3, 2), (1 / 16, 0.013, 3),
@@ -464,7 +480,7 @@ class TestStepLadder:
         assert grid_count == ladder[-2]
         assert sum(c for _, c in counts) * (len(marks) - 1) == row.steps
         kept_step = (marks[1] - marks[0]) / ladder[-1]
-        assert kept_step <= row.dt * (1 + 1e-12)
+        assert kept_step <= row.check.dt * (1 + 1e-12)
         for left, right in zip(marks, marks[1:]):
             assert right - left == pytest.approx(marks[1] - marks[0], rel=1e-12)
 
@@ -512,10 +528,10 @@ class TestStepLadder:
                 runs.append(solve(u0, cfg, snapshot_times=checks))
                 return runs[-1]
 
-            [(rung, *_)] = _ladder(
-                _one(run), [None], top, lambda a, b: math.inf, budget=0.0
+            [(check, *_)] = _ladder(
+                _one(run), [None], unit, top, lambda a, b: math.inf, budget=0.0
             )
-            assert rung == 1 and unit <= shortest / 2
+            assert check.rung == 1 and unit <= shortest / 2
             for coarse, fine in zip(runs, runs[1:]):
                 assert fine.steps >= coarse.steps + len(checks)
 
@@ -529,9 +545,9 @@ class TestStepLadder:
         assert not row.ok
         assert row.status.startswith("check over 1e-12*eps: step delta")
         assert "profile delta" in row.status
-        assert row.rung == 1 and row.dt == default_dt(1 / 4)
-        assert row.step_delta > 1e-12 / 4
-        assert table.profile.rung == 1 and table.profile.dt == PROFILE_DT
+        assert row.check.rung == 1 and row.check.dt == default_dt(1 / 4)
+        assert row.check.step_delta > 1e-12 / 4
+        assert table.profile.check.rung == 1 and table.profile.check.dt == PROFILE_DT
         # measured, not discarded, but kept out of the fit
         assert math.isfinite(row.sup_error) and row.sup_error > 0
         assert table.order_sup is None
@@ -541,7 +557,7 @@ class TestStepLadder:
         # cap both ladders at a step of a few ulps and never finish
         table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4], 0.45)
         row = table.rows[0]
-        assert row.ok and row.rung == 8 and table.profile.rung == LADDER_TOP
+        assert row.ok and row.check.rung == 8 and table.profile.check.rung == LADDER_TOP
         checks = table.checkpoint_times
         assert checks[-1] < 0.45
         assert _snapshot_marks(0.45, checks) == [0.0, *checks[:-1], 0.45]
@@ -566,11 +582,10 @@ class TestStepLadder:
         the drift is the period solve's in both cases."""
         table = run_convergence(modes, alpha, 1.0, [eps], t_final, checkpoints=checkpoints)
         row = table.rows[0]
-        assert row.ok and row.rung is not None and table.profile.rung is not None
-        assert row.extrapolated is extrapolated
+        assert row.ok and row.check.extrapolated is extrapolated
         checks = table.checkpoint_times
         traj = integrate_torus(
-            alpha, modes, SimParams(1.0, t_final, table.profile.dt),
+            alpha, modes, SimParams(1.0, t_final, table.profile.check.dt),
             snapshot_times=checks,
         )
         times = [t / eps for t in checks]
@@ -580,9 +595,9 @@ class TestStepLadder:
             u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, 16)
             return solve(u0, cell, snapshot_times=times)
 
-        res = kept = period_solve(row.rung)
+        res = kept = period_solve(row.check.rung)
         if extrapolated:
-            kept = _extrapolate(res, period_solve(2 * row.rung))
+            kept = _extrapolate(res, period_solve(2 * row.check.rung))
         sup_err = w_err = 0.0
         for t in checks:
             uapp = assemble_uapp(ProfileStateTorus(modes, traj.at(t), t / eps), 1.0, 16)
@@ -839,7 +854,7 @@ class TestInstability:
         sample = np.linspace(0.0, 0.1, 101)
         data = ((rec.alpha0, rec.alpha1), (rec.alpha0_tilde, rec.alpha1_tilde))
         solves = []
-        for (a0, a1), dt in zip(data, rec.solver_dts, strict=True):
+        for (a0, a1), dt in zip(data, [c.dt for c in rec.solver_checks], strict=True):
             u0 = assemble_uapp(ProfileStateTorus(pair, [a0, a1], 0.0), 1.0, cell.n)
             res = solve(u0, replace(cell, dt=dt / eps), snapshot_times=sample / eps)
             assert res.l2_values.shape == res.aliasing_fractions.shape == (101,)
@@ -858,7 +873,7 @@ class TestInstability:
         sample = np.linspace(0.0, 0.1, 101)
         zero_modes = []
         data = ((rec.alpha0, rec.alpha1), (rec.alpha0_tilde, rec.alpha1_tilde))
-        for (a0, a1), dt in zip(data, rec.solver_dts, strict=True):
+        for (a0, a1), dt in zip(data, [c.dt for c in rec.solver_checks], strict=True):
             # each datum at the physical step its ladder chose
             cfg = SolverConfig(eps, 1.0, 1, dt, n, 0.1)
             spec = np.zeros(n, dtype=complex)
@@ -904,7 +919,7 @@ class TestHealthOnRead:
         results = _record_solves(monkeypatch)
         with pytest.warns(UserWarning, match="premise"):
             rec = run_instability(1.0, 0.1, -0.5, 16, cross_check=True)
-        assert rec.solver_rungs == (8, 8) and len(results) == 3
+        assert [c.rung for c in rec.solver_checks] == [8, 8] and len(results) == 3
         assert len(_measured(results)) == 2
 
     def test_coarse_rungs_warn_nothing(self, monkeypatch):
@@ -914,7 +929,7 @@ class TestHealthOnRead:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rec = run_instability(1.0, 0.1, -2.0, 16, cross_check=True)
-        assert rec.solver_rungs == (1, 1) and len(results) == 6
+        assert [c.rung for c in rec.solver_checks] == [1, 1] and len(results) == 6
         assert len(_measured(results)) == 2
         assert caught == []
         assert rec.solver_aliasing < 1e-8

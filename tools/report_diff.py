@@ -11,17 +11,20 @@ file of NEW_TREE's `scenarios/`, or the ones named, by stem
 per scenario: the exit code, the stdout line by line, each report without
 its `runtimes` (so its `content_hash` is compared), and every side file:
 `convergence.csv` row by row without its `runtime` column, the other CSV
-files cell by cell, the rest byte for byte.  One line is printed per
-difference (per stdout line that differs, among others); two numbers that
-differ carry their relative difference |a - b| / max(|a|, |b|), and a CSV
-file of unchanged shape gets one line with the number of differing cells
-and the largest relative difference among them.  The exit status is 1 if
-anything differs, else 0.
+files cell by cell, the rest byte for byte.  CSV cells are compared by
+column name: a header that only reorders the old one's columns gets one
+line naming the moved columns, and the new file's columns are then put in
+the old order.  One line is printed per difference (per stdout line that
+differs, among others); two numbers that differ carry their relative
+difference |a - b| / max(|a|, |b|), and a CSV file of unchanged shape gets
+one line with the number of differing cells and the largest relative
+difference among them.  The exit status is 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
 
 import csv
+import difflib
 import io
 import json
 import math
@@ -157,6 +160,20 @@ def _csv_without(data: bytes, column: str) -> list[list[str]]:
     return [[c for i, c in enumerate(row) if i != drop] for row in rows]
 
 
+def in_old_order(rel: str, a: list[list[str]], b: list[list[str]]):
+    """(lines, b): when b's header only reorders a's distinct column names,
+    one line naming the columns that moved (those outside the longest run of
+    common order) and b's columns put in a's order; else no line and b."""
+    old, new = (a or [[]])[0], (b or [[]])[0]
+    if old == new or sorted(old) != sorted(new) or len(set(old)) != len(old):
+        return [], b
+    blocks = difflib.SequenceMatcher(None, old, new, autojunk=False).get_matching_blocks()
+    kept = {name for i, _, size in blocks for name in old[i:i + size]}
+    moved = [name for name in new if name not in kept]
+    order = [new.index(name) for name in old]
+    return [f"{rel}: columns moved: {', '.join(moved)}"], [[row[i] for i in order] for row in b]
+
+
 def diff_file(rel: str, old: bytes, new: bytes) -> list[str]:
     """Differences of one output file, compared as its kind asks."""
     if rel.endswith("_report.json"):
@@ -164,18 +181,23 @@ def diff_file(rel: str, old: bytes, new: bytes) -> list[str]:
         a.pop("runtimes", None)
         b.pop("runtimes", None)
         return diff_values(a, b, rel)
-    if os.path.basename(rel) == "convergence.csv":
-        a, b = _csv_without(old, "runtime"), _csv_without(new, "runtime")
-        if len(a) != len(b):
-            return [f"{rel}: {len(a)} rows != {len(b)}"]
-        return [f"{rel}: row {i}: {x} != {y}" for i, (x, y) in enumerate(zip(a, b)) if x != y]
     if old == new:
         return []
-    if rel.endswith(".csv"):
-        a, b = _csv_rows(old), _csv_rows(new)
-        if list(map(len, a)) == list(map(len, b)):
-            return diff_csv_cells(rel, a, b)
-    return [f"{rel}: files differ"]
+    if not rel.endswith(".csv"):
+        return [f"{rel}: files differ"]
+    if os.path.basename(rel) == "convergence.csv":
+        a, b = _csv_without(old, "runtime"), _csv_without(new, "runtime")
+        lines, b = in_old_order(rel, a, b)
+        if len(a) != len(b):
+            return lines + [f"{rel}: {len(a)} rows != {len(b)}"]
+        return lines + [
+            f"{rel}: row {i}: {x} != {y}" for i, (x, y) in enumerate(zip(a, b)) if x != y
+        ]
+    a, b = _csv_rows(old), _csv_rows(new)
+    lines, b = in_old_order(rel, a, b)
+    if list(map(len, a)) == list(map(len, b)):
+        return lines + diff_csv_cells(rel, a, b)
+    return lines + [f"{rel}: files differ"]
 
 
 def diff_outputs(old_root: Path, new_root: Path) -> list[str]:
