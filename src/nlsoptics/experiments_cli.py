@@ -454,6 +454,17 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode()
 
 
+def _series_bytes(header: list[str], times, values) -> bytes:
+    """A numeric side file: the header, then per time the time at %.12g and
+    its row of values at %.17g, through one %-format over the interleaved
+    cells (the text of the .12g and .17g format specs, inf, nan and -0
+    included); numbers need no CSV quoting."""
+    values = np.asarray(values, dtype=float).reshape(len(times), -1)
+    cells = tuple(np.column_stack([times, values]).ravel().tolist())
+    row = "%.12g" + ",%.17g" * values.shape[1] + "\n"
+    return (",".join(header) + "\n" + (row * len(times)) % cells).encode()
+
+
 def _npy_bytes(array: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, array)
@@ -598,24 +609,15 @@ def cmd_profiles(scn: Scenario, args) -> Outcome:
         files = {
             "fields_initial.npy": _npy_bytes(traj.fields[0]),
             "fields_final.npy": _npy_bytes(traj.fields[-1]),
-            "mass.csv": _csv_bytes(
-                ["t", "mass"],
-                [[f"{t:.12g}", f"{m:.17g}"] for t, m in zip(traj.mass_times, traj.masses)],
-            ),
+            "mass.csv": _series_bytes(["t", "mass"], traj.mass_times, traj.masses),
         }
         masses, steps, what = traj.masses, len(traj.mass_times) - 1, "euclid profiles"
         results.update(grid_n=n, length=length)
     else:
-        # one formatting pass; numbers need no CSV quoting
-        header = ",".join(
-            ["t"] + [f"{part}_j{j}" for j in range(len(modes.vectors)) for part in ("re", "im")]
-        )
-        row = "{:.12g}" + ",{:.17g}" * (2 * len(modes.vectors)) + "\n"
-        lines = (
-            row.format(t, *parts)
-            for t, parts in zip(traj.times.tolist(), traj.amps.view(float).tolist())
-        )
-        files = {"trajectory.csv": (header + "\n" + "".join(lines)).encode()}
+        header = ["t"] + [
+            f"{part}_j{j}" for j in range(len(modes.vectors)) for part in ("re", "im")
+        ]
+        files = {"trajectory.csv": _series_bytes(header, traj.times, traj.amps.view(float))}
         masses, steps, what = traj.mass_series(), len(traj.times) - 1, "modes"
         results["final_amps"] = traj.amps[-1]
     drift = _relative_drift(masses)
@@ -653,21 +655,22 @@ def _delta_label(value, eps=None) -> str:
     return f"{value:.2e}" if eps is None else f"{value / eps:.2e}*eps"
 
 
-def _check_label(check: Optional[LadderCheck], eps=None, dt_in_eps=False) -> str:
-    """A ladder check as the summary prints it: its step (in multiples of
-    eps with dt_in_eps), its rung, marked when its run is the Richardson
-    extrapolant, and its step and grid deltas (`_delta_label`); a check
-    without a grid, the profile ladder's, prints its one delta.  A failed
-    leg has no check."""
+def _check_label(check: Optional[LadderCheck], eps=None) -> str:
+    """A ladder check as the summary prints it: its step, its rung, marked
+    when its run is the Richardson extrapolant, its step and grid deltas
+    (`_delta_label`), and its health: steps, drift and top-band fraction.  A
+    check without a grid, the profile ladder's, prints its one delta and no
+    top band.  A failed leg has no check."""
     if check is None:
-        return "dt=n/a rung n/a step n/a grid n/a"
-    dt = f"{check.dt / eps:.4g}*eps" if dt_in_eps else f"{check.dt:.4g}"
+        return "dt=n/a rung n/a step n/a grid n/a steps n/a drift n/a top band n/a"
     rung = f"{check.rung}x extrapolated" if check.extrapolated else f"{check.rung}x"
     deltas = (
         f"delta {_delta_label(check.step_delta, eps)}" if check.grid_delta is None else
         f"step {_delta_label(check.step_delta, eps)} grid {_delta_label(check.grid_delta, eps)}"
     )
-    return f"dt={dt} rung {rung} {deltas}"
+    band = "" if check.aliasing is None else f" top band {_delta_label(check.aliasing)}"
+    return (f"dt={check.dt:.4g} rung {rung} {deltas} steps {check.steps} "
+            f"drift {_delta_label(check.drift)}{band}")
 
 
 def _row_cells(row: wkb_pipeline.ConvergenceRow) -> dict:
@@ -712,20 +715,14 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
         "profile": results.pop("profile_s"),
         "stages": [row.pop("stage_s") for row in results["rows"]],
     }
-    print(
-        f"profile: {_check_label(table.profile.check)} {table.profile.rk4_steps} RK4 "
-        f"steps mass drift {_delta_label(table.profile.mass_drift)}"
-    )
+    print(f"profile: {_check_label(table.profile)}")
     for r in table.rows:
         note = "" if r.ok else f"  [{r.status}]"
         print(
             f"eps={r.eps:<10.6g} n={r.grid_n:<6d} sup={r.sup_error:.4e} "
             f"w={r.w_error:.4e}{note}"
         )
-        print(
-            f"  health: {_check_label(r.check, r.eps)} {r.steps} steps "
-            f"l2 drift {_delta_label(r.l2_drift)} top band {_delta_label(r.aliasing)}"
-        )
+        print(f"  health: {_check_label(r.check, r.eps)}")
     print(
         f"fitted order: sup {table.fitted_order_label('sup')}, "
         f"w {table.fitted_order_label('w')}"
@@ -757,10 +754,7 @@ def cmd_instability(scn: Scenario, args) -> Outcome:
     total = time.perf_counter() - start
 
     times, curve = wkb_pipeline.gap_curve(record, exp["grid_points"])
-    # one %-format over the interleaved (t, gap) cells: the bytes of the
-    # per-row "{:.12g},{:.17g}" format, in about 60% of its time
-    cells = tuple(np.column_stack([times, curve]).ravel().tolist())
-    files = {"gap_curve.csv": b"t,gap\n" + (("%.12g,%.17g\n" * len(times)) % cells).encode()}
+    files = {"gap_curve.csv": _series_bytes(["t", "gap"], times, curve)}
 
     print(
         f"{record.variant}: gap {record.gap:.4f} at t*={record.t_star:.4f} "
@@ -772,15 +766,13 @@ def cmd_instability(scn: Scenario, args) -> Outcome:
             f"solver cross-check: gap {record.solver_gap:.4f} at "
             f"t*={record.solver_t_star:.4f}, deviation "
             f"{record.solver_formula_deviation:.3e} "
-            f"({record.solver_formula_deviation / record.eps:.2f} eps); "
-            f"{record.solver_steps} steps on {record.solver_grid_n} points, "
-            f"L2 drift {record.solver_l2_drift:.1e}, "
-            f"top-band fraction {record.solver_aliasing:.1e}"
+            f"({record.solver_formula_deviation / record.eps:.2f} eps) "
+            f"on {record.solver_grid_n} points"
         )
         for i, check in enumerate(record.solver_checks, 1):
             over = check.over(LADDER_FRACTION * record.eps)
             note = f"  [over {LADDER_FRACTION:g}*eps: {', '.join(over)}]" if over else ""
-            print(f"  datum {i}: {_check_label(check, record.eps, dt_in_eps=True)}{note}")
+            print(f"  datum {i}: {_check_label(check, record.eps)}{note}")
     return {"record": record}, {"total": total}, files, 0
 
 
@@ -789,7 +781,10 @@ def cmd_smalldiv(scn: Scenario, args) -> Outcome:
     modes, _ = _closed_modes(scn)
     start = time.perf_counter()
     survey = survey_divisors(modes)
-    fit = fit_generalized_bound(modes, b_grid=exp["b_grid"])
+    try:
+        fit = fit_generalized_bound(modes, b_grid=exp["b_grid"])
+    except OverflowError as exc:
+        raise ScenarioError(f"experiment.b_grid: {exc}") from None
     total = time.perf_counter() - start
 
     csv_bytes = _csv_bytes(

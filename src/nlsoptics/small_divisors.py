@@ -94,10 +94,11 @@ def fit_generalized_bound(
     |delta| * prod_p <kappa_p>^b, for each b in b_grid, sigma = modes.sigma.
 
     Since <kappa> >= 1, c(b) is nondecreasing in b.  Returns (b, c) pairs;
-    c is None when the non-resonant set is empty.  Each defect block of
-    _defect_blocks updates a running minimum per b; a tuple's log weight,
-    the sum of log <kappa_p> = log(1 + |kappa_p|^2) / 2 over its slots, is
-    added slot by slot.
+    c is None when the non-resonant set is empty, and a non-empty set whose
+    c(b) overflows a float raises OverflowError naming b.  Each defect
+    block of _defect_blocks updates a running minimum per b; a tuple's log
+    weight, the sum of log <kappa_p> = log(1 + |kappa_p|^2) / 2 over its
+    slots, is added slot by slot.
     """
     sigma = modes.sigma
     for b in b_grid:
@@ -117,6 +118,9 @@ def fit_generalized_bound(
         delta, logw = absd[mask].astype(float), logw[mask]
         for i, b in enumerate(b_grid):
             best[i] = min(best[i], float(np.min(delta * np.exp(b * logw))))
+    for b, c in zip(b_grid, best):
+        if nonres and not math.isfinite(c):
+            raise OverflowError(f"c(b) overflows a float at b={b:g}")
     return [(float(b), c if nonres else None) for b, c in zip(b_grid, best)]
 
 

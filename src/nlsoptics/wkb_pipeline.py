@@ -96,7 +96,8 @@ def assemble_uapp(
 
 @dataclass(frozen=True)
 class LadderCheck:
-    """The step-and-grid check of one run chosen on the step ladder.
+    """The step-and-grid check of one run chosen on the step ladder, and
+    the health of the runs behind it.
 
     rung is the ladder rung, dt = rung times the ladder's unit step (a bound
     on the run's steps: the split-step rungs are nested, see
@@ -107,6 +108,15 @@ class LadderCheck:
     extrapolated; inf when a run of the pair blew up), grid_delta the
     grid-doubling delta of the rung's coarse solve against its doubled-cell
     twin, None for the profile ladder, which has no grid.
+
+    The health: steps counts the split or RK4 steps of every run the datum
+    took part in (each rung walked and the grid check; in a stacked solve,
+    the datum's own), drift is the relative drift of the kept run's
+    conserved quantity, the L2 norm of the rung's Strang solve (an
+    extrapolant is not a solve) or the mass sum_j |a_j|^2 of the profile
+    system, and aliasing the worst top-band fraction of the rung's solve,
+    None for the profile.  Every field is deterministic and goes inside the
+    report hash.
     """
 
     rung: int
@@ -114,6 +124,9 @@ class LadderCheck:
     extrapolated: bool
     step_delta: float
     grid_delta: Optional[float] = None
+    steps: int = 0
+    drift: Optional[float] = None
+    aliasing: Optional[float] = None
 
     def over(self, budget: float) -> dict[str, float]:
         """The deltas not within budget by name ('step', 'grid'), in that
@@ -135,11 +148,9 @@ class ConvergenceRow:
 
     The fields, in order, are the columns of `convergence.csv` (all but
     stage_s, with the fields of check in its place) and the keys of a report
-    row (all but the timings).  Health (inside the report hash): the leg's
-    `LadderCheck`, split steps over all of the leg's solves, and the L2
-    drift and worst top-band fraction of the rung's solve (the extrapolant
-    is not a solve).  runtime and stage_s (seconds in the checks, the rung's
-    solve, and assembly plus norms) are timings.
+    row (all but the timings).  check is the leg's `LadderCheck`, health
+    included.  runtime and stage_s (seconds in the checks and their health
+    reads, the rung's solve, and assembly plus norms) are timings.
     """
 
     eps: float
@@ -147,9 +158,6 @@ class ConvergenceRow:
     sup_error: float
     w_error: float
     check: Optional[LadderCheck] = None
-    steps: int = 0
-    l2_drift: Optional[float] = None
-    aliasing: Optional[float] = None
     runtime: float
     status: str = "ok"
     stage_s: dict = field(default_factory=dict)
@@ -159,29 +167,18 @@ class ConvergenceRow:
         return self.status == "ok"
 
 
-@dataclass(frozen=True)
-class ProfileLadder:
-    """The sweep's shared profile integration: its `LadderCheck` (no grid,
-    never extrapolated), RK4 steps over all of its integrations, and the
-    relative drift of the mass sum_j |a_j|^2 (conserved by the profile
-    system) over the kept integration's steps."""
-
-    check: LadderCheck
-    rk4_steps: int
-    mass_drift: float
-
-
 @dataclass
 class ConvergenceTable:
-    """The sweep's rows and fits, plus the shared profile integration and
-    the seconds it took."""
+    """The sweep's rows and fits, plus the `LadderCheck` of the shared
+    profile integration (no grid, never extrapolated, no aliasing) and the
+    seconds it took."""
 
     rows: list[ConvergenceRow]
     checkpoint_times: tuple[float, ...]
     order_sup: Optional[float]
     order_w: Optional[float]
     at_floor: bool
-    profile: ProfileLadder
+    profile: LadderCheck
     profile_s: float = 0.0
 
     def fitted_order_label(self, which: str = "sup") -> str:
@@ -360,42 +357,47 @@ def _checked_solve(
     the solve calls of two walks.  A delta over budget is recorded in the
     check, not raised.
 
-    Returns (checked, steps, spent): one (check, kept, fine) per datum, its
-    `LadderCheck`, E_r when extrapolated else the fine solve at rung r, and
-    that solve; split steps over every datum of every solve; and the
-    seconds of each solve by (rung, cell points).  A failing solve raises;
-    a converge row records it, with no check.
+    Returns (checked, spent): one (check, kept) per datum, its `LadderCheck`
+    with its health and E_r when extrapolated else the solve at rung r; and
+    the seconds of each solve by (rung, cell points).  A failing solve
+    raises; a converge row records it, with no check.
     """
     cell_times = [t / eps for t in times]
     unit, top = _ladder_top(default_dt(eps), shortest)
     per = math.ceil(shortest / (2 * top * unit) - 1e-9) * 2 * top  # steps at rung 1
-    steps = 0
+    steps = [0] * len(states)
     spent = {}
 
     def run(r: int, some: list, m: int = cell.n) -> list:
-        nonlocal steps
+        # the ladder's data are indices into states: each datum counts its steps
         t0 = time.perf_counter()
         cfg = replace(cell, dt=shortest / (per // r) / eps, n=m)
-        u0 = [assemble_uapp(state, 1.0, m) for state in some]
+        u0 = [assemble_uapp(states[i], 1.0, m) for i in some]
         if len(u0) == 1:
             res = [solve(u0[0], cfg, snapshot_times=cell_times)]
         else:
             stack = GridField(u0[0].d, m, np.stack([u.values for u in u0]))
             res = solve(stack, cfg, snapshot_times=cell_times)
         spent[r, m] = time.perf_counter() - t0
-        steps += sum(one.steps for one in res)
+        for i, one in zip(some, res):
+            steps[i] += one.steps
         return res
 
-    walks = _ladder(run, states, unit, top, delta, LADDER_FRACTION * eps, _extrapolate)
+    walks = _ladder(
+        run, range(len(states)), unit, top, delta, LADDER_FRACTION * eps, _extrapolate
+    )
     by_rung = {}
     for i, (check, *_) in enumerate(walks):
         by_rung.setdefault(check.rung, []).append(i)
     checked = [None] * len(states)
     for rung, which in by_rung.items():
-        for i, twin in zip(which, run(2 * rung, [states[i] for i in which], 2 * cell.n)):
+        for i, twin in zip(which, run(2 * rung, which, 2 * cell.n)):
             check, kept, fine, coarse = walks[i]
-            checked[i] = (replace(check, grid_delta=delta(coarse, twin)), kept, fine)
-    return checked, steps, spent
+            checked[i] = (replace(
+                check, grid_delta=delta(coarse, twin), steps=steps[i],
+                drift=fine.l2_relative_drift, aliasing=float(np.max(fine.aliasing_fractions)),
+            ), kept)
+    return checked, spent
 
 
 def run_convergence(
@@ -422,12 +424,13 @@ def run_convergence(
     Each leg's step and grid are checked by `_checked_solve` on the sup over
     checkpoints of the pointwise gap of two solves (`_field_delta`); a leg's
     errors come from the kept run, the rung's solve or its extrapolant, and
-    its L2 drift and aliasing from the rung's solve.  The profile system's
-    step is chosen by `_ladder` from PROFILE_DT, from at most rung
-    LADDER_TOP and on plain pairs only (RK4 is not symmetric), against
-    LADDER_FRACTION*min(eps), on the largest summed amplitude gap
-    sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
-    difference and bounds its sup.  A row one of whose checks, its own or
+    its check's health from the rung's solve.  The profile system's step is
+    chosen by `_ladder` from PROFILE_DT, from at most rung LADDER_TOP and on
+    plain pairs only (RK4 is not symmetric), against LADDER_FRACTION*min(eps),
+    on the largest summed amplitude gap sum_j |delta a_j| over checkpoints,
+    which is the W norm of the assembled difference and bounds its sup; its
+    check counts the RK4 steps of every integration and the mass drift of
+    the kept one.  A row one of whose checks, its own or
     the profile's, is over LADDER_FRACTION*eps (`LadderCheck.over`) is
     marked failed.  A leg whose solve fails (non-finite values) is recorded
     with its failure note instead of aborting the sweep.  A profile rung
@@ -471,14 +474,14 @@ def run_convergence(
         lambda r, _: [integrate(r * unit)], [alpha], unit, top,
         lambda a, b: _amp_delta(a, b, checks), LADDER_FRACTION * min(eps_list),
     )
-    profile = ProfileLadder(check, profile_steps, _relative_drift(traj.mass_series()))
+    profile = replace(check, steps=profile_steps, drift=_relative_drift(traj.mass_series()))
     profile_s = time.perf_counter() - start
 
     def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:
         grid_n = cell.n * _check_eps(eps)
         start = time.perf_counter()
         try:
-            [(check, res, fine)], steps, spent = _checked_solve(
+            [(check, res)], spent = _checked_solve(
                 [ProfileStateTorus(modes, alpha, 0.0)], cell, eps, checks, shortest,
                 _field_delta,
             )
@@ -493,15 +496,14 @@ def run_convergence(
                 w_err = max(w_err, w_norm_of_field(diff))
             budget = LADDER_FRACTION * eps
             over = check.over(budget)
-            over.update(("profile", gap) for gap in profile.check.over(budget).values())
+            over.update(("profile", gap) for gap in profile.over(budget).values())
             note = ", ".join(f"{name} delta {gap / eps:.3g}*eps" for name, gap in over.items())
             return ConvergenceRow(
                 eps=eps, grid_n=grid_n, sup_error=sup_err, w_error=w_err,
                 status=f"check over {LADDER_FRACTION:g}*eps: {note}" if over else "ok",
-                check=check, steps=steps, l2_drift=fine.l2_relative_drift,
-                aliasing=float(np.max(fine.aliasing_fractions)),
+                check=check,
                 stage_s={
-                    "checks": sum(spent.values()) - solve_s,
+                    "checks": t0 - start - solve_s,
                     "solve": solve_s,
                     "assembly_norms": time.perf_counter() - t0,
                 },
@@ -579,11 +581,9 @@ class InstabilityRecord:
     For the weak-limit variant the tilde datum is the formal limit profile
     and alpha1_tilde is None.  solver_gap is the same quantity measured from
     two spectral solves via the zero Fourier mode (None unless cross-checked).
-    The solver_* fields after it record the solves' health: points of the
-    period grid, split steps over every solve of the cross-check, the worst
-    relative L2 drift and top-band aliasing fraction over every sample of
-    the two solves at the data's rungs, and one `LadderCheck` per datum
-    (base, perturbed) on its zero-mode curve (None unless cross-checked).
+    The solver_* fields after it record the points of the period grid and
+    one `LadderCheck` per datum (base, perturbed) on its zero-mode curve,
+    with its solves' health (None unless cross-checked).
     """
 
     variant: str
@@ -608,9 +608,6 @@ class InstabilityRecord:
     solver_t_star: Optional[float] = None
     solver_formula_deviation: Optional[float] = None
     solver_grid_n: Optional[int] = None
-    solver_steps: Optional[int] = None
-    solver_l2_drift: Optional[float] = None
-    solver_aliasing: Optional[float] = None
     solver_checks: Optional[tuple[LadderCheck, ...]] = None
 
 
@@ -719,8 +716,8 @@ def run_instability(
     data are checked together by one `_checked_solve`, from the top the
     sample segment delta/100 allows, on the largest zero-mode gap over the
     samples (`_zero_mode_delta`).  The solver gap is read from each datum's
-    kept run, its solve or its extrapolant, and the L2 drift and aliasing
-    from its solves.  Raises OverflowError before any solve when the data
+    kept run, its solve or its extrapolant, and its check's health from its
+    solves.  Raises OverflowError before any solve when the data
     overflow when squared, so that the solves' health would not be finite,
     and FloatingPointError when the rounding floor of the zero-mode read,
     n ulps of alpha0~ + alpha1~, exceeds the step budget
@@ -787,8 +784,7 @@ def run_instability(
         t_star = delta
         gap = float(_gaps(alpha0, alpha0_t, omega, np.array([delta]))[0])
 
-    eps = solver_gap = solver_t_star = solver_dev = None
-    solver_n = solver_steps = solver_l2_drift = solver_aliasing = solver_checks = None
+    eps = solver_gap = solver_t_star = solver_dev = solver_n = solver_checks = None
     if cross_check:
         if variant == "weak_limit":
             raise ValueError(
@@ -815,23 +811,20 @@ def run_instability(
                 f"zero mode: rounding on {cell.n} points reads it to {floor:.3g}, "
                 f"over the step budget {LADDER_FRACTION:g}*eps = {LADDER_FRACTION * eps:.3g}"
             )
-        checked, solver_steps, _ = _checked_solve(
+        checked, _ = _checked_solve(
             [ProfileStateTorus(pair, [a0, a1], 0.0)
              for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t))],
             cell, eps, sample, delta / 100, _zero_mode_delta,
         )
         # one row per sample: the samples are the solves' marks
-        zero_modes = [_zero_modes(kept) for _, kept, _ in checked]
+        zero_modes = [_zero_modes(kept) for _, kept in checked]
         diffs = np.abs(zero_modes[0] - zero_modes[1])
         k = int(np.argmax(diffs))
         solver_gap = float(diffs[k])
         solver_t_star = float(sample[k])
         solver_dev = abs(solver_gap - gap)
         solver_n = cell.n
-        fines = [fine for *_, fine in checked]
-        solver_l2_drift = max(r.l2_relative_drift for r in fines)
-        solver_aliasing = max(float(np.max(r.aliasing_fractions)) for r in fines)
-        solver_checks = tuple(check for check, *_ in checked)
+        solver_checks = tuple(check for check, _ in checked)
 
     return InstabilityRecord(
         variant=variant,
@@ -856,8 +849,5 @@ def run_instability(
         solver_t_star=solver_t_star,
         solver_formula_deviation=solver_dev,
         solver_grid_n=solver_n,
-        solver_steps=solver_steps,
-        solver_l2_drift=solver_l2_drift,
-        solver_aliasing=solver_aliasing,
         solver_checks=solver_checks,
     )

@@ -214,6 +214,41 @@ class TestProfilesCommand:
         assert fields.shape == (2, 256)
         assert (tmp_path / "out" / "mass.csv").exists()
 
+    @pytest.mark.parametrize("domain", ["torus", "euclid"])
+    def test_profile_side_file_bytes_are_the_per_row_format(self, tmp_path, monkeypatch,
+                                                           domain):
+        # trajectory.csv and mass.csv go through the same %-format as
+        # gap_curve.csv: the bytes of "{:.12g}" and ",{:.17g}" per cell
+        euclid = domain == "euclid"
+        trajs = record_calls(monkeypatch, f"integrate_{domain}")
+        experiment = {"type": "profiles", "t_final": 0.05, "dt": 1e-3}
+        if euclid:
+            doc = torus_doc(
+                domain={"type": "euclid", "length": 40.0, "grid_n": 64},
+                initial_modes=[{"kappa": [k], "preset": {
+                    "type": "gaussian", "center": c, "width": 1.5, "amplitude": [0.9, -0.3],
+                }} for k, c in ((-1, 17.0), (1, 23.0))],
+                experiment=experiment,
+            )
+        else:
+            doc = torus_doc(experiment=experiment)
+        scn = write_scenario(tmp_path, doc)
+        assert run(["profiles", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        (traj,) = trajs
+        if euclid:
+            name, header = "mass.csv", "t,mass"
+            rows = [[t, m] for t, m in zip(traj.mass_times.tolist(), traj.masses.tolist())]
+        else:
+            name, header = "trajectory.csv", "t,re_j0,im_j0,re_j1,im_j1"
+            rows = [[t, *parts] for t, parts in
+                    zip(traj.times.tolist(), traj.amps.view(float).tolist())]
+        text = "".join(
+            f"{row[0]:.12g}" + "".join(f",{x:.17g}" for x in row[1:]) + "\n" for row in rows
+        )
+        written = (tmp_path / "out" / name).read_bytes()
+        assert written == (header + "\n" + text).encode()
+        assert written.count(b"\n") == len(rows) + 1 > 2
+
     def test_blow_up_is_a_failed_run(self, tmp_path, capsys):
         # valid key by key, but the RK4 step is too long for these amplitudes
         doc = torus_doc(
@@ -268,7 +303,7 @@ class TestConvergeCommand:
         assert rc == 0
         assert tripped and tripped[0] == pytest.approx(0.032)
         res = load_report(tmp_path, "converge_report.json")["results"]
-        assert res["profile"]["check"]["rung"] == 1
+        assert res["profile"]["rung"] == 1
         assert [r["check"]["rung"] for r in res["rows"]] == [1, 1]
         assert all(r["status"].startswith("check over 0.01*eps") for r in res["rows"])
 
@@ -303,30 +338,36 @@ class TestConvergeCommand:
         res = rep["results"]
         for r in res["rows"]:
             check = r["check"]
-            assert r["status"] == "ok" and check["rung"] >= 1 and r["steps"] > 0
+            assert r["status"] == "ok" and check["rung"] >= 1 and check["steps"] > 0
             assert 0 <= check["step_delta"] <= 1e-2 * r["eps"]
             assert 0 <= check["grid_delta"] <= 1e-2 * r["eps"]
-            assert r["l2_drift"] < 1e-12 and r["aliasing"] < 1e-8
+            assert check["drift"] < 1e-12 and check["aliasing"] < 1e-8
         profile = res["profile"]
-        check = profile["check"]
-        assert check["rung"] >= 1 and profile["rk4_steps"] > 0
-        assert check["dt"] == check["rung"] * 1e-3
-        # the profile ladder has no grid and is never extrapolated
-        assert check["grid_delta"] is None and check["extrapolated"] is False
+        assert profile["rung"] >= 1 and profile["steps"] > 0
+        assert profile["dt"] == profile["rung"] * 1e-3
+        # the profile ladder has no grid, is never extrapolated and has no top band
+        assert profile["grid_delta"] is None and profile["extrapolated"] is False
+        assert profile["aliasing"] is None
         assert set(rep["runtimes"]) == {"total", "rows", "profile", "stages"}
         assert set(rep["runtimes"]["stages"][0]) == {"checks", "solve", "assembly_norms"}
         header = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[0]
         assert header == (
             "eps,grid_n,sup_error,w_error,rung,dt,extrapolated,step_delta,grid_delta,"
-            "steps,l2_drift,aliasing,runtime,status"
+            "steps,drift,aliasing,runtime,status"
         )
         out = capsys.readouterr().out
         assert out.count("  health: ") == 2 and out.startswith("profile: ")
         # the profile system conserves sum |a_j|^2: its drift is RK4's error
-        assert 0 <= profile["mass_drift"] < 1e-6
+        assert 0 <= profile["drift"] < 1e-6
         assert out.splitlines()[0].endswith(
-            f"RK4 steps mass drift {profile['mass_drift']:.2e}"
+            f"steps {profile['steps']} drift {profile['drift']:.2e}"
         )
+        # every check prints its health: a row's top band too
+        health = [line for line in out.splitlines() if line.startswith("  health: ")]
+        for line, r in zip(health, res["rows"]):
+            check = r["check"]
+            assert line.endswith(f"steps {check['steps']} drift {check['drift']:.2e} "
+                                 f"top band {check['aliasing']:.2e}")
 
     def test_csv_columns_and_report_rows_are_the_row_fields(self, tmp_path):
         # ConvergenceRow alone says what a leg reports: the CSV has every
@@ -375,7 +416,8 @@ class TestConvergeCommand:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("  health: ")
         ]
-        assert "dt=n/a rung n/a step n/a grid n/a 0 steps" in health[1]
+        assert health[1].endswith(
+            "dt=n/a rung n/a step n/a grid n/a steps n/a drift n/a top band n/a")
         assert "n/a" not in health[0]
         rows = load_report(tmp_path, "converge_report.json")["results"]["rows"]
         assert rows[1]["status"] == "FloatingPointError: overflow in the split step"
@@ -383,7 +425,7 @@ class TestConvergeCommand:
         # a failed leg's check cells are empty, dt among them
         header, cells = read_csv_rows(tmp_path / "out" / "convergence.csv")
         columns = header.split(",")
-        for name in ("rung", "dt", "extrapolated", "step_delta", "grid_delta"):
+        for name in (f.name for f in dataclasses.fields(LadderCheck)):
             assert cells[1][columns.index(name)] == ""
             assert cells[0][columns.index(name)] != ""
 
@@ -523,7 +565,7 @@ class TestInstabilityCommand:
         assert (max(c["grid_delta"] for c in checks) > budget) == (over == "grid")
         if over == "grid":
             # as measured when the case was added: E at rung 2 for both data
-            assert record["solver_steps"] == 3800
+            assert [c["steps"] for c in checks] == [1900, 1900]
             assert [c["step_delta"] / eps for c in checks] == pytest.approx(
                 [7.254e-3, 7.766e-3], rel=1e-3
             )
@@ -534,9 +576,11 @@ class TestInstabilityCommand:
         for i, c in enumerate(checks):
             line = next(x for x in out if x.startswith(f"  datum {i + 1}: "))
             rung = f"{c['rung']}x extrapolated" if extrapolated else f"{c['rung']}x"
-            assert f"dt={c['dt'] / eps:.4g}*eps rung {rung} " in line
+            assert f"dt={c['dt']:.4g} rung {rung} " in line
             assert f"step {c['step_delta'] / eps:.2e}*eps" in line
             assert f"grid {c['grid_delta'] / eps:.2e}*eps" in line
+            assert (f"steps {c['steps']} drift {c['drift']:.2e} "
+                    f"top band {c['aliasing']:.2e}") in line
             if over:
                 assert line.endswith(f"[over 0.01*eps: {over}]")
             else:
@@ -745,6 +789,10 @@ class TestErrorPaths:
             ({"experiment": {"type": "smalldiv", "probe": {
                 "generators": [["1/999999937"], ["1/999999929"]], "beta_bound": 64}}},
              "experiment.probe.generators"),
+            # in bounds key by key, but c(100) of {60, 61} overflows a float
+            ({"initial_modes": [{"kappa": [k], "amplitude": [0.5, 0.0]} for k in (60, 61)],
+              "experiment": {"type": "smalldiv", "b_grid": [0, 1, 100]}},
+             "experiment.b_grid: c(b) overflows a float at b=100"),
             # the two-mode closed form on a set that closes to three modes
             ({"initial_modes": [{"kappa": [k], "amplitude": [0.5, 0.0]} for k in (-1, 0, 1)],
               "experiment": {"type": "profiles", "t_final": 0.1,
@@ -757,7 +805,7 @@ class TestErrorPaths:
              "misspelt-key", "extra-top-level-key", "budget-negative", "rho-negative",
              "s-positive", "variant-bogus", "weak_limit-without-theta", "lambda-inf",
              "t_final-1e308", "amplitude-1e308", "beta_bound-string", "delta-overflow",
-             "generators-overflow", "two-mode-oracle-on-three-modes"],
+             "generators-overflow", "b_grid-overflow", "two-mode-oracle-on-three-modes"],
     )
     def test_malformed_experiment_number_is_a_scenario_error(
         self, tmp_path, capsys, changes, path
@@ -874,8 +922,22 @@ class TestShippedScenarios:
             assert r["status"] == "ok" and r["check"]["rung"] is not None
             assert r["check"]["step_delta"] <= 1e-2 * r["eps"]
             assert r["check"]["grid_delta"] <= 1e-2 * r["eps"]
-        assert res["profile"]["check"]["rung"] is not None
+        assert res["profile"]["rung"] is not None
         assert res["at_floor"] is True
+
+    def test_instability_crosscheck_counts_each_datums_steps(self, tmp_path, capsys):
+        # the shipped K=32 cross-check: both data take the extrapolant of
+        # rung 16, walked together in stacked solves; each datum's check
+        # counts the split steps of its own solves
+        scn = str(SCENARIOS / "instability_crosscheck.json")
+        with pytest.warns(UserWarning, match="premise"):
+            assert run(["instability", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        record = load_report(tmp_path, "instability_report.json")["results"]["record"]
+        checks = record["solver_checks"]
+        assert [(c["rung"], c["extrapolated"]) for c in checks] == [(16, True)] * 2
+        assert [c["steps"] for c in checks] == [1800, 1800]
+        datum = [x for x in capsys.readouterr().out.splitlines() if x.startswith("  datum ")]
+        assert len(datum) == 2 and all(" steps 1800 drift " in x for x in datum)
 
     # the defaults a run uses when its document leaves the key out
     DEFAULTS = {

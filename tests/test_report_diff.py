@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -118,3 +120,44 @@ def test_csv_cells_are_compared_by_column_name():
     assert tool.diff_file("b/gap_curve.csv", b"t,gap\n0,1\n", b"t,gap,x\n0,1,2\n") == [
         "b/gap_curve.csv: files differ"
     ]
+
+
+def test_key_map_moves_old_keys_and_compares_every_value(tmp_path, capsys):
+    tool = load_tool()
+    key_map = tmp_path / "map.json"
+    key_map.write_text(json.dumps({
+        "results.rows[].l2_drift": "results.rows[].check.drift",
+        "results.profile.check.rung": "results.profile.rung",
+        "results.profile.rk4_steps": "results.profile.steps",
+    }))
+    pairs = tool.load_key_map(key_map)
+    old = {"content_hash": "ab", "runtimes": {"total": 0.1}, "results": {
+        "rows": [{"l2_drift": 1e-15, "check": {"rung": 8}}, {"l2_drift": None, "check": None}],
+        "profile": {"check": {"rung": 16}, "rk4_steps": 99},
+    }}
+    new = {"content_hash": "cd", "results": {
+        "rows": [{"check": {"rung": 8, "drift": 1e-15}}, {"check": None}],
+        "profile": {"rung": 16, "steps": 99},
+    }}
+    rel = "a/converge_report.json"
+    # the emptied profile.check is dropped; a failed row's null check takes
+    # no key, so its old one stays in view; the hashes are not compared
+    assert tool.diff_file(rel, json.dumps(old).encode(), json.dumps(new).encode(), pairs) == [
+        f"{rel}.results.rows[1].l2_drift: only in old"
+    ]
+    new["results"]["rows"][0]["check"]["drift"] = 2e-15
+    assert tool.diff_file(rel, json.dumps(old).encode(), json.dumps(new).encode(), pairs)[0] == (
+        f"{rel}.results.rows[0].check.drift: 1e-15 != 2e-15 (relative 0.5)"
+    )
+    # without a map, the hash is compared and nothing moves
+    assert f"{rel}.content_hash: 'ab' != 'cd'" in tool.diff_file(
+        rel, json.dumps(old).encode(), json.dumps(new).encode()
+    )
+    # a [] off the common prefix names no element to move to
+    key_map.write_text(json.dumps({"results.rows[].x": "results.other[].x"}))
+    with pytest.raises(SystemExit, match="common prefix"):
+        tool.load_key_map(key_map)
+    key_map.write_text("{}")
+    assert tool.main(["--key-map", str(key_map), str(ROOT), str(ROOT),
+                      "closure_two_mode_quintic"]) == 0
+    assert capsys.readouterr().err == "1 scenarios, 0 differences\n"

@@ -109,6 +109,16 @@ class TestGeneralizedFit:
         out = fit_generalized_bound(modeset([(3,)]), b_grid=(0.0, 1.0))
         assert out == [(0.0, None), (1.0, None)]
 
+    def test_overflowing_bound_raises_naming_b(self):
+        # c(100) of {60, 61} is 2 * 3661^100, past the largest float; None
+        # would read as an empty non-resonant set
+        modes = modeset([(60,), (61,)])
+        assert fit_generalized_bound(modes, b_grid=(0.0, 1.0)) == [
+            (0.0, 2.0), (1.0, pytest.approx(439381.03, rel=1e-8))
+        ]
+        with pytest.raises(OverflowError, match=r"at b=100$"):
+            fit_generalized_bound(modes, b_grid=(0.0, 1.0, 100.0))
+
     def test_negative_b_rejected(self):
         with pytest.raises(ValueError):
             fit_generalized_bound(modeset([(0,), (1,)]), b_grid=(-1.0,))

@@ -65,7 +65,7 @@ def test_traced_crosscheck_counts():
     solves = [s for s in tracer.spans if s.name == "spectral_nls.solve"]
     assert len(solves) == 3
     assert [c.rung for c in rec.solver_checks] == [8, 8]
-    assert 2 * sum(s.counts["steps"] for s in solves) == rec.solver_steps == 1600
+    assert [c.steps for c in rec.solver_checks] == [sum(s.counts["steps"] for s in solves)] * 2
     # both plain pairs are within budget, so neither datum is extrapolated
     # and the record's values are the ones the ladder made before
     # extrapolation existed
@@ -73,7 +73,8 @@ def test_traced_crosscheck_counts():
 
 
 # The K=16 cross-check's record as the plain Strang ladder made it, every
-# value bit for bit; each datum's check is a LadderCheck's fields.
+# value bit for bit; each datum's check is a LadderCheck's fields, health
+# included.
 K16_CROSSCHECK = {
     "variant": "perturb_high", "rho": 1.0, "delta": 0.1, "s": -0.5, "K": 16,
     "sigma": 1, "lam": 1.0, "alpha0": 0.5, "alpha1": 2.0, "alpha0_tilde": 0.5,
@@ -81,13 +82,13 @@ K16_CROSSCHECK = {
     "theta_user": None, "t_star": 0.1, "gap": 0.8414709848078965,
     "hs_condition_ok": False, "eps": 0.00390625, "solver_gap": 0.8255205841273745,
     "solver_t_star": 0.1, "solver_formula_deviation": 0.015950400680522003,
-    "solver_grid_n": 16, "solver_steps": 1600,
-    "solver_l2_drift": 3.9423224289881195e-15,
-    "solver_aliasing": 3.0690876252372924e-29,
+    "solver_grid_n": 16,
     "solver_checks": (
         {"rung": 8, "dt": 0.0003125, "extrapolated": False,
-         "step_delta": 3.3889913375368854e-06, "grid_delta": 7.785228687832109e-15},
+         "step_delta": 3.3889913375368854e-06, "grid_delta": 7.785228687832109e-15,
+         "steps": 800, "drift": 2.7500196702755342e-15, "aliasing": 7.105548594821587e-31},
         {"rung": 8, "dt": 0.0003125, "extrapolated": False,
-         "step_delta": 3.673677061529359e-05, "grid_delta": 2.6151305701706514e-14},
+         "step_delta": 3.673677061529359e-05, "grid_delta": 2.6151305701706514e-14,
+         "steps": 800, "drift": 3.9423224289881195e-15, "aliasing": 3.0690876252372924e-29},
     ),
 }

@@ -34,7 +34,6 @@ from nlsoptics.wkb_pipeline import (
     ConvergenceRow,
     ConvergenceTable,
     LadderCheck,
-    ProfileLadder,
     _cell_config,
     _extrapolate,
     _field_delta,
@@ -49,9 +48,9 @@ from nlsoptics.wkb_pipeline import (
 )
 
 
-def _crosscheck_steps(rec) -> int:
-    """Split steps of a cross-check, recounted from the record's rungs: per
-    datum, one solve per rung from the top rung's coarse partner down to the
+def _crosscheck_steps(rec) -> list:
+    """Split steps of each cross-check datum, recounted from the record's
+    rungs: one solve per rung from the top rung's coarse partner down to the
     chosen rung, and the grid solve at twice the chosen step, each over 100
     sample segments of delta/100, where rung r takes per/r steps."""
     seg = rec.delta / 100
@@ -60,14 +59,13 @@ def _crosscheck_steps(rec) -> int:
     while 4 * top * unit <= seg:
         top *= 2
     per = math.ceil(seg / (2 * top * unit) - 1e-9) * 2 * top
-    total = 0
+    counts = []
     for check in rec.solver_checks:
         rung = check.rung
         assert check.dt == rung * unit
         walked = [2 * top] + [top >> i for i in range(12) if rung <= top >> i]
-        for r in walked + [2 * rung]:
-            total += 100 * (per // r)
-    return total
+        counts.append(sum(100 * (per // r) for r in walked + [2 * rung]))
+    return counts
 
 
 def wv(*coords):
@@ -223,7 +221,7 @@ class TestConvergence:
         checks = table.checkpoint_times
         traj = integrate_torus(
             alpha, modes,
-            SimParams(lam=1.0, t_final=t_final, dt=table.profile.check.dt),
+            SimParams(lam=1.0, t_final=t_final, dt=table.profile.dt),
             snapshot_times=checks,
         )
         for eps, row in zip(eps_list, table.rows):
@@ -269,7 +267,7 @@ class TestConvergence:
     def test_label_formatting(self):
         table = ConvergenceTable(
             rows=[], checkpoint_times=(), order_sup=0.9126, order_w=None,
-            at_floor=False, profile=ProfileLadder(LadderCheck(1, PROFILE_DT, False, 0.0), 0, 0.0),
+            at_floor=False, profile=LadderCheck(1, PROFILE_DT, False, 0.0),
         )
         assert table.fitted_order_label("sup") == "0.913"
         assert table.fitted_order_label("w") == "n/a"
@@ -438,8 +436,8 @@ class TestStepLadder:
         assert _field_delta(e16, e32) > LADDER_FRACTION * eps
         # 9 segments, solved at rungs 64, 32, 16 and 8, plus the 32-point
         # grid at rung 16
-        assert row.steps == 9 * (2 + 4 + 8 + 16 + 8)
-        profile = table.profile.check
+        assert check.steps == 9 * (2 + 4 + 8 + 16 + 8)
+        profile = table.profile
         assert profile.rung == LADDER_TOP and profile.dt == LADDER_TOP * PROFILE_DT
         assert profile.extrapolated is False and profile.grid_delta is None
         assert 0 < profile.step_delta <= LADDER_FRACTION * eps
@@ -478,7 +476,7 @@ class TestStepLadder:
         ladder = [c for _, c in ladder]
         assert all(fine == 2 * coarse for coarse, fine in zip(ladder, ladder[1:]))
         assert grid_count == ladder[-2]
-        assert sum(c for _, c in counts) * (len(marks) - 1) == row.steps
+        assert sum(c for _, c in counts) * (len(marks) - 1) == row.check.steps
         kept_step = (marks[1] - marks[0]) / ladder[-1]
         assert kept_step <= row.check.dt * (1 + 1e-12)
         for left, right in zip(marks, marks[1:]):
@@ -547,7 +545,7 @@ class TestStepLadder:
         assert "profile delta" in row.status
         assert row.check.rung == 1 and row.check.dt == default_dt(1 / 4)
         assert row.check.step_delta > 1e-12 / 4
-        assert table.profile.check.rung == 1 and table.profile.check.dt == PROFILE_DT
+        assert table.profile.rung == 1 and table.profile.dt == PROFILE_DT
         # measured, not discarded, but kept out of the fit
         assert math.isfinite(row.sup_error) and row.sup_error > 0
         assert table.order_sup is None
@@ -557,7 +555,7 @@ class TestStepLadder:
         # cap both ladders at a step of a few ulps and never finish
         table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4], 0.45)
         row = table.rows[0]
-        assert row.ok and row.check.rung == 8 and table.profile.check.rung == LADDER_TOP
+        assert row.ok and row.check.rung == 8 and table.profile.rung == LADDER_TOP
         checks = table.checkpoint_times
         assert checks[-1] < 0.45
         assert _snapshot_marks(0.45, checks) == [0.0, *checks[:-1], 0.45]
@@ -585,7 +583,7 @@ class TestStepLadder:
         assert row.ok and row.check.extrapolated is extrapolated
         checks = table.checkpoint_times
         traj = integrate_torus(
-            alpha, modes, SimParams(1.0, t_final, table.profile.check.dt),
+            alpha, modes, SimParams(1.0, t_final, table.profile.dt),
             snapshot_times=checks,
         )
         times = [t / eps for t in checks]
@@ -605,7 +603,7 @@ class TestStepLadder:
             sup_err = max(sup_err, sup_norm_of_field(diff))
             w_err = max(w_err, w_norm_of_field(diff))
         assert (row.sup_error, row.w_error) == (sup_err, w_err)
-        assert row.l2_drift == res.l2_relative_drift
+        assert row.check.drift == res.l2_relative_drift
 
 
 class TestRemainderReport:
@@ -840,9 +838,9 @@ class TestInstability:
         )
         assert rec.solver_formula_deviation < 1.0
         assert rec.solver_grid_n == 16
-        assert rec.solver_steps == _crosscheck_steps(rec)
-        assert 0.0 <= rec.solver_l2_drift < 1e-12
-        assert 0.0 <= rec.solver_aliasing < 1e-8
+        assert [c.steps for c in rec.solver_checks] == _crosscheck_steps(rec)
+        for check in rec.solver_checks:
+            assert 0.0 <= check.drift < 1e-12 and 0.0 <= check.aliasing < 1e-8
 
     def test_cross_check_health_covers_every_sample(self):
         # both data re-solved on the period cell at the steps their ladders chose
@@ -859,8 +857,10 @@ class TestInstability:
             res = solve(u0, replace(cell, dt=dt / eps), snapshot_times=sample / eps)
             assert res.l2_values.shape == res.aliasing_fractions.shape == (101,)
             solves.append(res)
-        assert rec.solver_l2_drift == max(r.l2_relative_drift for r in solves)
-        assert rec.solver_aliasing == max(np.max(r.aliasing_fractions) for r in solves)
+        assert [c.drift for c in rec.solver_checks] == [r.l2_relative_drift for r in solves]
+        assert [c.aliasing for c in rec.solver_checks] == [
+            np.max(r.aliasing_fractions) for r in solves
+        ]
 
     @pytest.mark.parametrize("K", [4, 8])
     def test_cross_check_period_matches_full_grid(self, K):
@@ -932,7 +932,7 @@ class TestHealthOnRead:
         assert [c.rung for c in rec.solver_checks] == [1, 1] and len(results) == 6
         assert len(_measured(results)) == 2
         assert caught == []
-        assert rec.solver_aliasing < 1e-8
+        assert all(c.aliasing < 1e-8 for c in rec.solver_checks)
 
     def test_converge_measures_one_solve_per_row(self, monkeypatch):
         results = _record_solves(monkeypatch)
@@ -942,4 +942,4 @@ class TestHealthOnRead:
         assert len(results) > 2 * len(table.rows)
         kept = _measured(results)
         assert len(kept) == len(table.rows)
-        assert [r.l2_relative_drift for r in kept] == [r.l2_drift for r in table.rows]
+        assert [r.l2_relative_drift for r in kept] == [r.check.drift for r in table.rows]

@@ -1,6 +1,6 @@
 """Compare what two source trees report on the shipped scenarios.
 
-    python tools/report_diff.py OLD_TREE NEW_TREE [SCENARIO ...]
+    python tools/report_diff.py [--key-map FILE] OLD_TREE NEW_TREE [SCENARIO ...]
 
 Each tree's `src/` runs the scenarios through `experiments_cli`, in one
 subprocess per tree (the two run side by side), each into a fresh
@@ -19,6 +19,17 @@ differs, among others); two numbers that differ carry their relative
 difference |a - b| / max(|a|, |b|), and a CSV file of unchanged shape gets
 one line with the number of differing cells and the largest relative
 difference among them.  The exit status is 1 if anything differs, else 0.
+
+A layout change that moves report keys is shown with --key-map FILE: a
+JSON object from an old dotted key path to a new one, relative to the
+report root, where "key[]" stands for every element of the list under key
+(`{"results.rows[].l2_drift": "results.rows[].check.drift"}`).  Both paths
+of an entry walk the same lists, so each "[]" lies on their common prefix.
+Each entry moves its value in the old tree's reports, creating the objects
+the new path names and dropping the ones it empties, before the reports
+are compared; a path that the old report lacks is skipped.  With a map
+every value is compared, so `content_hash`, which the moved keys change, is
+left out.
 """
 
 from __future__ import annotations
@@ -174,12 +185,66 @@ def in_old_order(rel: str, a: list[list[str]], b: list[list[str]]):
     return [f"{rel}: columns moved: {', '.join(moved)}"], [[row[i] for i in order] for row in b]
 
 
-def diff_file(rel: str, old: bytes, new: bytes) -> list[str]:
-    """Differences of one output file, compared as its kind asks."""
+def load_key_map(path) -> list[tuple[list[str], list[str]]]:
+    """The (old, new) key paths of a --key-map file, split at the dots."""
+    with open(path) as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
+        raise SystemExit(f"report_diff: {path}: a key map is a JSON object")
+    pairs = []
+    for old, new in entries.items():
+        old, new = old.split("."), str(new).split(".")
+        common = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+                      min(len(old), len(new)))
+        if common == len(old) or common == len(new) or any(
+            key.endswith("[]") for key in old[common:] + new[common:]
+        ):
+            raise SystemExit(f"report_diff: {path}: cannot move {'.'.join(old)} to "
+                             f"{'.'.join(new)}; each [] must lie on both paths' common prefix")
+        pairs.append((old, new))
+    return pairs
+
+
+def move_key(tree, old: list[str], new: list[str]) -> None:
+    """Move the value at the key path old to new in a JSON tree (see the
+    module docs); a path that is missing or runs through a non-object leaves
+    the tree as it is."""
+    if old[0] == new[0]:
+        key = old[0].removesuffix("[]")
+        node = tree.get(key) if isinstance(tree, dict) else None
+        for item in (node or []) if old[0].endswith("[]") else [node]:
+            move_key(item, old[1:], new[1:])
+        return
+    trail = [tree]
+    for key in old[:-1]:
+        trail.append(trail[-1].get(key) if isinstance(trail[-1], dict) else None)
+    target = tree
+    for key in new[:-1]:
+        target = target.get(key, {}) if isinstance(target, dict) else None
+    if not (isinstance(trail[-1], dict) and old[-1] in trail[-1] and isinstance(target, dict)):
+        return
+    value = trail[-1].pop(old[-1])
+    for depth in range(len(trail) - 1, 0, -1):  # drop the objects the move emptied
+        if trail[depth]:
+            break
+        del trail[depth - 1][old[depth - 1]]
+    for key in new[:-1]:
+        tree = tree.setdefault(key, {})
+    tree[new[-1]] = value
+
+
+def diff_file(rel: str, old: bytes, new: bytes, key_map=None) -> list[str]:
+    """Differences of one output file, compared as its kind asks; a report
+    under a key map (`load_key_map`) has its old keys moved first, and no
+    content_hash compared."""
     if rel.endswith("_report.json"):
         a, b = json.loads(old), json.loads(new)
-        a.pop("runtimes", None)
-        b.pop("runtimes", None)
+        for report in (a, b):
+            report.pop("runtimes", None)
+            if key_map is not None:
+                report.pop("content_hash", None)
+        for old_path, new_path in key_map or []:
+            move_key(a, old_path, new_path)
         return diff_values(a, b, rel)
     if old == new:
         return []
@@ -200,8 +265,9 @@ def diff_file(rel: str, old: bytes, new: bytes) -> list[str]:
     return lines + [f"{rel}: files differ"]
 
 
-def diff_outputs(old_root: Path, new_root: Path) -> list[str]:
-    """Every difference between two output roots written by RUNNER."""
+def diff_outputs(old_root: Path, new_root: Path, key_map=None) -> list[str]:
+    """Every difference between two output roots written by RUNNER, the
+    reports compared under key_map when one is given."""
     def files(root):
         return {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
 
@@ -223,12 +289,16 @@ def diff_outputs(old_root: Path, new_root: Path) -> list[str]:
                 lines += [f"stdout.{k}[{i}]: {x!r} != {y!r}"
                           for i, (x, y) in enumerate(pairs) if x != y]
         else:
-            lines += diff_file(rel, old[rel].read_bytes(), new[rel].read_bytes())
+            lines += diff_file(rel, old[rel].read_bytes(), new[rel].read_bytes(), key_map)
     return lines
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = sys.argv[1:] if argv is None else list(argv)
+    key_map = None
+    if argv[:1] == ["--key-map"] and len(argv) > 1:
+        key_map = load_key_map(argv[1])
+        argv = argv[2:]
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -237,7 +307,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="report_diff-") as tmp:
         outs = [Path(tmp) / "old", Path(tmp) / "new"]
         run_trees([old_tree, new_tree], scenarios, outs)
-        lines = diff_outputs(*outs)
+        lines = diff_outputs(*outs, key_map)
     for line in lines:
         print(line)
     print(f"{len(scenarios)} scenarios, {len(lines)} differences", file=sys.stderr)
