@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lattice_geometry import ModeSet, _coupling_classes, _interaction_table
-from .wiener_norms import _box_coefficients
+from .wiener_norms import _box_coefficients, e_norm
 
 __all__ = [
     "SimParams",
@@ -262,7 +262,7 @@ def integrate_torus(
         raise ValueError("one initial amplitude per mode required")
     coupling = _coupling(modes, -1j * params.lam)
 
-    guard_level = BLOWUP_FACTOR * max(float(np.sum(np.abs(alpha))), 1e-300)
+    guard_level = BLOWUP_FACTOR * max(e_norm(alpha), 1e-300)
     times = []
     rows = []
 
@@ -336,7 +336,7 @@ def integrate_euclid(
     (0, the snapshot times and t_final); the discrete mass at every step.
     Aborts with BlowUpError when any |a_j| exceeds 1e6 times the initial E
     norm dxi^d * sum |b| over the `_box_coefficients` b of the profiles,
-    dxi = 2 pi / length: the `e_norm` of their `FourierSeries.from_grid`
+    dxi = 2 pi / length: the summed `w_norm` of their `FourierSeries.from_grid`
     spectra.  Non-finite values abort too.
     """
     alpha = np.asarray(alpha, dtype=complex)

@@ -116,8 +116,10 @@ def fit_generalized_bound(
         nonres = True
         logw = prefix[start:start + len(defects), None] + log_weights
         delta, logw = absd[mask].astype(float), logw[mask]
-        for i, b in enumerate(b_grid):
-            best[i] = min(best[i], float(np.min(delta * np.exp(b * logw))))
+        # an inf term raises below if it is c(b), and cannot be c(b) otherwise
+        with np.errstate(over="ignore"):
+            for i, b in enumerate(b_grid):
+                best[i] = min(best[i], float(np.min(delta * np.exp(b * logw))))
     for b, c in zip(b_grid, best):
         if nonres and not math.isfinite(c):
             raise OverflowError(f"c(b) overflows a float at b={b:g}")

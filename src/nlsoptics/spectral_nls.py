@@ -30,6 +30,7 @@ import numpy as np
 
 from .lattice_geometry import WaveVector
 from .profile_dynamics import _axis_wavenumbers, _relative_drift, _segments, _time_index
+from .wiener_norms import _check_eps
 
 __all__ = [
     "GridField",
@@ -58,13 +59,6 @@ DENSE_MAX_N = 64
 
 class AliasingWarning(UserWarning):
     """Spectral mass reached the top of the resolved band; results suspect."""
-
-
-def _check_eps(eps: float) -> int:
-    inv = 1.0 / eps
-    if abs(inv - round(inv)) > 1e-9 or round(inv) < 1:
-        raise ValueError("1/eps must be a positive integer")
-    return int(round(inv))
 
 
 @dataclass(frozen=True)

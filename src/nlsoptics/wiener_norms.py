@@ -6,23 +6,23 @@ spacing dxi and the norm picks up a dxi^d quadrature weight.  Both cases share
 one representation, FourierSeries, with dxi = 1 meaning a plain exponential
 sum on the torus.
 
-The E norm of a profile family is the sum of per-mode W norms; assembling the
-family onto carriers kappa_j / eps (all distinct) turns the E norm into the W
-norm of the assembled function, exactly on the torus and as an upper bound on
-the line.
+The E norm of torus profiles a_j(t) e^{i kappa_j.x/eps} is sum_j |a_j|: with
+the carriers kappa_j / eps all distinct it is the W norm of the assembled
+field.  On the line the E norm is the sum of the profiles' W norms; the
+assembled field's W norm is at most that, with equality iff the shifted
+supports do not overlap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "FourierSeries",
-    "ProfileSpectrum",
     "w_norm",
     "e_norm",
     "substitution_isometry_check",
@@ -39,30 +39,40 @@ def _normalize_key(k) -> tuple[int, ...]:
     return key
 
 
+def _check_eps(eps: float) -> int:
+    """1/eps as an int; ValueError unless it is a positive integer."""
+    inv = 1.0 / eps
+    if abs(inv - round(inv)) > 1e-9 or round(inv) < 1:
+        raise ValueError("1/eps must be a positive integer")
+    return int(round(inv))
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Finite sum over an integer frequency grid: f = sum_k b_k e^{i (k*dxi).x}.
 
     terms maps integer d-tuples to complex coefficients.  dxi is the physical
     frequency spacing of the grid (1 for torus series, 2*pi/L for a length-L
-    box acting as a Fourier-transform surrogate).
+    box acting as a Fourier-transform surrogate).  The constructor takes a
+    mapping or (key, coefficient) pairs; coefficients that share a key are
+    summed in order, and sums below PRUNE_TOLERANCE are dropped.
     """
 
-    terms: Mapping[tuple[int, ...], complex]
+    terms: Union[Mapping[tuple[int, ...], complex], Iterable[tuple]]
     dxi: float = 1.0
 
     def __post_init__(self):
-        cleaned = {}
+        pairs = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
+        summed: dict = {}
         d = None
-        for k, v in self.terms.items():
+        for k, v in pairs:
             key = _normalize_key(k)
             if d is None:
                 d = len(key)
             elif len(key) != d:
                 raise ValueError("mixed frequency dimensions in one series")
-            c = complex(v)
-            if abs(c) >= PRUNE_TOLERANCE:
-                cleaned[key] = cleaned.get(key, 0j) + c
+            summed[key] = summed.get(key, 0j) + complex(v)
+        cleaned = {k: c for k, c in summed.items() if abs(c) >= PRUNE_TOLERANCE}
         object.__setattr__(self, "terms", cleaned)
         if self.dxi <= 0:
             raise ValueError("frequency spacing must be positive")
@@ -75,10 +85,7 @@ class FourierSeries:
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0j) + v
-        return FourierSeries(out, self.dxi)
+        return FourierSeries([*self.terms.items(), *other.terms.items()], self.dxi)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + other.scaled(-1)
@@ -89,12 +96,14 @@ class FourierSeries:
     def __mul__(self, other: "FourierSeries") -> "FourierSeries":
         """Pointwise product of the functions: exact coefficient convolution."""
         self._check_compatible(other)
-        out: dict = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                out[key] = out.get(key, 0j) + va * vb
-        return FourierSeries(out, self.dxi)
+        return FourierSeries(
+            (
+                (tuple(a + b for a, b in zip(ka, kb)), va * vb)
+                for ka, va in self.terms.items()
+                for kb, vb in other.terms.items()
+            ),
+            self.dxi,
+        )
 
     def conjugate(self) -> "FourierSeries":
         return FourierSeries(
@@ -107,19 +116,16 @@ class FourierSeries:
         if factor != int(factor) or factor <= 0:
             raise ValueError("dilation factor must be a positive integer")
         factor = int(factor)
-        out: dict = {}
-        for k, v in self.terms.items():
-            key = tuple(factor * c for c in k)
-            out[key] = out.get(key, 0j) + v
-        return FourierSeries(out, self.dxi)
+        return FourierSeries(
+            ((tuple(factor * c for c in k), v) for k, v in self.terms.items()), self.dxi
+        )
 
     def shifted(self, offset: Sequence[int]) -> "FourierSeries":
         off = tuple(int(c) for c in offset)
-        out: dict = {}
-        for k, v in self.terms.items():
-            key = tuple(a + b for a, b in zip(k, off))
-            out[key] = out.get(key, 0j) + v
-        return FourierSeries(out, self.dxi)
+        return FourierSeries(
+            ((tuple(a + b for a, b in zip(k, off)), v) for k, v in self.terms.items()),
+            self.dxi,
+        )
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Evaluate f at points; x has shape (..., d) or (...,) when d = 1."""
@@ -154,9 +160,8 @@ class FourierSeries:
         coef = _box_coefficients(values, length, values.ndim)
         freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
         keys = np.stack(np.meshgrid(*[freqs] * values.ndim, indexing="ij"), axis=-1)
-        kept = np.abs(coef) >= PRUNE_TOLERANCE
-        terms = dict(zip(map(tuple, keys[kept].tolist()), coef[kept].tolist()))
-        return cls(terms, dxi=2 * math.pi / length)
+        pairs = zip(keys.reshape(-1, values.ndim).tolist(), coef.ravel().tolist())
+        return cls(pairs, dxi=2 * math.pi / length)
 
 
 def _box_coefficients(values: np.ndarray, length: float, d: int) -> np.ndarray:
@@ -173,57 +178,6 @@ def _box_coefficients(values: np.ndarray, length: float, d: int) -> np.ndarray:
     return np.fft.fftn(values, axes=axes) * (dx**d * (2 * math.pi) ** (-d / 2))
 
 
-@dataclass(frozen=True)
-class ProfileSpectrum:
-    """Per-mode discrete spectra of Euclidean profiles plus their carriers.
-
-    spectra[j] is the FourierSeries of profile a_j on a shared grid; carriers[j]
-    is the integer wave vector kappa_j whose oscillation e^{i kappa_j.x/eps}
-    multiplies a_j in the assembled two-scale function.
-    """
-
-    spectra: tuple[FourierSeries, ...]
-    carriers: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "spectra", tuple(self.spectra))
-        object.__setattr__(
-            self, "carriers", tuple(_normalize_key(c) for c in self.carriers)
-        )
-        if len(self.spectra) != len(self.carriers):
-            raise ValueError("one carrier per spectrum required")
-        if not self.spectra:
-            return
-        dxi = self.spectra[0].dxi
-        for s in self.spectra[1:]:
-            if abs(s.dxi - dxi) > 1e-15 * dxi:
-                raise ValueError("spectra must share grid metadata")
-
-    @property
-    def dxi(self) -> float:
-        return self.spectra[0].dxi if self.spectra else 1.0
-
-    def assembled(self, eps: float) -> FourierSeries:
-        """Spectrum of sum_j a_j(x) e^{i kappa_j.x/eps} on the shared grid.
-
-        Each carrier frequency kappa_j/eps must be a grid frequency, i.e. an
-        integer multiple of dxi; otherwise the shift is not representable.
-        """
-        total = FourierSeries.zero(self.dxi)
-        for series, kappa in zip(self.spectra, self.carriers):
-            offset = []
-            for c in kappa:
-                shift = c / (eps * self.dxi)
-                if abs(shift - round(shift)) > 1e-9:
-                    raise ValueError(
-                        f"carrier component {c}/eps is not on the frequency grid "
-                        f"(spacing {self.dxi}); choose the box length accordingly"
-                    )
-                offset.append(int(round(shift)))
-            total = total + series.shifted(offset)
-        return total
-
-
 def w_norm(f) -> float:
     """Quadrature-weighted l1 norm of the coefficients: dxi^d * sum |b_k|."""
     if isinstance(f, FourierSeries):
@@ -235,35 +189,20 @@ def w_norm(f) -> float:
 
 
 def e_norm(a) -> float:
-    """Aggregate profile size: sum_j |a_j| (torus) or sum_j w_norm(a_j_hat)."""
-    if isinstance(a, ProfileSpectrum):
-        return math.fsum(w_norm(s) for s in a.spectra)
-    amps = getattr(a, "amps", a)
-    arr = np.asarray(amps)
-    if arr.size == 0:
-        return 0.0
-    return float(np.sum(np.abs(arr)))
+    """Torus E norm sum_j |a_j| of amplitudes, or of an object's .amps."""
+    return float(np.sum(np.abs(np.asarray(getattr(a, "amps", a)))))
 
 
 def substitution_isometry_check(f, eps: float) -> tuple[float, float]:
     """Compare a norm before and after the fast-scale substitution x -> x/eps.
 
-    FourierSeries input (torus): returns (w_norm(f), w_norm of the dilated
-    series with frequencies k -> k/eps); the two are equal because the dilation
-    is injective on the lattice.  Requires 1/eps to be a positive integer.
-
-    ProfileSpectrum input (Euclidean surrogate): returns (sum_j w_norm(a_j_hat),
-    w_norm of the assembled spectrum with carriers kappa_j/eps); the second is
-    at most the first, with equality iff no shifted supports overlap.
+    Returns (w_norm(f), w_norm of the torus series f dilated to frequencies
+    k -> k/eps); the two are equal because the dilation is injective on the
+    lattice.  Requires 1/eps to be a positive integer.
     """
-    if isinstance(f, ProfileSpectrum):
-        return e_norm(f), w_norm(f.assembled(eps))
     if not isinstance(f, FourierSeries):
-        raise TypeError("expected a FourierSeries or ProfileSpectrum")
-    inv = 1.0 / eps
-    if abs(inv - round(inv)) > 1e-9 or round(inv) < 1:
-        raise ValueError("torus substitution needs 1/eps to be a positive integer")
-    return w_norm(f), w_norm(f.dilated(int(round(inv))))
+        raise TypeError("expected a FourierSeries")
+    return w_norm(f), w_norm(f.dilated(_check_eps(eps)))
 
 
 def free_propagator(f: FourierSeries, t: float, eps: float) -> FourierSeries:

@@ -38,14 +38,13 @@ from .spectral_nls import (
     GridField,
     SolveResult,
     SolverConfig,
-    _check_eps,
     default_dt,
     default_grid_size,
     solve,
     sup_norm_of_field,
     w_norm_of_field,
 )
-from .wiener_norms import _box_coefficients
+from .wiener_norms import _box_coefficients, _check_eps, e_norm
 
 __all__ = [
     "ConvergenceRow",
@@ -295,7 +294,7 @@ def _zero_modes(res: SolveResult) -> np.ndarray:
 def _amp_delta(a: TorusTrajectory, b: TorusTrajectory, times: Sequence[float]) -> float:
     """max over times of sum_j |a_j - b_j|: the W norm of the difference of
     the assembled fields, which bounds its sup."""
-    return max(float(np.sum(np.abs(a.at(t) - b.at(t)))) for t in times)
+    return max(e_norm(a.at(t) - b.at(t)) for t in times)
 
 
 def _cell_config(

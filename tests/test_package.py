@@ -6,7 +6,7 @@ EXPORTS = [
     "AliasingWarning", "BlowUpError", "ClosureWarning", "ConvergenceRow",
     "ConvergenceTable", "DivisorSurvey", "EuclidTrajectory", "FourierSeries",
     "GramProbe", "GridField", "InstabilityRecord", "ModeSet",
-    "ProfileSpectrum", "ProfileStateEuclid", "ProfileStateTorus", "RemainderReport",
+    "ProfileStateEuclid", "ProfileStateTorus", "RemainderReport",
     "ResonantTuple", "SimParams", "SolveResult", "SolveStack", "SolverConfig",
     "TorusTrajectory", "WaveVector", "assemble_uapp", "close_under_resonances", "complete_rectangle",
     "default_dt", "default_grid_size", "e_norm", "enumerate_interactions",

@@ -25,7 +25,7 @@ from nlsoptics.profile_dynamics import (
 from nlsoptics import profile_dynamics
 from nlsoptics.profile_dynamics import _coupling, _snapshot_marks
 from nlsoptics.spectral_nls import GridField, SolverConfig, solve
-from nlsoptics.wiener_norms import FourierSeries, ProfileSpectrum, e_norm
+from nlsoptics.wiener_norms import FourierSeries, w_norm
 
 
 def wv(*coords):
@@ -199,8 +199,8 @@ class TestEuclidIntegration:
         assert np.max(np.abs(traj.fields[-1] - ref)) < 1e-6
 
     def test_guard_is_1e6_times_the_e_norm(self, monkeypatch):
-        # the shipped Gaussians at n=2048: E norm 4.011, the e_norm of the
-        # from_grid spectra, not (L / 2 pi)^d times it (38.30)
+        # the shipped Gaussians at n=2048: E norm 4.011, the summed w_norm of
+        # the from_grid spectra, not (L / 2 pi)^d times it (38.30)
         levels = []
         real = profile_dynamics._rk4_sweep
 
@@ -213,10 +213,9 @@ class TestEuclidIntegration:
         modes = line_modes(-1, 1)
         _, fields = self._gaussians(length, n)
         integrate_euclid(fields, modes, SimParams(lam=1.0, t_final=1e-3, dt=1e-3), length)
-        spectra = ProfileSpectrum([FourierSeries.from_grid(f, length) for f in fields],
-                                  [(-1,), (1,)])
-        assert e_norm(spectra) == pytest.approx(4.011, abs=5e-4)
-        assert levels == [pytest.approx(1e6 * e_norm(spectra), rel=1e-12)]
+        box_e_norm = sum(w_norm(FourierSeries.from_grid(f, length)) for f in fields)
+        assert box_e_norm == pytest.approx(4.011, abs=5e-4)
+        assert levels == [pytest.approx(1e6 * box_e_norm, rel=1e-12)]
 
     def test_mass_conserved(self):
         length, n = 60.0, 512

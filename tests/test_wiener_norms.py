@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from nlsoptics.wiener_norms import (
     FourierSeries,
-    ProfileSpectrum,
     e_norm,
     free_propagator,
     substitution_isometry_check,
@@ -56,6 +55,13 @@ class TestNormBasics:
     def test_integer_keys_normalized(self):
         f = FourierSeries({2: 1.0})
         assert (2,) in f.terms
+
+    def test_keys_that_normalize_alike_are_summed_then_pruned(self):
+        assert FourierSeries({2: 1.0, (2,): -1.0}).terms == {}
+
+    def test_pairs_accumulate_in_order(self):
+        f = FourierSeries([((1,), 0.1), (1, 0.2), ((-1,), 1j), ((1,), 0.3)])
+        assert f.terms == {(1,): (0.1 + 0.2) + 0.3 + 0j, (-1,): 1j}
 
 
 class TestAlgebraProperties:
@@ -160,42 +166,7 @@ class TestPropagator:
         assert abs(g.terms[(2,)] - np.exp(-0.5j * 1.0)) < 1e-15
 
 
-class TestProfileSpectrum:
-    def test_disjoint_carriers_assemble_isometrically(self):
-        f = FourierSeries({(0,): 1.0, (1,): 0.5, (-1,): 0.25j})
-        g = FourierSeries({(0,): 2.0, (2,): 1.0})
-        spec = ProfileSpectrum((f, g), ((0,), (8,)))
-        before, after = substitution_isometry_check(spec, 1 / 2)
-        assert math.isclose(before, e_norm(spec), rel_tol=1e-14)
-        assert math.isclose(before, after, rel_tol=1e-13)
-
-    def test_overlap_can_only_shrink(self):
-        # carriers 0 and 1 with eps=1/2 shift the second support by 2; the
-        # +1 coefficient of f and the -1 coefficient of g then collide and cancel
-        f = FourierSeries({(0,): 1.0, (1,): 0.75})
-        g = FourierSeries({(-1,): -0.75, (0,): 1.0})
-        spec = ProfileSpectrum((f, g), ((0,), (1,)))
-        before, after = substitution_isometry_check(spec, 1 / 2)
-        assert after < before - 1.0
-        assert math.isclose(after, 2.0, rel_tol=1e-14)
-
-    def test_carrier_off_grid_rejected(self):
-        f = FourierSeries({(0,): 1.0}, dxi=0.1)
-        spec = ProfileSpectrum((f,), ((1,),))
-        with pytest.raises(ValueError):
-            spec.assembled(0.3)
-
-    def test_carrier_count_must_match(self):
-        f = FourierSeries({(0,): 1.0})
-        with pytest.raises(ValueError):
-            ProfileSpectrum((f,), ((0,), (1,)))
-
-    def test_mismatched_grids_rejected(self):
-        f = FourierSeries({(0,): 1.0}, dxi=1.0)
-        g = FourierSeries({(0,): 1.0}, dxi=0.5)
-        with pytest.raises(ValueError):
-            ProfileSpectrum((f, g), ((0,), (1,)))
-
+class TestENorm:
     def test_e_norm_of_amplitude_views(self):
         class Holder:
             amps = np.array([1.0, -2.0j, 0.5])
