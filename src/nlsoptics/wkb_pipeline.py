@@ -59,7 +59,6 @@ __all__ = [
 
 ERROR_FLOOR = 1e-10  # rows below this are rounding noise, excluded from fits
 PROFILE_DT = 1e-3  # the profile ladder's unit RK4 step
-LADDER_TOP = 16  # largest multiple of the unit step the profile ladder tries
 LADDER_FRACTION = 1e-2  # self-check budget, as a fraction of eps
 
 
@@ -99,23 +98,22 @@ class LadderCheck:
     the health of the runs behind it.
 
     rung is the ladder rung, dt = rung times the ladder's unit step (a bound
-    on the run's steps: the split-step rungs are nested, see
-    `_checked_solve`), and extrapolated whether the kept run is the
-    Richardson extrapolant of the rung's solve and the one at twice its step
-    (`_extrapolate`) rather than the rung's run itself.  step_delta is the
-    step-doubling delta of the accepted pair (|E_r - E_2r| when
-    extrapolated; inf when a run of the pair blew up), grid_delta the
-    grid-doubling delta of the rung's coarse solve against its doubled-cell
-    twin, None for the profile ladder, which has no grid.
+    on the run's steps: the rungs are nested, see `_ladder_top`), and
+    extrapolated whether the kept run is the Richardson extrapolant of the
+    rung's run and the one at twice its step (`_extrapolate`) rather than
+    the rung's run itself.  step_delta is the step-doubling delta of the
+    accepted pair (|E_r - E_2r| when extrapolated; inf when a run of the
+    pair blew up), grid_delta the grid-doubling delta of the rung's coarse
+    solve against its doubled-cell twin, None for the profile ladder, which
+    has no grid.
 
     The health: steps counts the split or RK4 steps of every run the datum
     took part in (each rung walked and the grid check; in a stacked solve,
-    the datum's own), drift is the relative drift of the kept run's
-    conserved quantity, the L2 norm of the rung's Strang solve (an
-    extrapolant is not a solve) or the mass sum_j |a_j|^2 of the profile
-    system, and aliasing the worst top-band fraction of the rung's solve,
-    None for the profile.  Every field is deterministic and goes inside the
-    report hash.
+    the datum's own), drift is the relative drift of the conserved quantity
+    of the rung's run (an extrapolant is not a run), the L2 norm of its
+    Strang solve or the mass sum_j |a_j|^2 of its RK4 profile run, and
+    aliasing the worst top-band fraction of the rung's solve, None for the
+    profile.  Every field is deterministic and goes inside the report hash.
     """
 
     rung: int
@@ -169,8 +167,7 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     """The sweep's rows and fits, plus the `LadderCheck` of the shared
-    profile integration (no grid, never extrapolated, no aliasing) and the
-    seconds it took."""
+    profile integration (no grid, no aliasing) and the seconds it took."""
 
     rows: list[ConvergenceRow]
     checkpoint_times: tuple[float, ...]
@@ -200,20 +197,20 @@ def _fit_order(rows: Sequence[ConvergenceRow], attr: str) -> Optional[float]:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _ladder_top(unit: float, shortest: float, cap: Optional[int] = None):
-    """(unit, top): unit shrunk to at most half the shortest snapshot
-    segment, and the largest power-of-two rung, at most cap, whose coarse
-    partner 2*top*unit still fits in that segment (at least 1).  Beyond it
-    a pair whose runs take the fewest steps of at most r*unit per segment
-    would take one step each and agree vacuously."""
+def _ladder_top(unit: float, shortest: float):
+    """(unit, top, per): unit shrunk to at most half the shortest snapshot
+    segment, the largest power-of-two rung whose coarse partner 2*top*unit
+    still fits in that segment (at least 1), and rung 1's steps on it, a
+    multiple of 2*top: rung r takes per//r equal steps of at most r*unit,
+    twice those of rung 2r."""
     unit = min(unit, shortest / 2)
     top = 1
-    while 4 * top * unit <= shortest and (cap is None or top < cap):
+    while 4 * top * unit <= shortest:
         top *= 2
-    return unit, top
+    return unit, top, math.ceil(shortest / (2 * top * unit) - 1e-9) * 2 * top
 
 
-def _ladder(run, data: Sequence, unit: float, top: int, delta, budget: float, combine=None):
+def _ladder(run, data: Sequence, unit: float, top: int, delta, budget: float, combine):
     """Choose a rung for each of the data on the power-of-two ladder
     r = top, ..., 2, 1 of the step unit.
 
@@ -222,13 +219,14 @@ def _ladder(run, data: Sequence, unit: float, top: int, delta, budget: float, co
     per datum; delta(a, b) measures two runs of one datum.  Each rung r is
     compared with rung 2r, and a datum leaves the walk at its first rung
     within budget: the data still walking share every run, and only the
-    runs the next comparisons need are kept.  With combine, a symmetric
-    method's Richardson extrapolant, a rung whose plain pair is over budget
-    is tried once more: E_r = combine(run_r, run_2r) against E_2r =
-    combine(run_2r, run_4r), which exists below the top rung; the plain
-    pair is tried first.  A call that trips the blow-up guard gives None for
-    each of its data, and a comparison with None is over budget (delta
-    inf), except that a blow-up at rung 1 itself raises its BlowUpError.
+    runs the next comparisons need are kept.  combine(fine, coarse) is the
+    method's Richardson extrapolant (`_extrapolate`): a rung whose plain
+    pair is over budget is tried once more, E_r = combine(run_r, run_2r)
+    against E_2r = combine(run_2r, run_4r), which exists below the top
+    rung; the plain pair is tried first.  A call that trips the blow-up
+    guard gives None for each of its data, and a comparison with None is
+    over budget (delta inf), except that a blow-up at rung 1 itself raises
+    its BlowUpError.
     Returns one (check, kept, fine, coarse) per datum: its `LadderCheck`
     without a grid delta, E_r when extrapolated else the run at rung r
     (fine), that run, and the run at rung 2r; at rung 1, with neither pair
@@ -253,7 +251,7 @@ def _ladder(run, data: Sequence, unit: float, top: int, delta, budget: float, co
         for i, f, c, ce in zip(walking, fine, coarse, coarse_e):
             pair = f is not None and c is not None
             plain = LadderCheck(r, r * unit, False, delta(f, c) if pair else math.inf)
-            e = combine(f, c) if combine and pair and plain.over(budget) else None
+            e = combine(f, c) if pair and plain.over(budget) else None
             extra = LadderCheck(
                 r, r * unit, True, math.inf if e is None or ce is None else delta(e, ce)
             )
@@ -318,13 +316,13 @@ def _cell_config(
     )
 
 
-def _extrapolate(fine: SolveResult, coarse: SolveResult) -> SolveResult:
-    """E = (4 fine - coarse) / 3 at each mark, for two Strang solves at steps
-    h and 2h: Strang splitting is symmetric, so its error expands in even
-    powers of the step and E cancels the h^2 term.  E is not a solve: it
-    takes no steps, and its health (L2 norms, top-band fractions) is not
-    read."""
-    return SolveResult(fine.times, (4 * fine.fields - coarse.fields) / 3, 0)
+def _extrapolate(fine: np.ndarray, coarse: np.ndarray, p: int) -> np.ndarray:
+    """E = (2^p fine - coarse) / (2^p - 1) for a method of order p run at
+    steps h and 2h: its global error expands in powers of h, so E cancels
+    the h^p term (Hairer-Norsett-Wanner, Solving ODEs I, II.9).  Symmetric
+    Strang (p = 2) expands in even powers and gains two orders, RK4 (p = 4)
+    at least one."""
+    return (2**p * fine - coarse) / (2**p - 1)
 
 
 def _checked_solve(
@@ -338,15 +336,11 @@ def _checked_solve(
 
     Each datum's rung is chosen by `_ladder` against LADDER_FRACTION*eps on
     delta, the plain Strang pair first and then its Richardson extrapolants
-    (`_extrapolate`), and the data still walking share each rung's solve.
-    The ladder's unit is default_dt(eps) and its top the largest rung the
-    shortest snapshot segment allows (`_ladder_top`, not LADDER_TOP).  The
-    rungs are nested: every segment of length `shortest` takes exactly
-    c*2*top/r equal steps at rung r, c = ceil(shortest/(2*top*unit)), so
-    each rung takes twice the steps of the next coarser one and no step
-    exceeds the rung's dt, r*unit (the marks of both callers are uniform;
-    a longer segment would take the fewest steps of at most shortest over
-    that count).
+    (`_extrapolate`, p = 2; E is not a solve: it takes no steps and has no
+    health), and the data still walking share each rung's solve.  The rungs
+    are those of `_ladder_top` from unit default_dt(eps): per//r steps on
+    each segment at rung r (the marks of both callers are uniform; a longer
+    segment would take the fewest steps of at most shortest over that count).
     One more solve at the chosen rung's coarse step (rung 2r) on the
     doubled cell, shared by the data that chose that rung, gives each of
     them its grid-doubling delta: delta of its coarse solve and that
@@ -362,8 +356,7 @@ def _checked_solve(
     raises; a converge row records it, with no check.
     """
     cell_times = [t / eps for t in times]
-    unit, top = _ladder_top(default_dt(eps), shortest)
-    per = math.ceil(shortest / (2 * top * unit) - 1e-9) * 2 * top  # steps at rung 1
+    unit, top, per = _ladder_top(default_dt(eps), shortest)
     steps = [0] * len(states)
     spent = {}
 
@@ -382,9 +375,10 @@ def _checked_solve(
             steps[i] += one.steps
         return res
 
-    walks = _ladder(
-        run, range(len(states)), unit, top, delta, LADDER_FRACTION * eps, _extrapolate
-    )
+    def combine(fine: SolveResult, coarse: SolveResult) -> SolveResult:
+        return SolveResult(fine.times, _extrapolate(fine.fields, coarse.fields, 2), 0)
+
+    walks = _ladder(run, range(len(states)), unit, top, delta, LADDER_FRACTION * eps, combine)
     by_rung = {}
     for i, (check, *_) in enumerate(walks):
         by_rung.setdefault(check.rung, []).append(i)
@@ -424,14 +418,15 @@ def run_convergence(
     checkpoints of the pointwise gap of two solves (`_field_delta`); a leg's
     errors come from the kept run, the rung's solve or its extrapolant, and
     its check's health from the rung's solve.  The profile system's step is
-    chosen by `_ladder` from PROFILE_DT, from at most rung LADDER_TOP and on
-    plain pairs only (RK4 is not symmetric), against LADDER_FRACTION*min(eps),
-    on the largest summed amplitude gap sum_j |delta a_j| over checkpoints,
-    which is the W norm of the assembled difference and bounds its sup; its
-    check counts the RK4 steps of every integration and the mass drift of
-    the kept one.  A row one of whose checks, its own or
-    the profile's, is over LADDER_FRACTION*eps (`LadderCheck.over`) is
-    marked failed.  A leg whose solve fails (non-finite values) is recorded
+    chosen by `_ladder` on the same nested rungs (`_ladder_top`, from unit
+    PROFILE_DT) and extrapolants, with p = 4 for RK4, against
+    LADDER_FRACTION*min(eps), on the largest summed amplitude gap
+    sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
+    difference and bounds its sup; an extrapolant holds t=0 and the
+    checkpoints only.  Its check counts the RK4 steps of every integration
+    and the mass drift of the rung's run.  A row one of whose checks, its
+    own or the profile's, is over LADDER_FRACTION*eps (`LadderCheck.over`)
+    is marked failed.  A leg whose solve fails (non-finite values) is recorded
     with its failure note instead of aborting the sweep.  A profile rung
     that trips the blow-up guard counts as over budget; only a blow-up at
     rung 1 raises BlowUpError, and then no row is made.
@@ -459,21 +454,25 @@ def run_convergence(
     ]
 
     start = time.perf_counter()
+    unit, top, per = _ladder_top(PROFILE_DT, shortest)
     profile_steps = 0
 
-    def integrate(h: float) -> TorusTrajectory:
+    def integrate(r: int, _) -> list[TorusTrajectory]:
         nonlocal profile_steps
-        params = SimParams(lam=lam, t_final=t_final, dt=h)
+        params = SimParams(lam=lam, t_final=t_final, dt=shortest / (per // r))
         traj = integrate_torus(alpha, modes, params, snapshot_times=checks)
         profile_steps += len(traj.times) - 1
-        return traj
+        return [traj]
 
-    unit, top = _ladder_top(PROFILE_DT, shortest, LADDER_TOP)
-    [(check, traj, *_)] = _ladder(
-        lambda r, _: [integrate(r * unit)], [alpha], unit, top,
-        lambda a, b: _amp_delta(a, b, checks), LADDER_FRACTION * min(eps_list),
+    def combine(fine: TorusTrajectory, coarse: TorusTrajectory) -> TorusTrajectory:
+        amps = [_extrapolate(fine.at(t), coarse.at(t), 4) for t in marks]
+        return TorusTrajectory(modes, np.array(marks), np.array(amps))
+
+    [(check, traj, fine, _)] = _ladder(
+        integrate, [alpha], unit, top, lambda a, b: _amp_delta(a, b, checks),
+        LADDER_FRACTION * min(eps_list), combine,
     )
-    profile = replace(check, steps=profile_steps, drift=_relative_drift(traj.mass_series()))
+    profile = replace(check, steps=profile_steps, drift=_relative_drift(fine.mass_series()))
     profile_s = time.perf_counter() - start
 
     def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:

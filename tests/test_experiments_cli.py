@@ -285,8 +285,9 @@ class TestConvergeCommand:
         )
 
     def test_profile_blow_up_above_rung_1_walks_down(self, tmp_path, monkeypatch):
-        # the top rung's coarse partner (step 0.032) turns the phase by about
-        # 6 rad a step and trips the guard; the ladder counts it over budget
+        # the top rung's coarse partner (two steps of 0.028 per 0.056
+        # segment) turns the phase by about 5 rad a step and trips the guard;
+        # the ladder counts it over budget
         tripped = []
         real = wkb_pipeline.integrate_torus
 
@@ -301,7 +302,7 @@ class TestConvergeCommand:
         scn = write_scenario(tmp_path, self._blow_up_doc(1.0, (12.0, 5.0)))
         rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")])
         assert rc == 0
-        assert tripped and tripped[0] == pytest.approx(0.032)
+        assert tripped and tripped[0] == pytest.approx(0.5 / 9 / 2)
         res = load_report(tmp_path, "converge_report.json")["results"]
         assert res["profile"]["rung"] == 1
         assert [r["check"]["rung"] for r in res["rows"]] == [1, 1]

@@ -12,10 +12,12 @@ from nlsoptics.profile_dynamics import (
     ProfileStateEuclid,
     ProfileStateTorus,
     SimParams,
+    explicit_torus_1d,
     integrate_torus,
 )
 from nlsoptics.spectral_nls import (
     GridField,
+    SolveResult,
     SolverConfig,
     SolveStack,
     default_dt,
@@ -25,11 +27,11 @@ from nlsoptics.spectral_nls import (
     w_norm_of_field,
 )
 from nlsoptics import wkb_pipeline
-from nlsoptics.profile_dynamics import _snapshot_marks, _two_mode_terms
+from nlsoptics.profile_dynamics import _relative_drift, _snapshot_marks, _two_mode_terms
+from nlsoptics.wiener_norms import e_norm
 from nlsoptics.wkb_pipeline import (
     ERROR_FLOOR,
     LADDER_FRACTION,
-    LADDER_TOP,
     PROFILE_DT,
     ConvergenceRow,
     ConvergenceTable,
@@ -210,8 +212,8 @@ class TestConvergence:
 
     def test_period_solve_matches_full_grid(self):
         # oracle: the full default grid, solved directly at the step the
-        # ladder chose for each row, against profiles at the table's step;
-        # the sweep solves one 2 pi eps period per leg instead
+        # ladder chose for each row, against the table's profiles; the
+        # sweep solves one 2 pi eps period per leg instead
         modes = close_under_resonances([wv(0, 1), wv(1, 0), wv(1, 1)], 1)
         alpha = np.array([0.0, 0.2, 0.3, 0.25 * np.exp(1j * math.pi / 6)])
         eps_list, t_final = [1 / 8, 1 / 16], 0.1
@@ -219,11 +221,7 @@ class TestConvergence:
             modes, alpha, 1.0, eps_list, t_final, checkpoints=2
         )
         checks = table.checkpoint_times
-        traj = integrate_torus(
-            alpha, modes,
-            SimParams(lam=1.0, t_final=t_final, dt=table.profile.dt),
-            snapshot_times=checks,
-        )
+        amps = _table_profiles(table, modes, alpha, 1.0, t_final)
         for eps, row in zip(eps_list, table.rows):
             assert row.ok and row.check is not None
             assert row.check.dt == row.check.rung * default_dt(eps)
@@ -233,9 +231,7 @@ class TestConvergence:
             res = solve(u0, cfg, snapshot_times=checks)
             sup_err = w_err = 0.0
             for t in checks:
-                uapp = assemble_uapp(
-                    ProfileStateTorus(modes, traj.at(t), t), eps, n
-                )
+                uapp = assemble_uapp(ProfileStateTorus(modes, amps[t], t), eps, n)
                 diff = GridField(2, n, res.at(t).values - uapp.values)
                 sup_err = max(sup_err, sup_norm_of_field(diff))
                 w_err = max(w_err, w_norm_of_field(diff))
@@ -285,6 +281,39 @@ def _one(run):
     return lambda r, some: [run(r)]
 
 
+def _plain(fine, coarse):
+    """A combine whose extrapolant is the fine run: each extrapolated pair
+    is the plain pair again, so the walk is the plain pairs' alone."""
+    return fine
+
+
+def _strang_extrapolant(fine, coarse):
+    """The split-step ladder's E of two solves at steps h and 2h."""
+    return SolveResult(fine.times, _extrapolate(fine.fields, coarse.fields, 2), 0)
+
+
+def _table_profiles(table, modes, alpha, lam, t_final):
+    """The profile amplitudes of each checkpoint that a table's rows were
+    measured against, rebuilt: RK4 at the profile's rung, per//rung equal
+    steps on each segment, or its extrapolant with the run at twice the
+    step, evaluated as the ladder does, bit for bit."""
+    checks = table.checkpoint_times
+    marks = _snapshot_marks(t_final, checks)
+    shortest = min(b - a for a, b in zip(marks, marks[1:]))
+    _, _, per = _ladder_top(PROFILE_DT, shortest)
+
+    def at(rung):
+        params = SimParams(lam, t_final, shortest / (per // rung))
+        return integrate_torus(alpha, modes, params, snapshot_times=checks).at
+
+    rung = table.profile.rung
+    fine = at(rung)
+    if not table.profile.extrapolated:
+        return {t: fine(t) for t in checks}
+    coarse = at(2 * rung)
+    return {t: _extrapolate(fine(t), coarse(t), 4) for t in checks}
+
+
 class TestLadderCheck:
     def test_over_names_the_deltas_above_budget(self):
         assert LadderCheck(1, 0.1, False, 1.0, 1.0).over(1.0) == {}  # equal is within
@@ -306,9 +335,9 @@ class TestStepLadder:
             runs.append(r)
             return r
 
-        [walk] = _ladder(_one(run), [None], 1.0, LADDER_TOP, lambda a, b: b * b, budget=100.0)
+        [walk] = _ladder(_one(run), [None], 1.0, 16, lambda a, b: b * b, 100.0, _plain)
         assert walk == (LadderCheck(4, 4.0, False, 64), 4, 4, 8)
-        assert runs == [2 * LADDER_TOP, 16, 8, 4]  # one new run per rung
+        assert runs == [32, 16, 8, 4]  # one new run per rung
 
     def test_extrapolant_is_tried_after_the_plain_pair(self):
         # the plain pairs fail down to rung 4, the extrapolants pass from
@@ -326,7 +355,7 @@ class TestStepLadder:
         def delta(a, b):
             return 1.0 if isinstance(a, tuple) else b * b
 
-        [walk] = _ladder(_one(run), [None], 1.0, LADDER_TOP, delta, 100.0, combine)
+        [walk] = _ladder(_one(run), [None], 1.0, 16, delta, 100.0, combine)
         assert walk == (LadderCheck(8, 8.0, True, 1.0), ("E", 8), 8, 16)
         assert runs == [32, 16, 8] and combined == [(16, 32), (8, 16)]
 
@@ -342,7 +371,7 @@ class TestStepLadder:
         def delta(a, b):
             return 0.0 if isinstance(a, tuple) else b * b / 4
 
-        [walk] = _ladder(_one(lambda r: r), [None], 1.0, LADDER_TOP, delta, 100.0, combine)
+        [walk] = _ladder(_one(lambda r: r), [None], 1.0, 16, delta, 100.0, combine)
         assert walk == (LadderCheck(8, 8.0, False, 64.0), 8, 8, 16)
         assert combined == [(16, 32)]
 
@@ -364,9 +393,9 @@ class TestStepLadder:
                 raise BlowUpError(0.5)
             return r
 
-        [walk] = _ladder(_one(run), [None], 1.0, LADDER_TOP, lambda a, b: b - a, budget=100.0)
+        [walk] = _ladder(_one(run), [None], 1.0, 16, lambda a, b: b - a, 100.0, _plain)
         assert walk == (LadderCheck(2, 2.0, False, 2), 2, 2, 4)
-        assert runs == [2 * LADDER_TOP, 16, 8, 4, 2]
+        assert runs == [32, 16, 8, 4, 2]
 
     def test_blow_up_at_rung_one_raises(self):
         def run(r):
@@ -375,7 +404,7 @@ class TestStepLadder:
             return r
 
         # the coarse partner of rung 1 blew up: the delta is inf, not raised
-        assert _ladder(_one(run), [None], 1.0, LADDER_TOP, lambda a, b: 0.0, 0.0) == [
+        assert _ladder(_one(run), [None], 1.0, 16, lambda a, b: 0.0, 0.0, _plain) == [
             (LadderCheck(1, 1.0, False, math.inf), 1, 1, None)
         ]
 
@@ -383,7 +412,7 @@ class TestStepLadder:
             raise BlowUpError(0.25)
 
         with pytest.raises(BlowUpError, match="t=0.25"):
-            _ladder(_one(run_all), [None], 1.0, LADDER_TOP, lambda a, b: 0.0, 0.0)
+            _ladder(_one(run_all), [None], 1.0, 16, lambda a, b: 0.0, 0.0, _plain)
 
     def test_data_walk_together_and_leave_at_their_own_rungs(self):
         # datum "a" has delta (2 r)^2 and passes at rung 4; "b" passes at the
@@ -397,14 +426,12 @@ class TestStepLadder:
         def delta(fine, coarse):
             return coarse[1] ** 2 if fine[0] == "a" else 0.0
 
-        walks = _ladder(run, ["a", "b"], 1.0, LADDER_TOP, delta, budget=100.0)
+        walks = _ladder(run, ["a", "b"], 1.0, 16, delta, 100.0, _plain)
         assert walks == [
             (LadderCheck(4, 4.0, False, 64), ("a", 4), ("a", 4), ("a", 8)),
-            (LadderCheck(LADDER_TOP, LADDER_TOP, False, 0.0), ("b", 16), ("b", 16), ("b", 32)),
+            (LadderCheck(16, 16.0, False, 0.0), ("b", 16), ("b", 16), ("b", 32)),
         ]
-        assert calls == [
-            (2 * LADDER_TOP, ("a", "b")), (16, ("a", "b")), (8, ("a",)), (4, ("a",)),
-        ]
+        assert calls == [(32, ("a", "b")), (16, ("a", "b")), (8, ("a",)), (4, ("a",))]
 
     def test_leg_takes_the_largest_passing_rung(self):
         # criterion 1's data at eps = 1/8: the walk starts at rung 32, the
@@ -432,55 +459,76 @@ class TestStepLadder:
         }
         assert _field_delta(at[8], at[16]) == check.step_delta
         assert _field_delta(at[16], at[32]) > LADDER_FRACTION * eps
-        e16, e32 = _extrapolate(at[16], at[32]), _extrapolate(at[32], at[64])
+        e16, e32 = _strang_extrapolant(at[16], at[32]), _strang_extrapolant(at[32], at[64])
         assert _field_delta(e16, e32) > LADDER_FRACTION * eps
         # 9 segments, solved at rungs 64, 32, 16 and 8, plus the 32-point
         # grid at rung 16
         assert check.steps == 9 * (2 + 4 + 8 + 16 + 8)
+        # the profile's top, rung 32 (2 RK4 steps per segment at rung 64),
+        # passes on its plain pair
         profile = table.profile
-        assert profile.rung == LADDER_TOP and profile.dt == LADDER_TOP * PROFILE_DT
+        assert profile.rung == 32 and profile.dt == 32 * PROFILE_DT
         assert profile.extrapolated is False and profile.grid_delta is None
         assert 0 < profile.step_delta <= LADDER_FRACTION * eps
+        assert profile.steps == 9 * (2 + 4)
 
     @pytest.mark.parametrize("eps,t_final,checkpoints", [
         (1 / 8, 1.0, 8), (1 / 64, 1.0, 8), (1 / 4, 0.3, 2), (1 / 16, 0.013, 3),
+        (1 / 4, 0.0031, 1),
     ])
     def test_rung_step_counts_are_nested(self, monkeypatch, eps, t_final, checkpoints):
-        # every solve of a leg takes one count of equal steps on every
+        # both ladders of one leg, the split-step solves and the profile's
+        # RK4 runs: every run takes one count of equal steps on every
         # segment between its marks, each rung exactly twice its coarser
-        # neighbour's, the grid check its coarse rung's; no step exceeds
-        # the kept rung's dt
-        solves = []
-        real = wkb_pipeline.solve
+        # neighbour's, a solve's grid check its coarse rung's; no step
+        # exceeds the kept rung's dt, the unit is at most half a segment
+        # (also on segments shorter than two unit steps), and the drift is
+        # the rung's run's
+        runs = {"solve": [], "integrate_torus": []}
 
-        def recording(u0, cfg, snapshot_times=None):
-            res = real(u0, cfg, snapshot_times=snapshot_times)
-            solves.append((cfg.n, res))
-            return res
+        def recorder(name):
+            real, record = getattr(wkb_pipeline, name), runs[name]
 
-        monkeypatch.setattr(wkb_pipeline, "solve", recording)
+            def call(*args, **kwargs):
+                record.append(real(*args, **kwargs))
+                return record[-1]
+            return call
+
+        for name in runs:
+            monkeypatch.setattr(wkb_pipeline, name, recorder(name))
         modes, alpha = criterion_one_data()
         table = run_convergence(modes, alpha, 1.0, [eps], t_final, checkpoints=checkpoints)
         [row] = table.rows
         assert row.ok
         marks = _snapshot_marks(t_final, table.checkpoint_times)
         assert len(marks) == checkpoints + 2
-        counts = []
-        for n, res in solves:
+        segment = marks[1] - marks[0]
+        for left, right in zip(marks, marks[1:]):
+            assert right - left == pytest.approx(segment, rel=1e-12)
+        solves = []
+        for res in runs["solve"]:
             assert np.allclose(res.times * eps, marks, rtol=0, atol=1e-12)
             per_segment, rest = divmod(res.steps, len(marks) - 1)
             assert rest == 0
-            counts.append((n, per_segment))
-        *ladder, (grid_n, grid_count) = counts
-        assert {n for n, _ in ladder} == {grid_n // 2}
-        ladder = [c for _, c in ladder]
-        assert all(fine == 2 * coarse for coarse, fine in zip(ladder, ladder[1:]))
-        assert grid_count == ladder[-2]
-        assert sum(c for _, c in counts) * (len(marks) - 1) == row.check.steps
-        kept_step = (marks[1] - marks[0]) / ladder[-1]
-        assert kept_step <= row.check.dt * (1 + 1e-12)
-        for left, right in zip(marks, marks[1:]):
-            assert right - left == pytest.approx(marks[1] - marks[0], rel=1e-12)
+            solves.append((res.fields.shape[1], per_segment))
+        *solves, (grid_n, grid_count) = solves
+        assert {n for n, _ in solves} == {grid_n // 2}
+        assert grid_count == solves[-2][1]
+        assert row.check.drift == runs["solve"][-2].l2_relative_drift
+        profiles = []
+        for traj in runs["integrate_torus"]:
+            ends = np.searchsorted(traj.times, np.array(marks) - 1e-12)
+            assert np.allclose(traj.times[ends], marks, rtol=0, atol=1e-12)
+            [per_segment] = set(np.diff(ends))
+            profiles.append(per_segment)
+        assert table.profile.drift == _relative_drift(runs["integrate_torus"][-1].mass_series())
+        for check, counts, extra in (
+            (row.check, [c for _, c in solves], grid_count), (table.profile, profiles, 0),
+        ):
+            assert all(fine == 2 * coarse for coarse, fine in zip(counts, counts[1:]))
+            assert (sum(counts) + extra) * (len(marks) - 1) == check.steps
+            assert segment / counts[-1] <= check.dt * (1 + 1e-12)
+            assert check.dt / check.rung <= segment / 2
 
     def test_extrapolant_error_falls_sixteenfold(self):
         # th11's cell at eps = 1/8 against a fine reference: halving the
@@ -494,11 +542,12 @@ class TestStepLadder:
         def at(m):  # m steps per segment
             return solve(u0, replace(cell, dt=times[0] / m), snapshot_times=times)
 
-        ref = _extrapolate(at(1024), at(512)).fields
+        ref = _strang_extrapolant(at(1024), at(512)).fields
         u = {m: at(m) for m in (8, 16, 32, 64)}
         strang = [np.max(np.abs(u[m].fields - ref)) for m in (16, 32, 64)]
         extra = [
-            np.max(np.abs(_extrapolate(u[m], u[m // 2]).fields - ref)) for m in (16, 32, 64)
+            np.max(np.abs(_strang_extrapolant(u[m], u[m // 2]).fields - ref))
+            for m in (16, 32, 64)
         ]
         for coarse, fine in zip(strang, strang[1:]):
             assert 3.8 < coarse / fine < 4.2
@@ -506,45 +555,67 @@ class TestStepLadder:
             assert coarse / fine >= 10
         assert extra[0] < strang[-1]
 
-    @pytest.mark.parametrize("t_final", [1.0, 0.1, 0.013, 0.0031])
-    @pytest.mark.parametrize("checkpoints", [1, 3, 8])
-    def test_top_rung_cap_never_yields_equal_step_counts(self, t_final, checkpoints):
-        # the profile ladder's rungs take the fewest steps of at most r*unit
-        # per segment: every compared pair of runs differs by a step in every
-        # segment, whatever the horizon, including units coarser than the
-        # segments
-        checks = [t_final * k / (checkpoints + 1) for k in range(1, checkpoints + 2)]
-        marks = _snapshot_marks(t_final, checks)
-        shortest = min(b - a for a, b in zip(marks, marks[1:]))
-        u0 = GridField(1, 16, np.full(16, 0.5 + 0j))
-        for unit in (1e-2, 1e-3):
-            runs = []
-            unit, top = _ladder_top(unit, shortest, LADDER_TOP)
+    def test_rk4_extrapolant_error_falls_over_25fold(self):
+        # a 1D cubic set against its closed form, on nested counts of RK4
+        # steps per segment: halving the step cuts the RK4 error 16x and
+        # that of its extrapolant with p = 4 over 25x (about 40x here; with
+        # p = 2 it would fall 16x, as RK4's own)
+        modes = line_modes(-1, 0, 1)
+        alpha = np.array([0.5, 1.0, 0.7 * np.exp(1j * math.pi / 4)])
+        checks = [k / 9 for k in range(1, 10)]
 
-            def run(r):
-                cfg = SolverConfig(1.0, 1.0, 1, r * unit, 16, t_final)
-                runs.append(solve(u0, cfg, snapshot_times=checks))
-                return runs[-1]
+        def at(m):  # m steps per segment
+            params = SimParams(1.0, 1.0, checks[0] / m)
+            return integrate_torus(alpha, modes, params, snapshot_times=checks).at
 
-            [(check, *_)] = _ladder(
-                _one(run), [None], unit, top, lambda a, b: math.inf, budget=0.0
-            )
-            assert check.rung == 1 and unit <= shortest / 2
-            for coarse, fine in zip(runs, runs[1:]):
-                assert fine.steps >= coarse.steps + len(checks)
+        def error(amps):
+            return max(e_norm(amps(t) - explicit_torus_1d(alpha, 1.0, t)) for t in checks)
+
+        run = {m: at(m) for m in (2, 4, 8, 16)}
+        rk4 = [error(run[m]) for m in (4, 8, 16)]
+        extra = [
+            error(lambda t, m=m: _extrapolate(run[m](t), run[m // 2](t), 4)) for m in (4, 8, 16)
+        ]
+        for coarse, fine in zip(rk4, rk4[1:]):
+            assert 15 < coarse / fine < 17
+        for coarse, fine in zip(extra, extra[1:]):
+            assert coarse / fine >= 25
+
+    def test_deep_sigma_two_profile_is_extrapolated(self, monkeypatch):
+        # the quintic set {-1, 0, 1} with alpha = (0.5, 1, 0.5+0.5i) over
+        # T = 0.5, checked against 0.01 * (1/1024): E_4 (16 against 8 RK4
+        # steps per segment) passes in 270 steps, 2 + 4 + 8 + 16 per
+        # segment from rung 32; the legs' solves fail at once, only the
+        # profile is checked here
+        def failing(*args, **kwargs):
+            raise FloatingPointError("not solved")
+
+        monkeypatch.setattr(wkb_pipeline, "solve", failing)
+        modes = close_under_resonances([wv(-1), wv(0), wv(1)], 2)
+        assert modes.saturated
+        amps = {(-1,): 0.5, (0,): 1.0, (1,): 0.5 + 0.5j}
+        alpha = np.array([amps[v.coords] for v in modes.vectors])
+        table = run_convergence(modes, alpha, 1.0, [1 / 8, 1 / 1024], 0.5)
+        profile = table.profile
+        assert profile.extrapolated is True
+        assert profile.rung == 4 and profile.steps == 270
+        assert 0 < profile.step_delta <= LADDER_FRACTION / 1024
+        assert not any(row.ok for row in table.rows)
 
     def test_row_whose_bottom_rung_fails_is_marked_failed(self, monkeypatch):
-        monkeypatch.setattr(wkb_pipeline, "LADDER_FRACTION", 1e-12)
+        # a budget below rounding fails both ladders down to rung 1 (at
+        # 1e-12*eps the profile's extrapolant passes at rung 4)
+        monkeypatch.setattr(wkb_pipeline, "LADDER_FRACTION", 1e-16)
         modes = line_modes(0, 1)
         table = run_convergence(
             modes, [0.7, 0.4], 1.0, [1 / 4], 0.3, checkpoints=2
         )
         row = table.rows[0]
         assert not row.ok
-        assert row.status.startswith("check over 1e-12*eps: step delta")
+        assert row.status.startswith("check over 1e-16*eps: step delta")
         assert "profile delta" in row.status
         assert row.check.rung == 1 and row.check.dt == default_dt(1 / 4)
-        assert row.check.step_delta > 1e-12 / 4
+        assert row.check.step_delta > 1e-16 / 4
         assert table.profile.rung == 1 and table.profile.dt == PROFILE_DT
         # measured, not discarded, but kept out of the fit
         assert math.isfinite(row.sup_error) and row.sup_error > 0
@@ -555,7 +626,7 @@ class TestStepLadder:
         # cap both ladders at a step of a few ulps and never finish
         table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4], 0.45)
         row = table.rows[0]
-        assert row.ok and row.check.rung == 8 and table.profile.rung == LADDER_TOP
+        assert row.ok and row.check.rung == 8 and table.profile.rung == 16
         checks = table.checkpoint_times
         assert checks[-1] < 0.45
         assert _snapshot_marks(0.45, checks) == [0.0, *checks[:-1], 0.45]
@@ -572,20 +643,25 @@ class TestStepLadder:
         modes, alpha = criterion_one_data()
         self.check_hand_built(modes, alpha, 1 / 32, 1.0, 8, 512, extrapolated=True)
 
+    def test_row_against_extrapolated_profiles_equals_a_hand_built_one(self):
+        # th11 at eps = 1/32 with two checkpoints: the profiles keep E_64
+        # (8 against 4 RK4 steps per 1/3 segment), and the leg walks from
+        # rung 512 (2 steps per segment at rung 1024) to E_16
+        modes, alpha = criterion_one_data()
+        table = self.check_hand_built(modes, alpha, 1 / 32, 1.0, 2, 2048, extrapolated=True)
+        assert table.profile.extrapolated is True and table.profile.rung == 64
+
     @staticmethod
     def check_hand_built(modes, alpha, eps, t_final, checkpoints, per, *, extrapolated):
         """The row's errors are those of one period solve at the row's rung,
         per/rung steps per segment, or of its extrapolant with the solve at
-        twice the step, against profiles at the table's step, bit for bit;
-        the drift is the period solve's in both cases."""
+        twice the step, against the table's profiles, bit for bit; the drift
+        is the period solve's in both cases.  Returns the table."""
         table = run_convergence(modes, alpha, 1.0, [eps], t_final, checkpoints=checkpoints)
         row = table.rows[0]
         assert row.ok and row.check.extrapolated is extrapolated
         checks = table.checkpoint_times
-        traj = integrate_torus(
-            alpha, modes, SimParams(1.0, t_final, table.profile.dt),
-            snapshot_times=checks,
-        )
+        amps = _table_profiles(table, modes, alpha, 1.0, t_final)
         times = [t / eps for t in checks]
 
         def period_solve(rung):
@@ -595,15 +671,16 @@ class TestStepLadder:
 
         res = kept = period_solve(row.check.rung)
         if extrapolated:
-            kept = _extrapolate(res, period_solve(2 * row.check.rung))
+            kept = _strang_extrapolant(res, period_solve(2 * row.check.rung))
         sup_err = w_err = 0.0
         for t in checks:
-            uapp = assemble_uapp(ProfileStateTorus(modes, traj.at(t), t / eps), 1.0, 16)
+            uapp = assemble_uapp(ProfileStateTorus(modes, amps[t], t / eps), 1.0, 16)
             diff = GridField(1, 16, kept.at(t / eps).values - uapp.values)
             sup_err = max(sup_err, sup_norm_of_field(diff))
             w_err = max(w_err, w_norm_of_field(diff))
         assert (row.sup_error, row.w_error) == (sup_err, w_err)
         assert row.check.drift == res.l2_relative_drift
+        return table
 
 
 class TestRemainderReport:
