@@ -34,8 +34,7 @@ def main():
 
         out = str(Path(tmp) / "profiles")
         show_run(["profiles", "--scenario",
-                  str(SCENARIOS / "profiles_torus_1d.json"), "--out", out,
-                  "--oracle", "explicit_torus_1d"], out)
+                  str(SCENARIOS / "profiles_torus_1d.json"), "--out", out], out)
         report = json.loads((Path(out) / "profiles_report.json").read_text())
         print(f"    oracle deviation {report['results']['oracle_max_deviation']:.3e}")
 

@@ -323,20 +323,6 @@ def _resolve_keys(doc: dict, rows: dict, path: str) -> dict:
     return out
 
 
-def _check_oracle(oracle: Optional[str], where: str, doc: dict) -> None:
-    """The closed form must describe the scenario's domain and nonlinearity."""
-    euclid = doc["domain"]["type"] == "euclid"
-    needs = {
-        None: True,
-        "explicit_torus_1d": not euclid and doc["dimension"] == 1 and doc["sigma"] == 1,
-        "explicit_two_mode": not euclid,
-        "explicit_euclid_1d": euclid and doc["sigma"] == 1,
-    }
-    _expect(needs[oracle], f"{where}: {oracle} does not apply to a "
-            f"{doc['domain']['type']} domain with dimension {doc['dimension']}, "
-            f"sigma {doc['sigma']}")
-
-
 def _cross_rules(doc: dict, raw: dict) -> list[ModeSpec]:
     """The rules that relate fields the table checks one by one.  Rewrites
     the resolved modes into their report form and returns them as specs."""
@@ -366,7 +352,16 @@ def _cross_rules(doc: dict, raw: dict) -> list[ModeSpec]:
     if etype == "profiles":
         _expect(exp["dt"] <= exp["t_final"],
                 "experiment.dt: must not exceed experiment.t_final")
-        _check_oracle(exp["oracle"], "experiment.oracle", doc)
+        # the closed form must describe the scenario's domain and nonlinearity
+        oracle, sigma = exp["oracle"], doc["sigma"]
+        needs = {
+            None: True,
+            "explicit_torus_1d": not euclid and dim == 1 and sigma == 1,
+            "explicit_two_mode": not euclid,
+            "explicit_euclid_1d": euclid and sigma == 1,
+        }
+        _expect(needs[oracle], f"experiment.oracle: {oracle} does not apply to a "
+                f"{doc['domain']['type']} domain with dimension {dim}, sigma {sigma}")
         if euclid and exp["quadrature_dt"] is None:
             exp["quadrature_dt"] = exp["dt"]
     if etype == "converge":
@@ -472,7 +467,7 @@ def _npy_bytes(array: np.ndarray) -> bytes:
 
 
 def _report_bytes(args, scn: Scenario, results: dict, runtimes: dict) -> bytes:
-    flags = {key: getattr(args, key, None) for key in ("assert_order", "oracle")}
+    flags = {"assert_order": getattr(args, "assert_order", None)}
     envelope = {
         "schema": REPORT_SCHEMA,
         "command": args.command,
@@ -561,9 +556,8 @@ def _gaussian(preset: dict):
 def cmd_profiles(scn: Scenario, args) -> Outcome:
     """RK4 profiles on the torus (amplitudes) or the Euclidean box (fields);
     only the data, the integrator, the side files and the oracle differ."""
-    _check_oracle(args.oracle, "--oracle", scn.resolved)
     exp = scn.experiment
-    oracle = args.oracle or exp["oracle"]
+    oracle = exp["oracle"]
     t_final, dt, snaps = exp["t_final"], exp["dt"], exp["snapshots"]
     euclid = scn.domain["type"] == "euclid"
     modes, data = _closed_modes(scn)
@@ -675,13 +669,13 @@ def _check_label(check: Optional[LadderCheck], eps=None) -> str:
 
 def _row_cells(row: wkb_pipeline.ConvergenceRow) -> dict:
     """A converge row's `convergence.csv` cells by column: every field but
-    stage_s, with the fields of its check in place of check (all None on a
-    failed leg)."""
+    the timings, runtime and stage_s, with the fields of its check in place
+    of check (all None on a failed leg)."""
     cells = {}
     for f in fields(row):
         if f.name == "check":
             cells.update((g.name, getattr(row.check, g.name, None)) for g in fields(LadderCheck))
-        elif f.name != "stage_s":
+        elif f.name not in ("runtime", "stage_s"):
             cells[f.name] = getattr(row, f.name)
     return cells
 
@@ -701,8 +695,7 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
 
     # convergence.csv: each cell in its format here or else as str, and None
     # as an empty cell
-    formats = {"eps": ".12g", "dt": ".12g", "sup_error": ".17g", "w_error": ".17g",
-               "runtime": ".3f"}
+    formats = {"eps": ".12g", "dt": ".12g", "sup_error": ".17g", "w_error": ".17g"}
     cells = [_row_cells(r) for r in table.rows]
     csv_bytes = _csv_bytes(list(cells[0]), [
         ["" if v is None else format(v, formats.get(k, "")) for k, v in row.items()]
@@ -865,13 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="P",
                 help="exit 1 unless the fitted sup order reaches P",
-            )
-        if name == "profiles":
-            p.add_argument(
-                "--oracle",
-                choices=ORACLES,
-                default=None,
-                help="compare against a closed form and report the deviation",
             )
     return parser
 

@@ -97,15 +97,14 @@ class LadderCheck:
     """The step-and-grid check of one run chosen on the step ladder, and
     the health of the runs behind it.
 
-    rung is the ladder rung, dt = rung times the ladder's unit step (a bound
-    on the run's steps: the rungs are nested, see `_ladder_top`), and
-    extrapolated whether the kept run is the Richardson extrapolant of the
-    rung's run and the one at twice its step (`_extrapolate`) rather than
-    the rung's run itself.  step_delta is the step-doubling delta of the
-    accepted pair (|E_r - E_2r| when extrapolated; inf when a run of the
-    pair blew up), grid_delta the grid-doubling delta of the rung's coarse
-    solve against its doubled-cell twin, None for the profile ladder, which
-    has no grid.
+    rung is the ladder rung and dt the step its run took (`_ladder`), so a
+    run at dt rebuilds it bit for bit; extrapolated is whether the kept run
+    is the Richardson extrapolant of the rung's run and the one at twice its
+    step (`_extrapolate`) rather than the rung's run itself.  step_delta is
+    the step-doubling delta of the accepted pair (|E_r - E_2r| when
+    extrapolated; inf when a run of the pair blew up), grid_delta the
+    grid-doubling delta of the rung's coarse solve against its doubled-cell
+    twin, None for the profile ladder, which has no grid.
 
     The health: steps counts the split or RK4 steps of every run the datum
     took part in (each rung walked and the grid check; in a stacked solve,
@@ -143,9 +142,9 @@ class ConvergenceRow:
     failed keeps NaN errors, no check and no health; a leg whose check
     exceeded its budget keeps its measured errors and deltas.
 
-    The fields, in order, are the columns of `convergence.csv` (all but
-    stage_s, with the fields of check in its place) and the keys of a report
-    row (all but the timings).  check is the leg's `LadderCheck`, health
+    The fields, in order, are the columns of `convergence.csv` and the keys
+    of a report row, all but the timings (with the fields of check in its
+    place in the CSV).  check is the leg's `LadderCheck`, health
     included.  runtime and stage_s (seconds in the checks and their health
     reads, the rung's solve, and assembly plus norms) are timings.
     """
@@ -197,25 +196,18 @@ def _fit_order(rows: Sequence[ConvergenceRow], attr: str) -> Optional[float]:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _ladder_top(unit: float, shortest: float):
-    """(unit, top, per): unit shrunk to at most half the shortest snapshot
-    segment, the largest power-of-two rung whose coarse partner 2*top*unit
-    still fits in that segment (at least 1), and rung 1's steps on it, a
-    multiple of 2*top: rung r takes per//r equal steps of at most r*unit,
-    twice those of rung 2r."""
-    unit = min(unit, shortest / 2)
-    top = 1
-    while 4 * top * unit <= shortest:
-        top *= 2
-    return unit, top, math.ceil(shortest / (2 * top * unit) - 1e-9) * 2 * top
+def _ladder(run, data: Sequence, unit: float, shortest: float, delta, budget: float, combine):
+    """Choose a step for each of the data on a power-of-two ladder of nested
+    steps, the rungs r = top, ..., 2, 1.
 
-
-def _ladder(run, data: Sequence, unit: float, top: int, delta, budget: float, combine):
-    """Choose a rung for each of the data on the power-of-two ladder
-    r = top, ..., 2, 1 of the step unit.
-
-    run(r, some) integrates the data in `some` (a sub-list of data, in
-    order) together over the whole horizon at rung r, and returns one run
+    The unit is shrunk to at most half the shortest snapshot segment, and
+    top is the largest power of two whose coarse partner, a step of 2*top
+    units, still fits into that segment (at least 1).  Rung 1 takes per equal
+    steps on the shortest segment, the fewest of at most unit that are a
+    multiple of 2*top, and rung r takes per//r of them: its step
+    h = shortest/(per//r) is at most r*unit and exactly twice rung r/2's.
+    run(h, some) integrates the data in `some` (a sub-list of data, in
+    order) together over the whole horizon at step h, and returns one run
     per datum; delta(a, b) measures two runs of one datum.  Each rung r is
     compared with rung 2r, and a datum leaves the walk at its first rung
     within budget: the data still walking share every run, and only the
@@ -227,34 +219,41 @@ def _ladder(run, data: Sequence, unit: float, top: int, delta, budget: float, co
     guard gives None for each of its data, and a comparison with None is
     over budget (delta inf), except that a blow-up at rung 1 itself raises
     its BlowUpError.
-    Returns one (check, kept, fine, coarse) per datum: its `LadderCheck`
-    without a grid delta, E_r when extrapolated else the run at rung r
-    (fine), that run, and the run at rung 2r; at rung 1, with neither pair
-    within budget, kept is fine and the check holds the plain gap, which may
-    exceed the budget.
+    Returns one (check, kept, fine, coarse) per datum: its `LadderCheck`,
+    with the step h of the rung's run and no grid delta, E_r when
+    extrapolated else the run at rung r (fine), that run, and the run at
+    rung 2r; at rung 1, with neither pair within budget, kept is fine and
+    the check holds the plain gap, which may exceed the budget.
     """
+    unit = min(unit, shortest / 2)
+    top = 1
+    while 4 * top * unit <= shortest:
+        top *= 2
+    per = math.ceil(shortest / (2 * top * unit) - 1e-9) * 2 * top
 
-    def attempt(r: int, some: list):
+    def step(r: int) -> float:
+        return shortest / (per // r)
+
+    def attempt(h: float, some: list):
         try:
-            return run(r, some)
+            return run(h, some)
         except BlowUpError:
             return [None] * len(some)
 
     chosen = [None] * len(data)
     walking = list(range(len(data)))
-    coarse = attempt(2 * top, list(data))
+    coarse = attempt(step(2 * top), list(data))
     coarse_e = [None] * len(data)  # E_2r of each walking datum, once rung 4r ran
     r = top
     while walking:
-        fine = (run if r == 1 else attempt)(r, [data[i] for i in walking])
+        fine = (run if r == 1 else attempt)(step(r), [data[i] for i in walking])
         still, kept, kept_e = [], [], []
         for i, f, c, ce in zip(walking, fine, coarse, coarse_e):
             pair = f is not None and c is not None
-            plain = LadderCheck(r, r * unit, False, delta(f, c) if pair else math.inf)
+            plain = LadderCheck(r, step(r), False, delta(f, c) if pair else math.inf)
             e = combine(f, c) if pair and plain.over(budget) else None
-            extra = LadderCheck(
-                r, r * unit, True, math.inf if e is None or ce is None else delta(e, ce)
-            )
+            extra = replace(plain, extrapolated=True,
+                            step_delta=math.inf if e is None or ce is None else delta(e, ce))
             if not plain.over(budget) or (r == 1 and extra.over(budget)):
                 chosen[i] = (plain, f, f, c)
             elif not extra.over(budget):
@@ -337,11 +336,11 @@ def _checked_solve(
     Each datum's rung is chosen by `_ladder` against LADDER_FRACTION*eps on
     delta, the plain Strang pair first and then its Richardson extrapolants
     (`_extrapolate`, p = 2; E is not a solve: it takes no steps and has no
-    health), and the data still walking share each rung's solve.  The rungs
-    are those of `_ladder_top` from unit default_dt(eps): per//r steps on
-    each segment at rung r (the marks of both callers are uniform; a longer
-    segment would take the fewest steps of at most shortest over that count).
-    One more solve at the chosen rung's coarse step (rung 2r) on the
+    health), and the data still walking share each rung's solve.  Each
+    solve runs at the physical step h that `_ladder` hands it from unit
+    default_dt(eps), h/eps on the cell (the marks of both callers are
+    uniform; a longer segment would take the fewest steps of at most h).
+    One more solve at the chosen rung's coarse step 2*check.dt on the
     doubled cell, shared by the data that chose that rung, gives each of
     them its grid-doubling delta: delta of its coarse solve and that
     doubled-cell twin, whether or not the rung was extrapolated.  Every
@@ -352,25 +351,24 @@ def _checked_solve(
 
     Returns (checked, spent): one (check, kept) per datum, its `LadderCheck`
     with its health and E_r when extrapolated else the solve at rung r; and
-    the seconds of each solve by (rung, cell points).  A failing solve
-    raises; a converge row records it, with no check.
+    the seconds of each solve by (physical step, cell points).  A failing
+    solve raises; a converge row records it, with no check.
     """
     cell_times = [t / eps for t in times]
-    unit, top, per = _ladder_top(default_dt(eps), shortest)
     steps = [0] * len(states)
     spent = {}
 
-    def run(r: int, some: list, m: int = cell.n) -> list:
+    def run(h: float, some: list, m: int = cell.n) -> list:
         # the ladder's data are indices into states: each datum counts its steps
         t0 = time.perf_counter()
-        cfg = replace(cell, dt=shortest / (per // r) / eps, n=m)
+        cfg = replace(cell, dt=h / eps, n=m)
         u0 = [assemble_uapp(states[i], 1.0, m) for i in some]
         if len(u0) == 1:
             res = [solve(u0[0], cfg, snapshot_times=cell_times)]
         else:
             stack = GridField(u0[0].d, m, np.stack([u.values for u in u0]))
             res = solve(stack, cfg, snapshot_times=cell_times)
-        spent[r, m] = time.perf_counter() - t0
+        spent[h, m] = time.perf_counter() - t0
         for i, one in zip(some, res):
             steps[i] += one.steps
         return res
@@ -378,13 +376,14 @@ def _checked_solve(
     def combine(fine: SolveResult, coarse: SolveResult) -> SolveResult:
         return SolveResult(fine.times, _extrapolate(fine.fields, coarse.fields, 2), 0)
 
-    walks = _ladder(run, range(len(states)), unit, top, delta, LADDER_FRACTION * eps, combine)
-    by_rung = {}
+    walks = _ladder(run, range(len(states)), default_dt(eps), shortest, delta,
+                    LADDER_FRACTION * eps, combine)
+    by_step = {}
     for i, (check, *_) in enumerate(walks):
-        by_rung.setdefault(check.rung, []).append(i)
+        by_step.setdefault(check.dt, []).append(i)
     checked = [None] * len(states)
-    for rung, which in by_rung.items():
-        for i, twin in zip(which, run(2 * rung, which, 2 * cell.n)):
+    for h, which in by_step.items():
+        for i, twin in zip(which, run(2 * h, which, 2 * cell.n)):
             check, kept, fine, coarse = walks[i]
             checked[i] = (replace(
                 check, grid_delta=delta(coarse, twin), steps=steps[i],
@@ -418,8 +417,8 @@ def run_convergence(
     checkpoints of the pointwise gap of two solves (`_field_delta`); a leg's
     errors come from the kept run, the rung's solve or its extrapolant, and
     its check's health from the rung's solve.  The profile system's step is
-    chosen by `_ladder` on the same nested rungs (`_ladder_top`, from unit
-    PROFILE_DT) and extrapolants, with p = 4 for RK4, against
+    chosen by `_ladder` on the same nested steps (from unit PROFILE_DT; its
+    check's dt is the rung's RK4 step) and extrapolants, with p = 4, against
     LADDER_FRACTION*min(eps), on the largest summed amplitude gap
     sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
     difference and bounds its sup; an extrapolant holds t=0 and the
@@ -454,12 +453,11 @@ def run_convergence(
     ]
 
     start = time.perf_counter()
-    unit, top, per = _ladder_top(PROFILE_DT, shortest)
     profile_steps = 0
 
-    def integrate(r: int, _) -> list[TorusTrajectory]:
+    def integrate(h: float, _) -> list[TorusTrajectory]:
         nonlocal profile_steps
-        params = SimParams(lam=lam, t_final=t_final, dt=shortest / (per // r))
+        params = SimParams(lam=lam, t_final=t_final, dt=h)
         traj = integrate_torus(alpha, modes, params, snapshot_times=checks)
         profile_steps += len(traj.times) - 1
         return [traj]
@@ -469,7 +467,7 @@ def run_convergence(
         return TorusTrajectory(modes, np.array(marks), np.array(amps))
 
     [(check, traj, fine, _)] = _ladder(
-        integrate, [alpha], unit, top, lambda a, b: _amp_delta(a, b, checks),
+        integrate, [alpha], PROFILE_DT, shortest, lambda a, b: _amp_delta(a, b, checks),
         LADDER_FRACTION * min(eps_list), combine,
     )
     profile = replace(check, steps=profile_steps, drift=_relative_drift(fine.mass_series()))
@@ -483,7 +481,7 @@ def run_convergence(
                 [ProfileStateTorus(modes, alpha, 0.0)], cell, eps, checks, shortest,
                 _field_delta,
             )
-            solve_s = spent[check.rung, cell.n]
+            solve_s = spent[check.dt, cell.n]
             t0 = time.perf_counter()
             sup_err = w_err = 0.0
             for t in checks:

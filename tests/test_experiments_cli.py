@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsoptics import experiments_cli, wkb_pipeline
+from nlsoptics.spectral_nls import AliasingWarning
 from nlsoptics.wkb_pipeline import ConvergenceRow, LadderCheck
 from nlsoptics.experiments_cli import (
     REPORT_SCHEMA,
@@ -129,15 +130,11 @@ class TestProfilesCommand:
                 {"kappa": [0], "amplitude": [1.0, 0.0]},
                 {"kappa": [1], "amplitude": [0.5, 0.5]},
             ],
-            experiment={"type": "profiles", "t_final": 0.2, "dt": 1e-3},
+            experiment={"type": "profiles", "t_final": 0.2, "dt": 1e-3,
+                        "oracle": "explicit_torus_1d"},
         )
         scn = write_scenario(tmp_path, doc)
-        rc = run(
-            [
-                "profiles", "--scenario", scn, "--out", str(tmp_path / "out"),
-                "--oracle", "explicit_torus_1d",
-            ]
-        )
+        rc = run(["profiles", "--scenario", scn, "--out", str(tmp_path / "out")])
         assert rc == 0
         rep = load_report(tmp_path, "profiles_report.json")
         assert rep["results"]["oracle"] == "explicit_torus_1d"
@@ -287,7 +284,8 @@ class TestConvergeCommand:
     def test_profile_blow_up_above_rung_1_walks_down(self, tmp_path, monkeypatch):
         # the top rung's coarse partner (two steps of 0.028 per 0.056
         # segment) turns the phase by about 5 rad a step and trips the guard;
-        # the ladder counts it over budget
+        # the ladder counts it over budget; both legs' rung-1 solves put
+        # 1.6e-2 and 4.2e-3 of their mass in the top band, and say so
         tripped = []
         real = wkb_pipeline.integrate_torus
 
@@ -300,8 +298,13 @@ class TestConvergeCommand:
 
         monkeypatch.setattr(wkb_pipeline, "integrate_torus", integrate)
         scn = write_scenario(tmp_path, self._blow_up_doc(1.0, (12.0, 5.0)))
-        rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")])
+        with pytest.warns(AliasingWarning) as caught:
+            rc = run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")])
         assert rc == 0
+        assert [str(w.message).split(" (")[0] for w in caught] == [
+            "top-band spectral mass fraction reached 1.599e-02",
+            "top-band spectral mass fraction reached 4.202e-03",
+        ]
         assert tripped and tripped[0] == pytest.approx(0.5 / 9 / 2)
         res = load_report(tmp_path, "converge_report.json")["results"]
         assert res["profile"]["rung"] == 1
@@ -345,7 +348,11 @@ class TestConvergeCommand:
             assert check["drift"] < 1e-12 and check["aliasing"] < 1e-8
         profile = res["profile"]
         assert profile["rung"] >= 1 and profile["steps"] > 0
-        assert profile["dt"] == profile["rung"] * 1e-3
+        # the step its RK4 run took: a whole count on each 0.05 segment, of
+        # at most rung times the 1e-3 unit
+        count = round(0.05 / profile["dt"])
+        assert count * profile["dt"] == pytest.approx(0.05, rel=1e-12)
+        assert profile["dt"] <= profile["rung"] * 1e-3
         # the profile ladder has no grid, is never extrapolated and has no top band
         assert profile["grid_delta"] is None and profile["extrapolated"] is False
         assert profile["aliasing"] is None
@@ -354,7 +361,7 @@ class TestConvergeCommand:
         header = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[0]
         assert header == (
             "eps,grid_n,sup_error,w_error,rung,dt,extrapolated,step_delta,grid_delta,"
-            "steps,drift,aliasing,runtime,status"
+            "steps,drift,aliasing,status"
         )
         out = capsys.readouterr().out
         assert out.count("  health: ") == 2 and out.startswith("profile: ")
@@ -371,9 +378,9 @@ class TestConvergeCommand:
                                  f"top band {check['aliasing']:.2e}")
 
     def test_csv_columns_and_report_rows_are_the_row_fields(self, tmp_path):
-        # ConvergenceRow alone says what a leg reports: the CSV has every
-        # field but stage_s, with the fields of its LadderCheck in place of
-        # check, and a report row every field but the timings; a report's
+        # ConvergenceRow alone says what a leg reports: the CSV and a report
+        # row have every field but the timings, the CSV with the fields of
+        # its LadderCheck in place of check; a report's
         # checks, a row's and each cross-check datum's, are LadderChecks
         scn = write_scenario(tmp_path, self._doc(1.0))
         assert run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
@@ -382,8 +389,8 @@ class TestConvergeCommand:
         at = names.index("check")
         columns = names[:at] + [f.name for f in dataclasses.fields(LadderCheck)] + names[at + 1:]
         header, cells = read_csv_rows(tmp_path / "out" / "convergence.csv")
-        assert header.split(",") == [k for k in columns if k != "stage_s"]
-        assert all(len(row) == len(columns) - 1 for row in cells)
+        assert header.split(",") == [k for k in columns if k not in ("runtime", "stage_s")]
+        assert all(len(row) == len(columns) - 2 for row in cells)
         rows = load_report(tmp_path, "converge_report.json")["results"]["rows"]
         assert len(rows) == 2
         for row in rows:
@@ -469,6 +476,9 @@ class TestConvergeCommand:
         assert one["content_hash"] == two["content_hash"]
         one.pop("runtimes"), two.pop("runtimes")
         assert one == two
+        # no side-file column is a timing
+        csv = [(tmp_path / out / "convergence.csv").read_bytes() for out in ("a", "b")]
+        assert csv[0] == csv[1]
 
     def test_scenario_hash_matches_file(self, tmp_path):
         scn = write_scenario(tmp_path, self._doc(1.0))
@@ -561,7 +571,11 @@ class TestInstabilityCommand:
         assert [c["rung"] for c in checks] == rungs
         assert [c["extrapolated"] for c in checks] == [extrapolated] * 2
         for c in checks:
-            assert c["dt"] == pytest.approx(c["rung"] * min(eps / 100, delta / 200), rel=1e-12)
+            # the step its rung's solves took: a whole count on each delta/100
+            # sample segment, of at most rung times the unit
+            count = round(delta / 100 / c["dt"])
+            assert count * c["dt"] == pytest.approx(delta / 100, rel=1e-12)
+            assert c["dt"] <= c["rung"] * min(eps / 100, delta / 200) * (1 + 1e-12)
         assert (max(c["step_delta"] for c in checks) > budget) == (over == "step")
         assert (max(c["grid_delta"] for c in checks) > budget) == (over == "grid")
         if over == "grid":
@@ -604,13 +618,17 @@ class TestInstabilityCommand:
     def test_unrepresentable_data_refused(self, tmp_path, capsys, changes, message):
         # in bounds key by key; the perturbation is lost to rounding, the
         # cross-check's fields overflow when squared, or its zero mode is
-        # read below the rounding of the datum
+        # read below the rounding of the datum; the cross-check cases, at
+        # K <= delta^(1/s), say first that the H^s premise is unmet
         doc = torus_doc(experiment={
             "type": "instability", "rho": 1.0, "delta": 0.1, "s": -2.0, "K": 4096,
             **changes,
         })
         scn = write_scenario(tmp_path, doc)
-        rc = run(["instability", "--scenario", scn, "--out", str(tmp_path / "out")])
+        premise = pytest.warns(UserWarning, match="premise") if changes.get("cross_check") \
+            else contextlib.nullcontext()
+        with premise:
+            rc = run(["instability", "--scenario", scn, "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("scenario error: experiment.delta: ") and message in err

@@ -74,7 +74,8 @@ def test_traced_crosscheck_counts():
 
 # The K=16 cross-check's record as the plain Strang ladder made it, every
 # value bit for bit; each datum's check is a LadderCheck's fields, health
-# included.
+# included, its dt the step its rung's solves took (4 per 1e-3 sample
+# segment).
 K16_CROSSCHECK = {
     "variant": "perturb_high", "rho": 1.0, "delta": 0.1, "s": -0.5, "K": 16,
     "sigma": 1, "lam": 1.0, "alpha0": 0.5, "alpha1": 2.0, "alpha0_tilde": 0.5,
@@ -84,10 +85,10 @@ K16_CROSSCHECK = {
     "solver_t_star": 0.1, "solver_formula_deviation": 0.015950400680522003,
     "solver_grid_n": 16,
     "solver_checks": (
-        {"rung": 8, "dt": 0.0003125, "extrapolated": False,
+        {"rung": 8, "dt": 0.00025, "extrapolated": False,
          "step_delta": 3.3889913375368854e-06, "grid_delta": 7.785228687832109e-15,
          "steps": 800, "drift": 2.7500196702755342e-15, "aliasing": 7.105548594821587e-31},
-        {"rung": 8, "dt": 0.0003125, "extrapolated": False,
+        {"rung": 8, "dt": 0.00025, "extrapolated": False,
          "step_delta": 3.673677061529359e-05, "grid_delta": 2.6151305701706514e-14,
          "steps": 800, "drift": 3.9423224289881195e-15, "aliasing": 3.0690876252372924e-29},
     ),

@@ -40,7 +40,6 @@ from nlsoptics.wkb_pipeline import (
     _extrapolate,
     _field_delta,
     _ladder,
-    _ladder_top,
     _solve_alpha1_for_theta,
     assemble_uapp,
     remainder_report,
@@ -48,26 +47,6 @@ from nlsoptics.wkb_pipeline import (
     run_instability,
     two_mode_theta,
 )
-
-
-def _crosscheck_steps(rec) -> list:
-    """Split steps of each cross-check datum, recounted from the record's
-    rungs: one solve per rung from the top rung's coarse partner down to the
-    chosen rung, and the grid solve at twice the chosen step, each over 100
-    sample segments of delta/100, where rung r takes per/r steps."""
-    seg = rec.delta / 100
-    unit = min(default_dt(rec.eps), seg / 2)
-    top = 1
-    while 4 * top * unit <= seg:
-        top *= 2
-    per = math.ceil(seg / (2 * top * unit) - 1e-9) * 2 * top
-    counts = []
-    for check in rec.solver_checks:
-        rung = check.rung
-        assert check.dt == rung * unit
-        walked = [2 * top] + [top >> i for i in range(12) if rung <= top >> i]
-        counts.append(sum(100 * (per // r) for r in walked + [2 * rung]))
-    return counts
 
 
 def wv(*coords):
@@ -224,7 +203,7 @@ class TestConvergence:
         amps = _table_profiles(table, modes, alpha, 1.0, t_final)
         for eps, row in zip(eps_list, table.rows):
             assert row.ok and row.check is not None
-            assert row.check.dt == row.check.rung * default_dt(eps)
+            assert row.check.dt <= row.check.rung * default_dt(eps)
             n = default_grid_size(eps, 1, modes.max_sup_norm)
             cfg = SolverConfig(eps, 1.0, 1, row.check.dt, n, t_final)
             u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), eps, n)
@@ -277,8 +256,8 @@ def criterion_one_data():
 
 
 def _one(run):
-    """A ladder run of one datum from run(r)."""
-    return lambda r, some: [run(r)]
+    """A ladder run of one datum from run(h)."""
+    return lambda h, some: [run(h)]
 
 
 def _plain(fine, coarse):
@@ -294,23 +273,18 @@ def _strang_extrapolant(fine, coarse):
 
 def _table_profiles(table, modes, alpha, lam, t_final):
     """The profile amplitudes of each checkpoint that a table's rows were
-    measured against, rebuilt: RK4 at the profile's rung, per//rung equal
-    steps on each segment, or its extrapolant with the run at twice the
-    step, evaluated as the ladder does, bit for bit."""
+    measured against, rebuilt from the report: RK4 at the profile's dt, or
+    its extrapolant with the run at twice that step, evaluated as the
+    ladder does, bit for bit."""
     checks = table.checkpoint_times
-    marks = _snapshot_marks(t_final, checks)
-    shortest = min(b - a for a, b in zip(marks, marks[1:]))
-    _, _, per = _ladder_top(PROFILE_DT, shortest)
 
-    def at(rung):
-        params = SimParams(lam, t_final, shortest / (per // rung))
-        return integrate_torus(alpha, modes, params, snapshot_times=checks).at
+    def at(dt):
+        return integrate_torus(alpha, modes, SimParams(lam, t_final, dt), snapshot_times=checks).at
 
-    rung = table.profile.rung
-    fine = at(rung)
+    fine = at(table.profile.dt)
     if not table.profile.extrapolated:
         return {t: fine(t) for t in checks}
-    coarse = at(2 * rung)
+    coarse = at(2 * table.profile.dt)
     return {t: _extrapolate(fine(t), coarse(t), 4) for t in checks}
 
 
@@ -327,6 +301,9 @@ class TestLadderCheck:
 
 
 class TestStepLadder:
+    # unit 1 on a shortest segment of 32: the top rung is 16 and rung r runs
+    # at step h = 32/(32//r) = r, so each run is its rung (a segment of 8
+    # tops out at rung 4)
     def test_walks_down_to_the_first_passing_rung(self):
         # delta of rung r is (2 r)^2: 16 and 8 fail a budget of 100, 4 passes
         runs = []
@@ -335,7 +312,7 @@ class TestStepLadder:
             runs.append(r)
             return r
 
-        [walk] = _ladder(_one(run), [None], 1.0, 16, lambda a, b: b * b, 100.0, _plain)
+        [walk] = _ladder(_one(run), [None], 1.0, 32, lambda a, b: b * b, 100.0, _plain)
         assert walk == (LadderCheck(4, 4.0, False, 64), 4, 4, 8)
         assert runs == [32, 16, 8, 4]  # one new run per rung
 
@@ -355,7 +332,7 @@ class TestStepLadder:
         def delta(a, b):
             return 1.0 if isinstance(a, tuple) else b * b
 
-        [walk] = _ladder(_one(run), [None], 1.0, 16, delta, 100.0, combine)
+        [walk] = _ladder(_one(run), [None], 1.0, 32, delta, 100.0, combine)
         assert walk == (LadderCheck(8, 8.0, True, 1.0), ("E", 8), 8, 16)
         assert runs == [32, 16, 8] and combined == [(16, 32), (8, 16)]
 
@@ -371,7 +348,7 @@ class TestStepLadder:
         def delta(a, b):
             return 0.0 if isinstance(a, tuple) else b * b / 4
 
-        [walk] = _ladder(_one(lambda r: r), [None], 1.0, 16, delta, 100.0, combine)
+        [walk] = _ladder(_one(lambda r: r), [None], 1.0, 32, delta, 100.0, combine)
         assert walk == (LadderCheck(8, 8.0, False, 64.0), 8, 8, 16)
         assert combined == [(16, 32)]
 
@@ -379,7 +356,7 @@ class TestStepLadder:
         def delta(a, b):
             return 1e3 if isinstance(a, tuple) else 1e6
 
-        [walk] = _ladder(_one(lambda r: r), [None], 1.0, 4, delta, 1.0, lambda f, c: ("E", f))
+        [walk] = _ladder(_one(lambda r: r), [None], 1.0, 8, delta, 1.0, lambda f, c: ("E", f))
         assert walk == (LadderCheck(1, 1.0, False, 1e6), 1, 1, 2)
 
     def test_blown_up_rung_is_over_budget(self):
@@ -393,7 +370,7 @@ class TestStepLadder:
                 raise BlowUpError(0.5)
             return r
 
-        [walk] = _ladder(_one(run), [None], 1.0, 16, lambda a, b: b - a, 100.0, _plain)
+        [walk] = _ladder(_one(run), [None], 1.0, 32, lambda a, b: b - a, 100.0, _plain)
         assert walk == (LadderCheck(2, 2.0, False, 2), 2, 2, 4)
         assert runs == [32, 16, 8, 4, 2]
 
@@ -404,7 +381,7 @@ class TestStepLadder:
             return r
 
         # the coarse partner of rung 1 blew up: the delta is inf, not raised
-        assert _ladder(_one(run), [None], 1.0, 16, lambda a, b: 0.0, 0.0, _plain) == [
+        assert _ladder(_one(run), [None], 1.0, 32, lambda a, b: 0.0, 0.0, _plain) == [
             (LadderCheck(1, 1.0, False, math.inf), 1, 1, None)
         ]
 
@@ -412,7 +389,7 @@ class TestStepLadder:
             raise BlowUpError(0.25)
 
         with pytest.raises(BlowUpError, match="t=0.25"):
-            _ladder(_one(run_all), [None], 1.0, 16, lambda a, b: 0.0, 0.0, _plain)
+            _ladder(_one(run_all), [None], 1.0, 32, lambda a, b: 0.0, 0.0, _plain)
 
     def test_data_walk_together_and_leave_at_their_own_rungs(self):
         # datum "a" has delta (2 r)^2 and passes at rung 4; "b" passes at the
@@ -426,7 +403,7 @@ class TestStepLadder:
         def delta(fine, coarse):
             return coarse[1] ** 2 if fine[0] == "a" else 0.0
 
-        walks = _ladder(run, ["a", "b"], 1.0, 16, delta, 100.0, _plain)
+        walks = _ladder(run, ["a", "b"], 1.0, 32, delta, 100.0, _plain)
         assert walks == [
             (LadderCheck(4, 4.0, False, 64), ("a", 4), ("a", 4), ("a", 8)),
             (LadderCheck(16, 16.0, False, 0.0), ("b", 16), ("b", 16), ("b", 32)),
@@ -443,18 +420,19 @@ class TestStepLadder:
         table = run_convergence(modes, alpha, 1.0, [eps], t_final)
         row = table.rows[0]
         check = row.check
-        assert row.ok and check.rung == 8 and check.dt == 8 * default_dt(eps)
-        assert check.extrapolated is False
+        assert row.ok and check.rung == 8 and check.extrapolated is False
+        # 2 steps per 1/9 segment at rung 64, the top's coarse partner (64x
+        # the default step is 0.08 of it), so rung r takes 128/r: 16 at rung 8
+        assert 9 * 16 * check.dt == pytest.approx(t_final, rel=1e-12)
         assert 0 < check.step_delta <= LADDER_FRACTION * eps
         assert 0 < check.grid_delta <= LADDER_FRACTION * eps
         checks = table.checkpoint_times
         cell = _cell_config(eps, 1.0, 1, 1, t_final)
         u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, cell.n)
         times = [t / eps for t in checks]
-        # 2 steps per segment at rung 64, the top's coarse partner (64x the
-        # default step is 0.08 of a 0.111 segment), so rung r takes 128/r
+        # rung r rebuilt from the record at r/8 times its step
         at = {
-            r: solve(u0, replace(cell, dt=times[0] / (128 // r)), snapshot_times=times)
+            r: solve(u0, replace(cell, dt=r // 8 * check.dt / eps), snapshot_times=times)
             for r in (8, 16, 32, 64)
         }
         assert _field_delta(at[8], at[16]) == check.step_delta
@@ -464,10 +442,10 @@ class TestStepLadder:
         # 9 segments, solved at rungs 64, 32, 16 and 8, plus the 32-point
         # grid at rung 16
         assert check.steps == 9 * (2 + 4 + 8 + 16 + 8)
-        # the profile's top, rung 32 (2 RK4 steps per segment at rung 64),
-        # passes on its plain pair
+        # the profile's top, rung 32 (2 RK4 steps per segment at rung 64, 4
+        # at rung 32), passes on its plain pair
         profile = table.profile
-        assert profile.rung == 32 and profile.dt == 32 * PROFILE_DT
+        assert profile.rung == 32 and 9 * 4 * profile.dt == pytest.approx(t_final, rel=1e-12)
         assert profile.extrapolated is False and profile.grid_delta is None
         assert 0 < profile.step_delta <= LADDER_FRACTION * eps
         assert profile.steps == 9 * (2 + 4)
@@ -480,22 +458,11 @@ class TestStepLadder:
         # both ladders of one leg, the split-step solves and the profile's
         # RK4 runs: every run takes one count of equal steps on every
         # segment between its marks, each rung exactly twice its coarser
-        # neighbour's, a solve's grid check its coarse rung's; no step
-        # exceeds the kept rung's dt, the unit is at most half a segment
-        # (also on segments shorter than two unit steps), and the drift is
-        # the rung's run's
-        runs = {"solve": [], "integrate_torus": []}
-
-        def recorder(name):
-            real, record = getattr(wkb_pipeline, name), runs[name]
-
-            def call(*args, **kwargs):
-                record.append(real(*args, **kwargs))
-                return record[-1]
-            return call
-
-        for name in runs:
-            monkeypatch.setattr(wkb_pipeline, name, recorder(name))
+        # neighbour's, a solve's grid check its coarse rung's; the kept
+        # rung's count is the one its dt makes on every segment, dt is at most
+        # rung times a unit of at most half a segment (also on segments
+        # shorter than two unit steps), and the drift is the rung's run's
+        runs = {name: _record(monkeypatch, name) for name in ("solve", "integrate_torus")}
         modes, alpha = criterion_one_data()
         table = run_convergence(modes, alpha, 1.0, [eps], t_final, checkpoints=checkpoints)
         [row] = table.rows
@@ -522,13 +489,14 @@ class TestStepLadder:
             [per_segment] = set(np.diff(ends))
             profiles.append(per_segment)
         assert table.profile.drift == _relative_drift(runs["integrate_torus"][-1].mass_series())
-        for check, counts, extra in (
-            (row.check, [c for _, c in solves], grid_count), (table.profile, profiles, 0),
+        for check, counts, extra, unit in (
+            (row.check, [c for _, c in solves], grid_count, default_dt(eps)),
+            (table.profile, profiles, 0, PROFILE_DT),
         ):
             assert all(fine == 2 * coarse for coarse, fine in zip(counts, counts[1:]))
             assert (sum(counts) + extra) * (len(marks) - 1) == check.steps
-            assert segment / counts[-1] <= check.dt * (1 + 1e-12)
-            assert check.dt / check.rung <= segment / 2
+            assert counts[-1] * check.dt == pytest.approx(segment, rel=1e-12)
+            assert check.dt <= check.rung * min(unit, segment / 2) * (1 + 1e-12)
 
     def test_extrapolant_error_falls_sixteenfold(self):
         # th11's cell at eps = 1/8 against a fine reference: halving the
@@ -614,9 +582,13 @@ class TestStepLadder:
         assert not row.ok
         assert row.status.startswith("check over 1e-16*eps: step delta")
         assert "profile delta" in row.status
-        assert row.check.rung == 1 and row.check.dt == default_dt(1 / 4)
+        # rung 1 takes the ladder's finest counts on each 0.1 segment: 64
+        # split steps of at most default_dt(1/4) and 128 RK4 steps of at most
+        # PROFILE_DT
+        assert row.check.rung == 1 and 64 * row.check.dt == pytest.approx(0.1, rel=1e-12)
         assert row.check.step_delta > 1e-16 / 4
-        assert table.profile.rung == 1 and table.profile.dt == PROFILE_DT
+        assert table.profile.rung == 1
+        assert 128 * table.profile.dt == pytest.approx(0.1, rel=1e-12)
         # measured, not discarded, but kept out of the fit
         assert math.isfinite(row.sup_error) and row.sup_error > 0
         assert table.order_sup is None
@@ -631,47 +603,76 @@ class TestStepLadder:
         assert checks[-1] < 0.45
         assert _snapshot_marks(0.45, checks) == [0.0, *checks[:-1], 0.45]
 
+    def test_report_rebuilds_its_runs(self, monkeypatch):
+        # th11's sweep (criterion 1's data): a run at a check's dt is the
+        # rung's run, bit for bit; the profiles keep rung 16, 8 RK4 steps of
+        # about 1/72 on each 1/9 segment (r*unit is 0.016), and each leg's
+        # rung solve is the one before its grid check on the doubled cell
+        runs = {name: _record(monkeypatch, name) for name in ("solve", "integrate_torus")}
+        modes, alpha = criterion_one_data()
+        table = run_convergence(modes, alpha, 1.0, [1 / 8, 1 / 16, 1 / 32, 1 / 64], 1.0)
+        checks = table.checkpoint_times
+        assert table.profile.rung == 16 and table.profile.extrapolated is False
+        params = SimParams(1.0, 1.0, table.profile.dt)
+        traj = integrate_torus(alpha, modes, params, snapshot_times=checks)
+        assert len(traj.times) - 1 == 72
+        kept = runs["integrate_torus"][-1]  # the walk ends at its rung
+        assert np.array_equal(traj.times, kept.times) and np.array_equal(traj.amps, kept.amps)
+        solves = runs["solve"]
+        rung_solves = [
+            res for res, twin in zip(solves, solves[1:])
+            if twin.fields.shape[1] == 2 * res.fields.shape[1]
+        ]
+        assert len(rung_solves) == len(table.rows)
+        for row, kept in zip(table.rows, rung_solves):
+            cell = _cell_config(row.eps, 1.0, 1, 1, 1.0)
+            u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, cell.n)
+            res = solve(u0, replace(cell, dt=row.check.dt / row.eps),
+                        snapshot_times=[t / row.eps for t in checks])
+            assert res.steps == kept.steps and np.array_equal(res.fields, kept.fields)
+
     def test_row_equals_a_hand_built_period_solve(self):
-        # 4 steps per segment at the top, rung 32 (128/32): the plain pair
-        # passes there
-        self.check_hand_built(line_modes(0, 1), np.array([0.7, 0.4]), 1 / 8, 0.3, 2, 128,
+        # 4 steps per segment at the top, rung 32: the plain pair passes there
+        self.check_hand_built(line_modes(0, 1), np.array([0.7, 0.4]), 1 / 8, 0.3, 2, 4,
                               extrapolated=False)
 
     def test_extrapolated_row_equals_a_hand_built_extrapolant(self):
         # th11's leg at eps = 1/32 walks from rung 128 (2 steps per segment at
         # rung 256) and takes E_16, 32 steps per segment against 16
         modes, alpha = criterion_one_data()
-        self.check_hand_built(modes, alpha, 1 / 32, 1.0, 8, 512, extrapolated=True)
+        self.check_hand_built(modes, alpha, 1 / 32, 1.0, 8, 32, extrapolated=True)
 
     def test_row_against_extrapolated_profiles_equals_a_hand_built_one(self):
         # th11 at eps = 1/32 with two checkpoints: the profiles keep E_64
         # (8 against 4 RK4 steps per 1/3 segment), and the leg walks from
-        # rung 512 (2 steps per segment at rung 1024) to E_16
+        # rung 512 (2 steps per segment at rung 1024) to E_16, 128 steps per
+        # segment against 64
         modes, alpha = criterion_one_data()
-        table = self.check_hand_built(modes, alpha, 1 / 32, 1.0, 2, 2048, extrapolated=True)
+        table = self.check_hand_built(modes, alpha, 1 / 32, 1.0, 2, 128, extrapolated=True)
         assert table.profile.extrapolated is True and table.profile.rung == 64
 
     @staticmethod
-    def check_hand_built(modes, alpha, eps, t_final, checkpoints, per, *, extrapolated):
-        """The row's errors are those of one period solve at the row's rung,
-        per/rung steps per segment, or of its extrapolant with the solve at
+    def check_hand_built(modes, alpha, eps, t_final, checkpoints, count, *, extrapolated):
+        """The row's errors are those of one period solve at the row's dt,
+        count steps per segment, or of its extrapolant with the solve at
         twice the step, against the table's profiles, bit for bit; the drift
         is the period solve's in both cases.  Returns the table."""
         table = run_convergence(modes, alpha, 1.0, [eps], t_final, checkpoints=checkpoints)
         row = table.rows[0]
         assert row.ok and row.check.extrapolated is extrapolated
         checks = table.checkpoint_times
+        assert count * row.check.dt == pytest.approx(checks[0], rel=1e-12)
         amps = _table_profiles(table, modes, alpha, 1.0, t_final)
         times = [t / eps for t in checks]
 
-        def period_solve(rung):
-            cell = SolverConfig(1.0, eps, 1, times[0] / (per // rung), 16, t_final / eps)
+        def period_solve(dt):
+            cell = SolverConfig(1.0, eps, 1, dt / eps, 16, t_final / eps)
             u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, 16)
             return solve(u0, cell, snapshot_times=times)
 
-        res = kept = period_solve(row.check.rung)
+        res = kept = period_solve(row.check.dt)
         if extrapolated:
-            kept = _strang_extrapolant(res, period_solve(2 * row.check.rung))
+            kept = _strang_extrapolant(res, period_solve(2 * row.check.dt))
         sup_err = w_err = 0.0
         for t in checks:
             uapp = assemble_uapp(ProfileStateTorus(modes, amps[t], t / eps), 1.0, 16)
@@ -915,7 +916,12 @@ class TestInstability:
         )
         assert rec.solver_formula_deviation < 1.0
         assert rec.solver_grid_n == 16
-        assert [c.steps for c in rec.solver_checks] == _crosscheck_steps(rec)
+        # both data keep rung 2, four steps per 0.005 sample segment, walked
+        # from the top's coarse partner at one step (rungs 8, 4 and 2), with
+        # the grid check at two: 9 steps on each of the 100 segments
+        for check in rec.solver_checks:
+            assert check.rung == 2 and 4 * check.dt == pytest.approx(0.005, rel=1e-12)
+            assert check.steps == 100 * (1 + 2 + 4 + 2)
         for check in rec.solver_checks:
             assert 0.0 <= check.drift < 1e-12 and 0.0 <= check.aliasing < 1e-8
 
@@ -965,17 +971,17 @@ class TestInstability:
         assert math.isclose(rec.solver_t_star, sample[k], rel_tol=1e-10)
 
 
-def _record_solves(monkeypatch) -> list:
-    """Wrap this module's `solve`; returns the list of its results, one per
-    call (a stacked solve's is its SolveStack)."""
+def _record(monkeypatch, name: str = "solve") -> list:
+    """Wrap the pipeline's `solve` or `integrate_torus`; returns the list of
+    its results, one per call (a stacked solve's is its SolveStack)."""
     results = []
-    real = wkb_pipeline.solve
+    real = getattr(wkb_pipeline, name)
 
     def recording(*args, **kwargs):
         results.append(real(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(wkb_pipeline, "solve", recording)
+    monkeypatch.setattr(wkb_pipeline, name, recording)
     return results
 
 
@@ -993,7 +999,7 @@ class TestHealthOnRead:
     rungs and grid checks compute no norms, no transforms, and warn nothing."""
 
     def test_crosscheck_measures_the_kept_solves(self, monkeypatch):
-        results = _record_solves(monkeypatch)
+        results = _record(monkeypatch)
         with pytest.warns(UserWarning, match="premise"):
             rec = run_instability(1.0, 0.1, -0.5, 16, cross_check=True)
         assert [c.rung for c in rec.solver_checks] == [8, 8] and len(results) == 3
@@ -1002,7 +1008,7 @@ class TestHealthOnRead:
     def test_coarse_rungs_warn_nothing(self, monkeypatch):
         # the walk from rung 16 to rung 1 passes rungs whose top band holds
         # 1e-2 to 1e-1 of the mass; the kept rung-1 solves hold about 1e-13
-        results = _record_solves(monkeypatch)
+        results = _record(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rec = run_instability(1.0, 0.1, -2.0, 16, cross_check=True)
@@ -1012,7 +1018,7 @@ class TestHealthOnRead:
         assert all(c.aliasing < 1e-8 for c in rec.solver_checks)
 
     def test_converge_measures_one_solve_per_row(self, monkeypatch):
-        results = _record_solves(monkeypatch)
+        results = _record(monkeypatch)
         table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4, 1 / 8], 0.3,
                                 checkpoints=2)
         assert all(r.ok for r in table.rows)

@@ -10,8 +10,7 @@ file of NEW_TREE's `scenarios/`, or the ones named, by stem
 (`instability_part1`) or by path; both trees run the same files.  Compared
 per scenario: the exit code, the stdout line by line, each report without
 its `runtimes` (so its `content_hash` is compared), and every side file:
-`convergence.csv` row by row without its `runtime` column, the other CSV
-files cell by cell, the rest byte for byte.  CSV cells are compared by
+CSV files cell by cell, the rest byte for byte.  CSV cells are compared by
 column name: a header that only reorders the old one's columns gets one
 line naming the moved columns, and the new file's columns are then put in
 the old order.  One line is printed per difference (per stdout line that
@@ -165,12 +164,6 @@ def _csv_rows(data: bytes) -> list[list[str]]:
     return list(csv.reader(io.StringIO(data.decode())))
 
 
-def _csv_without(data: bytes, column: str) -> list[list[str]]:
-    rows = _csv_rows(data)
-    drop = rows[0].index(column) if rows and column in rows[0] else None
-    return [[c for i, c in enumerate(row) if i != drop] for row in rows]
-
-
 def in_old_order(rel: str, a: list[list[str]], b: list[list[str]]):
     """(lines, b): when b's header only reorders a's distinct column names,
     one line naming the columns that moved (those outside the longest run of
@@ -250,14 +243,6 @@ def diff_file(rel: str, old: bytes, new: bytes, key_map=None) -> list[str]:
         return []
     if not rel.endswith(".csv"):
         return [f"{rel}: files differ"]
-    if os.path.basename(rel) == "convergence.csv":
-        a, b = _csv_without(old, "runtime"), _csv_without(new, "runtime")
-        lines, b = in_old_order(rel, a, b)
-        if len(a) != len(b):
-            return lines + [f"{rel}: {len(a)} rows != {len(b)}"]
-        return lines + [
-            f"{rel}: row {i}: {x} != {y}" for i, (x, y) in enumerate(zip(a, b)) if x != y
-        ]
     a, b = _csv_rows(old), _csv_rows(new)
     lines, b = in_old_order(rel, a, b)
     if list(map(len, a)) == list(map(len, b)):
