@@ -193,21 +193,20 @@ class SolveResult:
 class SolveStack(tuple):
     """The SolveResults of one stacked solve, one per datum in stack order.
 
-    times are the marks the data share, and fields the (S, B) + (n,)*d
-    array the solve wrote, of which each datum's result holds a
-    C-contiguous, read-only copy of its column."""
+    times are the first datum's marks, and fields the read-only (S, B) +
+    (n,)*d array the solve wrote, of which each datum's result holds its
+    column: a C-contiguous view, since `solve` stores a stack datum by
+    datum.  Data that share their config share one marks array."""
 
     times: np.ndarray
     fields: np.ndarray
 
-    def __new__(cls, times: np.ndarray, fields: np.ndarray, steps: int):
+    def __new__(cls, times: Sequence[np.ndarray], fields: np.ndarray, steps: int):
         results = []
-        for b in range(fields.shape[1]):
-            own = np.ascontiguousarray(fields[:, b])
-            own.flags.writeable = False
-            results.append(SolveResult(times, own, steps))
+        for b, marks in enumerate(times):
+            results.append(SolveResult(marks, fields[:, b], steps))
         stack = super().__new__(cls, results)
-        stack.times, stack.fields = times, fields
+        stack.times, stack.fields = times[0], fields
         return stack
 
 
@@ -215,126 +214,172 @@ def solve(
     u0: GridField,
     cfg: SolverConfig,
     snapshot_times: Optional[Sequence[float]] = None,
+    others: Sequence[tuple[SolverConfig, Optional[Sequence[float]]]] = (),
 ) -> SolveResult | SolveStack:
     """Strang-split evolution of u0, with snapshots at the requested times.
 
     u0 is one field, and the solve returns its SolveResult; or a stack of B
-    fields on a leading axis (see GridField), evolved together with the same
-    steps, and the solve returns their SolveStack, each datum's result equal
-    bit for bit to its own solve.  A stacked step makes the same numpy calls
-    as a step of one field, so per-call overhead is paid once per stack.
+    fields on a leading axis (see GridField), evolved together, and the
+    solve returns their SolveStack, each datum's result equal bit for bit
+    to its own solve.  cfg and snapshot_times are the first datum's; others
+    holds the (SolverConfig, snapshot_times) of data 1, ..., B-1 in order,
+    and is empty when every datum takes cfg and snapshot_times.  The data
+    of a stack share d, n and sigma and take the same step count on every
+    segment, else ValueError; each keeps its own eps, lam, step, horizon
+    and marks.  A stacked step makes the same numpy calls as a step of one
+    field, so per-call overhead is paid once per stack.
 
     The steps are those of `_segments`, the time grid the profile RK4 also
     walks: each segment between marks takes the fewest equal steps of at
-    most cfg.dt.  The half nonlinear sub-steps of adjacent steps are merged,
-    so a segment of m steps costs m linear flows: m rounds of one propagator
-    matmul per axis on grids of at most DENSE_MAX_N points per axis, else m
-    transform pairs.  One propagator (or transform multiplier) is built per
-    distinct step of the call, shared by every segment of that step, and the
-    work buffers of the nonlinear sub-step are reused by every step.  The
-    fields equal, bit for bit, a loop that builds a flow per segment and
-    forms |u|^2 as u.real**2 + u.imag**2.
+    most dt.  The half nonlinear sub-steps of adjacent steps are merged,
+    so a segment of m steps costs m linear flows: m rounds of one batched
+    propagator matmul per axis on grids of at most DENSE_MAX_N points per
+    axis, else m transform pairs.  One propagator (or transform multiplier)
+    is built per distinct step of the call and shared by every segment and
+    every datum that takes that step, and the work buffers of the nonlinear
+    sub-step are reused by every step.  Each datum's nonlinear phase uses
+    its own coefficient -1j * lam * tau, the scalar of a one-field solve.
+    The fields equal, bit for bit, a loop over each datum alone that builds
+    a flow per segment and forms |u|^2 as u.real**2 + u.imag**2.
 
     At each mark the field is written into the result's stacked fields.
     Once the solve ends, one finite check over the stack raises
-    FloatingPointError naming the first mark at which a field is not
-    finite.  The solve measures no health: the result's L2 norms and
-    top-band fractions are computed when first read, and that first read
-    raises the AliasingWarning.
+    FloatingPointError naming the first mark, of the first datum's marks,
+    at which a field is not finite.  The solve measures no health: the
+    result's L2 norms and top-band fractions are computed when first read,
+    and that first read raises the AliasingWarning.
     """
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
     if not np.isfinite(u0.values).all():
         raise ValueError("initial field contains non-finite values")
     d, n = u0.d, cfg.n
-    lam, sigma, eps = cfg.lam, cfg.sigma, cfg.eps
-    stack = u0.values.shape[: u0.values.ndim - d]  # () for one field, (B,) for a stack
+    shape = u0.values.shape
+    stacked = len(shape) > d
+    rows = [(cfg, snapshot_times), *others]
+    if others and (not stacked or shape[0] != len(rows)):
+        raise ValueError(f"others holds {len(others)} configs; the stack has "
+                         f"{shape[0] if stacked else 1} data")
+    if any((c.n, c.sigma) != (n, cfg.sigma) for c, _ in rows):
+        raise ValueError("the data of a stack must share n and sigma")
+    # data that share one config and one set of marks share one row of
+    # every per-datum factor below
+    if all(c == cfg and np.array_equal(t, snapshot_times) for c, t in others):
+        rows = rows[:1]
+    plans = [list(_segments(c.t_final, c.dt, t)) for c, t in rows]
+    counts = [m for _, _, m, _ in plans[0]]
+    if any([m for _, _, m, _ in plan] != counts for plan in plans[1:]):
+        raise ValueError("the data of a stack must take the same step count on every segment")
+    scales = [(c.eps, c.lam) for c, _ in rows]
+    hs = [tuple(h for *_, h in plan) for plan in plans]  # each row's step per segment
 
     # Work buffers of the nonlinear sub-step, reused by every step of this
     # call: |u|^2 is the sum of the even and odd entries of the squared
-    # real view, the same sums u.real**2 + u.imag**2 forms.  A stack's
-    # buffers are flat, because on a 16-point cell a pointwise call on a
-    # strided (B, n) view costs about twice the call on a flat one.
-    shape = u0.values.shape
-    work = (u0.values.size,) if stack else shape
-    sq = np.empty(work[:-1] + (2 * work[-1],))
-    re2, im2 = sq[..., 0::2], sq[..., 1::2]
-    mag2 = np.empty(work)
-    power = mag2 if sigma == 1 else np.empty_like(mag2)
-    phase = np.empty(work, dtype=complex)
+    # real view, the same sums u.real**2 + u.imag**2 forms.  The buffers
+    # are flat, because on a 16-point cell a pointwise call on a strided
+    # (B, n) view costs about twice the call on a flat one.  The phase is
+    # a scalar times the flat power when one row serves every datum, else a
+    # (B, 1) column of coefficients times the (B, points) view.
+    size = math.prod(shape)
+    sq = np.empty(2 * size)
+    re2, im2 = sq[0::2], sq[1::2]
+    mag2 = np.empty(size)
+    power = mag2 if cfg.sigma == 1 else np.empty_like(mag2)
+    phase = np.empty(size, dtype=complex)
     sq_u, phase_u = sq.reshape(shape[:-1] + (2 * n,)), phase.reshape(shape)
+    power_r, phase_r = (power, phase) if len(scales) == 1 else (
+        power.reshape(len(scales), -1), phase.reshape(len(scales), -1))
 
-    def rotate(u: np.ndarray, tau: float) -> np.ndarray:
-        if tau == 0 or lam == 0:
+    def rotate(u: np.ndarray, coef) -> np.ndarray:
+        if coef is None:
             return u
         np.square(u.view(float), out=sq_u)
         np.add(re2, im2, out=mag2)
-        if sigma > 1:
-            np.power(mag2, sigma, out=power)
-        np.multiply(power, -1j * lam * tau, out=phase)
+        if cfg.sigma > 1:
+            np.power(mag2, cfg.sigma, out=power)
+        np.multiply(power_r, coef, out=phase_r)
         np.exp(phase, out=phase)
         u *= phase_u
         return u
 
-    segments = list(_segments(cfg.t_final, cfg.dt, snapshot_times))
-    times = np.array([0.0] + [right for _, right, _, _ in segments])
-    fields = np.empty(times.shape + shape, dtype=complex)
+    def coefs(taus: Sequence[float]):
+        # each datum's -1j * lam * tau; None when every one is 0
+        col = [-1j * lam * tau for (_, lam), tau in zip(scales, taus)]
+        if not any(col):
+            return None
+        return col[0] if len(col) == 1 else np.array(col)[:, None]
+
+    times = [np.array([0.0] + [right for _, right, _, _ in plan]) for plan in plans]
+    # a stack is stored datum by datum, (B, S) + (n,)*d, and written
+    # through its (S, B) view, so that each datum's marks are contiguous
+    store = np.empty(shape[:stacked] + (len(counts) + 1,) + shape[stacked:], dtype=complex)
+    fields = store.swapaxes(0, 1) if stacked else store
     u = fields[0] = u0.values.copy()
-    steps = 0
-    flows = {}  # one linear flow per distinct step h of this call
-    for k, (_, _, m, h) in enumerate(segments, 1):
-        steps += m
-        linear = flows.get(h)
-        if linear is None:
-            linear = flows[h] = _linear_flow(d, n, eps * h, bool(stack))
-        u = rotate(u, h / 2)
+    flows = {}  # one linear flow, and its sub-step coefficients, per distinct step
+    for k, (m, step) in enumerate(zip(counts, zip(*hs)), 1):
+        if step not in flows:
+            s = [eps * h for (eps, _), h in zip(scales, step)]
+            flows[step] = (_linear_flow(d, n, s, stacked), coefs(step),
+                           coefs([h / 2 for h in step]))
+        linear, full, half = flows[step]
+        u = rotate(u, half)
         for i in range(m):
-            u = rotate(linear(u), h if i < m - 1 else h / 2)
+            u = rotate(linear(u), full if i < m - 1 else half)
         fields[k] = u
 
-    fields.flags.writeable = False
+    store.flags.writeable = fields.flags.writeable = False
     finite = np.isfinite(fields).all(axis=tuple(range(1, fields.ndim)))
     if not finite.all():
         raise FloatingPointError(
-            f"solver produced non-finite values by t={times[np.argmin(finite)]:.6g}"
+            f"solver produced non-finite values by t={times[0][np.argmin(finite)]:.6g}"
         )
-    if stack:
-        return SolveStack(times, fields, steps)
-    return SolveResult(times, fields, steps)
+    steps = sum(counts)
+    if stacked:
+        return SolveStack(times * (shape[0] // len(times)), fields, steps)
+    return SolveResult(times[0], fields, steps)
 
 
-def _linear_flow(d: int, n: int, s: float, stacked: bool):
+def _linear_flow(d: int, n: int, s: Sequence[float], stacked: bool):
     """u -> F^-1 diag(exp(-i s |k|^2 / 2)) F u on the (n,)*d grid, or on
-    each field of a (B,) + (n,)*d stack when stacked.
+    each field b of a (B,) + (n,)*d stack when stacked, with s_b its own.
 
-    Up to DENSE_MAX_N points per axis the flow is the per-axis propagator
-    P = F^-1 diag(exp(-i s k^2 / 2)) F, an n x n circulant matrix, applied
-    by matmul along each axis (a matrix-vector product in 1D); every
-    result is a fresh C-contiguous array.  Above it, one FFT pair.  A
-    stack's flow rounds each field exactly as the flow of that field does:
-    in 1D each row is an (n, n) by (n, 1) matmul, which rounds like P.dot
-    (one (B, n) by (n, n) product does not).
+    s holds one value per field of the stack, or one for every field, and
+    each factor below is built once per distinct s_b.  Up to DENSE_MAX_N
+    points per axis the flow is the per-axis propagator
+    P_b = F^-1 diag(exp(-i s_b k^2 / 2)) F, an n x n circulant matrix,
+    applied by matmul along each axis (a matrix-vector product in 1D; a
+    stack's matmul batches the fields' propagators, broadcasting a single
+    one); every result is a fresh C-contiguous array.  Above it, one FFT
+    pair with each field's multiplier.  Each field of a stack rounds
+    exactly as the flow of that field alone does: in 1D each row is an
+    (n, n) by (n, 1) matmul, which rounds like P_b.dot (one (B, n) by
+    (n, n) product does not).
     """
     if n > DENSE_MAX_N:
-        mult = np.exp(-0.5j * s * sum(k**2 for k in _axis_wavenumbers(d, n)))
+        ksq = sum(k**2 for k in _axis_wavenumbers(d, n))
+        built = {sb: np.exp(-0.5j * sb * ksq) for sb in dict.fromkeys(s)}
+    else:
+        k2, dft = _axis_wavenumbers(1, n)[0] ** 2, np.fft.fft(np.eye(n), axis=0)
+        built = {sb: np.fft.ifft(np.exp(-0.5j * sb * k2)[:, None] * dft, axis=0)
+                 for sb in dict.fromkeys(s)}
+    # (R,) + the factor's shape, R = 1 when one factor serves every field
+    factor = np.stack([built[sb] for sb in s]) if len(s) > 1 else built[s[0]][None]
+    if n > DENSE_MAX_N:
         axes = tuple(range(-d, 0)) if stacked else None
+        mult = factor if stacked else factor[0]
         return lambda u: np.fft.ifftn(np.fft.fftn(u, axes=axes) * mult, axes=axes)
-    k = _axis_wavenumbers(1, n)[0]
-    prop = np.fft.ifft(np.exp(-0.5j * s * k**2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    prop_t = prop.T
-    if stacked and d == 1:
-        return lambda u: np.matmul(prop, u[..., None])[..., 0]
+    if d == 1 and not stacked:
+        return factor[0].dot
     if d == 1:
-        return prop.dot
+        return lambda u: np.matmul(factor, u[..., None])[..., 0]
+    rows, prop_a, prop_t = len(factor), factor[:, None], factor.transpose(0, 2, 1)
 
     def flow(u: np.ndarray) -> np.ndarray:
-        shape, first = u.shape, 0
-        if not stacked:  # one field's first axis is its leading axis
-            u, first = prop.dot(u.reshape(n, -1)), 1
-        for a in range(first, d - 1):
-            # axis a of each field is the middle axis of (B n^a, n, rest)
-            u = prop @ u.reshape(-1, n, n ** (d - 1 - a))
-        return u.reshape(-1, n).dot(prop_t).reshape(shape)
+        # field b's axis a is the middle axis of row b of (R, B n^a / R, n, rest)
+        shape = u.shape
+        for a in range(d - 1):
+            u = prop_a @ u.reshape(rows, -1, n, n ** (d - 1 - a))
+        return np.matmul(u.reshape(rows, -1, n), prop_t).reshape(shape)
 
     return flow
 

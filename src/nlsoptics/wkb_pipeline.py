@@ -145,8 +145,12 @@ class ConvergenceRow:
     The fields, in order, are the columns of `convergence.csv` and the keys
     of a report row, all but the timings (with the fields of check in its
     place in the CSV).  check is the leg's `LadderCheck`, health
-    included.  runtime and stage_s (seconds in the checks and their health
-    reads, the rung's solve, and assembly plus norms) are timings.
+    included.  runtime and stage_s are timings: the legs walk one ladder,
+    so a leg is charged an even share of each solve call it took part in,
+    stage_s's 'solve' its share of the call that ran its rung and 'checks'
+    its share of the others plus an even share of the walk's seconds
+    outside its solve calls; 'assembly_norms' and the rest of runtime are
+    its own.
     """
 
     eps: float
@@ -196,73 +200,83 @@ def _fit_order(rows: Sequence[ConvergenceRow], attr: str) -> Optional[float]:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _ladder(run, data: Sequence, unit: float, shortest: float, delta, budget: float, combine):
-    """Choose a step for each of the data on a power-of-two ladder of nested
-    steps, the rungs r = top, ..., 2, 1.
+def _ladder(run, data: Sequence, unit: Sequence[float], shortest: float, delta,
+            budget: Sequence[float], combine):
+    """Choose a step for each of the data on its own power-of-two ladder of
+    nested steps, the rungs r = top, ..., 2, 1, against its own unit and
+    budget.
 
-    The unit is shrunk to at most half the shortest snapshot segment, and
-    top is the largest power of two whose coarse partner, a step of 2*top
-    units, still fits into that segment (at least 1).  Rung 1 takes per equal
-    steps on the shortest segment, the fewest of at most unit that are a
-    multiple of 2*top, and rung r takes per//r of them: its step
-    h = shortest/(per//r) is at most r*unit and exactly twice rung r/2's.
-    run(h, some) integrates the data in `some` (a sub-list of data, in
-    order) together over the whole horizon at step h, and returns one run
-    per datum; delta(a, b) measures two runs of one datum.  Each rung r is
-    compared with rung 2r, and a datum leaves the walk at its first rung
-    within budget: the data still walking share every run, and only the
-    runs the next comparisons need are kept.  combine(fine, coarse) is the
-    method's Richardson extrapolant (`_extrapolate`): a rung whose plain
-    pair is over budget is tried once more, E_r = combine(run_r, run_2r)
-    against E_2r = combine(run_2r, run_4r), which exists below the top
-    rung; the plain pair is tried first.  A call that trips the blow-up
+    A datum's unit is shrunk to at most half the shortest snapshot
+    segment, and its top is the largest power of two whose coarse partner,
+    a step of 2*top units, still fits into that segment (at least 1).  Rung
+    1 takes per equal steps on the shortest segment, the fewest of at most
+    unit that are a multiple of 2*top, and rung r takes per//r of them: its
+    step h = shortest/(per//r) is at most r*unit and exactly twice rung
+    r/2's.  run(h, some) integrates the data in `some` (a sub-list of data,
+    in order) together over the whole horizon at step h, and returns one
+    run per datum; delta(a, b) measures two runs of one datum.  Each datum
+    runs its top rung's coarse partner and then its rungs from the top
+    down; rung r is compared with rung 2r, and a datum leaves the walk at
+    its first rung within budget.  The walking data run in order of step,
+    the largest first, and the data whose next run takes the same count of
+    steps on the shortest segment, so the same step, share that run; only
+    the runs the next comparisons need are kept.  combine(fine, coarse) is
+    the method's Richardson extrapolant (`_extrapolate`): a rung whose
+    plain pair is over budget is tried once more, E_r = combine(run_r,
+    run_2r) against E_2r = combine(run_2r, run_4r), which exists below the
+    top rung; the plain pair is tried first.  A call that trips the blow-up
     guard gives None for each of its data, and a comparison with None is
-    over budget (delta inf), except that a blow-up at rung 1 itself raises
-    its BlowUpError.
-    Returns one (check, kept, fine, coarse) per datum: its `LadderCheck`,
-    with the step h of the rung's run and no grid delta, E_r when
-    extrapolated else the run at rung r (fine), that run, and the run at
-    rung 2r; at rung 1, with neither pair within budget, kept is fine and
-    the check holds the plain gap, which may exceed the budget.
+    over budget (delta inf), except that a blow-up in a call that runs some
+    datum's rung 1 raises its BlowUpError.  A run that is an exception (a
+    failed solve) ends its datum's walk.
+    Returns one entry per datum: that exception, or (check, kept, fine,
+    coarse), its `LadderCheck`, with the step h of the rung's run and no
+    grid delta, E_r when extrapolated else the run at rung r (fine), that
+    run, and the run at rung 2r; at rung 1, with neither pair within
+    budget, kept is fine and the check holds the plain gap, which may
+    exceed the budget.
     """
-    unit = min(unit, shortest / 2)
-    top = 1
-    while 4 * top * unit <= shortest:
-        top *= 2
-    per = math.ceil(shortest / (2 * top * unit) - 1e-9) * 2 * top
-
-    def step(r: int) -> float:
-        return shortest / (per // r)
-
-    def attempt(h: float, some: list):
-        try:
-            return run(h, some)
-        except BlowUpError:
-            return [None] * len(some)
+    tops, pers = [], []
+    for u in unit:
+        u = min(u, shortest / 2)
+        top = 1
+        while 4 * top * u <= shortest:
+            top *= 2
+        tops.append(top)
+        pers.append(math.ceil(shortest / (2 * top * u) - 1e-9) * 2 * top)
 
     chosen = [None] * len(data)
-    walking = list(range(len(data)))
-    coarse = attempt(step(2 * top), list(data))
+    rungs = [2 * top for top in tops]  # the rung of each datum's next run
+    coarse = [None] * len(data)  # the run at rung 2r of each walking datum
     coarse_e = [None] * len(data)  # E_2r of each walking datum, once rung 4r ran
-    r = top
+    walking = list(range(len(data)))
     while walking:
-        fine = (run if r == 1 else attempt)(step(r), [data[i] for i in walking])
-        still, kept, kept_e = [], [], []
-        for i, f, c, ce in zip(walking, fine, coarse, coarse_e):
+        count = min(pers[i] // rungs[i] for i in walking)
+        some = [i for i in walking if pers[i] // rungs[i] == count]
+        h = shortest / count
+        try:
+            fine = run(h, [data[i] for i in some])
+        except BlowUpError:
+            if any(rungs[i] == 1 for i in some):
+                raise
+            fine = [None] * len(some)
+        for i, f in zip(some, fine):
+            r, c, ce = rungs[i], coarse[i], coarse_e[i]
+            rungs[i], coarse[i] = r // 2, f
+            if isinstance(f, Exception):
+                chosen[i] = f
+            if r > tops[i] or chosen[i] is not None:
+                continue
             pair = f is not None and c is not None
-            plain = LadderCheck(r, step(r), False, delta(f, c) if pair else math.inf)
-            e = combine(f, c) if pair and plain.over(budget) else None
+            plain = LadderCheck(r, h, False, delta(f, c) if pair else math.inf)
+            e = coarse_e[i] = combine(f, c) if pair and plain.over(budget[i]) else None
             extra = replace(plain, extrapolated=True,
                             step_delta=math.inf if e is None or ce is None else delta(e, ce))
-            if not plain.over(budget) or (r == 1 and extra.over(budget)):
+            if not plain.over(budget[i]) or (r == 1 and extra.over(budget[i])):
                 chosen[i] = (plain, f, f, c)
-            elif not extra.over(budget):
+            elif not extra.over(budget[i]):
                 chosen[i] = (extra, e, f, c)
-            else:
-                still.append(i)
-                kept.append(f)
-                kept_e.append(e)
-        r, walking, coarse, coarse_e = r // 2, still, kept, kept_e
+        walking = [i for i in walking if chosen[i] is None]
     return chosen
 
 
@@ -324,68 +338,88 @@ def _extrapolate(fine: np.ndarray, coarse: np.ndarray, p: int) -> np.ndarray:
     return (2**p * fine - coarse) / (2**p - 1)
 
 
-def _checked_solve(
-    states: Sequence[ProfileStateTorus], cell: SolverConfig, eps: float,
-    times: Sequence[float], shortest: float, delta,
-):
-    """Solve the period data `states` (at t=0) on `cell`, with snapshots at
-    the physical `times`, and check each datum's step and grid: the
-    split-step ladder of `run_convergence` and `run_instability`, which pass
-    their own delta and times.
+def _checked_solve(legs: Sequence[tuple[ProfileStateTorus, SolverConfig, float]],
+                   times: Sequence[float], shortest: float, delta):
+    """Solve each datum (state, cell, eps) of `legs`, its period state at
+    t=0 on its cell at scale eps, with snapshots at the physical `times`,
+    and check its step and grid: the split-step ladder of `run_convergence`,
+    whose data are its eps legs, and of `run_instability`, whose two data
+    share one cell; both pass their own delta and times.
 
-    Each datum's rung is chosen by `_ladder` against LADDER_FRACTION*eps on
-    delta, the plain Strang pair first and then its Richardson extrapolants
-    (`_extrapolate`, p = 2; E is not a solve: it takes no steps and has no
-    health), and the data still walking share each rung's solve.  Each
-    solve runs at the physical step h that `_ladder` hands it from unit
-    default_dt(eps), h/eps on the cell (the marks of both callers are
-    uniform; a longer segment would take the fewest steps of at most h).
-    One more solve at the chosen rung's coarse step 2*check.dt on the
-    doubled cell, shared by the data that chose that rung, gives each of
-    them its grid-doubling delta: delta of its coarse solve and that
-    doubled-cell twin, whether or not the rung was extrapolated.  Every
-    solve runs through this module's `solve`: of one field when it solves
-    one datum, else of their stack, so data that choose one rung make half
-    the solve calls of two walks.  A delta over budget is recorded in the
-    check, not raised.
+    `_ladder` walks every datum from its own unit default_dt(eps) against
+    its own budget LADDER_FRACTION*eps on delta, the plain Strang pair
+    first and then its Richardson extrapolants (`_extrapolate`, p = 2; E is
+    not a solve: it takes no steps and has no health).  Each solve runs at
+    the physical step h that `_ladder` hands it, h/eps on each datum's cell
+    (the marks of both callers are uniform; a longer segment would take
+    the fewest steps of at most h).  One more solve at the chosen rung's
+    coarse step 2*check.dt on the doubled cell, shared by the data that
+    chose that step, gives each of them its grid-doubling delta: delta of
+    its coarse solve and that doubled-cell twin, whether or not the rung
+    was extrapolated.  Every solve runs through this module's `solve`: of
+    one field when it solves one datum, else of their stack, each datum
+    with its own config and marks (`solve`'s others), so the data that
+    share a step share one solve call.  Each distinct initial state is
+    assembled once per cell size.  A stack whose solve raises is solved
+    again datum by datum, so a datum whose solve fails (non-finite values,
+    a state its cell cannot hold) fails alone with its own error, and the
+    others keep the runs they would have had alone.  A delta over budget
+    is recorded in the check, not raised.
 
-    Returns (checked, spent): one (check, kept) per datum, its `LadderCheck`
-    with its health and E_r when extrapolated else the solve at rung r; and
-    the seconds of each solve by (physical step, cell points).  A failing
-    solve raises; a converge row records it, with no check.
+    Returns (checked, spent): per datum, (check, kept), its `LadderCheck`
+    with its health and E_r when extrapolated else the solve at rung r, or
+    the exception its failed solve raised; and per datum, the seconds it
+    is charged by (physical step, cell points), an even share of each
+    solve call it took part in.
     """
-    cell_times = [t / eps for t in times]
-    steps = [0] * len(states)
-    spent = {}
+    steps = [0] * len(legs)
+    spent = [{} for _ in legs]
+    initial = {}  # (id of a state, points) -> its assembled field
 
-    def run(h: float, some: list, m: int = cell.n) -> list:
-        # the ladder's data are indices into states: each datum counts its steps
+    def solved(h: float, some: list, scale: int) -> list:
+        # one SolveResult, or the error of its failed solve, per datum, each
+        # on its cell's points times scale
+        try:
+            u0, rows = [], []
+            for state, cell, eps in (legs[i] for i in some):
+                m = scale * cell.n
+                if (id(state), m) not in initial:
+                    initial[id(state), m] = assemble_uapp(state, 1.0, m)
+                u0.append(initial[id(state), m])
+                rows.append((replace(cell, dt=h / eps, n=m), [t / eps for t in times]))
+            if len(some) == 1:
+                return [solve(u0[0], *rows[0])]
+            stack = np.stack([u.values for u in u0])  # raises unless the grids agree
+            return list(solve(GridField(u0[0].d, m, stack), *rows[0], rows[1:]))
+        except (ValueError, FloatingPointError) as exc:
+            if len(some) == 1:
+                return [exc]
+            return [one for i in some for one in solved(h, [i], scale)]
+
+    def run(h: float, some: list, scale: int = 1) -> list:
+        # the ladder's data are indices into legs: each datum counts its steps
         t0 = time.perf_counter()
-        cfg = replace(cell, dt=h / eps, n=m)
-        u0 = [assemble_uapp(states[i], 1.0, m) for i in some]
-        if len(u0) == 1:
-            res = [solve(u0[0], cfg, snapshot_times=cell_times)]
-        else:
-            stack = GridField(u0[0].d, m, np.stack([u.values for u in u0]))
-            res = solve(stack, cfg, snapshot_times=cell_times)
-        spent[h, m] = time.perf_counter() - t0
+        res = solved(h, some, scale)
+        share = (time.perf_counter() - t0) / len(some)
         for i, one in zip(some, res):
-            steps[i] += one.steps
+            spent[i][h, scale * legs[i][1].n] = share
+            if not isinstance(one, Exception):
+                steps[i] += one.steps
         return res
 
     def combine(fine: SolveResult, coarse: SolveResult) -> SolveResult:
         return SolveResult(fine.times, _extrapolate(fine.fields, coarse.fields, 2), 0)
 
-    walks = _ladder(run, range(len(states)), default_dt(eps), shortest, delta,
-                    LADDER_FRACTION * eps, combine)
+    checked = _ladder(run, range(len(legs)), [default_dt(eps) for *_, eps in legs], shortest,
+                      delta, [LADDER_FRACTION * eps for *_, eps in legs], combine)
     by_step = {}
-    for i, (check, *_) in enumerate(walks):
-        by_step.setdefault(check.dt, []).append(i)
-    checked = [None] * len(states)
+    for i, walk in enumerate(checked):
+        if not isinstance(walk, Exception):
+            by_step.setdefault(walk[0].dt, []).append(i)
     for h, which in by_step.items():
-        for i, twin in zip(which, run(2 * h, which, 2 * cell.n)):
-            check, kept, fine, coarse = walks[i]
-            checked[i] = (replace(
+        for i, twin in zip(which, run(2 * h, which, 2)):
+            check, kept, fine, coarse = checked[i]
+            checked[i] = twin if isinstance(twin, Exception) else (replace(
                 check, grid_delta=delta(coarse, twin), steps=steps[i],
                 drift=fine.l2_relative_drift, aliasing=float(np.max(fine.aliasing_fractions)),
             ), kept)
@@ -413,20 +447,26 @@ def run_convergence(
     eps_list or a checkpoints that is not an int >= 0 raises ValueError
     before the profile integration and before any row.
 
-    Each leg's step and grid are checked by `_checked_solve` on the sup over
-    checkpoints of the pointwise gap of two solves (`_field_delta`); a leg's
-    errors come from the kept run, the rung's solve or its extrapolant, and
-    its check's health from the rung's solve.  The profile system's step is
-    chosen by `_ladder` on the same nested steps (from unit PROFILE_DT; its
-    check's dt is the rung's RK4 step) and extrapolants, with p = 4, against
-    LADDER_FRACTION*min(eps), on the largest summed amplitude gap
+    All legs' steps and grids are checked by one `_checked_solve` walk on
+    the sup over checkpoints of the pointwise gap of two solves
+    (`_field_delta`): each leg is a datum with its own cell, unit and
+    budget, and the legs whose next run takes the same physical step share
+    that run as one stacked solve, each leg's result bit for bit the one it
+    gets alone.  A leg's errors come from its kept run, the rung's solve or
+    its extrapolant, and its check's health from the rung's solve.  The
+    profile system's step is chosen by `_ladder` on the same nested steps
+    (from unit PROFILE_DT; its check's dt is the rung's RK4 step) and
+    extrapolants, with p = 4, against LADDER_FRACTION*min(eps), on the
+    largest summed amplitude gap
     sum_j |delta a_j| over checkpoints, which is the W norm of the assembled
     difference and bounds its sup; an extrapolant holds t=0 and the
     checkpoints only.  Its check counts the RK4 steps of every integration
     and the mass drift of the rung's run.  A row one of whose checks, its
     own or the profile's, is over LADDER_FRACTION*eps (`LadderCheck.over`)
     is marked failed.  A leg whose solve fails (non-finite values) is recorded
-    with its failure note instead of aborting the sweep.  A profile rung
+    with its failure note instead of aborting the sweep; the other legs'
+    rows are the ones they make when it does not fail.  Row timings: see
+    `ConvergenceRow`.  A profile rung
     that trips the blow-up guard counts as over budget; only a blow-up at
     rung 1 raises BlowUpError, and then no row is made.
     """
@@ -467,22 +507,28 @@ def run_convergence(
         return TorusTrajectory(modes, np.array(marks), np.array(amps))
 
     [(check, traj, fine, _)] = _ladder(
-        integrate, [alpha], PROFILE_DT, shortest, lambda a, b: _amp_delta(a, b, checks),
-        LADDER_FRACTION * min(eps_list), combine,
+        integrate, [alpha], [PROFILE_DT], shortest, lambda a, b: _amp_delta(a, b, checks),
+        [LADDER_FRACTION * min(eps_list)], combine,
     )
     profile = replace(check, steps=profile_steps, drift=_relative_drift(fine.mass_series()))
     profile_s = time.perf_counter() - start
 
-    def one_leg(eps: float, cell: SolverConfig) -> ConvergenceRow:
+    start = time.perf_counter()
+    initial = ProfileStateTorus(modes, alpha, 0.0)
+    walks, spent = _checked_solve([(initial, cell, eps) for eps, cell in zip(eps_list, cells)],
+                                  checks, shortest, _field_delta)
+    # the walk's seconds outside its solve calls, shared evenly by the legs
+    rest = (time.perf_counter() - start - sum(sum(s.values()) for s in spent)) / len(cells)
+
+    def one_leg(eps: float, cell: SolverConfig, walk, charged: dict) -> ConvergenceRow:
         grid_n = cell.n * _check_eps(eps)
+        walk_s = sum(charged.values()) + rest
         start = time.perf_counter()
         try:
-            [(check, res)], spent = _checked_solve(
-                [ProfileStateTorus(modes, alpha, 0.0)], cell, eps, checks, shortest,
-                _field_delta,
-            )
-            solve_s = spent[check.dt, cell.n]
-            t0 = time.perf_counter()
+            if isinstance(walk, Exception):
+                raise walk
+            check, res = walk
+            solve_s = charged[check.dt, cell.n]
             sup_err = w_err = 0.0
             for t in checks:
                 state = ProfileStateTorus(modes=modes, amps=traj.at(t), t=t / eps)
@@ -499,20 +545,20 @@ def run_convergence(
                 status=f"check over {LADDER_FRACTION:g}*eps: {note}" if over else "ok",
                 check=check,
                 stage_s={
-                    "checks": t0 - start - solve_s,
+                    "checks": walk_s - solve_s,
                     "solve": solve_s,
-                    "assembly_norms": time.perf_counter() - t0,
+                    "assembly_norms": time.perf_counter() - start,
                 },
-                runtime=time.perf_counter() - start,
+                runtime=walk_s + time.perf_counter() - start,
             )
         except (ValueError, FloatingPointError) as exc:
             return ConvergenceRow(
                 eps=eps, grid_n=grid_n, sup_error=math.nan, w_error=math.nan,
                 status=f"{type(exc).__name__}: {exc}",
-                runtime=time.perf_counter() - start,
+                runtime=walk_s + time.perf_counter() - start,
             )
 
-    rows = [one_leg(eps, cell) for eps, cell in zip(eps_list, cells)]
+    rows = [one_leg(*leg) for leg in zip(eps_list, cells, walks, spent)]
 
     ok_rows = [r for r in rows if r.ok]
     at_floor = bool(ok_rows) and all(r.sup_error <= ERROR_FLOOR for r in ok_rows)
@@ -808,10 +854,13 @@ def run_instability(
                 f"over the step budget {LADDER_FRACTION:g}*eps = {LADDER_FRACTION * eps:.3g}"
             )
         checked, _ = _checked_solve(
-            [ProfileStateTorus(pair, [a0, a1], 0.0)
+            [(ProfileStateTorus(pair, [a0, a1], 0.0), cell, eps)
              for a0, a1 in ((alpha0, alpha1), (alpha0_t, alpha1_t))],
-            cell, eps, sample, delta / 100, _zero_mode_delta,
+            sample, delta / 100, _zero_mode_delta,
         )
+        for walk in checked:
+            if isinstance(walk, Exception):
+                raise walk
         # one row per sample: the samples are the solves' marks
         zero_modes = [_zero_modes(kept) for _, kept in checked]
         diffs = np.abs(zero_modes[0] - zero_modes[1])

@@ -213,7 +213,7 @@ class TestLinearFlow:
             assert field.flags.c_contiguous
         assert res.l2_relative_drift <= 1e-13
         assert not np.any(res.aliasing_fractions > ALIASING_TOLERANCE)
-        flow = _linear_flow(d, n, eps * 1e-2, False)
+        flow = _linear_flow(d, n, [eps * 1e-2], False)
         assert flow(u0.values.copy()).flags.c_contiguous
         # the cases straddle the switch: n = 8, 16, 64 dense, n = 128 FFT
         assert (n <= DENSE_MAX_N) == (n in (8, 16, 64))
@@ -362,6 +362,7 @@ class TestStackedSolve:
         stacked = solve(GridField(d, n, np.stack([u.values for u in data])), cfg, snaps)
         assert isinstance(stacked, SolveStack) and len(stacked) == len(data)
         assert stacked.fields.shape == (6, len(data)) + (n,) * d
+        assert not stacked.fields.flags.writeable
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AliasingWarning)  # 16-point cells with coupling
             for u0, res in zip(data, stacked):
@@ -373,6 +374,45 @@ class TestStackedSolve:
                 assert res.steps == one.steps
                 assert np.array_equal(res.l2_values, one.l2_values)
                 assert np.array_equal(res.aliasing_fractions, one.aliasing_fractions)
+
+    @pytest.mark.parametrize("sigma", [1, 2])
+    @pytest.mark.parametrize("d,n", [(1, 16), (1, 32), (1, 128), (2, 16), (2, 32), (3, 16)])
+    def test_data_with_their_own_configs_equal_their_own_solves(self, d, n, sigma):
+        # the period cells of one problem at eps = 1/8, 1/16 and 1/32 share
+        # the physical step and horizon, so each datum has its own coupling,
+        # cell step, horizon and marks, and the same step counts; each also
+        # has its own dispersion scale
+        data = [_band_limited_field(d, n, 100 * d + n + seed) for seed in range(3)]
+        rows = []
+        for k, eps in enumerate([1 / 8, 1 / 16, 1 / 32]):
+            cfg = SolverConfig(eps=1 / (k + 1), lam=1.3 * eps, sigma=sigma, dt=0.01 / eps, n=n,
+                               t_final=0.4 / eps)
+            rows.append((cfg, [t / eps for t in (0.1, 0.25, 0.3)]))
+        stacked = solve(GridField(d, n, np.stack([u.values for u in data])), *rows[0], rows[1:])
+        assert isinstance(stacked, SolveStack) and stacked.times is stacked[0].times
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasingWarning)
+            for u0, (cfg, marks), res in zip(data, rows, stacked):
+                one = solve(u0, cfg, marks)
+                assert np.array_equal(res.times, one.times)
+                assert np.array_equal(res.fields, one.fields)
+                assert res.steps == one.steps
+                assert np.array_equal(res.l2_values, one.l2_values)
+                assert np.array_equal(res.aliasing_fractions, one.aliasing_fractions)
+
+    def test_data_with_other_step_counts_are_refused(self):
+        u = _band_limited_field(1, 16, 5).values
+        cfg = SolverConfig(eps=1.0, lam=0.125, sigma=1, dt=0.1, n=16, t_final=1.0)
+        stack = GridField(1, 16, np.stack([u, u]))
+        other = SolverConfig(eps=1.0, lam=0.125, sigma=1, dt=0.05, n=16, t_final=1.0)
+        with pytest.raises(ValueError, match="same step count"):
+            solve(stack, cfg, [0.5], [(other, [0.5])])
+        with pytest.raises(ValueError, match="same step count"):
+            solve(stack, cfg, [0.5], [(cfg, [0.25, 0.5])])  # one more segment
+        with pytest.raises(ValueError, match="configs"):
+            solve(stack, cfg, [0.5], [(cfg, [0.5])] * 2)
+        with pytest.raises(ValueError, match="share n and sigma"):
+            solve(stack, cfg, [0.5], [(SolverConfig(1.0, 0.125, 2, 0.1, 16, 1.0), [0.5])])
 
     def test_non_finite_datum_raises_naming_the_mark(self):
         # the second datum's |u|^2 overflows in the first sub-step; the
@@ -410,9 +450,9 @@ class TestPropagatorReuse:
         per_solve = []
         real_solve = wkb_pipeline.solve
 
-        def recording(u0, cfg, snapshot_times=None, **kwargs):
+        def recording(u0, cfg, snapshot_times=None, others=()):
             start = len(built)
-            res = real_solve(u0, cfg, snapshot_times, **kwargs)
+            res = real_solve(u0, cfg, snapshot_times, others)
             marks = _snapshot_marks(cfg.t_final, snapshot_times)
             segs = [b - a for a, b in zip(marks[:-1], marks[1:]) if b > a]
             hs = {seg / max(1, math.ceil(seg / cfg.dt - 1e-9)) for seg in segs}

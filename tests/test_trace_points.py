@@ -11,7 +11,8 @@ import pytest
 
 from nlsoptics import experiments_cli, profile_dynamics, wkb_pipeline
 from nlsoptics.spectral_nls import GridField, SolverConfig, solve
-from nlsoptics.wkb_pipeline import run_instability
+from nlsoptics.lattice_geometry import WaveVector, close_under_resonances
+from nlsoptics.wkb_pipeline import run_convergence, run_instability
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -70,6 +71,35 @@ def test_traced_crosscheck_counts():
     # and the record's values are the ones the ladder made before
     # extrapolation existed
     assert dataclasses.asdict(rec) == K16_CROSSCHECK
+
+
+def test_traced_sweep_counts_shared_legs(monkeypatch):
+    # th11's legs share their stacked solves: each call's span counts one
+    # datum's steps, which every datum of the call takes, so a leg's check
+    # counts the steps of the calls it took part in
+    spans = load_spans()
+    tracer = spans.Tracer()
+    couplings = []  # lam*eps of each call's data, in call order
+    real = wkb_pipeline.solve
+
+    def recording(u0, cfg, snapshot_times=None, others=()):
+        couplings.append([cfg.lam] + [c.lam for c, _ in others])
+        return real(u0, cfg, snapshot_times, others)
+
+    monkeypatch.setattr(wkb_pipeline, "solve", recording)
+    points = [p for p in spans.trace_points(experiments_cli, profile_dynamics, wkb_pipeline)
+              if p[0] is wkb_pipeline and p[1] == "solve"]
+    modes = close_under_resonances([WaveVector((k,)) for k in (-1, 0, 1)], 1)
+    alpha = [0.5, 1.0, 0.49497474683058327 + 0.49497474683058327j]  # th11_converge
+    with tracer.installed(points):
+        table = run_convergence(modes, alpha, 1.0, [1 / 8, 1 / 16, 1 / 32, 1 / 64], 1.0)
+    solves = [s for s in tracer.spans if s.name == "spectral_nls.solve"]
+    assert len(solves) == len(couplings) == 9
+    assert max(map(len, couplings)) == 4  # the legs' top rungs are one call
+    assert sum(s.counts["steps"] for s in solves) == 1638
+    for row in table.rows:  # lam = 1, so each leg's cell coupling is its eps
+        assert row.check.steps == sum(
+            s.counts["steps"] for s, lams in zip(solves, couplings) if row.eps in lams)
 
 
 # The K=16 cross-check's record as the plain Strang ladder made it, every

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -125,17 +125,18 @@ class TestConvergence:
         # the eps = 1/8 leg overflows; its cell has coupling lam*eps = 1/8
         real_solve = wkb_pipeline.solve
 
-        def solve_or_overflow(u0, cfg, snapshot_times=None):
-            if cfg.lam == 1 / 8:
+        def solve_or_overflow(u0, cfg, snapshot_times=None, others=()):
+            # the legs share their stacked solves: any stack holding the
+            # eps = 1/8 leg raises, and so does that leg's own solve
+            if any(c.lam == 1 / 8 for c, _ in [(cfg, None), *others]):
                 raise FloatingPointError("overflow in the split step")
-            return real_solve(u0, cfg, snapshot_times=snapshot_times)
+            return real_solve(u0, cfg, snapshot_times, others)
 
-        monkeypatch.setattr(wkb_pipeline, "solve", solve_or_overflow)
         modes = line_modes(0, 1)
-        table = run_convergence(
-            modes, [0.5, 0.3], 1.0, [1 / 4, 1 / 8, 1 / 16], 0.1,
-            checkpoints=1,
-        )
+        sweep = ([0.5, 0.3], 1.0, [1 / 4, 1 / 8, 1 / 16], 0.1)
+        unpatched = run_convergence(modes, *sweep, checkpoints=1)
+        monkeypatch.setattr(wkb_pipeline, "solve", solve_or_overflow)
+        table = run_convergence(modes, *sweep, checkpoints=1)
         ok_rows = [table.rows[0], table.rows[2]]
         failed = table.rows[1]
         assert not failed.ok
@@ -143,11 +144,45 @@ class TestConvergence:
         assert math.isnan(failed.sup_error) and math.isnan(failed.w_error)
         assert failed.grid_n == 8 * default_grid_size(1.0, 1, 1)
         assert all(r.ok and r.sup_error > ERROR_FLOOR for r in ok_rows)
+        # the other legs keep the rows they make when no leg fails
+        for row, other in zip(ok_rows, [unpatched.rows[0], unpatched.rows[2]]):
+            assert _row_values(row) == _row_values(other)
         # the fits see only the two legs that ran
         for attr, order in (("sup_error", table.order_sup), ("w_error", table.order_w)):
             x = np.log([r.eps for r in ok_rows])
             y = np.log([getattr(r, attr) for r in ok_rows])
             assert order == float(np.polyfit(x, y, 1)[0])
+
+    def test_non_finite_leg_in_a_shared_stack_fails_alone(self, monkeypatch):
+        # the eps = 1/8 leg's datum is made to overflow inside every solve
+        # it takes part in: the stacked solve that holds it goes non-finite,
+        # and the leg fails alone with its own solve's error
+        real_solve = wkb_pipeline.solve
+        calls = []
+
+        def overflowing(u0, cfg, snapshot_times=None, others=()):
+            lams = [c.lam for c, _ in [(cfg, None), *others]]
+            calls.append(len(lams))
+            values = u0.values.copy()
+            for b, lam in enumerate(lams):
+                if lam == 1 / 8:
+                    values[b if others else ...] = 1e200
+            return real_solve(GridField(u0.d, u0.n, values), cfg, snapshot_times, others)
+
+        modes = line_modes(0, 1)
+        sweep = ([0.5, 0.3], 1.0, [1 / 4, 1 / 8, 1 / 16], 0.1)
+        unpatched = run_convergence(modes, *sweep, checkpoints=1)
+        monkeypatch.setattr(wkb_pipeline, "solve", overflowing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = run_convergence(modes, *sweep, checkpoints=1)
+        assert max(calls) == 3  # the three legs shared the first run
+        failed = table.rows[1]
+        assert failed.status.startswith(
+            "FloatingPointError: solver produced non-finite values by t=")
+        assert math.isnan(failed.sup_error) and math.isnan(failed.w_error)
+        assert failed.check is None and failed.stage_s == {}
+        for i in (0, 2):
+            assert _row_values(table.rows[i]) == _row_values(unpatched.rows[i])
 
     def test_bad_eps_raises_before_any_row(self, monkeypatch):
         # every leg's cell is built before the profiles and the first leg
@@ -288,6 +323,62 @@ def _table_profiles(table, modes, alpha, lam, t_final):
     return {t: _extrapolate(fine(t), coarse(t), 4) for t in checks}
 
 
+class TestSharedWalk:
+    """run_convergence walks its legs in one ladder; the legs whose next
+    run takes the same step share that run as one stacked solve."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_legs_off_a_dyadic_family_equal_their_own_walks(self, d, monkeypatch):
+        # th11's data in 1D, creation2d's in 2D, on eps = 1/8, 1/12, 1/16
+        if d == 1:
+            (modes, alpha), t_final = criterion_one_data(), 1.0
+        else:
+            modes = close_under_resonances([wv(0, 1), wv(1, 0), wv(1, 1)], 1)
+            amps = {(0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.21650635094610965 + 0.125j}
+            alpha = np.array([amps.get(v.coords, 0.0) for v in modes.vectors])
+            t_final = 0.5
+        sweep = (modes, alpha, 1.0, [1 / 8, 1 / 12, 1 / 16], t_final)
+        solves = _record(monkeypatch)
+        table = run_convergence(*sweep)
+        shared = [res if isinstance(res, SolveStack) else [res] for res in solves]
+        del solves[:]
+        real = wkb_pipeline._checked_solve
+
+        def leg_by_leg(legs, *args):
+            walks = [real([leg], *args) for leg in legs]
+            return [walk for [walk], _ in walks], [spent for _, [spent] in walks]
+
+        monkeypatch.setattr(wkb_pipeline, "_checked_solve", leg_by_leg)
+        alone = run_convergence(*sweep)
+        assert [_row_values(r) for r in table.rows] == [_row_values(r) for r in alone.rows]
+        assert (table.order_sup, table.order_w) == (alone.order_sup, alone.order_w)
+        # the shared walk solved every datum the walks leg by leg solved, in
+        # fewer calls; a call's data take the same count of steps, and no
+        # two calls on one cell size take the same count
+        assert sum(map(len, shared)) == len(solves) > len(shared)
+        taken = [(res[0].fields.shape[1], res[0].steps) for res in shared]
+        assert all(len({one.steps for one in res}) == 1 for res in shared)
+        assert len(set(taken)) == len(taken)
+
+    def test_initial_fields_assembled_once_per_cell_size(self, monkeypatch):
+        # th11's four legs share one initial state: it is assembled on the
+        # cell and on the doubled cell, once each, for every run of the walk
+        calls = []
+        real = wkb_pipeline.assemble_uapp
+
+        def counting(state, eps, n):
+            calls.append((state.t, n))
+            return real(state, eps, n)
+
+        monkeypatch.setattr(wkb_pipeline, "assemble_uapp", counting)
+        modes, alpha = criterion_one_data()
+        table = run_convergence(modes, alpha, 1.0, [1 / 8, 1 / 16, 1 / 32, 1 / 64], 1.0)
+        n = table.rows[0].grid_n // 8
+        assert [c for c in calls if c[0] == 0] == [(0, n), (0, 2 * n)]
+        # the rest are the rows' approximations, one per checkpoint
+        assert len(calls) == 2 + len(table.rows) * len(table.checkpoint_times)
+
+
 class TestLadderCheck:
     def test_over_names_the_deltas_above_budget(self):
         assert LadderCheck(1, 0.1, False, 1.0, 1.0).over(1.0) == {}  # equal is within
@@ -312,7 +403,7 @@ class TestStepLadder:
             runs.append(r)
             return r
 
-        [walk] = _ladder(_one(run), [None], 1.0, 32, lambda a, b: b * b, 100.0, _plain)
+        [walk] = _ladder(_one(run), [None], [1.0], 32, lambda a, b: b * b, [100.0], _plain)
         assert walk == (LadderCheck(4, 4.0, False, 64), 4, 4, 8)
         assert runs == [32, 16, 8, 4]  # one new run per rung
 
@@ -332,7 +423,7 @@ class TestStepLadder:
         def delta(a, b):
             return 1.0 if isinstance(a, tuple) else b * b
 
-        [walk] = _ladder(_one(run), [None], 1.0, 32, delta, 100.0, combine)
+        [walk] = _ladder(_one(run), [None], [1.0], 32, delta, [100.0], combine)
         assert walk == (LadderCheck(8, 8.0, True, 1.0), ("E", 8), 8, 16)
         assert runs == [32, 16, 8] and combined == [(16, 32), (8, 16)]
 
@@ -348,7 +439,7 @@ class TestStepLadder:
         def delta(a, b):
             return 0.0 if isinstance(a, tuple) else b * b / 4
 
-        [walk] = _ladder(_one(lambda r: r), [None], 1.0, 32, delta, 100.0, combine)
+        [walk] = _ladder(_one(lambda r: r), [None], [1.0], 32, delta, [100.0], combine)
         assert walk == (LadderCheck(8, 8.0, False, 64.0), 8, 8, 16)
         assert combined == [(16, 32)]
 
@@ -356,7 +447,7 @@ class TestStepLadder:
         def delta(a, b):
             return 1e3 if isinstance(a, tuple) else 1e6
 
-        [walk] = _ladder(_one(lambda r: r), [None], 1.0, 8, delta, 1.0, lambda f, c: ("E", f))
+        [walk] = _ladder(_one(lambda r: r), [None], [1.0], 8, delta, [1.0], lambda f, c: ("E", f))
         assert walk == (LadderCheck(1, 1.0, False, 1e6), 1, 1, 2)
 
     def test_blown_up_rung_is_over_budget(self):
@@ -370,7 +461,7 @@ class TestStepLadder:
                 raise BlowUpError(0.5)
             return r
 
-        [walk] = _ladder(_one(run), [None], 1.0, 32, lambda a, b: b - a, 100.0, _plain)
+        [walk] = _ladder(_one(run), [None], [1.0], 32, lambda a, b: b - a, [100.0], _plain)
         assert walk == (LadderCheck(2, 2.0, False, 2), 2, 2, 4)
         assert runs == [32, 16, 8, 4, 2]
 
@@ -381,7 +472,7 @@ class TestStepLadder:
             return r
 
         # the coarse partner of rung 1 blew up: the delta is inf, not raised
-        assert _ladder(_one(run), [None], 1.0, 32, lambda a, b: 0.0, 0.0, _plain) == [
+        assert _ladder(_one(run), [None], [1.0], 32, lambda a, b: 0.0, [0.0], _plain) == [
             (LadderCheck(1, 1.0, False, math.inf), 1, 1, None)
         ]
 
@@ -389,7 +480,7 @@ class TestStepLadder:
             raise BlowUpError(0.25)
 
         with pytest.raises(BlowUpError, match="t=0.25"):
-            _ladder(_one(run_all), [None], 1.0, 32, lambda a, b: 0.0, 0.0, _plain)
+            _ladder(_one(run_all), [None], [1.0], 32, lambda a, b: 0.0, [0.0], _plain)
 
     def test_data_walk_together_and_leave_at_their_own_rungs(self):
         # datum "a" has delta (2 r)^2 and passes at rung 4; "b" passes at the
@@ -403,7 +494,7 @@ class TestStepLadder:
         def delta(fine, coarse):
             return coarse[1] ** 2 if fine[0] == "a" else 0.0
 
-        walks = _ladder(run, ["a", "b"], 1.0, 32, delta, 100.0, _plain)
+        walks = _ladder(run, ["a", "b"], [1.0, 1.0], 32, delta, [100.0, 100.0], _plain)
         assert walks == [
             (LadderCheck(4, 4.0, False, 64), ("a", 4), ("a", 4), ("a", 8)),
             (LadderCheck(16, 16.0, False, 0.0), ("b", 16), ("b", 16), ("b", 32)),
@@ -607,8 +698,10 @@ class TestStepLadder:
         # th11's sweep (criterion 1's data): a run at a check's dt is the
         # rung's run, bit for bit; the profiles keep rung 16, 8 RK4 steps of
         # about 1/72 on each 1/9 segment (r*unit is 0.016), and each leg's
-        # rung solve is the one before its grid check on the doubled cell
-        runs = {name: _record(monkeypatch, name) for name in ("solve", "integrate_torus")}
+        # rung solve, one datum of a solve its legs may share, is the one
+        # solve of its cell at the check's step
+        profiles = _record(monkeypatch, "integrate_torus")
+        solves = _record_data(monkeypatch)
         modes, alpha = criterion_one_data()
         table = run_convergence(modes, alpha, 1.0, [1 / 8, 1 / 16, 1 / 32, 1 / 64], 1.0)
         checks = table.checkpoint_times
@@ -616,19 +709,13 @@ class TestStepLadder:
         params = SimParams(1.0, 1.0, table.profile.dt)
         traj = integrate_torus(alpha, modes, params, snapshot_times=checks)
         assert len(traj.times) - 1 == 72
-        kept = runs["integrate_torus"][-1]  # the walk ends at its rung
+        kept = profiles[-1]  # the walk ends at its rung
         assert np.array_equal(traj.times, kept.times) and np.array_equal(traj.amps, kept.amps)
-        solves = runs["solve"]
-        rung_solves = [
-            res for res, twin in zip(solves, solves[1:])
-            if twin.fields.shape[1] == 2 * res.fields.shape[1]
-        ]
-        assert len(rung_solves) == len(table.rows)
-        for row, kept in zip(table.rows, rung_solves):
-            cell = _cell_config(row.eps, 1.0, 1, 1, 1.0)
-            u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, cell.n)
-            res = solve(u0, replace(cell, dt=row.check.dt / row.eps),
-                        snapshot_times=[t / row.eps for t in checks])
+        for row in table.rows:
+            cfg = replace(_cell_config(row.eps, 1.0, 1, 1, 1.0), dt=row.check.dt / row.eps)
+            [kept] = [res for one, res in solves if one == cfg]
+            u0 = assemble_uapp(ProfileStateTorus(modes, alpha, 0.0), 1.0, cfg.n)
+            res = solve(u0, cfg, snapshot_times=[t / row.eps for t in checks])
             assert res.steps == kept.steps and np.array_equal(res.fields, kept.fields)
 
     def test_row_equals_a_hand_built_period_solve(self):
@@ -971,6 +1058,13 @@ class TestInstability:
         assert math.isclose(rec.solver_t_star, sample[k], rel_tol=1e-10)
 
 
+def _row_values(row: ConvergenceRow) -> dict:
+    """A row's fields, check included, without its timings."""
+    values = asdict(row)
+    del values["runtime"], values["stage_s"]
+    return values
+
+
 def _record(monkeypatch, name: str = "solve") -> list:
     """Wrap the pipeline's `solve` or `integrate_torus`; returns the list of
     its results, one per call (a stacked solve's is its SolveStack)."""
@@ -983,6 +1077,23 @@ def _record(monkeypatch, name: str = "solve") -> list:
 
     monkeypatch.setattr(wkb_pipeline, name, recording)
     return results
+
+
+def _record_data(monkeypatch) -> list:
+    """Wrap the pipeline's `solve`; returns one (config, result) per datum
+    of every call, a stacked call's data in stack order."""
+    data = []
+    real = wkb_pipeline.solve
+
+    def recording(u0, cfg, snapshot_times=None, others=()):
+        res = real(u0, cfg, snapshot_times, others)
+        results = list(res) if isinstance(res, SolveStack) else [res]
+        configs = [cfg] + [c for c, _ in others] if others else [cfg] * len(results)
+        data.extend(zip(configs, results))
+        return res
+
+    monkeypatch.setattr(wkb_pipeline, "solve", recording)
+    return data
 
 
 def _measured(results) -> list:
@@ -1022,7 +1133,8 @@ class TestHealthOnRead:
         table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4, 1 / 8], 0.3,
                                 checkpoints=2)
         assert all(r.ok for r in table.rows)
-        assert len(results) > 2 * len(table.rows)
+        data = sum(len(res) if isinstance(res, SolveStack) else 1 for res in results)
+        assert data > 2 * len(table.rows)
         kept = _measured(results)
         assert len(kept) == len(table.rows)
         assert [r.l2_relative_drift for r in kept] == [r.check.drift for r in table.rows]
