@@ -191,12 +191,13 @@ class SolveResult:
 
 
 class SolveStack(tuple):
-    """The SolveResults of one stacked solve, one per datum in stack order.
+    """The SolveResults of one solve, one per datum in stack order; a
+    one-field solve returns the only result of its stack of one.
 
     times are the first datum's marks, and fields the read-only (S, B) +
     (n,)*d array the solve wrote, of which each datum's result holds its
     column: a C-contiguous view, since `solve` stores a stack datum by
-    datum.  Data that share their config share one marks array."""
+    datum.  Data that share their config and marks share one marks array."""
 
     times: np.ndarray
     fields: np.ndarray
@@ -218,48 +219,49 @@ def solve(
 ) -> SolveResult | SolveStack:
     """Strang-split evolution of u0, with snapshots at the requested times.
 
-    u0 is one field, and the solve returns its SolveResult; or a stack of B
-    fields on a leading axis (see GridField), evolved together, and the
-    solve returns their SolveStack, each datum's result equal bit for bit
-    to its own solve.  cfg and snapshot_times are the first datum's; others
+    u0 is a stack of B fields on a leading axis (see GridField), evolved
+    together, and the solve returns their SolveStack; or one field, which
+    is solved as a stack of one, and the solve returns that stack's one
+    SolveResult.  cfg and snapshot_times are the first datum's; others
     holds the (SolverConfig, snapshot_times) of data 1, ..., B-1 in order,
     and is empty when every datum takes cfg and snapshot_times.  The data
     of a stack share d, n and sigma and take the same step count on every
     segment, else ValueError; each keeps its own eps, lam, step, horizon
-    and marks.  A stacked step makes the same numpy calls as a step of one
-    field, so per-call overhead is paid once per stack.
+    and marks.  A step makes the same numpy calls whatever B is, so
+    per-call overhead is paid once per stack.
 
     The steps are those of `_segments`, the time grid the profile RK4 also
     walks: each segment between marks takes the fewest equal steps of at
-    most dt.  The half nonlinear sub-steps of adjacent steps are merged,
-    so a segment of m steps costs m linear flows: m rounds of one batched
-    propagator matmul per axis on grids of at most DENSE_MAX_N points per
-    axis, else m transform pairs.  One propagator (or transform multiplier)
-    is built per distinct step of the call and shared by every segment and
-    every datum that takes that step, and the work buffers of the nonlinear
+    most dt.  The segments are planned per datum, or once when every datum
+    takes cfg and snapshot_times, and then the data share one row of every
+    per-datum factor.  The half nonlinear sub-steps of adjacent steps are
+    merged, so a segment of m steps costs m linear flows (`_linear_flow`),
+    one of which is built per distinct step of the call and shared by
+    every segment that takes that step; the work buffers of the nonlinear
     sub-step are reused by every step.  Each datum's nonlinear phase uses
-    its own coefficient -1j * lam * tau, the scalar of a one-field solve.
-    The fields equal, bit for bit, a loop over each datum alone that builds
-    a flow per segment and forms |u|^2 as u.real**2 + u.imag**2.
+    its own coefficient -1j * lam * tau.  Each datum's fields equal, bit
+    for bit, a loop over that datum alone that builds a flow per segment
+    and forms |u|^2 as u.real**2 + u.imag**2.
 
-    At each mark the field is written into the result's stacked fields.
-    Once the solve ends, one finite check over the stack raises
-    FloatingPointError naming the first mark, of the first datum's marks,
-    at which a field is not finite.  The solve measures no health: the
-    result's L2 norms and top-band fractions are computed when first read,
-    and that first read raises the AliasingWarning.
+    At each mark the stack is written into the results' fields.  Once the
+    solve ends, one finite check over the stack raises FloatingPointError
+    naming the first mark, of the first datum's marks, at which a field is
+    not finite.  The solve measures no health: each result's L2 norms and
+    top-band fractions are computed when first read, and that first read
+    raises the AliasingWarning.
     """
     if u0.n != cfg.n or u0.d < 1:
         raise ValueError("initial field does not match the configured grid")
     if not np.isfinite(u0.values).all():
         raise ValueError("initial field contains non-finite values")
     d, n = u0.d, cfg.n
-    shape = u0.values.shape
-    stacked = len(shape) > d
+    stacked = u0.values.ndim > d
+    values = u0.values if stacked else u0.values[None]
+    shape = values.shape
     rows = [(cfg, snapshot_times), *others]
-    if others and (not stacked or shape[0] != len(rows)):
-        raise ValueError(f"others holds {len(others)} configs; the stack has "
-                         f"{shape[0] if stacked else 1} data")
+    if others and len(rows) != len(values):
+        raise ValueError(f"others holds {len(others)} configs; a stack of {len(values)} "
+                         f"data needs {len(values) - 1}")
     if any((c.n, c.sigma) != (n, cfg.sigma) for c, _ in rows):
         raise ValueError("the data of a stack must share n and sigma")
     # data that share one config and one set of marks share one row of
@@ -272,6 +274,7 @@ def solve(
         raise ValueError("the data of a stack must take the same step count on every segment")
     scales = [(c.eps, c.lam) for c, _ in rows]
     hs = [tuple(h for *_, h in plan) for plan in plans]  # each row's step per segment
+    per_row = len(values) // len(rows)  # the data each row serves
 
     # Work buffers of the nonlinear sub-step, reused by every step of this
     # call: |u|^2 is the sum of the even and odd entries of the squared
@@ -280,7 +283,7 @@ def solve(
     # (B, n) view costs about twice the call on a flat one.  The phase is
     # a scalar times the flat power when one row serves every datum, else a
     # (B, 1) column of coefficients times the (B, points) view.
-    size = math.prod(shape)
+    size = values.size
     sq = np.empty(2 * size)
     re2, im2 = sq[0::2], sq[1::2]
     mag2 = np.empty(size)
@@ -303,23 +306,23 @@ def solve(
         return u
 
     def coefs(taus: Sequence[float]):
-        # each datum's -1j * lam * tau; None when every one is 0
+        # each row's -1j * lam * tau; None when every one is 0
         col = [-1j * lam * tau for (_, lam), tau in zip(scales, taus)]
         if not any(col):
             return None
         return col[0] if len(col) == 1 else np.array(col)[:, None]
 
     times = [np.array([0.0] + [right for _, right, _, _ in plan]) for plan in plans]
-    # a stack is stored datum by datum, (B, S) + (n,)*d, and written
+    # the stack is stored datum by datum, (B, S) + (n,)*d, and written
     # through its (S, B) view, so that each datum's marks are contiguous
-    store = np.empty(shape[:stacked] + (len(counts) + 1,) + shape[stacked:], dtype=complex)
-    fields = store.swapaxes(0, 1) if stacked else store
-    u = fields[0] = u0.values.copy()
+    store = np.empty((len(values), len(counts) + 1) + shape[1:], dtype=complex)
+    fields = store.swapaxes(0, 1)
+    u = fields[0] = values.copy()
     flows = {}  # one linear flow, and its sub-step coefficients, per distinct step
     for k, (m, step) in enumerate(zip(counts, zip(*hs)), 1):
         if step not in flows:
             s = [eps * h for (eps, _), h in zip(scales, step)]
-            flows[step] = (_linear_flow(d, n, s, stacked), coefs(step),
+            flows[step] = (_linear_flow(d, n, s * per_row), coefs(step),
                            coefs([h / 2 for h in step]))
         linear, full, half = flows[step]
         u = rotate(u, half)
@@ -333,27 +336,24 @@ def solve(
         raise FloatingPointError(
             f"solver produced non-finite values by t={times[0][np.argmin(finite)]:.6g}"
         )
-    steps = sum(counts)
-    if stacked:
-        return SolveStack(times * (shape[0] // len(times)), fields, steps)
-    return SolveResult(times[0], fields, steps)
+    stack = SolveStack(times * per_row, fields, sum(counts))
+    return stack if stacked else stack[0]
 
 
-def _linear_flow(d: int, n: int, s: Sequence[float], stacked: bool):
-    """u -> F^-1 diag(exp(-i s |k|^2 / 2)) F u on the (n,)*d grid, or on
-    each field b of a (B,) + (n,)*d stack when stacked, with s_b its own.
+def _linear_flow(d: int, n: int, s: Sequence[float]):
+    """u -> F^-1 diag(exp(-i s_b |k|^2 / 2)) F u on each field b of a
+    (B,) + (n,)*d stack, with s holding one s_b per field.
 
-    s holds one value per field of the stack, or one for every field, and
-    each factor below is built once per distinct s_b.  Up to DENSE_MAX_N
-    points per axis the flow is the per-axis propagator
-    P_b = F^-1 diag(exp(-i s_b k^2 / 2)) F, an n x n circulant matrix,
-    applied by matmul along each axis (a matrix-vector product in 1D; a
-    stack's matmul batches the fields' propagators, broadcasting a single
-    one); every result is a fresh C-contiguous array.  Above it, one FFT
-    pair with each field's multiplier.  Each field of a stack rounds
-    exactly as the flow of that field alone does: in 1D each row is an
-    (n, n) by (n, 1) matmul, which rounds like P_b.dot (one (B, n) by
-    (n, n) product does not).
+    Each factor below is built once per distinct s_b, and one factor serves
+    every field when all s_b agree.  Up to DENSE_MAX_N points per axis the
+    flow is the per-axis propagator P_b = F^-1 diag(exp(-i s_b k^2 / 2)) F,
+    an n x n circulant matrix, applied by matmul along each axis; every
+    result is a fresh C-contiguous array.  Above it, one FFT pair over the
+    last d axes with each field's multiplier.  Each field rounds exactly as
+    a flow of that field alone does: in 1D one field's (1, n) row is a
+    matrix-vector product, u.dot(P.T), which rounds like P.dot on the
+    field, and several fields' rows are a batch of (n, n) by (n, 1)
+    matmuls, which round alike (one (B, n) by (n, n) product does not).
     """
     if n > DENSE_MAX_N:
         ksq = sum(k**2 for k in _axis_wavenumbers(d, n))
@@ -363,13 +363,13 @@ def _linear_flow(d: int, n: int, s: Sequence[float], stacked: bool):
         built = {sb: np.fft.ifft(np.exp(-0.5j * sb * k2)[:, None] * dft, axis=0)
                  for sb in dict.fromkeys(s)}
     # (R,) + the factor's shape, R = 1 when one factor serves every field
-    factor = np.stack([built[sb] for sb in s]) if len(s) > 1 else built[s[0]][None]
+    factor = np.stack([built[sb] for sb in s]) if len(built) > 1 else built[s[0]][None]
     if n > DENSE_MAX_N:
-        axes = tuple(range(-d, 0)) if stacked else None
-        mult = factor if stacked else factor[0]
-        return lambda u: np.fft.ifftn(np.fft.fftn(u, axes=axes) * mult, axes=axes)
-    if d == 1 and not stacked:
-        return factor[0].dot
+        axes = tuple(range(-d, 0))
+        return lambda u: np.fft.ifftn(np.fft.fftn(u, axes=axes) * factor, axes=axes)
+    if d == 1 and len(s) == 1:
+        prop_t = factor[0].T
+        return lambda u: u.dot(prop_t)
     if d == 1:
         return lambda u: np.matmul(factor, u[..., None])[..., 0]
     rows, prop_a, prop_t = len(factor), factor[:, None], factor.transpose(0, 2, 1)

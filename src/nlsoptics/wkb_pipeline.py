@@ -200,11 +200,11 @@ def _fit_order(rows: Sequence[ConvergenceRow], attr: str) -> Optional[float]:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _ladder(run, data: Sequence, unit: Sequence[float], shortest: float, delta,
-            budget: Sequence[float], combine):
-    """Choose a step for each of the data on its own power-of-two ladder of
-    nested steps, the rungs r = top, ..., 2, 1, against its own unit and
-    budget.
+def _ladder(run, unit: Sequence[float], shortest: float, delta, budget: Sequence[float],
+            combine):
+    """Choose a step for each datum i, one per entry of unit, on its own
+    power-of-two ladder of nested steps, the rungs r = top, ..., 2, 1,
+    against its own unit[i] and budget[i].
 
     A datum's unit is shrunk to at most half the shortest snapshot
     segment, and its top is the largest power of two whose coarse partner,
@@ -212,8 +212,8 @@ def _ladder(run, data: Sequence, unit: Sequence[float], shortest: float, delta,
     1 takes per equal steps on the shortest segment, the fewest of at most
     unit that are a multiple of 2*top, and rung r takes per//r of them: its
     step h = shortest/(per//r) is at most r*unit and exactly twice rung
-    r/2's.  run(h, some) integrates the data in `some` (a sub-list of data,
-    in order) together over the whole horizon at step h, and returns one
+    r/2's.  run(h, some) integrates the data whose indices are in `some`
+    (ascending) together over the whole horizon at step h, and returns one
     run per datum; delta(a, b) measures two runs of one datum.  Each datum
     runs its top rung's coarse partner and then its rungs from the top
     down; rung r is compared with rung 2r, and a datum leaves the walk at
@@ -245,17 +245,17 @@ def _ladder(run, data: Sequence, unit: Sequence[float], shortest: float, delta,
         tops.append(top)
         pers.append(math.ceil(shortest / (2 * top * u) - 1e-9) * 2 * top)
 
-    chosen = [None] * len(data)
+    chosen = [None] * len(unit)
     rungs = [2 * top for top in tops]  # the rung of each datum's next run
-    coarse = [None] * len(data)  # the run at rung 2r of each walking datum
-    coarse_e = [None] * len(data)  # E_2r of each walking datum, once rung 4r ran
-    walking = list(range(len(data)))
+    coarse = [None] * len(unit)  # the run at rung 2r of each walking datum
+    coarse_e = [None] * len(unit)  # E_2r of each walking datum, once rung 4r ran
+    walking = list(range(len(unit)))
     while walking:
         count = min(pers[i] // rungs[i] for i in walking)
         some = [i for i in walking if pers[i] // rungs[i] == count]
         h = shortest / count
         try:
-            fine = run(h, [data[i] for i in some])
+            fine = run(h, some)
         except BlowUpError:
             if any(rungs[i] == 1 for i in some):
                 raise
@@ -356,15 +356,15 @@ def _checked_solve(legs: Sequence[tuple[ProfileStateTorus, SolverConfig, float]]
     coarse step 2*check.dt on the doubled cell, shared by the data that
     chose that step, gives each of them its grid-doubling delta: delta of
     its coarse solve and that doubled-cell twin, whether or not the rung
-    was extrapolated.  Every solve runs through this module's `solve`: of
-    one field when it solves one datum, else of their stack, each datum
-    with its own config and marks (`solve`'s others), so the data that
-    share a step share one solve call.  Each distinct initial state is
-    assembled once per cell size.  A stack whose solve raises is solved
-    again datum by datum, so a datum whose solve fails (non-finite values,
-    a state its cell cannot hold) fails alone with its own error, and the
-    others keep the runs they would have had alone.  A delta over budget
-    is recorded in the check, not raised.
+    was extrapolated.  Every solve runs through this module's `solve` on
+    the stack of the data that share its step, a stack of one for a datum
+    alone, each datum with its own config and marks (`solve`'s others).
+    Each distinct initial state is assembled once per cell size.  A stack
+    whose solve raises FloatingPointError (a datum went non-finite) is
+    solved again datum by datum, so that datum fails alone with its own
+    error and the others keep the runs they would have had alone; any
+    other error reaches the caller.  A delta over budget is recorded in
+    the check, not raised.
 
     Returns (checked, spent): per datum, (check, kept), its `LadderCheck`
     with its health and E_r when extrapolated else the solve at rung r, or
@@ -379,25 +379,23 @@ def _checked_solve(legs: Sequence[tuple[ProfileStateTorus, SolverConfig, float]]
     def solved(h: float, some: list, scale: int) -> list:
         # one SolveResult, or the error of its failed solve, per datum, each
         # on its cell's points times scale
+        u0, rows = [], []
+        for state, cell, eps in (legs[i] for i in some):
+            m = scale * cell.n
+            if (id(state), m) not in initial:
+                initial[id(state), m] = assemble_uapp(state, 1.0, m)
+            u0.append(initial[id(state), m])
+            rows.append((replace(cell, dt=h / eps, n=m), [t / eps for t in times]))
+        stack = GridField(u0[0].d, m, np.stack([u.values for u in u0]))
         try:
-            u0, rows = [], []
-            for state, cell, eps in (legs[i] for i in some):
-                m = scale * cell.n
-                if (id(state), m) not in initial:
-                    initial[id(state), m] = assemble_uapp(state, 1.0, m)
-                u0.append(initial[id(state), m])
-                rows.append((replace(cell, dt=h / eps, n=m), [t / eps for t in times]))
-            if len(some) == 1:
-                return [solve(u0[0], *rows[0])]
-            stack = np.stack([u.values for u in u0])  # raises unless the grids agree
-            return list(solve(GridField(u0[0].d, m, stack), *rows[0], rows[1:]))
-        except (ValueError, FloatingPointError) as exc:
+            return list(solve(stack, *rows[0], rows[1:]))
+        except FloatingPointError as exc:
             if len(some) == 1:
                 return [exc]
             return [one for i in some for one in solved(h, [i], scale)]
 
     def run(h: float, some: list, scale: int = 1) -> list:
-        # the ladder's data are indices into legs: each datum counts its steps
+        # each datum, an index into legs, counts its steps
         t0 = time.perf_counter()
         res = solved(h, some, scale)
         share = (time.perf_counter() - t0) / len(some)
@@ -410,8 +408,8 @@ def _checked_solve(legs: Sequence[tuple[ProfileStateTorus, SolverConfig, float]]
     def combine(fine: SolveResult, coarse: SolveResult) -> SolveResult:
         return SolveResult(fine.times, _extrapolate(fine.fields, coarse.fields, 2), 0)
 
-    checked = _ladder(run, range(len(legs)), [default_dt(eps) for *_, eps in legs], shortest,
-                      delta, [LADDER_FRACTION * eps for *_, eps in legs], combine)
+    checked = _ladder(run, [default_dt(eps) for *_, eps in legs], shortest, delta,
+                      [LADDER_FRACTION * eps for *_, eps in legs], combine)
     by_step = {}
     for i, walk in enumerate(checked):
         if not isinstance(walk, Exception):
@@ -507,7 +505,7 @@ def run_convergence(
         return TorusTrajectory(modes, np.array(marks), np.array(amps))
 
     [(check, traj, fine, _)] = _ladder(
-        integrate, [alpha], [PROFILE_DT], shortest, lambda a, b: _amp_delta(a, b, checks),
+        integrate, [PROFILE_DT], shortest, lambda a, b: _amp_delta(a, b, checks),
         [LADDER_FRACTION * min(eps_list)], combine,
     )
     profile = replace(check, steps=profile_steps, drift=_relative_drift(fine.mass_series()))

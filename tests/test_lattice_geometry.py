@@ -31,6 +31,16 @@ def closure(vectors, sigma, **kw):
     return close_under_resonances([wv(*c) for c in vectors], sigma, **kw)
 
 
+def closure_checked(vectors, sigma, **kw):
+    """closure(), asserting that it warns, once with a ClosureWarning and
+    with nothing else, exactly when the result is unsaturated."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = closure(vectors, sigma, **kw)
+    assert [w.category for w in caught] == [ClosureWarning] * (not s.saturated)
+    return s
+
+
 class TestWaveVector:
     def test_arithmetic(self):
         a, b = wv(1, 2), wv(3, -1)
@@ -279,7 +289,7 @@ class TestClosureProperties:
     @given(st.lists(small_vec, min_size=1, max_size=4, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_idempotent(self, coords):
-        s = closure(coords, 1, max_sup_norm=32)
+        s = closure_checked(coords, 1, max_sup_norm=32)
         for c in coords:
             assert wv(*c) in s.vectors
         # idempotence is claimed for closed sets only; re-closing a set cut at
@@ -295,9 +305,9 @@ class TestClosureProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_translation_equivariance(self, coords, shift):
-        s0 = closure(coords, 1, max_sup_norm=64)
+        s0 = closure_checked(coords, 1, max_sup_norm=64)
         shifted = [tuple(a + b for a, b in zip(c, shift)) for c in coords]
-        s1 = closure(shifted, 1, max_sup_norm=64 + 10)
+        s1 = closure_checked(shifted, 1, max_sup_norm=64 + 10)
         if s0.saturated and s1.saturated:
             moved = sorted(
                 wv(*(a + b for a, b in zip(v.coords, shift))) for v in s0.vectors
@@ -308,7 +318,7 @@ class TestClosureProperties:
     @settings(max_examples=40, deadline=None)
     def test_confined_to_affine_lattice(self, coords):
         # every created vector is base + integer combination of differences
-        s = closure(coords, 1, max_sup_norm=32)
+        s = closure_checked(coords, 1, max_sup_norm=32)
         base = coords[0]
         diffs = [
             tuple(a - b for a, b in zip(c, base)) for c in coords[1:]

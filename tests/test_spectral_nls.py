@@ -13,7 +13,6 @@ from nlsoptics.spectral_nls import (
     AliasingWarning,
     GridField,
     SolverConfig,
-    SolveStack,
     default_dt,
     default_grid_size,
     _linear_flow,
@@ -213,8 +212,8 @@ class TestLinearFlow:
             assert field.flags.c_contiguous
         assert res.l2_relative_drift <= 1e-13
         assert not np.any(res.aliasing_fractions > ALIASING_TOLERANCE)
-        flow = _linear_flow(d, n, [eps * 1e-2], False)
-        assert flow(u0.values.copy()).flags.c_contiguous
+        flow = _linear_flow(d, n, [eps * 1e-2])
+        assert flow(u0.values[None].copy()).flags.c_contiguous
         # the cases straddle the switch: n = 8, 16, 64 dense, n = 128 FFT
         assert (n <= DENSE_MAX_N) == (n in (8, 16, 64))
 
@@ -350,7 +349,23 @@ class TestMarkHealth:
 
 class TestStackedSolve:
     """A stack of data on a leading axis shares one loop of numpy calls; each
-    datum's result must equal its own solve bit for bit."""
+    datum's result must equal the plain loop over that datum alone,
+    `_reference_solve`, bit for bit (a one-field solve is a stack of one,
+    so comparing with it would compare the code with itself)."""
+
+    @staticmethod
+    def _assert_reference(res, u0, cfg, snaps):
+        fields, l2s, fracs, steps = _reference_solve(u0, cfg, snaps)
+        assert np.array_equal(res.times, _snapshot_marks(cfg.t_final, snaps))
+        assert res.fields.flags.c_contiguous and not res.fields.flags.writeable
+        assert len(res.fields) == len(fields)
+        for k, want in enumerate(fields):
+            assert np.array_equal(res.fields[k], want)
+        assert res.steps == steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasingWarning)  # 16-point cells with coupling
+            assert np.array_equal(res.l2_values, l2s)
+            assert np.array_equal(res.aliasing_fractions, fracs)
 
     @pytest.mark.parametrize("lam", [0.0, 1.3])
     @pytest.mark.parametrize("sigma", [1, 2])
@@ -360,20 +375,12 @@ class TestStackedSolve:
         snaps = [0.01, 0.035, 0.06, 0.08]
         cfg = SolverConfig(eps=1 / 4, lam=lam, sigma=sigma, dt=4e-3, n=n, t_final=0.11)
         stacked = solve(GridField(d, n, np.stack([u.values for u in data])), cfg, snaps)
-        assert isinstance(stacked, SolveStack) and len(stacked) == len(data)
+        assert len(stacked) == len(data)
         assert stacked.fields.shape == (6, len(data)) + (n,) * d
         assert not stacked.fields.flags.writeable
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AliasingWarning)  # 16-point cells with coupling
-            for u0, res in zip(data, stacked):
-                one = solve(u0, cfg, snaps)
-                assert res.times is stacked.times
-                assert np.array_equal(res.times, one.times)
-                assert res.fields.flags.c_contiguous and not res.fields.flags.writeable
-                assert np.array_equal(res.fields, one.fields)
-                assert res.steps == one.steps
-                assert np.array_equal(res.l2_values, one.l2_values)
-                assert np.array_equal(res.aliasing_fractions, one.aliasing_fractions)
+        for u0, res in zip(data, stacked):
+            assert res.times is stacked.times  # data of one config share its marks
+            self._assert_reference(res, u0, cfg, snaps)
 
     @pytest.mark.parametrize("sigma", [1, 2])
     @pytest.mark.parametrize("d,n", [(1, 16), (1, 32), (1, 128), (2, 16), (2, 32), (3, 16)])
@@ -389,16 +396,9 @@ class TestStackedSolve:
                                t_final=0.4 / eps)
             rows.append((cfg, [t / eps for t in (0.1, 0.25, 0.3)]))
         stacked = solve(GridField(d, n, np.stack([u.values for u in data])), *rows[0], rows[1:])
-        assert isinstance(stacked, SolveStack) and stacked.times is stacked[0].times
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AliasingWarning)
-            for u0, (cfg, marks), res in zip(data, rows, stacked):
-                one = solve(u0, cfg, marks)
-                assert np.array_equal(res.times, one.times)
-                assert np.array_equal(res.fields, one.fields)
-                assert res.steps == one.steps
-                assert np.array_equal(res.l2_values, one.l2_values)
-                assert np.array_equal(res.aliasing_fractions, one.aliasing_fractions)
+        assert stacked.times is stacked[0].times
+        for u0, (cfg, marks), res in zip(data, rows, stacked):
+            self._assert_reference(res, u0, cfg, marks)
 
     def test_data_with_other_step_counts_are_refused(self):
         u = _band_limited_field(1, 16, 5).values
@@ -409,8 +409,10 @@ class TestStackedSolve:
             solve(stack, cfg, [0.5], [(other, [0.5])])
         with pytest.raises(ValueError, match="same step count"):
             solve(stack, cfg, [0.5], [(cfg, [0.25, 0.5])])  # one more segment
-        with pytest.raises(ValueError, match="configs"):
+        with pytest.raises(ValueError, match="others holds 2 configs; a stack of 2 data needs 1$"):
             solve(stack, cfg, [0.5], [(cfg, [0.5])] * 2)
+        with pytest.raises(ValueError, match="others holds 1 configs; a stack of 1 data needs 0$"):
+            solve(GridField(1, 16, u), cfg, [0.5], [(cfg, [0.5])])
         with pytest.raises(ValueError, match="share n and sigma"):
             solve(stack, cfg, [0.5], [(SolverConfig(1.0, 0.125, 2, 0.1, 16, 1.0), [0.5])])
 
@@ -436,9 +438,9 @@ def _count_flows(monkeypatch):
     built = []
     real = spectral_nls._linear_flow
 
-    def counting(d, n, s, stacked):
+    def counting(d, n, s):
         built.append(s)
-        return real(d, n, s, stacked)
+        return real(d, n, s)
 
     monkeypatch.setattr(spectral_nls, "_linear_flow", counting)
     return built
@@ -457,7 +459,7 @@ class TestPropagatorReuse:
             segs = [b - a for a, b in zip(marks[:-1], marks[1:]) if b > a]
             hs = {seg / max(1, math.ceil(seg / cfg.dt - 1e-9)) for seg in segs}
             per_solve.append((len(built) - start, len(hs), len(segs)))
-            steps.extend(r.steps for r in (res if isinstance(res, SolveStack) else [res]))
+            steps.extend(r.steps for r in res)
             return res
 
         steps = []

@@ -19,7 +19,6 @@ from nlsoptics.spectral_nls import (
     GridField,
     SolveResult,
     SolverConfig,
-    SolveStack,
     default_dt,
     default_grid_size,
     solve,
@@ -166,7 +165,7 @@ class TestConvergence:
             values = u0.values.copy()
             for b, lam in enumerate(lams):
                 if lam == 1 / 8:
-                    values[b if others else ...] = 1e200
+                    values[b] = 1e200
             return real_solve(GridField(u0.d, u0.n, values), cfg, snapshot_times, others)
 
         modes = line_modes(0, 1)
@@ -183,6 +182,25 @@ class TestConvergence:
         assert failed.check is None and failed.stage_s == {}
         for i in (0, 2):
             assert _row_values(table.rows[i]) == _row_values(unpatched.rows[i])
+
+    def test_value_error_in_a_shared_stack_reaches_the_caller(self, monkeypatch):
+        # only a datum gone non-finite is solved again alone: any other
+        # error of a stacked solve is a fault of the program, and a retry
+        # datum by datum would hide it behind rows that look right
+        real_solve = wkb_pipeline.solve
+        calls = []
+
+        def refusing(u0, cfg, snapshot_times=None, others=()):
+            calls.append(1 + len(others))
+            if others:
+                raise ValueError("a flow of the wrong shape")
+            return real_solve(u0, cfg, snapshot_times, others)
+
+        monkeypatch.setattr(wkb_pipeline, "solve", refusing)
+        with pytest.raises(ValueError, match="wrong shape"):
+            run_convergence(line_modes(0, 1), [0.5, 0.3], 1.0, [1 / 4, 1 / 8, 1 / 16], 0.1,
+                            checkpoints=1)
+        assert calls == [3]  # the three legs' first run, and no retry
 
     def test_bad_eps_raises_before_any_row(self, monkeypatch):
         # every leg's cell is built before the profiles and the first leg
@@ -340,7 +358,7 @@ class TestSharedWalk:
         sweep = (modes, alpha, 1.0, [1 / 8, 1 / 12, 1 / 16], t_final)
         solves = _record(monkeypatch)
         table = run_convergence(*sweep)
-        shared = [res if isinstance(res, SolveStack) else [res] for res in solves]
+        shared = solves[:]
         del solves[:]
         real = wkb_pipeline._checked_solve
 
@@ -403,7 +421,7 @@ class TestStepLadder:
             runs.append(r)
             return r
 
-        [walk] = _ladder(_one(run), [None], [1.0], 32, lambda a, b: b * b, [100.0], _plain)
+        [walk] = _ladder(_one(run), [1.0], 32, lambda a, b: b * b, [100.0], _plain)
         assert walk == (LadderCheck(4, 4.0, False, 64), 4, 4, 8)
         assert runs == [32, 16, 8, 4]  # one new run per rung
 
@@ -423,7 +441,7 @@ class TestStepLadder:
         def delta(a, b):
             return 1.0 if isinstance(a, tuple) else b * b
 
-        [walk] = _ladder(_one(run), [None], [1.0], 32, delta, [100.0], combine)
+        [walk] = _ladder(_one(run), [1.0], 32, delta, [100.0], combine)
         assert walk == (LadderCheck(8, 8.0, True, 1.0), ("E", 8), 8, 16)
         assert runs == [32, 16, 8] and combined == [(16, 32), (8, 16)]
 
@@ -439,7 +457,7 @@ class TestStepLadder:
         def delta(a, b):
             return 0.0 if isinstance(a, tuple) else b * b / 4
 
-        [walk] = _ladder(_one(lambda r: r), [None], [1.0], 32, delta, [100.0], combine)
+        [walk] = _ladder(_one(lambda r: r), [1.0], 32, delta, [100.0], combine)
         assert walk == (LadderCheck(8, 8.0, False, 64.0), 8, 8, 16)
         assert combined == [(16, 32)]
 
@@ -447,7 +465,7 @@ class TestStepLadder:
         def delta(a, b):
             return 1e3 if isinstance(a, tuple) else 1e6
 
-        [walk] = _ladder(_one(lambda r: r), [None], [1.0], 8, delta, [1.0], lambda f, c: ("E", f))
+        [walk] = _ladder(_one(lambda r: r), [1.0], 8, delta, [1.0], lambda f, c: ("E", f))
         assert walk == (LadderCheck(1, 1.0, False, 1e6), 1, 1, 2)
 
     def test_blown_up_rung_is_over_budget(self):
@@ -461,7 +479,7 @@ class TestStepLadder:
                 raise BlowUpError(0.5)
             return r
 
-        [walk] = _ladder(_one(run), [None], [1.0], 32, lambda a, b: b - a, [100.0], _plain)
+        [walk] = _ladder(_one(run), [1.0], 32, lambda a, b: b - a, [100.0], _plain)
         assert walk == (LadderCheck(2, 2.0, False, 2), 2, 2, 4)
         assert runs == [32, 16, 8, 4, 2]
 
@@ -472,7 +490,7 @@ class TestStepLadder:
             return r
 
         # the coarse partner of rung 1 blew up: the delta is inf, not raised
-        assert _ladder(_one(run), [None], [1.0], 32, lambda a, b: 0.0, [0.0], _plain) == [
+        assert _ladder(_one(run), [1.0], 32, lambda a, b: 0.0, [0.0], _plain) == [
             (LadderCheck(1, 1.0, False, math.inf), 1, 1, None)
         ]
 
@@ -480,26 +498,26 @@ class TestStepLadder:
             raise BlowUpError(0.25)
 
         with pytest.raises(BlowUpError, match="t=0.25"):
-            _ladder(_one(run_all), [None], [1.0], 32, lambda a, b: 0.0, [0.0], _plain)
+            _ladder(_one(run_all), [1.0], 32, lambda a, b: 0.0, [0.0], _plain)
 
     def test_data_walk_together_and_leave_at_their_own_rungs(self):
-        # datum "a" has delta (2 r)^2 and passes at rung 4; "b" passes at the
-        # top; the rungs both walk are one call each, "a" walks on alone
+        # datum 0 has delta (2 r)^2 and passes at rung 4; datum 1 passes at
+        # the top; the rungs both walk are one call each, 0 walks on alone
         calls = []
 
         def run(r, some):
             calls.append((r, tuple(some)))
-            return [(datum, r) for datum in some]
+            return [(i, r) for i in some]
 
         def delta(fine, coarse):
-            return coarse[1] ** 2 if fine[0] == "a" else 0.0
+            return coarse[1] ** 2 if fine[0] == 0 else 0.0
 
-        walks = _ladder(run, ["a", "b"], [1.0, 1.0], 32, delta, [100.0, 100.0], _plain)
+        walks = _ladder(run, [1.0, 1.0], 32, delta, [100.0, 100.0], _plain)
         assert walks == [
-            (LadderCheck(4, 4.0, False, 64), ("a", 4), ("a", 4), ("a", 8)),
-            (LadderCheck(16, 16.0, False, 0.0), ("b", 16), ("b", 16), ("b", 32)),
+            (LadderCheck(4, 4.0, False, 64), (0, 4), (0, 4), (0, 8)),
+            (LadderCheck(16, 16.0, False, 0.0), (1, 16), (1, 16), (1, 32)),
         ]
-        assert calls == [(32, ("a", "b")), (16, ("a", "b")), (8, ("a",)), (4, ("a",))]
+        assert calls == [(32, (0, 1)), (16, (0, 1)), (8, (0,)), (4, (0,))]
 
     def test_leg_takes_the_largest_passing_rung(self):
         # criterion 1's data at eps = 1/8: the walk starts at rung 32, the
@@ -564,7 +582,7 @@ class TestStepLadder:
         for left, right in zip(marks, marks[1:]):
             assert right - left == pytest.approx(segment, rel=1e-12)
         solves = []
-        for res in runs["solve"]:
+        for [res] in runs["solve"]:  # one leg: each call solves a stack of one
             assert np.allclose(res.times * eps, marks, rtol=0, atol=1e-12)
             per_segment, rest = divmod(res.steps, len(marks) - 1)
             assert rest == 0
@@ -572,7 +590,7 @@ class TestStepLadder:
         *solves, (grid_n, grid_count) = solves
         assert {n for n, _ in solves} == {grid_n // 2}
         assert grid_count == solves[-2][1]
-        assert row.check.drift == runs["solve"][-2].l2_relative_drift
+        assert row.check.drift == runs["solve"][-2][0].l2_relative_drift
         profiles = []
         for traj in runs["integrate_torus"]:
             ends = np.searchsorted(traj.times, np.array(marks) - 1e-12)
@@ -1067,7 +1085,7 @@ def _row_values(row: ConvergenceRow) -> dict:
 
 def _record(monkeypatch, name: str = "solve") -> list:
     """Wrap the pipeline's `solve` or `integrate_torus`; returns the list of
-    its results, one per call (a stacked solve's is its SolveStack)."""
+    its results, one per call (a solve's is its SolveStack)."""
     results = []
     real = getattr(wkb_pipeline, name)
 
@@ -1087,9 +1105,8 @@ def _record_data(monkeypatch) -> list:
 
     def recording(u0, cfg, snapshot_times=None, others=()):
         res = real(u0, cfg, snapshot_times, others)
-        results = list(res) if isinstance(res, SolveStack) else [res]
-        configs = [cfg] + [c for c, _ in others] if others else [cfg] * len(results)
-        data.extend(zip(configs, results))
+        configs = [cfg] + [c for c, _ in others] if others else [cfg] * len(res)
+        data.extend(zip(configs, res))
         return res
 
     monkeypatch.setattr(wkb_pipeline, "solve", recording)
@@ -1099,7 +1116,7 @@ def _record_data(monkeypatch) -> list:
 def _measured(results) -> list:
     """The data whose health was read: a cached property, once computed,
     sits in the instance dict."""
-    results = [r for res in results for r in (res if isinstance(res, SolveStack) else [res])]
+    results = [r for res in results for r in res]
     health = [{"l2_values", "aliasing_fractions"} & set(vars(r)) for r in results]
     assert all(h in (set(), {"l2_values", "aliasing_fractions"}) for h in health)
     return [r for r, h in zip(results, health) if h]
@@ -1133,7 +1150,7 @@ class TestHealthOnRead:
         table = run_convergence(line_modes(0, 1), [0.7, 0.4], 1.0, [1 / 4, 1 / 8], 0.3,
                                 checkpoints=2)
         assert all(r.ok for r in table.rows)
-        data = sum(len(res) if isinstance(res, SolveStack) else 1 for res in results)
+        data = sum(map(len, results))
         assert data > 2 * len(table.rows)
         kept = _measured(results)
         assert len(kept) == len(table.rows)
