@@ -13,7 +13,7 @@ A scenario is one JSON document with a versioned schema:
         {"kappa": [0],  "amplitude": [1.0, 0.0]}
       ],
       "closure_limits": {"max_generations": 8, "max_sup_norm": 64},
-      "solver": {"dt": null, "eps_list": ["1/8", "1/16"]},
+      "solver": {"eps_list": ["1/8", "1/16"]},
       "experiment": {"type": "converge", "t_final": 1.0}
     }
 
@@ -24,9 +24,10 @@ document against the table, rejects unknown keys, then applies the rules
 that relate two fields (`_cross_rules`); the resolved document names every
 default a run uses.  The README lists the keys.
 
-Each command returns its results, runtimes and side files; `run` alone
-writes them: the side files, then a JSON report embedding the scenario hash
-and the resolved parameters, byte-identical across runs of one scenario and
+Each command returns its results, the timings only it knows and its side
+files; `run` alone times the command, whole, as `runtimes.total`, and
+writes: the side files, then a JSON report embedding the scenario hash and
+the resolved parameters, byte-identical across runs of one scenario and
 tool version except for the runtimes, which the content hash excludes.  All
 writes are atomic (temp then rename).  Exit codes: 0 success, 1 failed
 assertion (--assert-order, integer-lattice divisor check; its report is
@@ -373,8 +374,11 @@ def _cross_rules(doc: dict, raw: dict) -> list[ModeSpec]:
         _expect(not exp["cross_check"], "experiment.cross_check: must be false "
                 "for weak_limit, whose limit datum is not a solution to solve")
     if etype == "smalldiv" and exp["probe"] is not None:
-        _expect(len({len(g) for g in exp["probe"]["generators"]}) == 1,
+        gens = exp["probe"]["generators"]
+        _expect(len({len(g) for g in gens}) == 1,
                 "experiment.probe.generators: the vectors must share one dimension")
+        _expect(any(Fraction(c) for g in gens for c in g), "experiment.probe.generators: "
+                "every generator is zero, so every Gram entry and combination is")
     return specs
 
 
@@ -502,8 +506,8 @@ def _closed_modes(scn: Scenario, record_edges: bool = False) -> tuple[ModeSet, n
     return modes, amps
 
 
-# what a command returns to `run`: its results, its runtimes, each side
-# file's bytes by name, and its exit code
+# what a command returns to `run`: its results, the timings only it knows
+# (`run` adds the total), each side file's bytes by name, its exit code
 Outcome = tuple[dict, dict, dict[str, bytes], int]
 
 
@@ -512,9 +516,7 @@ def _kappa_label(coords: tuple[int, ...]) -> str:
 
 
 def cmd_closure(scn: Scenario, args) -> Outcome:
-    start = time.perf_counter()
     modes, _ = _closed_modes(scn, record_edges=True)
-    runtime = time.perf_counter() - start
     created = sum(1 for g in modes.generations if g > 0)
     rows = [
         list(v.coords) + [g] for v, g in zip(modes.vectors, modes.generations)
@@ -544,7 +546,7 @@ def cmd_closure(scn: Scenario, args) -> Outcome:
         )
     for parents, child, gen in edge_rows:
         print(f"  generation {gen}: {child} from {parents}")
-    return results, {"total": runtime}, files, 0
+    return results, {}, files, 0
 
 
 def _gaussian(preset: dict):
@@ -578,7 +580,6 @@ def cmd_profiles(scn: Scenario, args) -> Outcome:
 
     params = SimParams(lam=scn.lam, t_final=t_final, dt=dt)
     snap_times = [t_final * k / snaps for k in range(snaps + 1)]
-    start = time.perf_counter()
     try:
         if euclid:
             traj = integrate_euclid(data, modes, params, length, snapshot_times=snap_times)
@@ -592,7 +593,6 @@ def cmd_profiles(scn: Scenario, args) -> Outcome:
             f"profiles failed: {exc}; step condition dt*|lambda|*max|a|^(2 sigma) "
             f"= {cond:.3g} at dt={dt:g}"
         ) from None
-    runtime = time.perf_counter() - start
 
     results = {
         "modes": [list(v.coords) for v in modes.vectors],
@@ -639,7 +639,7 @@ def cmd_profiles(scn: Scenario, args) -> Outcome:
         f"profiles: {len(modes.vectors)} {what}, {traj.interaction_tuples} tuples, "
         f"{steps} RK4 steps to t={t_final:g}, mass drift {drift:.3e}"
     )
-    return results, {"total": runtime}, files, 0
+    return results, {}, files, 0
 
 
 def _delta_label(value, eps=None) -> str:
@@ -669,13 +669,13 @@ def _check_label(check: Optional[LadderCheck], eps=None) -> str:
 
 def _row_cells(row: wkb_pipeline.ConvergenceRow) -> dict:
     """A converge row's `convergence.csv` cells by column: every field but
-    the timings, runtime and stage_s, with the fields of its check in place
-    of check (all None on a failed leg)."""
+    the timings, stage_s, with the fields of its check in place of check
+    (all None on a failed leg)."""
     cells = {}
     for f in fields(row):
         if f.name == "check":
             cells.update((g.name, getattr(row.check, g.name, None)) for g in fields(LadderCheck))
-        elif f.name not in ("runtime", "stage_s"):
+        elif f.name != "stage_s":
             cells[f.name] = getattr(row, f.name)
     return cells
 
@@ -683,7 +683,6 @@ def _row_cells(row: wkb_pipeline.ConvergenceRow) -> dict:
 def cmd_converge(scn: Scenario, args) -> Outcome:
     exp = scn.experiment
     modes, amps = _closed_modes(scn)
-    start = time.perf_counter()
     try:
         table = run_convergence(modes, amps, scn.lam, [float(f) for f in scn.eps_list],
                                 exp["t_final"], checkpoints=exp["checkpoints"])
@@ -691,7 +690,6 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
         raise CommandFailed(
             f"converge failed: {exc} (profile ladder rung 1, its finest step)"
         ) from None
-    total = time.perf_counter() - start
 
     # convergence.csv: each cell in its format here or else as str, and None
     # as an empty cell
@@ -702,12 +700,8 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
         for row in cells
     ])
     results = _jsonable(table)  # the timings move to runtimes
-    runtimes = {
-        "total": total,
-        "rows": [row.pop("runtime") for row in results["rows"]],
-        "profile": results.pop("profile_s"),
-        "stages": [row.pop("stage_s") for row in results["rows"]],
-    }
+    runtimes = {"rows": [r.runtime for r in table.rows], "profile": results.pop("profile_s"),
+                "stages": [row.pop("stage_s") for row in results["rows"]]}
     print(f"profile: {_check_label(table.profile)}")
     for r in table.rows:
         note = "" if r.ok else f"  [{r.status}]"
@@ -734,7 +728,6 @@ def cmd_converge(scn: Scenario, args) -> Outcome:
 
 def cmd_instability(scn: Scenario, args) -> Outcome:
     exp = scn.experiment
-    start = time.perf_counter()
     try:
         record = run_instability(
             exp["rho"], exp["delta"], exp["s"], exp["K"], sigma=scn.sigma, lam=scn.lam,
@@ -744,7 +737,6 @@ def cmd_instability(scn: Scenario, args) -> Outcome:
         raise ScenarioError(f"experiment.delta: too small; {exc}") from None
     except FloatingPointError as exc:
         raise ScenarioError(f"experiment.delta: {exc}") from None
-    total = time.perf_counter() - start
 
     times, curve = wkb_pipeline.gap_curve(record, exp["grid_points"])
     files = {"gap_curve.csv": _series_bytes(["t", "gap"], times, curve)}
@@ -766,19 +758,17 @@ def cmd_instability(scn: Scenario, args) -> Outcome:
             over = check.over(LADDER_FRACTION * record.eps)
             note = f"  [over {LADDER_FRACTION:g}*eps: {', '.join(over)}]" if over else ""
             print(f"  datum {i}: {_check_label(check, record.eps)}{note}")
-    return {"record": record}, {"total": total}, files, 0
+    return {"record": record}, {}, files, 0
 
 
 def cmd_smalldiv(scn: Scenario, args) -> Outcome:
     exp = scn.experiment
     modes, _ = _closed_modes(scn)
-    start = time.perf_counter()
     survey = survey_divisors(modes)
     try:
         fit = fit_generalized_bound(modes, b_grid=exp["b_grid"])
     except OverflowError as exc:
         raise ScenarioError(f"experiment.b_grid: {exc}") from None
-    total = time.perf_counter() - start
 
     csv_bytes = _csv_bytes(
         ["b", "c"],
@@ -825,7 +815,7 @@ def cmd_smalldiv(scn: Scenario, args) -> Outcome:
             "integer-lattice divisor assertion failed: min_delta < 1",
             file=sys.stderr,
         )
-    return results, {"total": total}, {"generalized_fit.csv": csv_bytes}, int(failed)
+    return results, {}, {"generalized_fit.csv": csv_bytes}, int(failed)
 
 
 COMMANDS = {
@@ -886,7 +876,9 @@ def run(argv=None) -> int:
                 f"scenario declares experiment {expected!r}, "
                 f"invoked command {args.command!r}"
             )
+        start = time.perf_counter()
         results, runtimes, files, code = COMMANDS[args.command](scn, args)
+        runtimes["total"] = time.perf_counter() - start
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -197,7 +197,8 @@ def gram_diophantine_probe(
     antisymmetric matrices annihilate the Gram form identically, so they are
     outside the scanned (and meaningful) space.  Combinations that evaluate
     to exactly zero are excluded from the minimum (for generic generators
-    they never occur) and reported through zero_combinations.
+    they never occur) and reported through zero_combinations.  Raises
+    ValueError when every Gram entry, so every combination, is zero.
 
     Rational generators are scanned in exact integer arithmetic; float
     generators use extended-precision accumulation and the reported minimum
@@ -241,6 +242,10 @@ def gram_diophantine_probe(
         )
         q = 1
         gvals_dtype = np.longdouble
+
+    if not gram_scaled.any():  # the diagonal holds the squared norms
+        raise ValueError("every Gram entry is zero, so is every combination: the "
+                         "generators are zero or their squares underflow")
 
     # free coefficients: diagonal entries then upper-triangle pair sums
     coeffs = []  # (gram value in scan units, range array)
@@ -313,9 +318,9 @@ def gram_diophantine_probe(
             partial = True
             break
 
-    if best_val is None:
+    if best_val is None:  # a Gram entry is nonzero, so the scan stopped early
         raise ValueError(
-            "scan found no combination with nonzero value; increase beta_bound"
+            "the partial scan found no combination with nonzero value; increase budget"
         )
 
     # reconstruct a realizing beta matrix with entries within [-B, B]

@@ -145,12 +145,11 @@ class ConvergenceRow:
     The fields, in order, are the columns of `convergence.csv` and the keys
     of a report row, all but the timings (with the fields of check in its
     place in the CSV).  check is the leg's `LadderCheck`, health
-    included.  runtime and stage_s are timings: the legs walk one ladder,
-    so a leg is charged an even share of each solve call it took part in,
-    stage_s's 'solve' its share of the call that ran its rung and 'checks'
-    its share of the others plus an even share of the walk's seconds
-    outside its solve calls; 'assembly_norms' and the rest of runtime are
-    its own.
+    included.  stage_s holds the timings: 'checks' and 'solve' are the
+    seconds `_checked_solve` charges the leg for the walk its legs share
+    ('solve' 0 on a failed leg), and 'assembly_norms' the seconds the leg
+    took to assemble its field and measure its errors (0 on a failed leg).
+    runtime is their sum.
     """
 
     eps: float
@@ -158,13 +157,16 @@ class ConvergenceRow:
     sup_error: float
     w_error: float
     check: Optional[LadderCheck] = None
-    runtime: float
     status: str = "ok"
     stage_s: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def runtime(self) -> float:
+        return sum(self.stage_s.values())
 
 
 @dataclass
@@ -366,14 +368,18 @@ def _checked_solve(legs: Sequence[tuple[ProfileStateTorus, SolverConfig, float]]
     other error reaches the caller.  A delta over budget is recorded in
     the check, not raised.
 
-    Returns (checked, spent): per datum, (check, kept), its `LadderCheck`
+    Returns (checked, charged): per datum, (check, kept), its `LadderCheck`
     with its health and E_r when extrapolated else the solve at rung r, or
-    the exception its failed solve raised; and per datum, the seconds it
-    is charged by (physical step, cell points), an even share of each
-    solve call it took part in.
+    the exception its failed solve raised; and per datum, the seconds of
+    the walk it is charged, {"checks": ..., "solve": ...}.  A datum is
+    charged an even share of each solve call it took part in and an even
+    share of the walk's seconds outside its solve calls: 'solve' is its
+    share of the call that ran its rung on its cell, 0 when it failed, and
+    'checks' all the rest.
     """
+    start = time.perf_counter()
     steps = [0] * len(legs)
-    spent = [{} for _ in legs]
+    spent = [{} for _ in legs]  # each datum's share of each of its calls, by (step, scale)
     initial = {}  # (id of a state, points) -> its assembled field
 
     def solved(h: float, some: list, scale: int) -> list:
@@ -400,7 +406,7 @@ def _checked_solve(legs: Sequence[tuple[ProfileStateTorus, SolverConfig, float]]
         res = solved(h, some, scale)
         share = (time.perf_counter() - t0) / len(some)
         for i, one in zip(some, res):
-            spent[i][h, scale * legs[i][1].n] = share
+            spent[i][h, scale] = share
             if not isinstance(one, Exception):
                 steps[i] += one.steps
         return res
@@ -421,7 +427,11 @@ def _checked_solve(legs: Sequence[tuple[ProfileStateTorus, SolverConfig, float]]
                 check, grid_delta=delta(coarse, twin), steps=steps[i],
                 drift=fine.l2_relative_drift, aliasing=float(np.max(fine.aliasing_fractions)),
             ), kept)
-    return checked, spent
+    rest = (time.perf_counter() - start - sum(sum(s.values()) for s in spent)) / len(legs)
+    solve_s = [0.0 if isinstance(walk, Exception) else s[walk[0].dt, 1]
+               for walk, s in zip(checked, spent)]
+    return checked, [{"checks": sum(s.values()) + rest - one, "solve": one}
+                     for s, one in zip(spent, solve_s)]
 
 
 def run_convergence(
@@ -463,8 +473,10 @@ def run_convergence(
     own or the profile's, is over LADDER_FRACTION*eps (`LadderCheck.over`)
     is marked failed.  A leg whose solve fails (non-finite values) is recorded
     with its failure note instead of aborting the sweep; the other legs'
-    rows are the ones they make when it does not fail.  Row timings: see
-    `ConvergenceRow`.  A profile rung
+    rows are the ones they make when it does not fail.  Any other error,
+    in the walk or in a row's assembly and norms, reaches the caller.  Row
+    timings: see `ConvergenceRow`; the table's profile_s is the seconds of
+    the profile ladder.  A profile rung
     that trips the blow-up guard counts as over budget; only a blow-up at
     rung 1 raises BlowUpError, and then no row is made.
     """
@@ -511,52 +523,39 @@ def run_convergence(
     profile = replace(check, steps=profile_steps, drift=_relative_drift(fine.mass_series()))
     profile_s = time.perf_counter() - start
 
-    start = time.perf_counter()
     initial = ProfileStateTorus(modes, alpha, 0.0)
-    walks, spent = _checked_solve([(initial, cell, eps) for eps, cell in zip(eps_list, cells)],
-                                  checks, shortest, _field_delta)
-    # the walk's seconds outside its solve calls, shared evenly by the legs
-    rest = (time.perf_counter() - start - sum(sum(s.values()) for s in spent)) / len(cells)
+    walks, charged = _checked_solve([(initial, cell, eps) for eps, cell in zip(eps_list, cells)],
+                                    checks, shortest, _field_delta)
 
-    def one_leg(eps: float, cell: SolverConfig, walk, charged: dict) -> ConvergenceRow:
+    def one_leg(eps: float, cell: SolverConfig, walk, walk_s: dict) -> ConvergenceRow:
         grid_n = cell.n * _check_eps(eps)
-        walk_s = sum(charged.values()) + rest
-        start = time.perf_counter()
-        try:
-            if isinstance(walk, Exception):
-                raise walk
-            check, res = walk
-            solve_s = charged[check.dt, cell.n]
-            sup_err = w_err = 0.0
-            for t in checks:
-                state = ProfileStateTorus(modes=modes, amps=traj.at(t), t=t / eps)
-                uapp = assemble_uapp(state, 1.0, cell.n)
-                diff = GridField(modes.d, cell.n, res.at(t / eps).values - uapp.values)
-                sup_err = max(sup_err, sup_norm_of_field(diff))
-                w_err = max(w_err, w_norm_of_field(diff))
-            budget = LADDER_FRACTION * eps
-            over = check.over(budget)
-            over.update(("profile", gap) for gap in profile.over(budget).values())
-            note = ", ".join(f"{name} delta {gap / eps:.3g}*eps" for name, gap in over.items())
-            return ConvergenceRow(
-                eps=eps, grid_n=grid_n, sup_error=sup_err, w_error=w_err,
-                status=f"check over {LADDER_FRACTION:g}*eps: {note}" if over else "ok",
-                check=check,
-                stage_s={
-                    "checks": walk_s - solve_s,
-                    "solve": solve_s,
-                    "assembly_norms": time.perf_counter() - start,
-                },
-                runtime=walk_s + time.perf_counter() - start,
-            )
-        except (ValueError, FloatingPointError) as exc:
+        if isinstance(walk, Exception):
             return ConvergenceRow(
                 eps=eps, grid_n=grid_n, sup_error=math.nan, w_error=math.nan,
-                status=f"{type(exc).__name__}: {exc}",
-                runtime=walk_s + time.perf_counter() - start,
+                status=f"{type(walk).__name__}: {walk}",
+                stage_s={**walk_s, "assembly_norms": 0.0},
             )
+        start = time.perf_counter()
+        check, res = walk
+        sup_err = w_err = 0.0
+        for t in checks:
+            state = ProfileStateTorus(modes=modes, amps=traj.at(t), t=t / eps)
+            uapp = assemble_uapp(state, 1.0, cell.n)
+            diff = GridField(modes.d, cell.n, res.at(t / eps).values - uapp.values)
+            sup_err = max(sup_err, sup_norm_of_field(diff))
+            w_err = max(w_err, w_norm_of_field(diff))
+        budget = LADDER_FRACTION * eps
+        over = check.over(budget)
+        over.update(("profile", gap) for gap in profile.over(budget).values())
+        note = ", ".join(f"{name} delta {gap / eps:.3g}*eps" for name, gap in over.items())
+        return ConvergenceRow(
+            eps=eps, grid_n=grid_n, sup_error=sup_err, w_error=w_err,
+            status=f"check over {LADDER_FRACTION:g}*eps: {note}" if over else "ok",
+            check=check,
+            stage_s={**walk_s, "assembly_norms": time.perf_counter() - start},
+        )
 
-    rows = [one_leg(*leg) for leg in zip(eps_list, cells, walks, spent)]
+    rows = [one_leg(*leg) for leg in zip(eps_list, cells, walks, charged)]
 
     ok_rows = [r for r in rows if r.ok]
     at_floor = bool(ok_rows) and all(r.sup_error <= ERROR_FLOOR for r in ok_rows)
@@ -761,7 +760,8 @@ def run_instability(
     overflow when squared, so that the solves' health would not be finite,
     and FloatingPointError when the rounding floor of the zero-mode read,
     n ulps of alpha0~ + alpha1~, exceeds the step budget
-    LADDER_FRACTION*eps, so that the solver gap would be rounding noise.
+    LADDER_FRACTION*eps, so that the solver gap would be rounding noise;
+    a datum whose solve goes non-finite raises that FloatingPointError.
     """
     if not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be a positive integer")

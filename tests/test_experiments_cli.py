@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -390,12 +391,12 @@ class TestConvergeCommand:
         at = names.index("check")
         columns = names[:at] + [f.name for f in dataclasses.fields(LadderCheck)] + names[at + 1:]
         header, cells = read_csv_rows(tmp_path / "out" / "convergence.csv")
-        assert header.split(",") == [k for k in columns if k not in ("runtime", "stage_s")]
-        assert all(len(row) == len(columns) - 2 for row in cells)
+        assert header.split(",") == [k for k in columns if k != "stage_s"]
+        assert all(len(row) == len(columns) - 1 for row in cells)
         rows = load_report(tmp_path, "converge_report.json")["results"]["rows"]
         assert len(rows) == 2
         for row in rows:
-            assert set(row) == set(names) - {"runtime", "stage_s"}
+            assert set(row) == set(names) - {"stage_s"}
             assert set(row["check"]) == check_names
         doc = torus_doc(
             initial_modes=[{"kappa": [0], "amplitude": [0.5, 0.0]}],
@@ -696,6 +697,69 @@ class TestSmalldivCommand:
             assert stat.S_IMODE(os.stat(out / name).st_mode) == mode
 
 
+class TestRuntimes:
+    """`run` times each command whole as runtimes.total; a converge report
+    adds its rows, its stages and its profile."""
+
+    @staticmethod
+    def _slowed(monkeypatch, module, name):
+        # the command's own call of module.<name> takes 50 ms more
+        real = getattr(module, name)
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, slow)
+
+    def test_total_covers_the_side_files(self, tmp_path, monkeypatch):
+        # the formula curve behind gap_curve.csv is made after the record
+        self._slowed(monkeypatch, wkb_pipeline, "gap_curve")
+        doc = torus_doc(
+            initial_modes=[{"kappa": [0], "amplitude": [0.5, 0.0]}],
+            experiment={"type": "instability", "rho": 1.0, "delta": 0.1, "s": -2.0,
+                        "K": 32, "grid_points": 5},
+        )
+        scn = write_scenario(tmp_path, doc)
+        assert run(["instability", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        runtimes = load_report(tmp_path, "instability_report.json")["runtimes"]
+        assert set(runtimes) == {"total"} and runtimes["total"] >= 0.05
+
+    def test_total_covers_the_probe(self, tmp_path, monkeypatch):
+        self._slowed(monkeypatch, experiments_cli, "gram_diophantine_probe")
+        doc = torus_doc(experiment={"type": "smalldiv", "b_grid": [0.0, 1.0],
+                                    "probe": {"generators": [[1, 0], [0, "1/3"]]}})
+        scn = write_scenario(tmp_path, doc)
+        assert run(["smalldiv", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        runtimes = load_report(tmp_path, "smalldiv_report.json")["runtimes"]
+        assert set(runtimes) == {"total"} and runtimes["total"] >= 0.05
+
+    def test_a_row_is_the_sum_of_its_stages(self, tmp_path, monkeypatch):
+        # the eps = 1/4 leg's cell has coupling lam*eps = 1/4 and overflows;
+        # its row keeps the stage keys of the others, its solve at 0
+        real_solve = wkb_pipeline.solve
+
+        def solve_or_overflow(u0, cfg, snapshot_times=None, others=()):
+            if any(c.lam == 1 / 4 for c, _ in [(cfg, None), *others]):
+                raise FloatingPointError("overflow in the split step")
+            return real_solve(u0, cfg, snapshot_times, others)
+
+        monkeypatch.setattr(wkb_pipeline, "solve", solve_or_overflow)
+        scn = write_scenario(tmp_path, TestConvergeCommand()._doc(1.0))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["converge", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+        rep = load_report(tmp_path, "converge_report.json")
+        runtimes = rep["runtimes"]
+        assert rep["results"]["rows"][1]["status"].startswith("FloatingPointError")
+        assert len(runtimes["stages"]) == len(runtimes["rows"]) == 2
+        for row_s, stages in zip(runtimes["rows"], runtimes["stages"]):
+            assert set(stages) == {"checks", "solve", "assembly_norms"}
+            assert row_s == pytest.approx(sum(stages.values()), rel=1e-12, abs=1e-15)
+        failed = runtimes["stages"][1]
+        assert failed["solve"] == failed["assembly_norms"] == 0 < failed["checks"]
+        assert runtimes["total"] >= runtimes["profile"] + sum(runtimes["rows"])
+
+
 class TestParser:
     def test_two_runs_build_one_parser(self, tmp_path):
         experiments_cli.build_parser.cache_clear()
@@ -819,6 +883,9 @@ class TestErrorPaths:
               "experiment": {"type": "profiles", "t_final": 0.1,
                              "oracle": "explicit_two_mode"}},
              "explicit_two_mode oracle needs exactly two modes"),
+            # every Gram entry is zero, so no combination is nonzero
+            ({"experiment": {"type": "smalldiv", "probe": {"generators": [[0, 0], ["0/7", 0.0]]}}},
+             "experiment.probe.generators: every generator is zero"),
         ],
         ids=["dt-string", "dt-negative", "snapshots-0", "checkpoints-negative",
              "grid_points-0", "delta-2", "cross_check-string", "rho-nan", "rho-true",
@@ -826,7 +893,8 @@ class TestErrorPaths:
              "misspelt-key", "extra-top-level-key", "budget-negative", "rho-negative",
              "s-positive", "variant-bogus", "weak_limit-without-theta", "lambda-inf",
              "t_final-1e308", "amplitude-1e308", "beta_bound-string", "delta-overflow",
-             "generators-overflow", "b_grid-overflow", "two-mode-oracle-on-three-modes"],
+             "generators-overflow", "b_grid-overflow", "two-mode-oracle-on-three-modes",
+             "generators-all-zero"],
     )
     def test_malformed_experiment_number_is_a_scenario_error(
         self, tmp_path, capsys, changes, path

@@ -279,6 +279,10 @@ class TestGramProbe:
             gram_diophantine_probe([])
         with pytest.raises(ValueError):
             gram_diophantine_probe([[1, 0], [1]])
+        # no bound finds a nonzero combination of an all-zero Gram matrix
+        for gens in ([[0, 0], [0, "0/3"]], [[0.0]], [[1e-200]]):
+            with pytest.raises(ValueError, match="every Gram entry is zero"):
+                gram_diophantine_probe(gens, beta_bound=64)
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):

@@ -179,9 +179,32 @@ class TestConvergence:
         assert failed.status.startswith(
             "FloatingPointError: solver produced non-finite values by t=")
         assert math.isnan(failed.sup_error) and math.isnan(failed.w_error)
-        assert failed.check is None and failed.stage_s == {}
+        assert failed.check is None
+        # the failed leg is charged its share of the walk, none of it a solve
+        assert list(failed.stage_s) == list(table.rows[0].stage_s)
+        assert failed.stage_s["solve"] == failed.stage_s["assembly_norms"] == 0
+        assert failed.runtime == failed.stage_s["checks"] > 0
         for i in (0, 2):
             assert _row_values(table.rows[i]) == _row_values(unpatched.rows[i])
+
+    def test_value_error_in_a_row_reaches_the_caller(self, monkeypatch):
+        # only a leg's failed solve becomes a row: an error in its assembly
+        # or norms is a fault of the program, not a failed leg
+        def refusing(field):
+            raise ValueError("a carrier outside the band")
+
+        monkeypatch.setattr(wkb_pipeline, "sup_norm_of_field", refusing)
+        with pytest.raises(ValueError, match="outside the band"):
+            run_convergence(line_modes(0, 1), [0.5, 0.3], 1.0, [1 / 4, 1 / 8], 0.1,
+                            checkpoints=1)
+
+    def test_row_runtime_is_the_sum_of_its_stages(self):
+        table = run_convergence(line_modes(0, 1), [0.5, 0.3], 1.0, [1 / 4, 1 / 8], 0.1,
+                                checkpoints=1)
+        for row in table.rows:
+            assert list(row.stage_s) == ["checks", "solve", "assembly_norms"]
+            assert all(s > 0 for s in row.stage_s.values())
+            assert row.runtime == sum(row.stage_s.values())
 
     def test_value_error_in_a_shared_stack_reaches_the_caller(self, monkeypatch):
         # only a datum gone non-finite is solved again alone: any other
@@ -1030,6 +1053,23 @@ class TestInstability:
         for check in rec.solver_checks:
             assert 0.0 <= check.drift < 1e-12 and 0.0 <= check.aliasing < 1e-8
 
+    def test_cross_check_datum_gone_non_finite_raises(self, monkeypatch):
+        # the perturbed datum (alpha1~ != alpha1 = 8) is made to overflow:
+        # the cross-check has no row to record it in, so its error is raised
+        real = wkb_pipeline.assemble_uapp
+
+        def overflowing(state, eps, n):
+            field = real(state, eps, n)
+            if state.amps[1] != 8.0:
+                return GridField(field.d, field.n, np.full_like(field.values, 1e200))
+            return field
+
+        monkeypatch.setattr(wkb_pipeline, "assemble_uapp", overflowing)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite values"
+        ):
+            run_instability(1.0, 0.5, -2.0, 4, cross_check=True)
+
     def test_cross_check_health_covers_every_sample(self):
         # both data re-solved on the period cell at the steps their ladders chose
         with pytest.warns(UserWarning, match="premise"):
@@ -1079,7 +1119,7 @@ class TestInstability:
 def _row_values(row: ConvergenceRow) -> dict:
     """A row's fields, check included, without its timings."""
     values = asdict(row)
-    del values["runtime"], values["stage_s"]
+    del values["stage_s"]
     return values
 
 
